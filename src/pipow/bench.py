@@ -1,9 +1,10 @@
 """Benchmark with built-in cross-checks.
 
 Timing numbers are only reported after the competing methods have been
-shown to agree: the three exact routes (sweep, enumeration, Newton
-identities) must produce identical rationals, and the two sweep kernels
-(compiled and pure Python) must produce bit-identical mantissa rows.
+shown to agree: the four exact routes (product tree, Fraction sweep,
+enumeration, Newton identities) must produce identical rationals, and the
+two sweep kernels (compiled and pure Python) must produce bit-identical
+mantissa rows.
 A disagreement anywhere turns the run into a failure; speed never
 outranks correctness here.
 """
@@ -22,12 +23,13 @@ from .series import (
     newton_cross_check,
     partial_sum,
     partial_sum_naive,
+    partial_sum_prefix,
 )
 
 __all__ = ["BenchRow", "run_benchmark"]
 
 # (depth, truncation) grids; small enough for the enumeration witness,
-# large enough that the sweep's advantage is visible.
+# large enough that the product tree's and the sweep's advantage is visible.
 ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35)]
 SWEEP_GRID = [(1, 10**4), (1, 10**5), (2, 10**4), (4, 10**4)]
 BACKEND_GRID = [(1, 10**5), (2, 10**4), (4, 10**3)]
@@ -64,26 +66,28 @@ def run_benchmark() -> tuple[list, bool]:
     ok = True
 
     for depth, truncation in ORACLE_GRID:
-        sweep, t_sweep = _timed(lambda: partial_sum(depth, truncation, "exact"))
-        naive, t_naive = _timed(lambda: partial_sum_naive(depth, truncation))
-        newton, t_newton = _timed(lambda: newton_cross_check(depth, truncation))
-        agree = sweep == naive == newton
+        steps = depth * truncation
+        routes = [
+            ("product-tree", steps,
+             lambda: partial_sum(depth, truncation, "exact")),
+            ("fraction-sweep", steps,
+             lambda: partial_sum_prefix(depth, truncation)[-1]),
+            ("enumeration", math.comb(truncation, depth),
+             lambda: partial_sum_naive(depth, truncation)),
+            ("newton", steps,
+             lambda: newton_cross_check(depth, truncation)),
+        ]
+        timed = [(method, operations, *_timed(fn))
+                 for method, operations, fn in routes]
+        agree = len({value for _, _, value, _ in timed}) == 1
         if not agree:
             ok = False
         status = "agree" if agree else "MISMATCH"
-        tuples = math.comb(truncation, depth)
-        rows.append(
-            BenchRow("oracles", "sweep-exact", depth, truncation,
-                     depth * truncation, t_sweep, status)
-        )
-        rows.append(
-            BenchRow("oracles", "enumeration", depth, truncation,
-                     tuples, t_naive, status)
-        )
-        rows.append(
-            BenchRow("oracles", "newton", depth, truncation,
-                     depth * truncation, t_newton, status)
-        )
+        for method, operations, _, seconds in timed:
+            rows.append(
+                BenchRow("oracles", method, depth, truncation,
+                         operations, seconds, status)
+            )
 
     depth, truncation = REFUSAL_CASE
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import _backend, bench
 from .errors import DomainError, InfeasibleError
-from .exactnum import FixedDecimal, div_round_up
+from .exactnum import FixedDecimal, div_round_up, int_to_decimal
 from .reference import basel_power, reference_value, sinc_taylor
 from .series import (
     DEFAULT_WORK_CEILING,
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--as-decimal", action="store_true",
                        help="render exact rational output as a decimal")
     p_sum.add_argument("--work-ceiling", type=_positive_int, default=None,
-                       help="max ring operations (env %s, default %d)"
+                       help="cap on the truncation N (env %s, default %d)"
                             % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
     _add_common(p_sum)
 
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "drops below 10**-digits")
     p_conv.add_argument("--depth", type=_positive_int, required=True)
     p_conv.add_argument("--work-ceiling", type=_positive_int, default=None,
-                        help="max ring operations (env %s, default %d)"
+                        help="cap on the truncation N (env %s, default %d)"
                              % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
     _add_common(p_conv, digits_default=10)
 
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "clamped to the work ceiling")
     p_table.add_argument("--max-depth", type=_positive_int, required=True)
     p_table.add_argument("--work-ceiling", type=_positive_int, default=None,
-                         help="max ring operations per row (env %s, "
+                         help="cap on each row's truncation N (env %s, "
                               "default %d)"
                               % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
     _add_common(p_table)
@@ -228,17 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 # --- rendering ------------------------------------------------------------
 
 
 def _value_string(result: SeriesResult, as_decimal: bool, digits: int) -> str:
-    if isinstance(result.value, Fraction):
+    value = result.value
+    if isinstance(value, Fraction):
         if as_decimal:
-            return FixedDecimal.from_rational(
-                result.value, digits
-            ).to_decimal_string()
-        return str(result.value)
-    return result.value.to_decimal_string(digits)
+            return FixedDecimal.from_rational(value, digits).to_decimal_string()
+        numerator = int_to_decimal(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{int_to_decimal(value.denominator)}"
+    return value.to_decimal_string(digits)
 
 
 def _result_strings(result: SeriesResult, digits: int,
@@ -520,9 +529,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -13,6 +13,7 @@ in this module.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -26,6 +27,7 @@ __all__ = [
     "fixed_from_rational",
     "fixed_recip_square",
     "guard_digits",
+    "int_to_decimal",
     "rat",
     "to_decimal_string",
 ]
@@ -78,6 +80,27 @@ def guard_digits(operation_count: int) -> int:
     if operation_count == 0:
         return 10
     return 10 + len(str(operation_count))
+
+
+def int_to_decimal(value: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    Plain str() while the result stays inside CPython's int->str digit
+    limit (sys.get_int_max_str_digits(), 4300 by default); above it the
+    digits are split at a power of ten and each half rendered the same
+    way, so no process-wide limit has to be lifted.
+    """
+    if value < 0:
+        return "-" + int_to_decimal(-value)
+    limit = sys.get_int_max_str_digits()
+    # value < 2**bits, so it has at most bits*log10(2) + 1 < bits*0.30103 + 1
+    # decimal digits.
+    bound = value.bit_length() * 30103 // 100000 + 1
+    if limit == 0 or bound <= limit:
+        return str(value)
+    half = bound // 2
+    high, low = divmod(value, 10**half)
+    return int_to_decimal(high) + int_to_decimal(low).rjust(half, "0")
 
 
 class FixedDecimal:
@@ -295,7 +318,7 @@ class FixedDecimal:
             self.mantissa, 10 ** (self.scale - display_digits)
         )
         sign = "-" if mantissa < 0 else ""
-        digits_str = str(abs(mantissa))
+        digits_str = int_to_decimal(abs(mantissa))
         if display_digits == 0:
             return sign + digits_str
         digits_str = digits_str.rjust(display_digits + 1, "0")

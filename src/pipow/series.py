@@ -7,13 +7,15 @@ The depth-n partial sum over truncation N is
 
 the elementary symmetric polynomial of degree n evaluated at x_l = 1/l**2.
 As N grows, S_n(N) converges to pi**(2n) / (2n+1)!. This module computes
-the partial sums three independent ways (a single O(N*n) sweep, direct
-tuple enumeration, and Newton's identities on power sums), bounds the
-truncation error rigorously, and drives truncations to a requested
-precision under a work ceiling.
+the partial sums four independent ways (a product tree over the integer
+polynomial prod (l**2 + t), a single O(N*n) sweep, direct tuple
+enumeration, and Newton's identities on power sums), bounds the truncation
+error rigorously, and drives truncations to a requested precision under a
+work ceiling.
 
-Two arithmetic modes: exact rationals (bit-for-bit, practical for small N)
-and guarded fixed-point decimals (the sweep kernel, practical to N = 10**8).
+Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
+practical for small N) and guarded fixed-point decimals (the sweep kernel,
+practical to N = 10**8).
 """
 
 from __future__ import annotations
@@ -68,27 +70,48 @@ def _check_depth_truncation(depth: int, truncation: int) -> None:
         raise DomainError("truncation must be nonnegative")
 
 
+def _truncated_product(low: int, high: int, depth: int) -> list:
+    """Coefficients [c_0, ..., c_min(depth, high-low)] of
+    prod_{l=low..high-1} (l**2 + t), lowest degree first, by balanced
+    halving so the big multiplications pair operands of equal size."""
+    if high - low == 1:
+        return [low * low, 1][: depth + 1]
+    middle = (low + high) // 2
+    left = _truncated_product(low, middle, depth)
+    right = _truncated_product(middle, high, depth)
+    out = [0] * min(depth + 1, len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        for j, b in enumerate(right[: len(out) - i]):
+            out[i + j] += a * b
+    return out
+
+
 def partial_sum(
     depth: int,
     truncation: int,
     mode: str = "exact",
     digits: int = 20,
 ) -> Value:
-    """S_depth(truncation) by the descending-index sweep.
+    """S_depth(truncation), exact by a product tree or fixed by the sweep.
 
-    mode "exact" returns a reduced Fraction; mode "fixed" returns a
-    FixedDecimal carrying `digits` requested places plus enough guard
-    digits that the at most truncation*depth half-even roundings of the
-    sweep stay clear of the requested places.
+    mode "exact" returns a reduced Fraction: with
+    P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
+    so it costs one integer polynomial product cut off at degree `depth`
+    and one division, with no per-index gcd as in the Fraction sweep. mode
+    "fixed" returns a FixedDecimal from the descending-index sweep kernel,
+    carrying `digits` requested places plus enough guard digits that the
+    at most truncation*depth half-even roundings of the sweep stay clear
+    of the requested places.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
-        row = [Fraction(1)] + [Fraction(0)] * depth
-        for ell in range(1, truncation + 1):
-            x = Fraction(1, ell * ell)
-            for k in range(min(depth, ell), 0, -1):
-                row[k] += x * row[k - 1]
-        return row[depth]
+        if depth > truncation:
+            return Fraction(0)
+        if depth == 0:
+            return Fraction(1)
+        coefficients = _truncated_product(1, truncation + 1, depth)
+        # The constant term is prod l**2 = (N!)**2.
+        return Fraction(coefficients[depth], coefficients[0])
     if mode == "fixed":
         if digits < 1:
             raise DomainError("fixed mode requires at least one digit")
@@ -102,8 +125,10 @@ def partial_sum(
 def partial_sum_prefix(depth: int, truncation: int) -> list:
     """Exact values [S_depth(0), S_depth(1), ..., S_depth(truncation)].
 
-    One sweep; the depth-limit entry is recorded after each index is
-    folded in, so the whole prefix costs the same as the final value.
+    One descending-index Fraction sweep; the depth-limit entry is recorded
+    after each index is folded in, so the whole prefix costs the same as
+    the final value. Its last entry is the independent witness that the
+    product tree in partial_sum must reproduce.
     """
     _check_depth_truncation(depth, truncation)
     row = [Fraction(1)] + [Fraction(0)] * depth
@@ -149,8 +174,8 @@ def newton_cross_check(depth: int, truncation: int) -> Fraction:
     With p_j the sum of 1/l**(2j) over l = 1..truncation and e_0 = 1, the
     identities k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i recover the
     elementary symmetric value e_depth without visiting any index tuple;
-    an algebraically independent route from both the sweep and the
-    enumeration.
+    an algebraically independent route from the product tree, the sweep
+    and the enumeration.
     """
     _check_depth_truncation(depth, truncation)
     p = [Fraction(0)] * (depth + 1)

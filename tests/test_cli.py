@@ -9,11 +9,13 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pipow import cli, reference
+from pipow.series import partial_sum
 from pipow.cli import (
     EXIT_INFEASIBLE,
     EXIT_MISMATCH,
@@ -110,6 +112,21 @@ class TestSumCommand:
                                "2500", "--mode", "exact", "--force-exact")
         assert code == EXIT_OK
         assert "value:" in out
+
+    def test_exact_output_beyond_int_str_limit(self, capsys):
+        # The reduced denominator of S_7(2000) has more than 4300 digits.
+        code, out, _ = run_cli(capsys, "sum", "--depth", "7", "--upto",
+                               "2000", "--format", "json")
+        assert code == EXIT_OK
+        value = json.loads(out)["value"]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            parsed = Fraction(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert parsed == partial_sum(7, 2000)
+        assert parsed.denominator >= 10**4300
 
     def test_work_ceiling_flag(self, capsys):
         code, _, err = run_cli(capsys, "sum", "--depth", "1", "--upto",
@@ -295,6 +312,13 @@ class TestUsageErrors:
     ])
     def test_exit_three(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["sum", "converge", "table"])
+    def test_work_ceiling_help_names_the_truncation(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        assert "truncation N" in " ".join(out.split())
+        assert "ring operations" not in out
 
 
 class TestConsoleScript:

@@ -5,6 +5,8 @@ test: Python's round() implements banker's rounding on Fractions, and the
 string oracle does schoolbook long division and rounds from the remainder.
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from pipow.exactnum import (
     fixed_from_rational,
     fixed_recip_square,
     guard_digits,
+    int_to_decimal,
     rat,
     to_decimal_string,
 )
@@ -224,6 +227,42 @@ class TestFixedDecimalRendering:
             to_decimal_string(Fraction(1, 3))
         with pytest.raises(DomainError):
             to_decimal_string("1/3", 5)
+
+
+@contextmanager
+def int_str_limit(digits: int):
+    """CPython's int<->str digit limit set to `digits` (0: none) for a block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestIntToDecimal:
+    """Rendering past CPython's int->str digit limit (4300 by default)."""
+
+    @pytest.mark.parametrize("digit_count", [1, 2, 4299, 4300, 4301, 9000, 30001])
+    def test_matches_str(self, digit_count):
+        top = 10**digit_count
+        for value in (0, top // 10, top - 1, top // 7, -(top // 3)):
+            with int_str_limit(0):
+                expected = str(value)
+            assert int_to_decimal(value) == expected
+
+    def test_honors_a_lowered_limit(self):
+        value = 7**2000  # 1691 digits
+        expected = str(value)
+        with int_str_limit(640):
+            assert int_to_decimal(value) == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_fixed_rendering_beyond_the_limit(self, sign):
+        # 5000 places of 1/7 repeat 142857; the 5001st digit (2) rounds down.
+        expected = "0." + ("142857" * 834)[:5000]
+        fd = fixed_from_rational(Fraction(sign, 7), 5000, guard=3)
+        assert fd.to_decimal_string() == ("-" if sign < 0 else "") + expected
 
 
 class TestFixedDecimalArithmetic:

@@ -1,9 +1,10 @@
 """Nested-sum evaluation, truncation tails, and convergence planning.
 
-Cross-validation strategy: the dynamic-programming sweep, the literal
-tuple enumeration, and the Newton power-sum identities are three
-independent routes to the same exact rational; they must agree bit for
-bit. Tail bounds are checked for soundness against exact prefixes.
+Cross-validation strategy: the product tree behind partial_sum, the
+Fraction sweep behind partial_sum_prefix, the literal tuple enumeration,
+and the Newton power-sum identities are four independent routes to the
+same exact rational; they must agree bit for bit. Tail bounds are checked
+for soundness against exact prefixes.
 """
 
 from fractions import Fraction
@@ -88,6 +89,24 @@ class TestThreeWayAgreement:
         with pytest.raises(InfeasibleError) as info:
             partial_sum_naive(5, 100)
         assert info.value.required == 75287520
+
+
+class TestProductTreeAgainstSweep:
+    @pytest.mark.parametrize("depth", range(9))
+    def test_tree_sweep_newton(self, depth):
+        # Covers N == 0, depth > N, depth == N and depth == 0.
+        prefix = partial_sum_prefix(depth, 60)
+        for truncation in range(61):
+            tree = partial_sum(depth, truncation, mode="exact")
+            assert type(tree) is Fraction
+            assert tree == prefix[truncation] == newton_cross_check(
+                depth, truncation)
+
+    def test_bit_identical_at_depth_six(self):
+        tree = partial_sum(6, 600, mode="exact")
+        sweep = partial_sum_prefix(6, 600)[-1]
+        assert (tree.numerator, tree.denominator) == (
+            sweep.numerator, sweep.denominator)
 
 
 class TestPrefixSweep:
