@@ -3,7 +3,7 @@
 The depth-n nested sum over 1/(l_1**2 * ... * l_n**2) with strictly
 increasing indices converges to pi**(2n)/(2n+1)!. This package computes
 those partial sums exactly (rationals) or quickly (guarded fixed-point
-decimals with a compiled sweep kernel), certifies truncation error with
+decimals from a single sweep), certifies truncation error with
 rigorous tail bounds, mechanically verifies the symmetric-polynomial
 identity the construction rests on, and reproduces the limit values to
 fifty decimal places.
@@ -12,7 +12,6 @@ fifty decimal places.
 from ._backend import BACKEND as KERNEL_BACKEND
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
-    BigRational,
     FixedDecimal,
     fixed_from_rational,
     fixed_recip_square,
@@ -55,7 +54,6 @@ from .symmetric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "DomainError",
     "ExpansionReport",
     "FixedDecimal",

@@ -1,40 +1,52 @@
-"""Kernel backend selection.
+"""The fixed-point sweep kernel: Euler's product expanded one index at a time.
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-pure-Python kernel serves every call. Setting the environment variable
-PIPOW_FORCE_PURE=1 before import skips the extension outright, which is how
-the benchmark and the bit-identity tests obtain both backends in one
-process (the pure module is always importable directly).
+Pure Python on big-integer mantissas; the hot loop of fixed mode and of the
+sinc series.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
 from .errors import DomainError
 
-_COMPILED_INDEX_LIMIT = 2**32 - 1
-
-if os.environ.get("PIPOW_FORCE_PURE") == "1":
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernel_py
-
-BACKEND = _impl.BACKEND_NAME
+BACKEND = "pure-python"
 
 
 def dp_row_scaled(depth: int, truncation: int, scale: int) -> list:
-    """Backend-dispatched fixed-point sweep; see _kernel_py.dp_row_scaled."""
+    """Mantissa row [S_0 .. S_depth] at scale 10**-scale after one sweep.
+
+    S_k is the depth-k nested sum over indices 1..truncation of the product
+    of reciprocal squares. The row starts as [1, 0, ..., 0] (scaled) and one
+    pass over l = 1..truncation applies, for k descending,
+
+        S_k += (1/l**2) * S_{k-1}
+
+    so entry k ends as the sum over strictly increasing k-tuples bounded by
+    the truncation. Every division rounds half to even; each of the at most
+    truncation*depth updates moves the entry by at most half a unit in the
+    last place.
+    """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     if truncation < 0:
         raise DomainError("truncation must be nonnegative")
     if scale < 0:
         raise DomainError("scale must be nonnegative")
-    if _impl is not _kernel_py and truncation > _COMPILED_INDEX_LIMIT:
-        return _kernel_py.dp_row_scaled(depth, truncation, scale)
-    return _impl.dp_row_scaled(depth, truncation, scale)
+    one = 10**scale
+    row = [one] + [0] * depth
+    for ell in range(1, truncation + 1):
+        sq = ell * ell
+        q, r = divmod(one, sq)
+        if 2 * r > sq or (2 * r == sq and q & 1):
+            q += 1
+        term = q
+        top = depth if depth < ell else ell
+        for k in range(top, 1, -1):
+            prod = term * row[k - 1]
+            q2, r2 = divmod(prod, one)
+            if 2 * r2 > one or (2 * r2 == one and q2 & 1):
+                q2 += 1
+            row[k] += q2
+        if depth >= 1:
+            # k == 1: S_0 is exactly one, so the rounded product is term itself.
+            row[1] += term
+    return row

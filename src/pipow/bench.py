@@ -2,11 +2,9 @@
 
 Timing numbers are only reported after the competing methods have been
 shown to agree: the four exact routes (product tree, Fraction sweep,
-enumeration, Newton identities) must produce identical rationals, and the
-two sweep kernels (compiled and pure Python) must produce bit-identical
-mantissa rows.
-A disagreement anywhere turns the run into a failure; speed never
-outranks correctness here.
+enumeration, Newton identities) must produce identical rationals. The
+fixed-point sweep is timed on its own. A disagreement anywhere turns the
+run into a failure; speed never outranks correctness here.
 """
 
 from __future__ import annotations
@@ -15,9 +13,8 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import _backend, _kernel_py
+from . import _backend
 from .errors import InfeasibleError
-from .exactnum import guard_digits
 from .series import (
     NAIVE_ENUMERATION_CEILING,
     newton_cross_check,
@@ -32,7 +29,6 @@ __all__ = ["BenchRow", "run_benchmark"]
 # large enough that the product tree's and the sweep's advantage is visible.
 ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35)]
 SWEEP_GRID = [(1, 10**4), (1, 10**5), (2, 10**4), (4, 10**4)]
-BACKEND_GRID = [(1, 10**5), (2, 10**4), (4, 10**3)]
 REFUSAL_CASE = (5, 100)
 SWEEP_DIGITS = 20
 
@@ -60,7 +56,7 @@ def run_benchmark() -> tuple[list, bool]:
     """All benchmark rows plus an overall agreement verdict.
 
     Returns (rows, ok); ok is False as soon as any cross-check between
-    methods or backends fails, and the offending row says so.
+    methods fails, and the offending row says so.
     """
     rows = []
     ok = True
@@ -114,38 +110,6 @@ def run_benchmark() -> tuple[list, bool]:
         rows.append(
             BenchRow("sweep-fixed", _backend.BACKEND, depth, truncation,
                      depth * truncation, seconds, "ok")
-        )
-
-    try:
-        from . import _kernel as compiled
-    except ImportError:
-        compiled = None
-    for depth, truncation in BACKEND_GRID:
-        scale = SWEEP_DIGITS + guard_digits(depth * truncation)
-        pure_row, t_pure = _timed(
-            lambda: _kernel_py.dp_row_scaled(depth, truncation, scale)
-        )
-        rows.append(
-            BenchRow("backends", "pure-python", depth, truncation,
-                     depth * truncation, t_pure, "ok")
-        )
-        if compiled is None:
-            continue
-        fast_row, t_fast = _timed(
-            lambda: compiled.dp_row_scaled(depth, truncation, scale)
-        )
-        identical = fast_row == pure_row
-        if not identical:
-            ok = False
-        rows.append(
-            BenchRow("backends", "compiled", depth, truncation,
-                     depth * truncation, t_fast,
-                     "bit-identical" if identical else "MISMATCH")
-        )
-    if compiled is None:
-        rows.append(
-            BenchRow("backends", "compiled", 0, 0, 0, None,
-                     "not built; pure-python fallback active")
         )
 
     return rows, ok

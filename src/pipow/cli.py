@@ -17,13 +17,18 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _backend, bench
 from .errors import DomainError, InfeasibleError
 from .exactnum import FixedDecimal, div_round_up, int_to_decimal
-from .reference import basel_power, reference_value, sinc_taylor
+from .reference import (
+    MAX_PI_DIGITS,
+    REFERENCE_GUARD,
+    basel_power,
+    reference_value,
+    sinc_taylor,
+)
 from .series import (
     DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
@@ -38,7 +43,7 @@ from .series import (
 from .symmetric import PRACTICAL_VERIFY_CEILING, verify_expansion
 
 __all__ = ["EXIT_INFEASIBLE", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE",
-           "RunConfig", "build_parser", "entrypoint", "main"]
+           "build_parser", "entrypoint", "main"]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -46,6 +51,10 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 3
 
 WORK_CEILING_ENV = "PIPOW_WORK_CEILING"
+
+# The series commands judge their output against reference constants at
+# digits + REFERENCE_GUARD places, so the guard comes out of the pi budget.
+MAX_SERIES_DIGITS = MAX_PI_DIGITS - REFERENCE_GUARD
 
 # Schema-fixed field order for series results in every format.
 RESULT_FIELDS = (
@@ -68,6 +77,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("value must be a positive integer")
+    return value
+
+
+def _series_digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SERIES_DIGITS:
+        raise argparse.ArgumentTypeError(
+            "at most %d digits are supported, got %d"
+            % (MAX_SERIES_DIGITS, value)
+        )
     return value
 
 
@@ -99,34 +118,6 @@ def _rational(text: str) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one CLI invocation."""
-
-    command: str
-    output_format: str = "text"
-    out_path: str | None = None
-    digits: int = 20
-    work_ceiling: int = DEFAULT_WORK_CEILING
-    depth: int | None = None
-    truncation: int | None = None
-    mode: str | None = None
-    force_exact: bool = False
-    as_decimal: bool = False
-    max_depth: int | None = None
-    n_vars: int | None = None
-    x: Fraction | None = None
-    terms: int | None = None
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise DomainError("digit count must be at least 1")
-        if self.work_ceiling < 1:
-            raise DomainError("work ceiling must be at least 1")
-        if self.output_format not in ("text", "csv", "json"):
-            raise DomainError("format must be text, csv, or json")
-
-
 def _resolve_work_ceiling(args) -> int:
     flag = getattr(args, "work_ceiling", None)
     if flag is not None:
@@ -145,8 +136,8 @@ def _resolve_work_ceiling(args) -> int:
     return DEFAULT_WORK_CEILING
 
 
-def _add_common(sub, *, digits_default=20):
-    sub.add_argument("--digits", type=_positive_int, default=digits_default,
+def _add_common(sub, *, digits_default=20, digits_type=_series_digits):
+    sub.add_argument("--digits", type=digits_type, default=digits_default,
                      help="requested decimal precision (default %(default)s)")
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text", dest="output_format",
@@ -217,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sinc.add_argument("--terms", type=_nonnegative_int, default=100,
                         help="product factors / series truncation "
                              "(default %(default)s)")
-    _add_common(p_sinc)
+    _add_common(p_sinc, digits_type=_positive_int)
 
     p_bench = sub.add_parser(
-        "bench", help="cross-checked timings: exact oracles, the fixed "
-                      "sweep, and both kernels")
+        "bench", help="cross-checked timings: exact oracles and the fixed "
+                      "sweep")
     p_bench.add_argument("--format", choices=("text", "csv", "json"),
                          default="text", dest="output_format")
     p_bench.add_argument("--out", dest="out_path", default=None)
@@ -267,13 +258,13 @@ def _result_strings(result: SeriesResult, digits: int,
     }
 
 
-def _render_results(results: list, config: RunConfig) -> str:
-    rows = [_result_strings(r, config.digits, config.as_decimal)
-            for r in results]
-    if config.output_format == "json":
+def _render_results(results: list, args) -> str:
+    as_decimal = getattr(args, "as_decimal", False)
+    rows = [_result_strings(r, args.digits, as_decimal) for r in results]
+    if args.output_format == "json":
         payload = rows[0] if len(rows) == 1 else rows
         return json.dumps(payload, indent=2) + "\n"
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
@@ -301,86 +292,84 @@ def _render_results(results: list, config: RunConfig) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_sum(config: RunConfig) -> tuple[str, int]:
-    depth, truncation = config.depth, config.truncation
-    mode = config.mode
+def cmd_sum(args) -> tuple[str, int]:
+    depth, truncation, digits = args.depth, args.upto, args.digits
+    mode = args.mode
     if mode is None:
         mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
     if (mode == "exact" and truncation > EXACT_TRUNCATION_LIMIT
-            and not config.force_exact):
+            and not args.force_exact):
         raise InfeasibleError(
             "exact mode at truncation %d exceeds the limit of %d; "
             "use --mode fixed or --force-exact"
             % (truncation, EXACT_TRUNCATION_LIMIT),
             required=truncation, ceiling=EXACT_TRUNCATION_LIMIT,
         )
-    if truncation > config.work_ceiling:
+    if truncation > args.work_ceiling:
         raise InfeasibleError(
             "truncation %d is above the work ceiling of %d"
-            % (truncation, config.work_ceiling),
-            required=truncation, ceiling=config.work_ceiling,
+            % (truncation, args.work_ceiling),
+            required=truncation, ceiling=args.work_ceiling,
         )
-    value = partial_sum(depth, truncation, mode=mode, digits=config.digits)
+    value = partial_sum(depth, truncation, mode=mode, digits=digits)
     if truncation >= 1:
-        bound = tail_bound(depth, truncation, config.digits)
+        bound = tail_bound(depth, truncation, digits)
     else:
         # Nothing summed yet: the whole series is the tail, bounded above
         # by (pi**2/6)**depth. Round up to keep the certificate sound.
-        whole = basel_power(depth, config.digits + 10)
+        whole = basel_power(depth, digits + 10)
         bound = FixedDecimal(
-            div_round_up(whole.mantissa + 1, 10**10), config.digits + 10, 10
+            div_round_up(whole.mantissa + 1, 10**10), digits + 10, 10
         )
-    ref = reference_value(depth, config.digits)
+    ref = reference_value(depth, digits)
     if isinstance(value, Fraction):
         error = abs(
             FixedDecimal.from_rational(
-                ref.as_fraction() - value, config.digits + 10, 10
+                ref.as_fraction() - value, digits + 10, 10
             )
         )
     else:
         error = abs(ref - value)
     result = SeriesResult(
         depth=depth, truncation=truncation, mode=mode, value=value,
-        tail_bound=bound, reference=ref, abs_error=error,
-        digits=config.digits,
+        tail_bound=bound, reference=ref, abs_error=error, digits=digits,
     )
-    return _render_results([result], config), EXIT_OK
+    return _render_results([result], args), EXIT_OK
 
 
-def cmd_converge(config: RunConfig) -> tuple[str, int]:
-    result = converge(config.depth, config.digits,
-                      work_ceiling=config.work_ceiling)
-    return _render_results([result], config), EXIT_OK
+def cmd_converge(args) -> tuple[str, int]:
+    result = converge(args.depth, args.digits, work_ceiling=args.work_ceiling)
+    return _render_results([result], args), EXIT_OK
 
 
-def cmd_table(config: RunConfig) -> tuple[str, int]:
+def cmd_table(args) -> tuple[str, int]:
+    digits = args.digits
     results = []
-    for depth in range(1, config.max_depth + 1):
-        needed = required_truncation(depth, config.digits)
-        truncation = min(needed, config.work_ceiling)
-        value = partial_sum(depth, truncation, mode="fixed",
-                            digits=config.digits)
-        bound = tail_bound(depth, truncation, config.digits)
-        ref = reference_value(depth, config.digits)
+    for depth in range(1, args.max_depth + 1):
+        needed = required_truncation(depth, digits)
+        truncation = min(needed, args.work_ceiling)
+        value = partial_sum(depth, truncation, mode="fixed", digits=digits)
+        bound = tail_bound(depth, truncation, digits)
+        ref = reference_value(depth, digits)
         results.append(SeriesResult(
             depth=depth, truncation=truncation, mode="fixed", value=value,
             tail_bound=bound, reference=ref, abs_error=abs(ref - value),
-            digits=config.digits,
+            digits=digits,
         ))
-    return _render_results(results, config), EXIT_OK
+    return _render_results(results, args), EXIT_OK
 
 
-def cmd_verify_theorem(config: RunConfig) -> tuple[str, int]:
+def cmd_verify_theorem(args) -> tuple[str, int]:
     warning = None
-    if config.n_vars > PRACTICAL_VERIFY_CEILING:
+    if args.n_vars > PRACTICAL_VERIFY_CEILING:
         warning = (
             "warning: %d variables is above the practical ceiling of %d; "
             "the expansion has 2**%d terms and this may take a long time"
-            % (config.n_vars, PRACTICAL_VERIFY_CEILING, config.n_vars)
+            % (args.n_vars, PRACTICAL_VERIFY_CEILING, args.n_vars)
         )
-    report = verify_expansion(config.n_vars)
+    report = verify_expansion(args.n_vars)
     code = EXIT_OK if report.passed else EXIT_MISMATCH
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "m": report.n_vars,
             "passed": report.passed,
@@ -389,7 +378,7 @@ def cmd_verify_theorem(config: RunConfig) -> tuple[str, int]:
             "warning": warning,
         }
         return json.dumps(payload, indent=2) + "\n", code
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["m", "passed", "mismatch_power", "warning"])
@@ -408,8 +397,8 @@ def cmd_verify_theorem(config: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def cmd_sinc(config: RunConfig) -> tuple[str, int]:
-    x, terms, digits = config.x, config.terms, config.digits
+def cmd_sinc(args) -> tuple[str, int]:
+    x, terms, digits = args.x, args.terms, args.digits
     powers = _sinc_powers(x, digits)
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)
@@ -431,9 +420,9 @@ def cmd_sinc(config: RunConfig) -> tuple[str, int]:
         "product_vs_taylor": product_dev,
         "series_vs_taylor": series_dev,
     }
-    if config.output_format == "json":
+    if args.output_format == "json":
         return json.dumps(fields, indent=2) + "\n", EXIT_OK
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(list(fields))
@@ -459,7 +448,7 @@ def _sinc_powers(x: Fraction, digits: int) -> int:
             return j
 
 
-def cmd_bench(config: RunConfig) -> tuple[str, int]:
+def cmd_bench(args) -> tuple[str, int]:
     rows, ok = bench.run_benchmark()
     code = EXIT_OK if ok else EXIT_MISMATCH
     header = ["section", "method", "depth", "truncation",
@@ -469,14 +458,14 @@ def cmd_bench(config: RunConfig) -> tuple[str, int]:
               "" if row.seconds is None else "%.6f" % row.seconds,
               row.status]
              for row in rows]
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "backend": _backend.BACKEND,
             "ok": ok,
             "rows": [dict(zip(header, cell)) for cell in cells],
         }
         return json.dumps(payload, indent=2) + "\n", code
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -499,25 +488,6 @@ def cmd_bench(config: RunConfig) -> tuple[str, int]:
 # --- driver ---------------------------------------------------------------
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        output_format=getattr(args, "output_format", "text"),
-        out_path=getattr(args, "out_path", None),
-        digits=getattr(args, "digits", 20),
-        work_ceiling=_resolve_work_ceiling(args),
-        depth=getattr(args, "depth", None),
-        truncation=getattr(args, "upto", None),
-        mode=getattr(args, "mode", None),
-        force_exact=getattr(args, "force_exact", False),
-        as_decimal=getattr(args, "as_decimal", False),
-        max_depth=getattr(args, "max_depth", None),
-        n_vars=getattr(args, "n_vars", None),
-        x=getattr(args, "x", None),
-        terms=getattr(args, "terms", None),
-    )
-
-
 _COMMANDS = {
     "sum": cmd_sum,
     "converge": cmd_converge,
@@ -534,16 +504,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = _config_from_args(args)
-        output, code = _COMMANDS[args.command](config)
+        args.work_ceiling = _resolve_work_ceiling(args)
+        output, code = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"pipow: invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"pipow: refused: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8") as handle:
             handle.write(output)
     else:
         sys.stdout.write(output)

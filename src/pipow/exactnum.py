@@ -1,11 +1,11 @@
 """Exact rationals and guarded fixed-point decimals.
 
-Two number representations carry every value in this package. `BigRational`
-(an alias of the stdlib `fractions.Fraction`, always stored reduced) backs
-exact mode, where results are bit-for-bit reproducible and comparisons are
-zero-tolerance. `FixedDecimal` backs fixed mode: a big-integer mantissa
-scaled by a power of ten, carrying `guard` extra digits beyond the precision
-the caller asked for, with every lossy operation rounding half to even.
+Two number representations carry every value in this package. The stdlib
+`fractions.Fraction` (always stored reduced) backs exact mode, where results
+are bit-for-bit reproducible and comparisons are zero-tolerance.
+`FixedDecimal` backs fixed mode: a big-integer mantissa scaled by a power of
+ten, carrying `guard` extra digits beyond the precision the caller asked
+for, with every lossy operation rounding half to even.
 
 Binary floating point is never used to hold a value; floats appear nowhere
 in this module.
@@ -20,7 +20,6 @@ from typing import Union
 from .errors import DomainError
 
 __all__ = [
-    "BigRational",
     "FixedDecimal",
     "div_round_half_even",
     "div_round_up",
@@ -31,8 +30,6 @@ __all__ = [
     "rat",
     "to_decimal_string",
 ]
-
-BigRational = Fraction
 
 RationalLike = Union[int, Fraction]
 

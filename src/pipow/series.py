@@ -14,8 +14,8 @@ error rigorously, and drives truncations to a requested precision under a
 work ceiling.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
-practical for small N) and guarded fixed-point decimals (the sweep kernel,
-practical to N = 10**8).
+practical for small N) and guarded fixed-point decimals (the pure-Python
+sweep kernel `_backend.dp_row_scaled`, practical to N = 10**8).
 """
 
 from __future__ import annotations

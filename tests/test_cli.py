@@ -313,6 +313,23 @@ class TestUsageErrors:
     def test_exit_three(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [
+        ["sum", "--depth", "1", "--upto", "10"],
+        ["converge", "--depth", "1"],
+        ["table", "--max-depth", "2"],
+    ])
+    @pytest.mark.parametrize("digits", ["99991", "200000"])
+    def test_digits_above_maximum_quote_the_request(self, capsys, command,
+                                                    digits):
+        # The reference guard is internal: the message names the user's
+        # number and the largest one accepted, never digits + guard.
+        limit = reference.MAX_PI_DIGITS - reference.REFERENCE_GUARD
+        code, out, err = run_cli(capsys, *command, "--digits", digits)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"at most {limit} digits are supported, got {digits}" in err
+        assert str(int(digits) + reference.REFERENCE_GUARD) not in err
+
     @pytest.mark.parametrize("command", ["sum", "converge", "table"])
     def test_work_ceiling_help_names_the_truncation(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--help")

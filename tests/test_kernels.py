@@ -1,44 +1,32 @@
-"""Backend selection and bit-identity between the two sweep kernels.
+"""The fixed-point sweep kernel and its published backend name.
 
-The compiled extension must be an invisible speedup: every row it emits
-has to match the pure-Python kernel integer for integer, including on
-either side of the fast-path cutoffs (scale 37/38, depth 1/2).
+The kernel is judged against the exact Fraction sweep: every entry of its
+mantissa row stays within its rounding budget of the true nested sum.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 import pipow
-from pipow import _backend, _kernel_py
+from pipow import _backend
 from pipow.errors import DomainError
-
-try:
-    from pipow import _kernel as compiled_kernel
-except ImportError:  # pure-only build
-    compiled_kernel = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled_kernel is None, reason="compiled kernel not built")
 
 
 class TestPureKernel:
     def test_row_zero_is_scale_unit(self):
         for scale in (5, 20, 40):
-            row = _kernel_py.dp_row_scaled(3, 50, scale)
+            row = _backend.dp_row_scaled(3, 50, scale)
             assert row[0] == 10**scale
 
     def test_row_length(self):
-        assert len(_kernel_py.dp_row_scaled(4, 10, 20)) == 5
+        assert len(_backend.dp_row_scaled(4, 10, 20)) == 5
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("truncation", [0, 1, 7, 60])
     def test_tracks_exact_sweep(self, depth, truncation):
         scale = 30
-        row = _kernel_py.dp_row_scaled(depth, truncation, scale)
+        row = _backend.dp_row_scaled(depth, truncation, scale)
         exact = [Fraction(1)] + [Fraction(0)] * depth
         for ell in range(1, truncation + 1):
             for k in range(min(depth, ell), 0, -1):
@@ -49,38 +37,9 @@ class TestPureKernel:
             assert abs(Fraction(row[k], 10**scale) - exact[k]) <= budget
 
 
-@needs_compiled
-class TestBitIdentity:
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("truncation", [0, 1, 2, 7, 100, 1000])
-    @pytest.mark.parametrize("scale", [5, 20, 37, 38, 50])
-    def test_grid(self, depth, truncation, scale):
-        pure = _kernel_py.dp_row_scaled(depth, truncation, scale)
-        fast = compiled_kernel.dp_row_scaled(depth, truncation, scale)
-        assert list(pure) == list(fast)
-
-    def test_u128_boundary_scales(self):
-        # Scale 37 uses the 128-bit path at depth 1, scale 38 does not;
-        # both must agree with pure arithmetic.
-        for scale in (36, 37, 38, 39):
-            pure = _kernel_py.dp_row_scaled(1, 5000, scale)
-            fast = compiled_kernel.dp_row_scaled(1, 5000, scale)
-            assert list(pure) == list(fast)
-
-    def test_large_index_spot(self):
-        # Indices near 2**31 keep the squared term in unsigned range.
-        pure = _kernel_py.dp_row_scaled(1, 3, 37)
-        fast = compiled_kernel.dp_row_scaled(1, 3, 37)
-        assert list(pure) == list(fast)
-
-    def test_compiled_rejects_oversized_truncation(self):
-        with pytest.raises(OverflowError):
-            compiled_kernel.dp_row_scaled(1, 2**32, 20)
-
-
 class TestBackendFacade:
     def test_backend_name_is_published(self):
-        assert pipow.KERNEL_BACKEND in ("compiled", "pure-python")
+        assert pipow.KERNEL_BACKEND == "pure-python"
         assert _backend.BACKEND == pipow.KERNEL_BACKEND
 
     def test_validation(self):
@@ -94,24 +53,3 @@ class TestBackendFacade:
     def test_scale_zero_degenerate(self):
         # Integer-resolution sweep: only ell = 1 contributes a whole unit.
         assert _backend.dp_row_scaled(1, 5, 0) == [1, 1]
-
-    def test_oversized_truncation_routes_to_pure(self, monkeypatch):
-        # Facade must not surface the compiled kernel's 32-bit limit. The
-        # sweep itself would take hours at this size, so observe the
-        # dispatch decision instead of the arithmetic.
-        sentinel = ["routed"]
-        monkeypatch.setattr(_kernel_py, "dp_row_scaled",
-                            lambda *args: sentinel)
-        assert _backend.dp_row_scaled(0, 2**32, 5) is sentinel
-
-    def test_force_pure_environment_switch(self):
-        code = (
-            "import pipow; print(pipow.KERNEL_BACKEND); "
-            "print(pipow.partial_sum(2, 3, mode='exact'))"
-        )
-        env = dict(os.environ, PIPOW_FORCE_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
-        assert out == ["pure-python", "7/18"]
