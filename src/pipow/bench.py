@@ -2,9 +2,11 @@
 
 Timing numbers are only reported after the competing methods have been
 shown to agree: the four exact routes (product tree, Fraction sweep,
-enumeration, Newton identities) must produce identical rationals. The
-fixed-point sweep is timed on its own. A disagreement anywhere turns the
-run into a failure; speed never outranks correctness here.
+enumeration, Newton identities) must produce identical rationals, and
+the routed fixed-mode value (the Euler-Maclaurin block past a small head)
+must agree with the plain sweep within the sweep's rounding budget. A
+disagreement anywhere turns the run into a failure; speed never outranks
+correctness here.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ __all__ = ["BenchRow", "run_benchmark"]
 # (depth, truncation) grids; small enough for the enumeration witness,
 # large enough that the product tree's and the sweep's advantage is visible.
 ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35)]
-SWEEP_GRID = [(1, 10**4), (1, 10**5), (2, 10**4), (4, 10**4)]
+# (depth, truncation, digits) cells of the fixed-mode timing: the routed
+# value takes the Euler-Maclaurin block past a head of 38 to 41 indices at
+# 20 digits, and of 38016 indices at 100.
+SWEEP_GRID = [(1, 10**4, 20), (1, 10**5, 20), (2, 10**4, 20),
+              (4, 10**4, 20), (2, 10**5, 100)]
 REFUSAL_CASE = (5, 100)
-SWEEP_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -103,13 +108,25 @@ def run_benchmark() -> tuple[list, bool]:
                      "MISMATCH: expected refusal did not happen")
         )
 
-    for depth, truncation in SWEEP_GRID:
-        _, seconds = _timed(
-            lambda: partial_sum(depth, truncation, "fixed", SWEEP_DIGITS)
+    for depth, truncation, digits in SWEEP_GRID:
+        routed, routed_seconds = _timed(
+            lambda: partial_sum(depth, truncation, "fixed", digits)
         )
-        rows.append(
-            BenchRow("sweep-fixed", _backend.BACKEND, depth, truncation,
-                     depth * truncation, seconds, "ok")
+        row, sweep_seconds = _timed(
+            lambda: _backend.dp_row_scaled(depth, truncation, routed.scale)
         )
+        # The sweep is within depth*N/2 units of exact, the routed value
+        # within one.
+        agree = (2 * abs(routed.mantissa - row[depth])
+                 <= depth * truncation + 2)
+        if not agree:
+            ok = False
+        status = "agree" if agree else "MISMATCH"
+        for method, seconds in (("routed", routed_seconds),
+                                (_backend.BACKEND, sweep_seconds)):
+            rows.append(
+                BenchRow("sweep-fixed", method, depth, truncation,
+                         depth * truncation, seconds, status)
+            )
 
     return rows, ok

@@ -399,7 +399,7 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
-    powers = _sinc_powers(x, digits)
+    powers = _sinc_powers(x, digits, terms)
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)
     if abs(x) <= 2:
@@ -434,18 +434,20 @@ def cmd_sinc(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _sinc_powers(x: Fraction, digits: int) -> int:
+def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
     """Power cutoff for the sinc series: enough alternating terms that the
-    first omitted one is below 10**-(digits+5), using pi < 16/5."""
+    first omitted one is below 10**-(digits+5), using pi < 16/5, and never
+    more than the truncation `terms`, since S_j(terms) = 0 for j > terms."""
     ratio_base = (Fraction(16, 5) * abs(Fraction(x))) ** 2
     threshold = Fraction(1, 10 ** (digits + 5))
     j = 0
     term = Fraction(1)
-    while True:
+    while j < terms:
         j += 1
         term = term * ratio_base / ((2 * j) * (2 * j + 1))
         if term < threshold:
             return j
+    return terms
 
 
 def cmd_bench(args) -> tuple[str, int]:

@@ -14,12 +14,21 @@ error rigorously, and drives truncations to a requested precision under a
 work ceiling.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
-practical for small N) and guarded fixed-point decimals (the pure-Python
-sweep kernel `_backend.dp_row_scaled`, practical to N = 10**8).
+practical for small N) and guarded fixed-point decimals. Fixed mode splits
+the indices at a head cutoff M that depends only on the depth and the
+working scale: S_n(N) = sum_j S_j(M) * E_(n-j)(M, N), with the head S_j(M)
+from the pure-Python sweep kernel `_backend.dp_row_scaled` over 1..M and
+the block E_k over M < l <= N from Euler-Maclaurin power sums (exact
+Bernoulli numbers, certified remainder) by Newton's identities, so its
+work grows with M and the depth, not with N. M grows like
+10**(scale/27): about 40 at 36 carried places, 4*10**4 at 116 and
+5*10**8 at 226. When N is not well above M (high precision or small N)
+the sweep runs over all of 1..N instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +42,7 @@ from .exactnum import (
     div_round_half_even,
     div_round_up,
     guard_digits,
+    int_to_decimal,
 )
 from .reference import basel_power, reference_value
 
@@ -59,6 +69,9 @@ NAIVE_ENUMERATION_CEILING = 10**7
 # Largest truncation the CLI accepts in exact mode without an override:
 # rational denominators grow superpolynomially with N.
 EXACT_TRUNCATION_LIMIT = 2000
+# Euler-Maclaurin correction terms in each block power sum of fixed mode;
+# the head cutoff then grows like 10**(scale / (2*EM_TERMS + 3)).
+EM_TERMS = 12
 
 Value = Union[Fraction, FixedDecimal]
 
@@ -86,22 +99,197 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
     return out
 
 
+def _elementary_from_power_sums(power_sums: list) -> list:
+    """[e_0, e_1, ..., e_d] from the power sums [p_1, ..., p_d].
+
+    Newton's identities k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i with
+    e_0 = 1, in exact rationals.
+    """
+    e = [Fraction(1)]
+    for k in range(1, len(power_sums) + 1):
+        acc = Fraction(0)
+        sign = 1
+        for i in range(1, k + 1):
+            acc += sign * e[k - i] * power_sums[i - 1]
+            sign = -sign
+        e.append(acc / k)
+    return e
+
+
+@functools.cache
+def _bernoulli_even() -> tuple:
+    """(B_2, B_4, ..., B_(2*EM_TERMS+2)), built on first use from
+    sum_{j=0..m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * EM_TERMS + 3):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b[2::2])
+
+
+@functools.cache
+def _euler_maclaurin(j: int) -> tuple:
+    """Integer Euler-Maclaurin data for Z_j(a) = sum_{l >= a} l**(-2j).
+
+    With s = 2j and K = EM_TERMS,
+
+        Z_j(a) = g(a) / (denominator * a**(s+2K-1)) + R,
+        g(a) = a**(2K)/(s-1) + a**(2K-1)/2
+               + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * a**(2K-2k).
+
+    Returns (coefficients, denominator, remainder): the coefficients of g
+    times `denominator`, highest power first, all integers, and the
+    magnitude c of the first omitted term c / a**(s+2K+1). Every even
+    derivative of x**(-s) is positive on x > 0, so R has the sign of that
+    term and is smaller in magnitude: |R| <= c / a**(s+2K+1).
+    """
+    s = 2 * j
+    bernoulli = _bernoulli_even()
+    terms = [
+        bernoulli[k - 1] * Fraction(
+            math.factorial(s + 2 * k - 2),
+            math.factorial(s - 1) * math.factorial(2 * k),
+        )
+        for k in range(1, EM_TERMS + 2)
+    ]
+    rational = [Fraction(1, s - 1), Fraction(1, 2)]
+    for k, term in enumerate(terms[:-1]):
+        rational += [term] if k == 0 else [Fraction(0), term]
+    denominator = math.lcm(*(c.denominator for c in rational))
+    coefficients = tuple(
+        c.numerator * (denominator // c.denominator) for c in rational
+    )
+    return coefficients, denominator, abs(terms[-1])
+
+
+def _zeta_tail(j: int, a: int) -> Fraction:
+    """Centre of the Euler-Maclaurin value of Z_j(a), a >= 1."""
+    coefficients, denominator, _ = _euler_maclaurin(j)
+    g = 0
+    for c in coefficients:
+        g = g * a + c
+    return Fraction(g, denominator * a ** (2 * j + 2 * EM_TERMS - 1))
+
+
+def _block_radius(depth: int, cutoff: int) -> Fraction:
+    """Bound on |centre - S_depth(N)| of the block evaluation with head
+    cutoff M = cutoff >= 1, for every N > M.
+
+    The block power sums p_i over (M, N] lie in (0, M**(1-2i)/(2i-1)] and
+    their centres are off by at most r_i, the two Euler-Maclaurin
+    remainders at M+1 and N+1. E_k is a polynomial in the p_i whose
+    coefficients, taken in absolute value, are those of the complete
+    symmetric h_k, so |dE_k| <= h_k(p + r) - h_k(p) with every argument
+    raised to its bound; Newton's identities give h_k from the power sums
+    (-1)**(i-1) q_i. The head weights S_j(M) add up to less than
+    prod_{l>=1} (1 + 1/l**2) = sinh(pi)/pi < 4.
+    """
+    bounds = []
+    radii = []
+    for i in range(1, depth + 1):
+        bounds.append(Fraction(1, (2 * i - 1) * cutoff ** (2 * i - 1)))
+        remainder = _euler_maclaurin(i)[2]
+        radii.append(2 * remainder / (cutoff + 1) ** (2 * i + 2 * EM_TERMS + 1))
+    high = _elementary_from_power_sums(
+        [(-1) ** i * (q + r) for i, (q, r) in enumerate(zip(bounds, radii))])
+    low = _elementary_from_power_sums(
+        [(-1) ** i * q for i, q in enumerate(bounds)])
+    return 4 * max((h - l for h, l in zip(high[1:], low[1:])),
+                   default=Fraction(0))
+
+
+def _integer_root(value: int, n: int) -> int:
+    """floor(value ** (1/n)) for value >= 1, by integer Newton steps."""
+    root = 1 << -(-value.bit_length() // n)
+    while True:
+        step = ((n - 1) * root + value // root ** (n - 1)) // n
+        if step >= root:
+            return root
+        root = step
+
+
+def _head_cutoff(depth: int, scale: int, truncation: int) -> int:
+    """The head cutoff M of the block path, or `truncation` when the
+    sweep over 1..truncation is the cheaper route.
+
+    M is the smallest cutoff at which _block_radius is below a quarter
+    unit at 10**-scale. The radius is at least four times its k = 1 term
+    2*|B_(2K+2)| / (M+1)**(2K+3), so M+1 = a needs
+    a**(2K+3) > 32*|B_(2K+2)|*10**scale; the search starts at the least
+    such a and steps up.
+
+    The block costs a head sweep over 1..M, whose steps carry a few more
+    digits (measured at most 1.7 times a sweep step), plus a fixed part:
+    cutoff search, Euler-Maclaurin sums and Newton's identities on exact
+    rationals, measured below 400*depth**2 + 2*depth**4 sweep steps at
+    depths 1 to 64 and 20 to 150 digits. So the block runs only when
+    N >= 2*M + 400*depth + 2*depth**3, where it is cheaper than the sweep
+    over 1..N.
+    """
+    room = truncation - 400 * depth - 2 * depth**3
+    if room < 2:
+        return truncation
+    power = 2 * EM_TERMS + 3
+    bernoulli = abs(_bernoulli_even()[-1])
+    target = 32 * bernoulli.numerator * 10**scale
+    if (room // 2 + 1) ** power * bernoulli.denominator <= target:
+        return truncation
+    base = _integer_root(target // bernoulli.denominator, power)
+    while base**power * bernoulli.denominator <= target:
+        base += 1
+    cutoff = base - 1
+    quarter = Fraction(1, 4 * 10**scale)
+    while 2 * cutoff <= room and _block_radius(depth, cutoff) >= quarter:
+        cutoff += 1
+    return cutoff if 2 * cutoff <= room else truncation
+
+
+def _block_mantissa(depth: int, truncation: int, cutoff: int,
+                    scale: int) -> int:
+    """S_depth(truncation) * 10**scale, rounded half-even once, from
+    S_n(N) = sum_j S_j(M) * E_(n-j)(M, N): the head S_j(M) from the sweep
+    kernel over 1..M, E_k the elementary symmetric values of 1/l**2 over
+    M < l <= N from the Euler-Maclaurin power sums by Newton's
+    identities.
+
+    The head carries guard_digits(depth*M) places beyond `scale`, so its
+    at most depth*M/2 units of sweep error, weighted by the E_k (which add
+    up to less than 4), stay below 10**-9 of a unit at `scale`. With the
+    half unit of the final rounding, the result is then below one unit
+    from exact when _block_radius(depth, cutoff) is below a quarter."""
+    head_scale = scale + guard_digits(depth * cutoff)
+    head = _backend.dp_row_scaled(depth, cutoff, head_scale)
+    power_sums = [_zeta_tail(j, cutoff + 1) - _zeta_tail(j, truncation + 1)
+                  for j in range(1, depth + 1)]
+    block = _elementary_from_power_sums(power_sums)
+    centre = sum(h * block[depth - j] for j, h in enumerate(head))
+    return div_round_half_even(
+        centre.numerator, centre.denominator * 10 ** (head_scale - scale))
+
+
 def partial_sum(
     depth: int,
     truncation: int,
     mode: str = "exact",
     digits: int = 20,
 ) -> Value:
-    """S_depth(truncation), exact by a product tree or fixed by the sweep.
+    """S_depth(truncation), exact by a product tree, or fixed.
 
     mode "exact" returns a reduced Fraction: with
     P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
     so it costs one integer polynomial product cut off at degree `depth`
-    and one division, with no per-index gcd as in the Fraction sweep. mode
-    "fixed" returns a FixedDecimal from the descending-index sweep kernel,
-    carrying `digits` requested places plus enough guard digits that the
-    at most truncation*depth half-even roundings of the sweep stay clear
-    of the requested places.
+    and one division, with no per-index gcd as in the Fraction sweep.
+
+    mode "fixed" returns a FixedDecimal carrying `digits` requested places
+    plus guard_digits(depth*truncation) guard places. Well above the head
+    cutoff M (the smallest M whose certified block radius is below a
+    quarter unit at that scale, about 10**(scale/(2*EM_TERMS+3)); see
+    _head_cutoff for the cost rule) the value is the head-plus-block split
+    of the module docstring, rounded half-even once; its error is below
+    one unit in the last carried place (half a unit of rounding, a
+    certified radius under a quarter, and a head error under 10**-9
+    units). Otherwise the descending-index sweep kernel runs over 1..N,
+    whose at most truncation*depth half-even roundings stay clear of the
+    requested places.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
@@ -117,8 +305,12 @@ def partial_sum(
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        row = _backend.dp_row_scaled(depth, truncation, scale)
-        return FixedDecimal(row[depth], scale, guard)
+        cutoff = _head_cutoff(depth, scale, truncation)
+        if cutoff == truncation:
+            mantissa = _backend.dp_row_scaled(depth, truncation, scale)[depth]
+        else:
+            mantissa = _block_mantissa(depth, truncation, cutoff, scale)
+        return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
 
@@ -178,22 +370,14 @@ def newton_cross_check(depth: int, truncation: int) -> Fraction:
     and the enumeration.
     """
     _check_depth_truncation(depth, truncation)
-    p = [Fraction(0)] * (depth + 1)
+    p = [Fraction(0)] * depth
     for ell in range(1, truncation + 1):
         reciprocal = Fraction(1, ell * ell)
         power = Fraction(1)
-        for j in range(1, depth + 1):
+        for j in range(depth):
             power *= reciprocal
             p[j] += power
-    e = [Fraction(1)]
-    for k in range(1, depth + 1):
-        acc = Fraction(0)
-        sign = 1
-        for i in range(1, k + 1):
-            acc += sign * e[k - i] * p[i]
-            sign = -sign
-        e.append(acc / k)
-    return e[depth]
+    return _elementary_from_power_sums(p)[depth]
 
 
 def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
@@ -351,7 +535,9 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     x**(2j) exactly the depth-j nested sum, so this evaluates the expansion
     with both the power count and every nested sum truncated. One kernel
     sweep produces all the S_j rows at once; each term costs one further
-    half-even rounding.
+    half-even rounding. Row j's rounding error is multiplied by |x|**(2j),
+    so for |x| > 1 the scale and the guard grow by the decimal length of
+    x**(2*powers).
     """
     q = Fraction(x)
     if powers < 0:
@@ -360,9 +546,12 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
         raise DomainError("at least one digit is required")
     _check_depth_truncation(powers, truncation)
     guard = guard_digits(max(truncation * powers, powers, 1))
+    x2 = q * q
+    if x2 > 1:
+        growth = x2.numerator**powers // x2.denominator**powers
+        guard += len(int_to_decimal(growth))
     scale = digits + guard
     row = _backend.dp_row_scaled(powers, truncation, scale)
-    x2 = q * q
     numerator = 1
     denominator = 1
     total = row[0]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "ExpansionReport",
@@ -31,6 +31,7 @@ __all__ = [
     "PRACTICAL_VERIFY_CEILING",
     "ProductExpansion",
     "SparsePolynomial",
+    "VERIFY_WORK_CEILING",
     "elementary_symmetric",
     "elementary_symmetric_row",
     "expand_product",
@@ -42,6 +43,10 @@ __all__ = [
 # Above this many variables the product expansion has thousands of terms
 # per power and verification stops being interactive; the CLI warns.
 PRACTICAL_VERIFY_CEILING = 12
+# Above this many variables verification is refused before any work: the
+# expansion has 2**m terms and the time doubles with each m (about 1 s at
+# m = 15 on a 2-vCPU host), so m = 20 stays under about 40 s.
+VERIFY_WORK_CEILING = 20
 
 
 class Monomial:
@@ -416,10 +421,18 @@ def verify_expansion(n_vars: int) -> ExpansionReport:
     product must equal both the enumerated and the recurrence-built
     elementary symmetric polynomial, and must contain exactly C(n_vars, k)
     monomials, all squarefree. The report carries the first differing
-    power (if any) with all three renderings.
+    power (if any) with all three renderings. More than
+    VERIFY_WORK_CEILING variables are refused before any work.
     """
     if n_vars < 0:
         raise DomainError("variable count must be nonnegative")
+    if n_vars > VERIFY_WORK_CEILING:
+        raise InfeasibleError(
+            "verifying m = %d variables expands 2**%d terms; at most m = %d "
+            "is accepted" % (n_vars, n_vars, VERIFY_WORK_CEILING),
+            required=n_vars,
+            ceiling=VERIFY_WORK_CEILING,
+        )
     expansion = expand_product(n_vars)
     row = elementary_symmetric_row(n_vars, n_vars)
     details = []

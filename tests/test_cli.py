@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from pipow import cli, reference
+from pipow import bench, cli, reference, series, symmetric
+from pipow.exactnum import FixedDecimal
 from pipow.series import partial_sum
 from pipow.cli import (
     EXIT_INFEASIBLE,
@@ -227,6 +228,20 @@ class TestVerifyTheoremCommand:
         assert code == EXIT_MISMATCH
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("m", [symmetric.VERIFY_WORK_CEILING + 1,
+                                   10**9])
+    def test_oversized_m_is_refused_before_any_work(self, capsys,
+                                                     monkeypatch, m):
+        def expand_product(n_vars):
+            raise AssertionError("the expansion started")
+
+        monkeypatch.setattr(symmetric, "expand_product", expand_product)
+        code, out, err = run_cli(capsys, "verify-theorem", "--m", str(m))
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert f"m = {m} " in err
+        assert f"2**{m} terms" in err
+
     def test_large_m_warns(self, capsys):
         code, out, err = run_cli(capsys, "verify-theorem", "--m", "13",
                                  "--format", "json")
@@ -273,6 +288,30 @@ class TestSincCommand:
         code, _, err = run_cli(capsys, "sinc", "--x", "1/0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("x, terms", [("7/2", 200), ("-11/6", 1140),
+                                          ("2", 100)])
+    def test_series_matches_exact_truncated_series(self, capsys, x, terms):
+        # Row j's rounding error is multiplied by x**(2j), which for
+        # |x| > 1 reaches the printed places unless the scale grows.
+        code, out, _ = run_cli(capsys, "sinc", f"--x={x}", "--terms",
+                               str(terms), "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        rows = series._truncated_product(1, terms + 1, payload["powers"])
+        x2 = Fraction(x) ** 2
+        exact = sum(c * (-x2) ** j for j, c in enumerate(rows)) / rows[0]
+        assert payload["series"] == FixedDecimal.from_rational(
+            exact, 20).to_decimal_string()
+
+    def test_power_count_stops_at_the_truncation(self, capsys):
+        # S_j(10) = 0 for j > 10, so ten powers give the whole series.
+        code, out, _ = run_cli(capsys, "sinc", "--x", "3000", "--terms",
+                               "10", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["powers"] == 10
+        assert payload["series"] == payload["product"]
+
 
 class TestBenchCommand:
     def test_runs_and_reports(self, capsys):
@@ -280,6 +319,23 @@ class TestBenchCommand:
         assert code == EXIT_OK
         assert "exact-sweep" in out or "sweep" in out
         assert "refused" in out  # expected naive refusal row
+        assert "routed" in out
+
+    def test_routed_sweep_disagreement_fails(self, monkeypatch):
+        real = bench.partial_sum
+
+        def skewed(depth, truncation, mode="exact", digits=20):
+            value = real(depth, truncation, mode, digits)
+            if mode == "fixed":
+                return FixedDecimal(value.mantissa + depth * truncation,
+                                    value.scale, value.guard)
+            return value
+
+        monkeypatch.setattr(bench, "partial_sum", skewed)
+        rows, ok = bench.run_benchmark()
+        assert not ok
+        assert {row.status for row in rows
+                if row.section == "sweep-fixed"} == {"MISMATCH"}
 
 
 class TestOutputPlumbing:

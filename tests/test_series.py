@@ -7,14 +7,19 @@ same exact rational; they must agree bit for bit. Tail bounds are checked
 for soundness against exact prefixes.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipow import _backend, series
 from pipow.errors import DomainError, InfeasibleError
-from pipow.exactnum import FixedDecimal
+from pipow.exactnum import FixedDecimal, guard_digits
 from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
     DEFAULT_WORK_CEILING,
@@ -141,6 +146,122 @@ class TestFixedModeAccuracy:
             partial_sum(1, -2)
         with pytest.raises(DomainError):
             partial_sum(1, 5, mode="fixed", digits=0)
+
+
+class TestBlockEvaluation:
+    """Fixed mode past the head cutoff M: head S_j(M) by the sweep,
+    Euler-Maclaurin block (M, N], Newton's identities, one half-even
+    rounding."""
+
+    @staticmethod
+    def fixed_at_scale(depth, truncation, scale):
+        """partial_sum in fixed mode with the digit count that puts its
+        working scale at `scale`, or None when no such count exists."""
+        digits = scale - guard_digits(depth * truncation)
+        if digits < 1:
+            return None
+        value = partial_sum(depth, truncation, mode="fixed", digits=digits)
+        assert value.scale == scale
+        return value
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_within_one_unit_of_exact(self, depth):
+        for scale in range(15, 46, 5):
+            # The precision cutoff: a truncation far above it leaves the
+            # cost rule no say.
+            cutoff = series._head_cutoff(depth, scale, 10**9)
+            quarter = Fraction(1, 4 * 10**scale)
+            assert series._block_radius(depth, cutoff) < quarter
+            assert series._block_radius(depth, cutoff - 1) >= quarter
+            for truncation in sorted({cutoff + 1, 2 * cutoff, 3000}):
+                exact = partial_sum(depth, truncation, mode="exact")
+                block = series._block_mantissa(depth, truncation, cutoff,
+                                               scale)
+                assert abs(block - exact * 10**scale) < 1, (
+                    depth, scale, truncation)
+            for truncation in sorted({cutoff - 1, cutoff, cutoff + 1,
+                                      2 * cutoff, 3000}):
+                value = self.fixed_at_scale(depth, truncation, scale)
+                if value is None:
+                    continue
+                if series._head_cutoff(depth, scale, truncation) == truncation:
+                    row = _backend.dp_row_scaled(depth, truncation, scale)
+                    assert value.mantissa == row[depth]
+                    continue
+                exact = partial_sum(depth, truncation, mode="exact")
+                assert abs(value.mantissa - exact * 10**scale) < 1, (
+                    depth, scale, truncation)
+
+    @pytest.mark.parametrize("depth, truncation, digits", [
+        (d, n, 5) for d in (1, 2, 3, 4) for n in (10**5, 445000)
+    ] + [(d, 10**5, digits) for d in (1, 4) for digits in (60, 100)])
+    def test_agrees_with_sweep_at_large_truncation(self, depth, truncation,
+                                                   digits):
+        value = partial_sum(depth, truncation, mode="fixed", digits=digits)
+        assert series._head_cutoff(depth, value.scale,
+                                   truncation) < truncation
+        row = _backend.dp_row_scaled(depth, truncation, value.scale)
+        # The sweep is within depth*N/2 units of exact, the block within one.
+        assert 2 * abs(value.mantissa - row[depth]) <= depth * truncation + 2
+
+    @pytest.mark.parametrize("depth, truncation, digits, block", [
+        (2, 10**5, 100, True), (4, 10**7, 150, True),
+        (1, 10**6, 130, False), (32, 10**4, 20, False),
+    ])
+    def test_block_never_sweeps_more_than_half(self, monkeypatch, depth,
+                                               truncation, digits, block):
+        # The block's head sweep stays below half the truncation; where it
+        # would not, or the block's fixed part outweighs the saving, the
+        # request runs one plain sweep.
+        swept = []
+
+        def recording(depth, truncation, scale):
+            swept.append(truncation)
+            return [10**scale] + [0] * depth
+
+        monkeypatch.setattr(_backend, "dp_row_scaled", recording)
+        partial_sum(depth, truncation, mode="fixed", digits=digits)
+        assert len(swept) == 1
+        if block:
+            assert 2 * swept[0] < truncation
+        else:
+            assert swept == [truncation]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("truncation", [20, 300])
+    @pytest.mark.parametrize("digits", [490, 1000])
+    def test_wide_requests_take_the_sweep(self, depth, truncation, digits):
+        value = partial_sum(depth, truncation, mode="fixed", digits=digits)
+        assert value.scale >= 500
+        row = _backend.dp_row_scaled(depth, truncation, value.scale)
+        assert value.mantissa == row[depth]
+
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_euler_maclaurin_remainder_bound(self, j):
+        # Z_j(a) - Z_j(b) is the exact power sum over a <= l < b; each
+        # centre is off by at most its first omitted term.
+        remainder = series._euler_maclaurin(j)[2]
+        power = 2 * j + 2 * series.EM_TERMS + 1
+        for a in (1, 2, 3, 5, 10, 40):
+            b = a + 50
+            exact = sum(Fraction(1, ell ** (2 * j)) for ell in range(a, b))
+            centre = series._zeta_tail(j, a) - series._zeta_tail(j, b)
+            radius = remainder / a**power + remainder / b**power
+            assert abs(centre - exact) <= radius
+
+    def test_bernoulli_table_built_on_first_use(self):
+        script = (
+            "import pipow\n"
+            "from pipow import series\n"
+            "assert series._bernoulli_even.cache_info().currsize == 0\n"
+            "pipow.partial_sum(2, 10**5, 'fixed', 5)\n"
+            "assert series._bernoulli_even.cache_info().currsize == 1\n"
+        )
+        src = str(Path(series.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTailBound:
