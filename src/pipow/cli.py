@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -65,6 +66,13 @@ RESULT_FIELDS = (
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped to this tool's exit code 3."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token with a leading '-' as an option unless it
+        # looks like a negative number; '-3/2' is one too, for --x.
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -399,6 +407,12 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
+    if terms > args.work_ceiling:
+        raise InfeasibleError(
+            "truncation %d is above the work ceiling of %d"
+            % (terms, args.work_ceiling),
+            required=terms, ceiling=args.work_ceiling,
+        )
     powers = _sinc_powers(x, digits, terms)
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)

@@ -14,16 +14,23 @@ error rigorously, and drives truncations to a requested precision under a
 work ceiling.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
-practical for small N) and guarded fixed-point decimals. Fixed mode splits
-the indices at a head cutoff M that depends only on the depth and the
-working scale: S_n(N) = sum_j S_j(M) * E_(n-j)(M, N), with the head S_j(M)
-from the pure-Python sweep kernel `_backend.dp_row_scaled` over 1..M and
-the block E_k over M < l <= N from Euler-Maclaurin power sums (exact
-Bernoulli numbers, certified remainder) by Newton's identities, so its
-work grows with M and the depth, not with N. M grows like
-10**(scale/27): about 40 at 36 carried places, 4*10**4 at 116 and
-5*10**8 at 226. When N is not well above M (high precision or small N)
-the sweep runs over all of 1..N instead.
+practical for small N) and guarded fixed-point decimals. Fixed mode has
+three routes, all rounded half-even:
+
+- the block: past a head cutoff M that depends only on the depth and the
+  working scale, S_n(N) = sum_j S_j(M) * E_(n-j)(M, N), with the block
+  E_k over M < l <= N from Euler-Maclaurin power sums (exact Bernoulli
+  numbers, certified remainder) by Newton's identities, so its work grows
+  with M and the depth, not with N. M grows like 10**(scale/27): about
+  40 at 36 carried places, 4*10**4 at 116 and 5*10**8 at 226. It runs
+  only when N is well above M;
+- otherwise one row [S_0 .. S_n] over all of 1..N (and the head rows
+  S_j(M) of the block) from whichever of two routes a measured cost rule
+  says is cheaper at (depth, N, scale): the product tree, divided and
+  rounded once per entry, so correctly rounded, or the pure-Python sweep
+  kernel `_backend.dp_row_scaled`, within depth*N/2 units. The tree wins
+  on wide mantissas at moderate N (depth 4, N = 300, 4300 places: 2.6 ms
+  against 0.45 s for the sweep), the sweep on narrow ones at large N.
 """
 
 from __future__ import annotations
@@ -243,6 +250,54 @@ def _head_cutoff(depth: int, scale: int, truncation: int) -> int:
     return cutoff if 2 * cutoff <= room else truncation
 
 
+def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
+    """Whether the product tree computes the row at (depth, N, scale) in
+    less time than the sweep kernel: depth >= 2, 1 <= N <= 10**5 and
+    scale >= 250 + (4 + depth//8) * isqrt(N).
+
+    The sweep does about depth*N multiply-divides on scale-digit
+    integers. The tree's product does not depend on the scale but grows
+    faster than N (its coefficients have about 2*log10(N!) digits) and
+    about like depth**2; its depth+1 divisions are cheap. Timed on a grid
+    (pure Python, both routes whole, best of 3) of depths 1 to 32, N from
+    10 to 10**5 and 20 to 4300 places, plus depths 64 and 128 at N up to
+    4000, the tree won from about 150 to 200 places at depth 2 and
+    N <= 300, 200 at N = 1000, 500 at N = 16000 and 1200 at N = 10**5;
+    at depth 32 from 280, 900 and 2200 places at N = 1000, 16000 and
+    10**5. The threshold lies above every crossover, and at the threshold
+    itself the tree measured 1.3 to 17 times faster, so on the
+    grid the rule never picks the slower route. Depth 1 always sweeps:
+    its step does no wide multiplication, and the tree beat it only at
+    2000 places and more, by at most 2.4 times. Past N = 10**5, the edge
+    of the grid, the tree's coefficients run to megabytes each and the
+    sweep keeps the row.
+    """
+    return (depth >= 2 and 1 <= truncation <= 10**5
+            and scale >= 250 + (4 + depth // 8) * math.isqrt(truncation))
+
+
+def _scaled_row(depth: int, truncation: int, scale: int) -> list:
+    """Mantissa row [S_0 .. S_depth] at 10**-scale, by the cheaper route.
+
+    The sweep kernel `_backend.dp_row_scaled` costs about depth*N
+    multiply-divides on scale-digit mantissas, and each entry ends within
+    depth*N/2 units of exact. The product tree costs one integer
+    polynomial product, with no scale in it, and one rounded division per
+    entry: S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t), so each
+    entry is correctly rounded (within half a unit), which is inside every
+    budget the sweep's callers allow for.
+
+    _tree_row_is_cheaper says which route runs.
+    """
+    if not _tree_row_is_cheaper(depth, truncation, scale):
+        return _backend.dp_row_scaled(depth, truncation, scale)
+    coefficients = _truncated_product(1, truncation + 1, depth)
+    coefficients += [0] * (depth + 1 - len(coefficients))
+    one = 10**scale
+    return [div_round_half_even(c * one, coefficients[0])
+            for c in coefficients]
+
+
 def _block_mantissa(depth: int, truncation: int, cutoff: int,
                     scale: int) -> int:
     """S_depth(truncation) * 10**scale, rounded half-even once, from
@@ -257,7 +312,7 @@ def _block_mantissa(depth: int, truncation: int, cutoff: int,
     half unit of the final rounding, the result is then below one unit
     from exact when _block_radius(depth, cutoff) is below a quarter."""
     head_scale = scale + guard_digits(depth * cutoff)
-    head = _backend.dp_row_scaled(depth, cutoff, head_scale)
+    head = _scaled_row(depth, cutoff, head_scale)
     power_sums = [_zeta_tail(j, cutoff + 1) - _zeta_tail(j, truncation + 1)
                   for j in range(1, depth + 1)]
     block = _elementary_from_power_sums(power_sums)
@@ -287,9 +342,10 @@ def partial_sum(
     of the module docstring, rounded half-even once; its error is below
     one unit in the last carried place (half a unit of rounding, a
     certified radius under a quarter, and a head error under 10**-9
-    units). Otherwise the descending-index sweep kernel runs over 1..N,
-    whose at most truncation*depth half-even roundings stay clear of the
-    requested places.
+    units). Otherwise one row over 1..N from _scaled_row: the product
+    tree's, correctly rounded, where _tree_row_is_cheaper says so, else
+    the descending-index sweep kernel's, whose at most truncation*depth
+    half-even roundings stay clear of the requested places.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
@@ -307,7 +363,7 @@ def partial_sum(
         scale = digits + guard
         cutoff = _head_cutoff(depth, scale, truncation)
         if cutoff == truncation:
-            mantissa = _backend.dp_row_scaled(depth, truncation, scale)[depth]
+            mantissa = _scaled_row(depth, truncation, scale)[depth]
         else:
             mantissa = _block_mantissa(depth, truncation, cutoff, scale)
         return FixedDecimal(mantissa, scale, guard)
@@ -533,11 +589,12 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
 
     Expanding the sinc product into powers of x**2 makes the coefficient of
     x**(2j) exactly the depth-j nested sum, so this evaluates the expansion
-    with both the power count and every nested sum truncated. One kernel
-    sweep produces all the S_j rows at once; each term costs one further
-    half-even rounding. Row j's rounding error is multiplied by |x|**(2j),
-    so for |x| > 1 the scale and the guard grow by the decimal length of
-    x**(2*powers).
+    with both the power count and every nested sum truncated. One row from
+    _scaled_row produces all the S_j at once (the sweep kernel, or the
+    product tree where that is cheaper, e.g. at hundreds of places); each
+    term costs one further half-even rounding. Row j's rounding error is
+    multiplied by |x|**(2j), so for |x| > 1 the scale and the guard grow by
+    the decimal length of x**(2*powers).
     """
     q = Fraction(x)
     if powers < 0:
@@ -551,7 +608,7 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
         growth = x2.numerator**powers // x2.denominator**powers
         guard += len(int_to_decimal(growth))
     scale = digits + guard
-    row = _backend.dp_row_scaled(powers, truncation, scale)
+    row = _scaled_row(powers, truncation, scale)
     numerator = 1
     denominator = 1
     total = row[0]

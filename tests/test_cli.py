@@ -303,6 +303,38 @@ class TestSincCommand:
         assert payload["series"] == FixedDecimal.from_rational(
             exact, 20).to_decimal_string()
 
+    @pytest.mark.parametrize("x", ["-3", "-3/2"])
+    def test_negative_argument_parses_after_a_space(self, capsys, x):
+        code, spaced, _ = run_cli(capsys, "sinc", "--x", x, "--terms", "10")
+        assert code == EXIT_OK
+        assert f"x: {x}\n" in spaced
+        code, joined, _ = run_cli(capsys, "sinc", f"--x={x}", "--terms", "10")
+        assert code == EXIT_OK
+        assert spaced == joined
+
+    @pytest.mark.parametrize("env, terms", [
+        (None, series.DEFAULT_WORK_CEILING + 1), ("50", 51),
+    ])
+    def test_terms_above_the_work_ceiling_are_refused(self, capsys,
+                                                      monkeypatch, env,
+                                                      terms):
+        def no_work(*args):
+            raise AssertionError("the sinc evaluation started")
+
+        monkeypatch.setattr(cli, "_sinc_powers", no_work)
+        monkeypatch.setattr(cli, "sinc_product", no_work)
+        if env is None:
+            monkeypatch.delenv(cli.WORK_CEILING_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.WORK_CEILING_ENV, env)
+        ceiling = series.DEFAULT_WORK_CEILING if env is None else int(env)
+        code, out, err = run_cli(capsys, "sinc", "--x", "1/2", "--terms",
+                                 str(terms))
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert (f"truncation {terms} is above the work ceiling of {ceiling}"
+                in err)
+
     def test_power_count_stops_at_the_truncation(self, capsys):
         # S_j(10) = 0 for j > 10, so ten powers give the whole series.
         code, out, _ = run_cli(capsys, "sinc", "--x", "3000", "--terms",

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pipow import _backend, series
 from pipow.errors import DomainError, InfeasibleError
-from pipow.exactnum import FixedDecimal, guard_digits
+from pipow.exactnum import FixedDecimal, div_round_half_even, guard_digits
 from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
     DEFAULT_WORK_CEILING,
@@ -231,10 +231,62 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("truncation", [20, 300])
     @pytest.mark.parametrize("digits", [490, 1000])
     def test_wide_requests_take_the_sweep(self, depth, truncation, digits):
+        # Wide requests take the sweep route of partial_sum, one row over
+        # all of 1..N, never the block: the Bernoulli table stays unbuilt.
+        # At depth 1 that row is the sweep kernel's bit for bit; from
+        # depth 2 on it is the product tree's, correctly rounded, and so
+        # within the sweep's budget of depth*N/2 units.
+        series._bernoulli_even.cache_clear()
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
+        assert series._bernoulli_even.cache_info().currsize == 0
         assert value.scale >= 500
-        row = _backend.dp_row_scaled(depth, truncation, value.scale)
-        assert value.mantissa == row[depth]
+        sweep = _backend.dp_row_scaled(depth, truncation, value.scale)[depth]
+        if depth == 1:
+            assert value.mantissa == sweep
+            return
+        exact = partial_sum_prefix(depth, truncation)[-1]
+        assert value.mantissa == div_round_half_even(
+            exact.numerator * 10**value.scale, exact.denominator)
+        assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
+
+    @pytest.mark.parametrize("function, args, sweeps", [
+        ("partial_sum", (4, 300, "fixed", 2000), 0),
+        ("sinc_series", (Fraction(7, 5), 40, 300, 500), 0),
+        ("partial_sum", (1, 300, "fixed", 2000), 1),
+        ("partial_sum", (16, 16000, "fixed", 20), 1),
+        ("partial_sum", (32, 10**4, "fixed", 20), 1),
+    ], ids=["tree-4-300-2000", "tree-sinc-500", "sweep-1-300-2000",
+            "sweep-16-16000-20", "sweep-32-10000-20"])
+    def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
+                                             args, sweeps):
+        # Wide mantissas at depth >= 2 take the product tree; depth 1,
+        # narrow mantissas and long sweeps keep the kernel.
+        swept = []
+
+        def recording(depth, truncation, scale):
+            swept.append((depth, truncation, scale))
+            return [10**scale] + [0] * depth
+
+        monkeypatch.setattr(_backend, "dp_row_scaled", recording)
+        getattr(series, function)(*args)
+        assert len(swept) == sweeps
+
+    @pytest.mark.parametrize("depth", [2, 3, 5, 8])
+    def test_tree_rows_are_correctly_rounded(self, depth):
+        # Wherever the rule picks the tree, the fixed value is the exact
+        # partial sum rounded half-even at its scale.
+        checked = 0
+        for truncation in (depth, 30, 100, 400):
+            exact = partial_sum_prefix(depth, truncation)[-1]
+            for digits in (100, 200, 400, 800):
+                value = partial_sum(depth, truncation, "fixed", digits)
+                if not series._tree_row_is_cheaper(depth, truncation,
+                                                   value.scale):
+                    continue
+                checked += 1
+                assert value.mantissa == div_round_half_even(
+                    exact.numerator * 10**value.scale, exact.denominator)
+        assert checked >= 8
 
     @pytest.mark.parametrize("j", range(1, 7))
     def test_euler_maclaurin_remainder_bound(self, j):
@@ -405,6 +457,18 @@ class TestSincSeries:
         # Both differ from the true value only by the N=1000 truncation.
         assert abs(series - taylor) < Fraction(1, 10**3)
         assert abs(series - taylor) > Fraction(1, 10**5)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-7, 5)])
+    def test_tree_route_matches_exact_truncated_series(self, x):
+        # At 500 places the rows come from the product tree; the value is
+        # the exact truncated series rounded to the requested places.
+        powers, truncation, digits = 12, 60, 500
+        value = sinc_series(x, powers, truncation, digits)
+        assert series._tree_row_is_cheaper(powers, truncation, value.scale)
+        exact = sum((-x * x) ** j * partial_sum_prefix(j, truncation)[-1]
+                    for j in range(powers + 1))
+        assert value.to_decimal_string(digits) == FixedDecimal.from_rational(
+            exact, digits).to_decimal_string()
 
     def test_zero_powers_is_one(self):
         assert sinc_series(Fraction(1, 3), 0, 100, 20).as_fraction() == 1
