@@ -5,9 +5,10 @@ shown to agree: the four exact routes (product tree, Fraction sweep,
 enumeration, Newton identities) must produce identical rationals, and
 the routed fixed-mode value (the Euler-Maclaurin block past a small head,
 or the product tree's row where that is cheaper than the sweep) must
-agree with the plain sweep within the sweep's rounding budget. A
-disagreement anywhere turns the run into a failure; speed never outranks
-correctness here.
+agree with the plain sweep within the sweep's rounding budget; pi at d
+digits must be the half-even rounding of pi at d + 64 digits from a grown
+cache. A disagreement anywhere turns the run into a failure; speed never
+outranks correctness here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 
 from . import _backend
 from .errors import InfeasibleError
+from .exactnum import div_round_half_even
+from .reference import PiCache, reference_value
 from .series import (
     NAIVE_ENUMERATION_CEILING,
     newton_cross_check,
@@ -38,11 +41,15 @@ ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35)]
 SWEEP_GRID = [(1, 10**4, 20), (1, 10**5, 20), (2, 10**4, 20),
               (4, 10**4, 20), (2, 10**5, 100), (4, 300, 2000)]
 REFUSAL_CASE = (5, 100)
+# Digit counts of the reference rows: wide sums run to about 4300 digits,
+# and 20000 shows how pi's cost grows past them.
+REFERENCE_DIGITS = (1000, 4300, 20000)
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One timed (or refused) benchmark measurement."""
+    """One timed (or refused) benchmark measurement; in the reference
+    section `operations` is the digit count."""
 
     section: str
     method: str
@@ -130,5 +137,19 @@ def run_benchmark() -> tuple[list, bool]:
                 BenchRow("sweep-fixed", method, depth, truncation,
                          depth * truncation, seconds, status)
             )
+
+    for digits in REFERENCE_DIGITS:
+        cache = PiCache()
+        narrow, pi_seconds = _timed(lambda: cache.mantissa(digits))
+        agree = narrow == div_round_half_even(cache.mantissa(digits + 64),
+                                              10**64)
+        if not agree:
+            ok = False
+        status = "agree" if agree else "MISMATCH"
+        _, value_seconds = _timed(lambda: reference_value(4, digits))
+        rows.append(BenchRow("reference", "pi-cold", 0, 0, digits,
+                             pi_seconds, status))
+        rows.append(BenchRow("reference", "reference-value", 4, 0, digits,
+                             value_seconds, status))
 
     return rows, ok

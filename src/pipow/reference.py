@@ -1,15 +1,30 @@
-"""High-precision reference constants.
+"""High-precision reference constants on a binary fixed-point core.
 
-pi is evaluated from the Machin arctangent relation
+pi comes from the Chudnovsky series
 
-    pi = 16*arctan(1/5) - 4*arctan(1/239)
+    1/pi = 12 * sum_k (-1)**k (6k)! (13591409 + 545140134 k)
+                / ((3k)! (k!)**3 640320**(3k + 3/2)),
 
-on scaled integers, so results are reproducible bit for bit. Derived
-quantities (pi**(2n)/(2n+1)!, powers of pi**2/6, and sinc(pi*x) by Taylor
-series) are computed at an enlarged working scale and rounded half-even
-down to the requested precision plus ten guard digits. These values serve
-as the judge for everything the series code produces, which is why they
-carry their own guard margin rather than borrowing the caller's.
+summed by binary splitting (Haible & Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", ANTS 1998) into one integer
+fraction, times one isqrt(10005 * 4**B): pi * 2**B costs a few balanced
+big products and one big division. The shared PiCache keeps that mantissa
+in bits, grows it geometrically and serves narrower requests by a shift.
+
+Every constant -- pi itself, pi**(2n)/(2n+1)!, (pi**2/6)**p and sinc(pi*x)
+by its Taylor series -- is assembled in binary fixed point at w bits, where
+each rescale is a shift, together with an integer bound on its absolute
+error in units of 2**-w. One routine, _round_certified, turns that into
+the decimal mantissa at digits plus ten guard places: one multiplication
+by the power of ten, then half-even rounding by shift and mask. It rounds
+only when the discarded bits lie farther than the error bound from the
+half point, the one place where rounding to nearest can go either way;
+otherwise the value is assembled again with twice the guard bits (Ziv,
+"Fast evaluation of elementary mathematical functions with correctly
+rounded last bit", ACM TOMS 1991). Every returned mantissa is therefore
+the correctly rounded value. These values serve as the judge for
+everything the series code produces, which is why they carry their own
+guard digits rather than borrowing the caller's.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ import threading
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import FixedDecimal, div_round_half_even
+from .exactnum import FixedDecimal
 
 __all__ = [
     "MAX_PI_DIGITS",
@@ -36,80 +51,118 @@ __all__ = [
 REFERENCE_GUARD = 10
 MAX_PI_DIGITS = 10**5
 
-# Fixed extra digits carried while a derived constant is being assembled,
-# before the final rounding to digits + REFERENCE_GUARD. Large enough that
-# the handful of half-even roundings along the way cannot reach the
-# returned places.
-_WORK_MARGIN = 20
+# Bits carried beyond 10**scale on the first try. Any positive value gives
+# the correctly rounded result through the retry; 64 keeps the chance of
+# a retry below about 2**-45 for every constant here.
+_GUARD_BITS = 64
 
 factorial = math.factorial
 
 
-def _arctan_inverse_scaled(inverse: int, scale: int) -> int:
-    """floor-ish arctan(1/inverse) * 10**scale by the alternating series.
+def _chudnovsky_split(a: int, b: int) -> tuple:
+    """(P, Q, T) of the Chudnovsky terms a..b-1, a >= 1, by binary
+    splitting: T/Q is their sum divided by the 13591409 of term 0."""
+    if b - a == 1:
+        p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        # 640320**3 / 24 = 10939058860032000
+        return p, 10939058860032000 * a**3, p * (13591409 + 545140134 * a)
+    middle = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, middle)
+    p2, q2, t2 = _chudnovsky_split(middle, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
-    Each retained term is an integer division of the previous one, so the
-    result differs from the true value by at most one unit per term; the
-    series is cut when a term underflows the scale.
+
+def _chudnovsky_pi_bits(bits: int) -> int:
+    """pi * 2**bits within one unit.
+
+    pi = 426880 sqrt(10005) Q / (13591409 Q + T) over terms 0..n-1, worked
+    at 16 extra bits. The terms alternate and each is below 2**-45 of the
+    one before (the ratio tends to 1728/640320**3, about 2**-47.1), so
+    n = work//45 + 2 terms leave a relative error below 2**-(work+45). The
+    floored isqrt costs under 0.04 units and the floored division under
+    one, so the result is within 1.1 units at `work` and within one unit
+    after the rounding shift.
     """
-    one = 10**scale
-    term = one // inverse
-    total = term
-    inverse_sq = inverse * inverse
-    j = 1
-    sign = -1
-    while True:
-        term //= inverse_sq
-        if term == 0:
-            break
-        total += sign * (term // (2 * j + 1))
-        sign = -sign
-        j += 1
-    return total
-
-
-def _machin_pi_mantissa(scale: int, extra: int = 10) -> int:
-    """pi * 10**scale rounded half-even, via Machin's relation.
-
-    The two arctangent series run at scale + extra digits; with a few
-    hundred retained terms the combined error stays far below half a unit
-    at the returned scale, so the final rounding is exact.
-    """
-    work = scale + extra
-    a5 = _arctan_inverse_scaled(5, work)
-    a239 = _arctan_inverse_scaled(239, work)
-    pi_work = 16 * a5 - 4 * a239
-    return div_round_half_even(pi_work, 10**extra)
+    work = bits + 16
+    _, q, t = _chudnovsky_split(1, work // 45 + 2)
+    root = math.isqrt(10005 << (2 * work))
+    pi_work = 426880 * root * q // (13591409 * q + t)
+    return (pi_work + (1 << 15)) >> 16
 
 
 class PiCache:
-    """Best pi mantissa computed so far, grown on demand.
+    """pi * 2**bits within one unit, for the widest bits asked so far.
 
     A single instance is shared across the package; a lock serializes
-    growth so concurrent callers never duplicate the Machin evaluation.
-    Narrower requests are served by rounding the stored mantissa down.
+    growth so concurrent callers never duplicate the evaluation. Growth at
+    least doubles the stored bits, so ever wider requests in any order cost
+    O(log) evaluations. Narrower requests are served by a rounding right
+    shift, which stays within one unit. Nothing is computed before the
+    first request.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._scale = -1
-        self._mantissa = 0
+        self._bits = 0
+        self._value = 3  # pi within one unit at 2**0
+
+    def bits(self, bits: int) -> int:
+        with self._lock:
+            if bits > self._bits:
+                self._bits = max(bits, 2 * self._bits)
+                self._value = _chudnovsky_pi_bits(self._bits)
+            shift = self._bits - bits
+            if shift == 0:
+                return self._value
+            return (self._value + (1 << (shift - 1))) >> shift
 
     def mantissa(self, scale: int) -> int:
+        """pi * 10**scale, correctly rounded half-even."""
         if scale < 0:
             raise DomainError("scale must be nonnegative")
-        with self._lock:
-            if scale > self._scale:
-                self._mantissa = _machin_pi_mantissa(scale)
-                self._scale = scale
-            if scale == self._scale:
-                return self._mantissa
-            return div_round_half_even(
-                self._mantissa, 10 ** (self._scale - scale)
-            )
+        return _certified(lambda bits: (self.bits(bits), 1), scale,
+                          _GUARD_BITS)
 
 
 _PI_CACHE = PiCache()
+
+
+def _round_certified(value: int, bits: int, error: int, scale: int):
+    """round_half_even(v * 10**scale) for every v with
+    |value - v * 2**bits| <= error, or None when those v round apart.
+
+    value * 10**scale lies within error * 10**scale of v * 10**scale *
+    2**bits. Rounding to nearest changes only across a half point, so when
+    the discarded low `bits` bits are farther than that from one half,
+    value and v round alike and the shift-and-mask rounding of value is
+    the answer. An exact value on the decimal grid, such as 1 or 0, has
+    its low bits near 0 or 2**bits, far from one half, so it never waits
+    on a retry.
+    """
+    pow10 = 10**scale
+    scaled = value * pow10
+    low = scaled & ((1 << bits) - 1)
+    if abs(2 * low - (1 << bits)) <= 2 * error * pow10:
+        return None
+    return (scaled >> bits) + (2 * low > (1 << bits))
+
+
+def _certified(approximate, scale: int, guard: int) -> int:
+    """The correctly rounded mantissa at 10**-scale.
+
+    approximate(bits) returns (value, error) for the constant v with
+    |value - v * 2**bits| <= error. It is called at the bits of 10**scale
+    plus `guard`, and again with the guard doubled until _round_certified
+    can decide.
+    """
+    while True:
+        # 3322/1000 > log2(10), so 2**bits > 10**scale * 2**guard.
+        bits = scale * 3322 // 1000 + 1 + guard
+        value, error = approximate(bits)
+        rounded = _round_certified(value, bits, error, scale)
+        if rounded is not None:
+            return rounded
+        guard *= 2
 
 
 def pi_mantissa(scale: int) -> int:
@@ -131,56 +184,81 @@ def pi_digits(digits: int) -> FixedDecimal:
     return FixedDecimal(pi_mantissa(scale), scale, REFERENCE_GUARD)
 
 
+def _pi_power_ratio(power: int, divisor: int, digits: int) -> FixedDecimal:
+    """pi**(2*power) / divisor at digits plus ten guard digits, correctly
+    rounded half-even.
+
+    At w bits: p = pi * 2**w within one unit, the square (p*p) >> w, then
+    power - 1 products acc = (acc * square) >> w from acc = square (2**w
+    for power 0), then one floor division by the divisor. The square is
+    within 2*pi + 1 units, a relative 0.74 * 2**-w, and each floor loses
+    under one unit, a relative 0.11 * 2**-w, so while power * 2**-w is
+    small acc is within a relative 2 * power * 2**-w of
+    pi**(2*power) * 2**w. With
+    v = pi**(2*power) / divisor and x the result,
+
+        |x - v * 2**w| <= 2 * power * v + 1
+                       <= (2*power + 1) * ((x >> w) + 2)   units of 2**-w,
+
+    the bound handed to _round_certified. It is relative to v, which grows
+    like 1.65**power for divisor 6**power, so 64 + power guard bits keep
+    the retry rare in both uses.
+    """
+    _check_digits(digits)
+    out_scale = digits + REFERENCE_GUARD
+
+    def approximate(bits):
+        p = _PI_CACHE.bits(bits)
+        square = (p * p) >> bits
+        acc = square if power else 1 << bits
+        for _ in range(power - 1):
+            acc = (acc * square) >> bits
+        value = acc // divisor
+        return value, (2 * power + 1) * ((value >> bits) + 2)
+
+    mantissa = _certified(approximate, out_scale, _GUARD_BITS + power)
+    return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)
+
+
 def reference_value(depth: int, digits: int) -> FixedDecimal:
-    """pi**(2*depth) / (2*depth + 1)! at digits plus ten guard digits.
+    """pi**(2*depth) / (2*depth + 1)! at digits plus ten guard digits,
+    correctly rounded half-even (see _pi_power_ratio for the bound).
 
     This is the exact limit of the depth-nested reciprocal-square sum, so
     it is the value partial sums are judged against.
     """
     if depth < 1:
         raise DomainError("depth must be a positive integer")
-    _check_digits(digits)
-    out_scale = digits + REFERENCE_GUARD
-    work = out_scale + _WORK_MARGIN + 2 * depth
-    one = 10**work
-    pi_w = pi_mantissa(work)
-    pi_sq = div_round_half_even(pi_w * pi_w, one)
-    acc = one
-    for _ in range(depth):
-        acc = div_round_half_even(acc * pi_sq, one)
-    acc = div_round_half_even(acc, factorial(2 * depth + 1))
-    mantissa = div_round_half_even(acc, 10 ** (work - out_scale))
-    return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)
+    return _pi_power_ratio(depth, factorial(2 * depth + 1), digits)
 
 
 def basel_power(power: int, digits: int) -> FixedDecimal:
-    """(pi**2 / 6)**power at digits plus ten guard digits.
+    """(pi**2 / 6)**power at digits plus ten guard digits, correctly
+    rounded half-even (see _pi_power_ratio for the bound).
 
     power 0 gives exactly 1; pi**2/6 itself is the depth-1 series limit and
     the base of the comparison bound on deeper sums.
     """
     if power < 0:
         raise DomainError("power must be nonnegative")
-    _check_digits(digits)
-    out_scale = digits + REFERENCE_GUARD
-    work = out_scale + _WORK_MARGIN + 2 * power
-    one = 10**work
-    pi_w = pi_mantissa(work)
-    base = div_round_half_even(pi_w * pi_w, 6 * one)
-    acc = one
-    for _ in range(power):
-        acc = div_round_half_even(acc * base, one)
-    mantissa = div_round_half_even(acc, 10 ** (work - out_scale))
-    return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)
+    return _pi_power_ratio(power, 6**power, digits)
 
 
 def sinc_taylor(x, digits: int) -> FixedDecimal:
-    """sin(pi*x)/(pi*x) for rational |x| <= 2, by the Taylor series of sin.
+    """sin(pi*x)/(pi*x) for rational |x| <= 2, by the Taylor series of sin,
+    correctly rounded half-even at digits plus ten guard digits.
 
-    Defined as exactly 1 at x = 0 (the removable singularity). The series
-    in theta = pi*x is evaluated on scaled integers with one half-even
-    rounding per term; on |x| <= 2 it alternates and shrinks fast, so the
-    cut when a term underflows the working scale is sound.
+    Defined as exactly 1 at x = 0 (the removable singularity). At w bits,
+    theta**2 = (pi*x)**2 is floored from the cached pi, within
+    4 * (2*pi + 1) + 1 < 32 units for |x| <= 2, and each term
+    theta**(2j)/(2j+1)! comes from the one before by a floored product
+    with theta**2 and a floored division by 2j*(2j+1). Each term's error
+    bound is carried along in integers from the previous term's value and
+    bound. The sum stops at the first term that floors to 0: the true term
+    there is below its bound, and the terms past it alternate and shrink
+    (were theta**2 >= (2j+2)*(2j+3), every factor theta**2/(2i*(2i+1))
+    up to i = j would exceed 1 and the term 2**w), so the rest of the
+    series is below that bound too, which is added once more.
     """
     q = Fraction(x)
     _check_digits(digits)
@@ -189,24 +267,25 @@ def sinc_taylor(x, digits: int) -> FixedDecimal:
     out_scale = digits + REFERENCE_GUARD
     if q == 0:
         return FixedDecimal(10**out_scale, out_scale, REFERENCE_GUARD)
-    work = out_scale + _WORK_MARGIN
-    one = 10**work
-    pi_w = pi_mantissa(work)
-    # theta**2 = (pi*x)**2 at the working scale, one rounding.
-    theta_sq = div_round_half_even(
-        pi_w * pi_w * q.numerator * q.numerator,
-        one * q.denominator * q.denominator,
-    )
-    # sin(theta)/theta = sum_{j>=0} (-1)**j theta**(2j) / (2j+1)!
-    total = one
-    term = one
-    j = 1
-    sign = -1
-    while term != 0:
-        term = div_round_half_even(term * theta_sq, one)
-        term = div_round_half_even(term, (2 * j) * (2 * j + 1))
-        total += sign * term
-        sign = -sign
-        j += 1
-    mantissa = div_round_half_even(total, 10 ** (work - out_scale))
+    num_sq, den_sq = q.numerator**2, q.denominator**2
+
+    def approximate(bits):
+        p = _PI_CACHE.bits(bits)
+        theta_sq = (p * p * num_sq) // (den_sq << bits)
+        theta_error = 32
+        # sin(theta)/theta = sum_{j>=0} (-1)**j theta**(2j) / (2j+1)!
+        total = term = 1 << bits
+        error = term_error = 0
+        j = 1
+        while term != 0:
+            spread = term_error * theta_sq + (term + term_error) * theta_error
+            step = (2 * j) * (2 * j + 1)
+            term = ((term * theta_sq) >> bits) // step
+            term_error = ((spread >> bits) + 2) // step + 2
+            total += -term if j & 1 else term
+            error += term_error
+            j += 1
+        return total, error + term_error
+
+    mantissa = _certified(approximate, out_scale, _GUARD_BITS)
     return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)

@@ -267,8 +267,13 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     10**5. The threshold lies above every crossover, and at the threshold
     itself the tree measured 1.3 to 17 times faster, so on the
     grid the rule never picks the slower route. Depth 1 always sweeps:
-    its step does no wide multiplication, and the tree beat it only at
-    2000 places and more, by at most 2.4 times. Past N = 10**5, the edge
+    its step does no wide multiplication. Timed again over N from 10 to
+    10**5 and 150 to 8000 places, the tree lost everywhere below 2000
+    places (0.03 to 0.68 of the sweep's speed), came out 0.75 to 1.06 at
+    2000, and won only 1.14 to 1.30 times at 4300 for N <= 1000 (at most
+    0.4 ms a row) and 1.2 to 1.7 times at 8000 for N <= 4000; a third term
+    for that band would save well under a millisecond on a rare row and
+    pick the slower route near its edge. Past N = 10**5, the edge
     of the grid, the tree's coefficients run to megabytes each and the
     sweep keeps the row.
     """

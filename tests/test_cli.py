@@ -352,6 +352,7 @@ class TestBenchCommand:
         assert "exact-sweep" in out or "sweep" in out
         assert "refused" in out  # expected naive refusal row
         assert "routed" in out
+        assert "pi-cold" in out
 
     def test_routed_sweep_disagreement_fails(self, monkeypatch):
         real = bench.partial_sum
@@ -368,6 +369,20 @@ class TestBenchCommand:
         assert not ok
         assert {row.status for row in rows
                 if row.section == "sweep-fixed"} == {"MISMATCH"}
+
+    def test_reference_disagreement_fails(self, monkeypatch):
+        class Skewed(reference.PiCache):
+            # One unit off at the narrow digit counts only, so the rounding
+            # of the grown cache's wider value exposes it.
+            def mantissa(self, scale):
+                return (super().mantissa(scale)
+                        + (scale in bench.REFERENCE_DIGITS))
+
+        monkeypatch.setattr(bench, "PiCache", Skewed)
+        rows, ok = bench.run_benchmark()
+        assert not ok
+        assert {row.status for row in rows
+                if row.section == "reference"} == {"MISMATCH"}
 
 
 class TestOutputPlumbing:

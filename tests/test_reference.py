@@ -1,25 +1,33 @@
-"""Reference constants against an independent arbitrary-precision oracle.
+"""Reference constants against independent judges.
 
-mpmath plays the judge here: it shares no code or algorithm with the
-Machin-based fixed-point evaluation under test (mpmath computes pi by
-binary-splitting Chudnovsky), so agreement is meaningful evidence.
+mpmath plays the judge for every constant: it shares no code with the
+binary fixed-point evaluation under test, so agreement is meaningful
+evidence. Both compute pi by Chudnovsky's series, so pi itself is also
+checked against Machin's arctangent relation, kept here as a pi witness
+that shares neither the series nor the arithmetic.
 """
 
+import math
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from pipow import reference
 from pipow.errors import DomainError
+from pipow.exactnum import div_round_half_even
 from pipow.reference import (
     MAX_PI_DIGITS,
     PiCache,
     REFERENCE_GUARD,
-    _machin_pi_mantissa,
     basel_power,
     factorial,
     pi_digits,
+    pi_mantissa,
     reference_value,
     sinc_taylor,
 )
@@ -36,6 +44,62 @@ def mp_fraction(value) -> Fraction:
 
 PI = mp_fraction(+mp.pi)                     # accurate to ~120 digits
 PI_KNOWN_PREFIX = "3.14159265358979323846"   # textbook digits
+
+
+def _arctan_inverse_scaled(inverse: int, scale: int) -> int:
+    """floor-ish arctan(1/inverse) * 10**scale by the alternating series.
+
+    Each retained term is an integer division of the previous one, so the
+    result differs from the true value by at most one unit per term; the
+    series is cut when a term underflows the scale.
+    """
+    one = 10**scale
+    term = one // inverse
+    total = term
+    inverse_sq = inverse * inverse
+    j = 1
+    sign = -1
+    while True:
+        term //= inverse_sq
+        if term == 0:
+            break
+        total += sign * (term // (2 * j + 1))
+        sign = -sign
+        j += 1
+    return total
+
+
+def _machin_pi_mantissa(scale: int, extra: int = 10) -> int:
+    """pi * 10**scale rounded half-even, via Machin's relation
+    pi = 16*arctan(1/5) - 4*arctan(1/239).
+
+    The two arctangent series run at scale + extra digits; with a few
+    hundred retained terms the combined error stays far below half a unit
+    at the returned scale, so the final rounding is exact.
+    """
+    work = scale + extra
+    a5 = _arctan_inverse_scaled(5, work)
+    a239 = _arctan_inverse_scaled(239, work)
+    pi_work = 16 * a5 - 4 * a239
+    return div_round_half_even(pi_work, 10**extra)
+
+
+def correctly_rounded(compute, scale: int) -> int:
+    """round_half_even(v * 10**scale) of the value compute() returns in
+    mpmath at 2*scale + 50 digits."""
+    with mp.workdps(2 * scale + 50):
+        sign, man, exp, _ = (+compute())._mpf_
+    scaled = man * 10**scale
+    if exp >= 0:
+        rounded = scaled << exp
+    else:
+        low = scaled & ((1 << -exp) - 1)
+        half = 1 << (-exp - 1)
+        # The judge's own error is far below 2**-64 of a unit, so a value
+        # this far from the half point rounds like the true one.
+        assert abs(low - half) > half >> 63
+        rounded = (scaled >> -exp) + (low > half)
+    return -rounded if sign else rounded
 
 
 class TestPiDigits:
@@ -86,6 +150,10 @@ class TestMachinInternals:
         mantissa = _machin_pi_mantissa(60)
         assert abs(Fraction(mantissa, 10**60) - PI) <= Fraction(1, 10**60)
 
+    @pytest.mark.parametrize("digits", [1, 50, 1000, 4300, 20000])
+    def test_pi_mantissa_matches_machin(self, digits):
+        assert pi_mantissa(digits) == _machin_pi_mantissa(digits)
+
 
 class TestPiCache:
     def test_serves_narrower_from_wider(self):
@@ -120,6 +188,36 @@ class TestPiCache:
             assert abs(Fraction(mantissa, 10**scale) - PI) <= (
                 Fraction(2, 10**scale)
             )
+
+    def test_growth_recomputes_pi_a_logarithmic_number_of_times(
+            self, monkeypatch):
+        evaluations = []
+        real = reference._chudnovsky_pi_bits
+
+        def counting(bits):
+            evaluations.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(reference, "_chudnovsky_pi_bits", counting)
+        cache = PiCache()
+        for digits in range(10, 20001, 50):
+            cache.mantissa(digits)
+        # Each evaluation at least doubles the bits, from those of 10
+        # digits to those of 20000.
+        assert len(evaluations) <= math.ceil(
+            math.log2(evaluations[-1] / evaluations[0])) + 1
+        assert cache.mantissa(20000) == _machin_pi_mantissa(20000)
+
+    def test_import_computes_no_pi(self):
+        src = Path(reference.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, %r)\n"
+             "import pipow, pipow.cli, pipow.reference as r\n"
+             "print(r._PI_CACHE._bits)" % str(src)],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "0"
 
 
 class TestFactorial:
@@ -212,3 +310,87 @@ class TestSincTaylor:
             sinc_taylor(Fraction(21, 10), 10)
         with pytest.raises(DomainError):
             sinc_taylor(Fraction(1, 2), 0)
+
+
+class TestCorrectRounding:
+    """Every mantissa is v * 10**(digits + guard) rounded half-even, judged
+    by mpmath at more than twice the digits."""
+
+    DIGITS = [1, 20, 500, 4297, 4300, 20000]
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_reference_value(self, digits):
+        scale = digits + REFERENCE_GUARD
+        for depth in range(1, 13):
+            expected = correctly_rounded(
+                lambda: mp.pi ** (2 * depth) / mp.factorial(2 * depth + 1),
+                scale)
+            assert reference_value(depth, digits).mantissa == expected
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_basel_power(self, digits):
+        scale = digits + REFERENCE_GUARD
+        for power in range(12):
+            expected = correctly_rounded(lambda: (mp.pi**2 / 6) ** power,
+                                         scale)
+            assert basel_power(power, digits).mantissa == expected
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_pi_mantissa(self, digits):
+        assert pi_mantissa(digits) == correctly_rounded(lambda: mp.pi, digits)
+
+    # One x at 20000 digits: sinc there sums about 3800 terms, and
+    # mpmath takes seconds more at multiples of pi/2.
+    @pytest.mark.parametrize("digits, x", [
+        (digits, x) for digits in DIGITS[:-1]
+        for x in (Fraction(7, 5), 2, Fraction(-1, 3))
+    ] + [(20000, Fraction(7, 5))])
+    def test_sinc_taylor(self, digits, x):
+        q = Fraction(x)
+
+        def value():
+            theta = mp.pi * q.numerator / q.denominator
+            return mp.sin(theta) / theta
+
+        expected = correctly_rounded(value, digits + REFERENCE_GUARD)
+        assert sinc_taylor(x, digits).mantissa == expected
+
+    def test_forced_near_tie_takes_the_retry(self, monkeypatch):
+        # One guard bit puts the error bound across the half point, so the
+        # first try cannot decide and the doubled guard must.
+        outcomes = []
+        real = reference._round_certified
+
+        def recording(*args):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+        monkeypatch.setattr(reference, "_round_certified", recording)
+        scale = 500 + REFERENCE_GUARD
+        cases = [
+            (lambda: reference_value(3, 500),
+             lambda: mp.pi**6 / mp.factorial(7)),
+            (lambda: basel_power(5, 500), lambda: (mp.pi**2 / 6) ** 5),
+            (lambda: sinc_taylor(Fraction(1, 3), 500),
+             lambda: mp.sin(mp.pi / 3) / (mp.pi / 3)),
+        ]
+        for compute, judge in cases:
+            outcomes.clear()
+            assert compute().mantissa == correctly_rounded(judge, scale)
+            assert outcomes[0] is None
+            assert outcomes[-1] is not None
+
+    def test_rounds_only_outside_the_error_bound(self):
+        # value = v * 2**8 within 3 units: the half point of the last place
+        # is at low bits 128, and 3 * 10**scale of slack on each side of it
+        # leaves the rounding open.
+        base = 5 << 8
+        assert reference._round_certified(base + 131, 8, 3, 0) is None
+        assert reference._round_certified(base + 125, 8, 3, 0) is None
+        assert reference._round_certified(base + 132, 8, 3, 0) == 6
+        assert reference._round_certified(base + 124, 8, 3, 0) == 5
+        # At scale 1 the slack is 30 units and the product carries the 10.
+        assert reference._round_certified(5 * 256 + 13, 8, 3, 1) is None
+        assert reference._round_certified(5 * 256 + 14, 8, 1, 1) == 51
+        assert reference._round_certified(-(5 << 8) - 124, 8, 3, 0) == -5

@@ -253,10 +253,11 @@ class TestBlockEvaluation:
         ("partial_sum", (4, 300, "fixed", 2000), 0),
         ("sinc_series", (Fraction(7, 5), 40, 300, 500), 0),
         ("partial_sum", (1, 300, "fixed", 2000), 1),
+        ("partial_sum", (1, 300, "fixed", 4300), 1),
         ("partial_sum", (16, 16000, "fixed", 20), 1),
         ("partial_sum", (32, 10**4, "fixed", 20), 1),
     ], ids=["tree-4-300-2000", "tree-sinc-500", "sweep-1-300-2000",
-            "sweep-16-16000-20", "sweep-32-10000-20"])
+            "sweep-1-300-4300", "sweep-16-16000-20", "sweep-32-10000-20"])
     def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
                                              args, sweeps):
         # Wide mantissas at depth >= 2 take the product tree; depth 1,
