@@ -11,83 +11,15 @@ fifty decimal places.
 """
 
 from ._backend import BACKEND as KERNEL_BACKEND
-from .errors import DomainError, InfeasibleError
-from .exactnum import (
-    FixedDecimal,
-    fixed_from_rational,
-    fixed_recip_square,
-    rat,
-    to_decimal_string,
-)
-from .reference import (
-    PiCache,
-    basel_power,
-    factorial,
-    pi_digits,
-    reference_value,
-    sinc_taylor,
-)
-from .series import (
-    SeriesResult,
-    converge,
-    newton_cross_check,
-    partial_sum,
-    partial_sum_naive,
-    partial_sum_prefix,
-    required_truncation,
-    sinc_product,
-    sinc_series,
-    tail_bound,
-)
-from .symmetric import (
-    ExpansionReport,
-    Monomial,
-    ProductExpansion,
-    SparsePolynomial,
-    elementary_symmetric,
-    elementary_symmetric_row,
-    expand_product,
-    substitute,
-    term_count,
-    verify_expansion,
-)
+from .reference import reference_value
+from .series import converge, partial_sum, tail_bound
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "ExpansionReport",
-    "FixedDecimal",
-    "InfeasibleError",
     "KERNEL_BACKEND",
-    "Monomial",
-    "PiCache",
-    "ProductExpansion",
-    "SeriesResult",
-    "SparsePolynomial",
-    "__version__",
-    "basel_power",
     "converge",
-    "elementary_symmetric",
-    "elementary_symmetric_row",
-    "expand_product",
-    "factorial",
-    "fixed_from_rational",
-    "fixed_recip_square",
-    "newton_cross_check",
     "partial_sum",
-    "partial_sum_naive",
-    "partial_sum_prefix",
-    "pi_digits",
-    "rat",
     "reference_value",
-    "required_truncation",
-    "sinc_product",
-    "sinc_series",
-    "sinc_taylor",
-    "substitute",
     "tail_bound",
-    "term_count",
-    "to_decimal_string",
-    "verify_expansion",
 ]

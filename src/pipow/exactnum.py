@@ -23,22 +23,11 @@ __all__ = [
     "FixedDecimal",
     "div_round_half_even",
     "div_round_up",
-    "fixed_from_rational",
-    "fixed_recip_square",
     "guard_digits",
     "int_to_decimal",
-    "rat",
-    "to_decimal_string",
 ]
 
 RationalLike = Union[int, Fraction]
-
-
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduced rational numerator/denominator with positive denominator."""
-    if denominator == 0:
-        raise DomainError("rational number with zero denominator")
-    return Fraction(numerator, denominator)
 
 
 def div_round_half_even(numerator: int, denominator: int) -> int:
@@ -330,36 +319,3 @@ class FixedDecimal:
 
     def __str__(self):
         return self.to_decimal_string()
-
-
-def fixed_from_rational(
-    value: RationalLike, digits: int, guard: int = 0
-) -> FixedDecimal:
-    """Fixed-point image of a rational, half-even at digits + guard places."""
-    return FixedDecimal.from_rational(value, digits, guard)
-
-
-def fixed_recip_square(index: int, digits: int, guard: int = 0) -> FixedDecimal:
-    """1/index**2 rounded half-even to digits + guard fractional digits."""
-    if index < 1:
-        raise DomainError("index must be a positive integer")
-    scale = digits + guard
-    mantissa = div_round_half_even(10**scale, index * index)
-    return FixedDecimal(mantissa, scale, guard)
-
-
-def to_decimal_string(value, display_digits: int | None = None) -> str:
-    """Decimal rendering of a FixedDecimal, rational, or integer.
-
-    Rationals and integers require an explicit display_digits; FixedDecimal
-    defaults to its own non-guard precision.
-    """
-    if isinstance(value, FixedDecimal):
-        return value.to_decimal_string(display_digits)
-    if isinstance(value, (int, Fraction)):
-        if display_digits is None:
-            raise DomainError(
-                "display digit count is required for exact rational values"
-            )
-        return FixedDecimal.from_rational(value, display_digits).to_decimal_string()
-    raise DomainError(f"cannot render {type(value).__name__} as a decimal string")

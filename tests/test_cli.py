@@ -243,12 +243,20 @@ class TestVerifyTheoremCommand:
         assert f"2**{m} terms" in err
 
     def test_large_m_warns(self, capsys):
-        code, out, err = run_cli(capsys, "verify-theorem", "--m", "13",
+        m = symmetric.PRACTICAL_VERIFY_CEILING + 1
+        code, out, err = run_cli(capsys, "verify-theorem", "--m", str(m),
                                  "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["passed"] is True
-        assert payload["warning"]
+        assert payload["warning"].startswith(f"warning: {m} variables ")
+
+    def test_no_warning_at_the_practical_ceiling(self, capsys):
+        m = symmetric.PRACTICAL_VERIFY_CEILING
+        code, out, err = run_cli(capsys, "verify-theorem", "--m", str(m))
+        assert code == EXIT_OK
+        assert not out.startswith("warning")
+        assert out.endswith(f"expansion check for {m} variables: PASS\n")
 
 
 class TestSincCommand:

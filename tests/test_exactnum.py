@@ -18,12 +18,8 @@ from pipow.exactnum import (
     FixedDecimal,
     div_round_half_even,
     div_round_up,
-    fixed_from_rational,
-    fixed_recip_square,
     guard_digits,
     int_to_decimal,
-    rat,
-    to_decimal_string,
 )
 
 
@@ -90,20 +86,6 @@ class TestDivRoundUp:
         assert div_round_up(num, den) == math.ceil(Fraction(num, den))
 
 
-class TestRat:
-    def test_reduces(self):
-        q = rat(6, 8)
-        assert (q.numerator, q.denominator) == (3, 4)
-
-    def test_normalizes_sign(self):
-        q = rat(3, -4)
-        assert (q.numerator, q.denominator) == (-3, 4)
-
-    def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            rat(1, 0)
-
-
 class TestGuardDigits:
     @pytest.mark.parametrize(
         "count, expected",
@@ -126,16 +108,16 @@ class TestGuardDigits:
 
 class TestFixedDecimalConstruction:
     def test_from_rational_seven_eighteenths(self):
-        fd = fixed_from_rational(Fraction(7, 18), 6)
+        fd = FixedDecimal.from_rational(Fraction(7, 18), 6)
         assert fd.to_decimal_string() == "0.388889"
         assert fd.to_decimal_string() == oracle_decimal_string(Fraction(7, 18), 6)
 
     def test_from_rational_one_ninth(self):
-        fd = fixed_from_rational(Fraction(1, 9), 6)
+        fd = FixedDecimal.from_rational(Fraction(1, 9), 6)
         assert fd.to_decimal_string() == "0.111111"
 
     def test_guard_split(self):
-        fd = fixed_from_rational(Fraction(1, 3), 10, guard=5)
+        fd = FixedDecimal.from_rational(Fraction(1, 3), 10, guard=5)
         assert fd.scale == 15
         assert fd.guard == 5
         assert fd.digits == 10
@@ -171,7 +153,7 @@ class TestFixedDecimalRendering:
     )
     def test_against_long_division_oracle(self, value, digits, expected):
         assert oracle_decimal_string(value, digits) == expected
-        fd = fixed_from_rational(value, digits + 4, guard=4)
+        fd = FixedDecimal.from_rational(value, digits + 4, guard=4)
         assert fd.to_decimal_string(digits) == expected
 
     @settings(max_examples=300, derandomize=True)
@@ -182,7 +164,7 @@ class TestFixedDecimalRendering:
     )
     def test_rendering_matches_oracle(self, numerator, denominator, digits):
         value = Fraction(numerator, denominator)
-        fd = fixed_from_rational(value, digits)
+        fd = FixedDecimal.from_rational(value, digits)
         assert fd.to_decimal_string(digits) == oracle_decimal_string(value, digits)
 
     @settings(max_examples=200, derandomize=True)
@@ -192,7 +174,7 @@ class TestFixedDecimalRendering:
     )
     def test_exactly_representable_round_trip(self, mantissa, digits):
         value = Fraction(mantissa, 10**digits)
-        fd = fixed_from_rational(value, digits)
+        fd = FixedDecimal.from_rational(value, digits)
         assert fd.as_fraction() == value
         assert Fraction(fd.to_decimal_string(digits)) == value
 
@@ -209,24 +191,16 @@ class TestFixedDecimalRendering:
         # Value -> digits+guard storage -> digits display: the double
         # rounding stays within one unit in the displayed place.
         value = Fraction(numerator, denominator)
-        fd = fixed_from_rational(value, digits, guard=guard)
+        fd = FixedDecimal.from_rational(value, digits, guard=guard)
         shown = Fraction(fd.to_decimal_string(digits))
         assert abs(shown - value) <= Fraction(1, 10**digits)
 
     def test_display_digit_count_errors(self):
-        fd = fixed_from_rational(Fraction(1, 3), 5)
+        fd = FixedDecimal.from_rational(Fraction(1, 3), 5)
         with pytest.raises(DomainError):
             fd.to_decimal_string(6)
         with pytest.raises(DomainError):
             fd.to_decimal_string(-1)
-
-    def test_module_function_on_rational(self):
-        assert to_decimal_string(Fraction(7, 18), 6) == "0.388889"
-        assert to_decimal_string(3, 2) == "3.00"
-        with pytest.raises(DomainError):
-            to_decimal_string(Fraction(1, 3))
-        with pytest.raises(DomainError):
-            to_decimal_string("1/3", 5)
 
 
 @contextmanager
@@ -261,14 +235,14 @@ class TestIntToDecimal:
     def test_fixed_rendering_beyond_the_limit(self, sign):
         # 5000 places of 1/7 repeat 142857; the 5001st digit (2) rounds down.
         expected = "0." + ("142857" * 834)[:5000]
-        fd = fixed_from_rational(Fraction(sign, 7), 5000, guard=3)
+        fd = FixedDecimal.from_rational(Fraction(sign, 7), 5000, guard=3)
         assert fd.to_decimal_string() == ("-" if sign < 0 else "") + expected
 
 
 class TestFixedDecimalArithmetic:
     def test_aligned_add_sub_exact(self):
-        a = fixed_from_rational(Fraction(1, 8), 6)
-        b = fixed_from_rational(Fraction(3, 4), 6)
+        a = FixedDecimal.from_rational(Fraction(1, 8), 6)
+        b = FixedDecimal.from_rational(Fraction(3, 4), 6)
         assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
         assert (b - a).as_fraction() == b.as_fraction() - a.as_fraction()
 
@@ -280,7 +254,7 @@ class TestFixedDecimalArithmetic:
         assert total.as_fraction() == Fraction(1275, 10**4)
 
     def test_int_operands(self):
-        a = fixed_from_rational(Fraction(1, 2), 4)
+        a = FixedDecimal.from_rational(Fraction(1, 2), 4)
         assert (a + 1).as_fraction() == Fraction(3, 2)
         assert (1 - a).as_fraction() == Fraction(1, 2)
         assert (a * 3).as_fraction() == Fraction(3, 2)
@@ -306,7 +280,7 @@ class TestFixedDecimalArithmetic:
             a.divided_by_int(0)
 
     def test_neg_abs_bool(self):
-        a = fixed_from_rational(Fraction(-1, 4), 4)
+        a = FixedDecimal.from_rational(Fraction(-1, 4), 4)
         assert (-a).as_fraction() == Fraction(1, 4)
         assert abs(a).as_fraction() == Fraction(1, 4)
         assert bool(a)
@@ -327,31 +301,3 @@ class TestFixedDecimalComparison:
 
     def test_hash_agrees_with_fraction(self):
         assert hash(FixedDecimal(25, 2)) == hash(Fraction(1, 4))
-
-
-class TestFixedRecipSquare:
-    def test_value(self):
-        fd = fixed_recip_square(3, 10, guard=5)
-        assert fd.scale == 15
-        assert fd.mantissa == div_round_half_even(10**15, 9)
-        assert abs(fd.as_fraction() - Fraction(1, 9)) <= Fraction(1, 2 * 10**15)
-
-    def test_exact_when_terminating(self):
-        fd = fixed_recip_square(2, 6)
-        assert fd.as_fraction() == Fraction(1, 4)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(DomainError):
-            fixed_recip_square(0, 10)
-        with pytest.raises(DomainError):
-            fixed_recip_square(-2, 10)
-
-    @settings(max_examples=150, derandomize=True)
-    @given(
-        index=st.integers(min_value=1, max_value=10**6),
-        digits=st.integers(min_value=1, max_value=30),
-    )
-    def test_within_half_ulp(self, index, digits):
-        fd = fixed_recip_square(index, digits)
-        exact = Fraction(1, index * index)
-        assert abs(fd.as_fraction() - exact) <= Fraction(1, 2 * 10**digits)

@@ -1,0 +1,82 @@
+"""The package namespace, the README quickstart and the benchmark's hooks.
+
+``perfbench/spans.py`` wraps pipow functions by module and attribute name
+and reads their arguments by parameter name, so a rename or a dropped
+parameter in ``src/`` breaks the traced benchmark run silently; these
+tests catch it in the regular suite.
+"""
+
+import doctest
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pipow
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class RecordingArguments:
+    """Bound arguments that remember every name read and answer 1."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return 1
+
+
+class TestBenchmarkHooks:
+    def test_every_target_resolves_and_reads_only_its_parameters(self):
+        read = set()
+        for module_name, attribute, name, counter in load_spans().TARGETS:
+            owner = importlib.import_module(module_name)
+            for part in attribute.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module_name, attribute)
+            parameters = inspect.signature(owner).parameters
+            for probe in (name, counter):
+                if not callable(probe):
+                    continue
+                arguments = RecordingArguments()
+                if probe is counter:
+                    probe(arguments, 1)
+                else:
+                    probe(arguments)
+                assert arguments.read <= set(parameters), (
+                    module_name, attribute, arguments.read - set(parameters))
+                read |= arguments.read
+        assert read >= {"n_vars", "depth", "truncation", "scale", "mode",
+                        "digits", "powers", "display_digits"}
+
+    def test_kernel_backend_is_published(self):
+        assert isinstance(pipow.KERNEL_BACKEND, str)
+
+
+class TestNamespace:
+    def test_all_names_resolve(self):
+        assert sorted(pipow.__all__) == [
+            "KERNEL_BACKEND", "converge", "partial_sum", "reference_value",
+            "tail_bound"]
+        for name in pipow.__all__:
+            assert hasattr(pipow, name), name
+
+    def test_readme_quickstart(self):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+        test = doctest.DocTestParser().get_doctest(
+            block, {}, "README quickstart", "README.md", 0)
+        runner = doctest.DocTestRunner()
+        runner.run(test)
+        assert runner.summarize(verbose=False) == (0, 7)

@@ -3,6 +3,8 @@
 The two independent construction routes (naive enumeration over index
 subsets, and the one-variable-at-a-time recurrence) must produce equal
 polynomials; the product expansion ties both to the generating function.
+A polynomial is a dict from monomial mask (bit i-1 for x_i) to
+coefficient.
 """
 
 import math
@@ -16,132 +18,129 @@ from hypothesis import strategies as st
 
 from pipow.errors import DomainError
 from pipow.symmetric import (
-    Monomial,
-    ProductExpansion,
-    SparsePolynomial,
     elementary_symmetric,
     elementary_symmetric_row,
     expand_product,
+    render,
     substitute,
-    term_count,
+    times_variable,
     verify_expansion,
 )
 
 
+def monomial(*indices):
+    """x_{i_1}*...*x_{i_k} built one variable at a time from the constant 1."""
+    poly = {0: 1}
+    for index in indices:
+        poly = times_variable(poly, index)
+    return poly
+
+
+def plus(a, b):
+    """Polynomial sum (every coefficient here is positive: none cancels)."""
+    out = dict(a)
+    for mask, coefficient in b.items():
+        out[mask] = out.get(mask, 0) + coefficient
+    return out
+
+
+def indices_of(mask):
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def renamed(poly, mapping):
+    """Polynomial with every x_i renamed to x_{mapping[i]}."""
+    out = {}
+    for mask, coefficient in poly.items():
+        out = plus(out, {sum(1 << (mapping[i] - 1) for i in indices_of(mask)):
+                         coefficient})
+    return out
+
+
 class TestMonomial:
-    def test_drops_zero_exponents(self):
-        m = Monomial(((1, 2), (3, 0), (5, 1)))
-        assert m.exponent_of(3) == 0
-        assert m.indices == (1, 5)
+    """Monomials are int masks, built only through times_variable."""
 
     def test_canonical_order(self):
-        a = Monomial(((5, 1), (1, 2)))
-        b = Monomial(((1, 2), (5, 1)))
-        assert a == b
-        assert hash(a) == hash(b)
+        assert monomial(5, 1) == monomial(1, 5) == {0b10001: 1}
 
     def test_from_indices_requires_distinct(self):
-        m = Monomial.from_indices((3, 1, 2))
-        assert m.indices == (1, 2, 3)
-        assert m.is_squarefree()
+        # The squarefree guard: multiplying by a variable the monomial
+        # already holds is refused, never folded into the same mask.
+        assert monomial(3, 1, 2) == {0b111: 1}
         with pytest.raises(DomainError):
-            Monomial.from_indices((1, 1))
+            monomial(1, 1)
+        with pytest.raises(DomainError):
+            times_variable(monomial(1, 4), 4)
+        with pytest.raises(DomainError):
+            times_variable(elementary_symmetric(4, 2), 3)
 
     def test_degree(self):
-        assert Monomial(()).degree == 0
-        assert Monomial(((2, 3), (7, 1))).degree == 4
-
-    def test_multiplication_adds_exponents(self):
-        m = Monomial(((1, 1),)) * Monomial(((1, 2), (4, 1)))
-        assert m == Monomial(((1, 3), (4, 1)))
-        assert not m.is_squarefree()
+        [constant] = monomial()
+        [product] = monomial(2, 7, 9)
+        assert constant.bit_count() == 0
+        assert product.bit_count() == 3
 
     def test_rendering(self):
-        assert Monomial(()).render() == "1"
-        assert Monomial(((2, 1),)).render() == "x_2"
-        assert Monomial(((1, 1), (2, 3))).render() == "x_1*x_2^3"
+        assert render(monomial()) == "1"
+        assert render(monomial(2)) == "x_2"
+        assert render(monomial(2, 1)) == "x_1*x_2"
 
     def test_ordering_is_by_index_sequence(self):
         # x_1*x_3 sorts before x_2*x_3: graded lexicographic on the
-        # expanded index tuple.
-        a = Monomial.from_indices((1, 3))
-        b = Monomial.from_indices((2, 3))
-        assert a < b
-        assert Monomial(()) < a
+        # index tuple, with the constant first.
+        poly = {**monomial(2, 3), **monomial(1, 3), **monomial()}
+        assert render(poly) == "1 + x_1*x_3 + x_2*x_3"
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            Monomial(((0, 1),))
+            times_variable({0: 1}, 0)
         with pytest.raises(DomainError):
-            Monomial(((2, -1),))
-
-    def test_immutable(self):
-        m = Monomial(((1, 1),))
-        with pytest.raises(AttributeError):
-            m.pairs = ()
+            times_variable({0: 1}, -2)
 
 
 class TestSparsePolynomial:
-    def test_zero_coefficients_are_dropped(self):
-        x1 = SparsePolynomial.variable(1)
-        diff = x1 - x1
-        assert diff == SparsePolynomial.zero()
-        assert diff.monomial_count() == 0
-        assert diff.render() == "0"
+    """Sparse polynomials are dicts from monomial mask to coefficient."""
 
     def test_constant_and_variable(self):
-        c = SparsePolynomial.constant(Fraction(3, 2))
-        assert c.coefficient(Monomial(())) == Fraction(3, 2)
-        v = SparsePolynomial.variable(4)
-        assert v.coefficient(Monomial(((4, 1),))) == 1
-
-    def test_arithmetic(self):
-        x1 = SparsePolynomial.variable(1)
-        x2 = SparsePolynomial.variable(2)
-        p = (x1 + x2) * (x1 - x2)
-        q = x1 * x1 - x2 * x2
-        assert p == q
-
-    def test_scalar_multiplication(self):
-        x1 = SparsePolynomial.variable(1)
-        assert (x1 * 2).coefficient(Monomial(((1, 1),))) == 2
-        assert (x1 * Fraction(1, 2)) + (x1 * Fraction(1, 2)) == x1
+        assert monomial() == {0: 1}
+        assert monomial(4) == {0b1000: 1}
+        assert times_variable({0: 3, 0b1: 2}, 2) == {0b10: 3, 0b11: 2}
 
     def test_render_cases(self):
-        x1 = SparsePolynomial.variable(1)
-        x2 = SparsePolynomial.variable(2)
-        assert (x1 * x2).render() == "x_1*x_2"
-        assert (x1 * x2 * 2).render() == "2*x_1*x_2"
-        assert (x1 * x1).render() == "x_1^2"
-        assert (x1 + x2 * 3).render() == "x_1 + 3*x_2"
+        assert render({}) == "0"
+        assert render({0: 7}) == "7"
+        assert render(monomial(1, 2)) == "x_1*x_2"
+        assert render({0b11: 2}) == "2*x_1*x_2"
+        assert render({0b1: 1, 0b10: 3}) == "x_1 + 3*x_2"
+
+    def test_render_sorts_by_index_sequence(self):
+        assert render(elementary_symmetric(4, 2)) == (
+            "x_1*x_2 + x_1*x_3 + x_1*x_4 + x_2*x_3 + x_2*x_4 + x_3*x_4")
 
     def test_substitute(self):
-        x1 = SparsePolynomial.variable(1)
-        x2 = SparsePolynomial.variable(2)
-        value = (x1 * x2 + x1).substitute({1: Fraction(1, 2),
-                                           2: Fraction(1, 3)})
+        poly = plus(monomial(1, 2), monomial(1))
+        value = substitute(poly, {1: Fraction(1, 2), 2: Fraction(1, 3)})
         assert value == Fraction(1, 6) + Fraction(1, 2)
+        assert substitute({0: 5}, {}) == 5
+        assert substitute({}, {}) == 0
 
     def test_substitute_missing_index(self):
-        p = SparsePolynomial.variable(3)
         with pytest.raises(DomainError):
-            p.substitute({1: Fraction(1)})
+            substitute(monomial(3), {1: Fraction(1)})
 
     def test_max_index_and_squarefree(self):
         p = elementary_symmetric(5, 2)
-        assert p.max_index() == 5
-        assert p.is_squarefree()
-        q = SparsePolynomial.variable(1) * SparsePolynomial.variable(1)
-        assert not q.is_squarefree()
+        assert max(mask.bit_length() for mask in p) == 5
+        assert all(mask.bit_count() == 2 for mask in p)
+        with pytest.raises(DomainError):
+            times_variable(monomial(1), 1)
 
 
 class TestElementarySymmetric:
     def naive(self, n_vars, k):
-        total = SparsePolynomial.zero()
+        total = {}
         for subset in combinations(range(1, n_vars + 1), k):
-            total = total + SparsePolynomial(
-                {Monomial.from_indices(subset): Fraction(1)}
-            )
+            total = plus(total, monomial(*subset))
         return total
 
     @pytest.mark.parametrize("n_vars", range(0, 9))
@@ -152,12 +151,10 @@ class TestElementarySymmetric:
     @pytest.mark.parametrize("n_vars", range(0, 8))
     def test_row_recurrence_identity(self, n_vars):
         # e_k over M+1 variables = e_k over M + x_{M+1} * e_{k-1} over M.
-        new_var = SparsePolynomial.variable(n_vars + 1)
         for k in range(1, n_vars + 2):
             lhs = elementary_symmetric(n_vars + 1, k)
-            rhs = elementary_symmetric(n_vars, k) + new_var * (
-                elementary_symmetric(n_vars, k - 1)
-            )
+            rhs = plus(elementary_symmetric(n_vars, k), times_variable(
+                elementary_symmetric(n_vars, k - 1), n_vars + 1))
             assert lhs == rhs
 
     def test_row_matches_singles(self):
@@ -165,22 +162,28 @@ class TestElementarySymmetric:
         assert len(row) == 7
         for k, poly in enumerate(row):
             assert poly == elementary_symmetric(6, k)
+        assert elementary_symmetric_row(6, 2) == row[:3]
 
     def test_term_counts(self):
         for n_vars in range(0, 8):
             for k in range(0, n_vars + 2):
                 e_k = elementary_symmetric(n_vars, k)
-                assert e_k.monomial_count() == math.comb(n_vars, k)
-                assert e_k.is_squarefree()
+                assert len(e_k) == math.comb(n_vars, k)
+                assert all(mask.bit_count() == k for mask in e_k)
+                assert set(e_k.values()) <= {1}
 
     def test_edge_cases(self):
-        assert elementary_symmetric(4, 0) == SparsePolynomial.constant(
-            Fraction(1))
-        assert elementary_symmetric(3, 4) == SparsePolynomial.zero()
+        assert elementary_symmetric(4, 0) == {0: 1}
+        assert elementary_symmetric(0, 0) == {0: 1}
+        assert elementary_symmetric(3, 4) == {}
         with pytest.raises(DomainError):
             elementary_symmetric(-1, 0)
         with pytest.raises(DomainError):
             elementary_symmetric(3, -1)
+        with pytest.raises(DomainError):
+            elementary_symmetric_row(-1, 2)
+        with pytest.raises(DomainError):
+            elementary_symmetric_row(2, -1)
 
     @settings(derandomize=True, max_examples=25)
     @given(n_vars=st.integers(1, 6), k=st.integers(0, 6),
@@ -191,7 +194,7 @@ class TestElementarySymmetric:
         random.Random(seed).shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(n_vars)}
         e_k = elementary_symmetric(n_vars, k)
-        assert e_k.renamed(mapping) == e_k
+        assert renamed(e_k, mapping) == e_k
 
     def test_substitute_reciprocal_squares(self):
         # e_2 over 3 variables at x_l = 1/l**2: 1/4 + 1/9 + 1/36 = 7/18.
@@ -209,38 +212,18 @@ class TestElementarySymmetric:
         assert substitute(e3, assignment) == expected
 
 
-class TestTermCount:
-    def test_values(self):
-        assert term_count(5, 2) == 10
-        assert term_count(4, 0) == 1
-        assert term_count(3, 5) == 0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            term_count(-1, 2)
-        with pytest.raises(DomainError):
-            term_count(3, -2)
-
-
 class TestProductExpansion:
     @pytest.mark.parametrize("n_vars", range(0, 7))
     def test_coefficients_are_elementary_symmetric(self, n_vars):
-        expansion = expand_product(n_vars)
-        assert expansion.n_vars == n_vars
-        assert len(expansion.coefficients) == n_vars + 1
-        for k, coeff in enumerate(expansion.coefficients):
+        coefficients = expand_product(n_vars)
+        assert len(coefficients) == n_vars + 1
+        assert coefficients[0] == {0: 1}
+        for k, coeff in enumerate(coefficients):
             assert coeff == elementary_symmetric(n_vars, k)
 
-    def test_post_init_validation(self):
-        one = SparsePolynomial.constant(Fraction(1))
+    def test_validation(self):
         with pytest.raises(DomainError):
-            ProductExpansion(n_vars=2, coefficients=(one,))
-        with pytest.raises(DomainError):
-            ProductExpansion(
-                n_vars=1,
-                coefficients=(SparsePolynomial.zero(),
-                              SparsePolynomial.variable(1)),
-            )
+            expand_product(-1)
 
 
 class TestVerifyExpansion:
@@ -255,7 +238,8 @@ class TestVerifyExpansion:
 
     def test_details_mention_term_counts(self):
         report = verify_expansion(4)
-        assert any("6" in line for line in report.details)  # C(4,2)
+        assert report.details[2] == (
+            "power 2: 6 squarefree monomials, three constructions agree")
 
     def test_failure_path(self, monkeypatch):
         import pipow.symmetric as sym
@@ -264,7 +248,7 @@ class TestVerifyExpansion:
 
         def corrupted(n_vars, k):
             if k == 2:
-                return real(n_vars, k) + SparsePolynomial.variable(1)
+                return plus(real(n_vars, k), {0b1: 1, 0b11: 1})
             return real(n_vars, k)
 
         monkeypatch.setattr(sym, "elementary_symmetric", corrupted)
@@ -272,6 +256,28 @@ class TestVerifyExpansion:
         assert not report.passed
         assert report.mismatch_power == 2
         assert "FAIL" in report.summary()
+        assert report.details[2:] == (
+            "power 2: MISMATCH",
+            "  product expansion: x_1*x_2 + x_1*x_3 + x_2*x_3",
+            "  enumeration:       x_1 + 2*x_1*x_2 + x_1*x_3 + x_2*x_3",
+            "  recurrence:        x_1*x_2 + x_1*x_3 + x_2*x_3",
+            "  monomial count 3, expected 3",
+        )
+
+    def test_degree_check_catches_a_shared_defect(self, monkeypatch):
+        # All three derivations agree on a power-1 coefficient with the
+        # right count, but one monomial has degree 2.
+        import pipow.symmetric as sym
+
+        wrong = [{0: 1}, {0b01: 1, 0b11: 1}, {0b11: 1}]
+        monkeypatch.setattr(sym, "expand_product", lambda n: wrong)
+        monkeypatch.setattr(sym, "elementary_symmetric_row",
+                            lambda n, k: wrong)
+        monkeypatch.setattr(sym, "elementary_symmetric",
+                            lambda n, k: wrong[k])
+        report = sym.verify_expansion(2)
+        assert not report.passed
+        assert report.mismatch_power == 1
 
     def test_validation(self):
         with pytest.raises(DomainError):
