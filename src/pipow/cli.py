@@ -18,28 +18,22 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import _backend, bench
 from .errors import DomainError, InfeasibleError
-from .exactnum import FixedDecimal, div_round_up, int_to_decimal
-from .reference import (
-    MAX_PI_DIGITS,
-    REFERENCE_GUARD,
-    basel_power,
-    reference_value,
-    sinc_taylor,
-)
+from .exactnum import FixedDecimal, int_to_decimal
+from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
 from .series import (
     DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
     SeriesResult,
     converge,
-    partial_sum,
     required_truncation,
+    series_result,
     sinc_product,
     sinc_series,
-    tail_bound,
 )
 from .symmetric import PRACTICAL_VERIFY_CEILING, verify_expansion
 
@@ -56,13 +50,6 @@ WORK_CEILING_ENV = "PIPOW_WORK_CEILING"
 # The series commands judge their output against reference constants at
 # digits + REFERENCE_GUARD places, so the guard comes out of the pi budget.
 MAX_SERIES_DIGITS = MAX_PI_DIGITS - REFERENCE_GUARD
-
-# Schema-fixed field order for series results in every format.
-RESULT_FIELDS = (
-    "depth", "truncation", "mode", "value",
-    "tail_bound", "reference", "abs_error",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped to this tool's exit code 3."""
@@ -144,16 +131,6 @@ def _resolve_work_ceiling(args) -> int:
     return DEFAULT_WORK_CEILING
 
 
-def _add_common(sub, *, digits_default=20, digits_type=_series_digits):
-    sub.add_argument("--digits", type=digits_type, default=digits_default,
-                     help="requested decimal precision (default %(default)s)")
-    sub.add_argument("--format", choices=("text", "csv", "json"),
-                     default="text", dest="output_format",
-                     help="output format (default %(default)s)")
-    sub.add_argument("--out", dest="out_path", default=None,
-                     help="write output to this file instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pipow",
@@ -174,29 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allow exact mode above the default limit")
     p_sum.add_argument("--as-decimal", action="store_true",
                        help="render exact rational output as a decimal")
-    p_sum.add_argument("--work-ceiling", type=_positive_int, default=None,
-                       help="cap on the truncation N (env %s, default %d)"
-                            % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
-    _add_common(p_sum)
 
     p_conv = sub.add_parser(
         "converge", help="drive the truncation until the tail bound "
                          "drops below 10**-digits")
     p_conv.add_argument("--depth", type=_positive_int, required=True)
-    p_conv.add_argument("--work-ceiling", type=_positive_int, default=None,
-                        help="cap on the truncation N (env %s, default %d)"
-                             % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
-    _add_common(p_conv, digits_default=10)
 
     p_table = sub.add_parser(
         "table", help="one converged row per depth 1..max-depth, "
                       "clamped to the work ceiling")
     p_table.add_argument("--max-depth", type=_positive_int, required=True)
-    p_table.add_argument("--work-ceiling", type=_positive_int, default=None,
-                         help="cap on each row's truncation N (env %s, "
-                              "default %d)"
-                              % (WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
-    _add_common(p_table)
 
     p_verify = sub.add_parser(
         "verify-theorem",
@@ -204,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
              "symmetric polynomials for m variables")
     p_verify.add_argument("--m", type=_nonnegative_int, required=True,
                           dest="n_vars", help="number of variables")
-    p_verify.add_argument("--format", choices=("text", "csv", "json"),
-                          default="text", dest="output_format")
-    p_verify.add_argument("--out", dest="out_path", default=None)
 
     p_sinc = sub.add_parser(
         "sinc", help="compare the product and series forms of "
@@ -216,14 +177,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sinc.add_argument("--terms", type=_nonnegative_int, default=100,
                         help="product factors / series truncation "
                              "(default %(default)s)")
-    _add_common(p_sinc, digits_type=_positive_int)
 
-    p_bench = sub.add_parser(
+    sub.add_parser(
         "bench", help="cross-checked timings: exact oracles and the fixed "
                       "sweep")
-    p_bench.add_argument("--format", choices=("text", "csv", "json"),
-                         default="text", dest="output_format")
-    p_bench.add_argument("--out", dest="out_path", default=None)
+
+    # Shared options, added after each command's own so --help lists them
+    # last.
+    for p, whose in ((p_sum, "the"), (p_conv, "the"),
+                     (p_table, "each row's")):
+        p.add_argument("--work-ceiling", type=_positive_int, default=None,
+                       help="cap on %s truncation N (env %s, default %d)"
+                            % (whose, WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
+    for p, default in ((p_sum, 20), (p_conv, 10), (p_table, 20),
+                       (p_sinc, 20)):
+        p.add_argument("--digits", type=_series_digits, default=default,
+                       help="requested decimal precision "
+                            "(default %(default)s)")
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "csv", "json"),
+                       default="text", dest="output_format",
+                       help="output format (default %(default)s)")
+        p.add_argument("--out", dest="out_path", default=None,
+                       help="write output to this file instead of stdout")
 
     return parser
 
@@ -237,71 +213,86 @@ def _parser() -> argparse.ArgumentParser:
 # --- rendering ------------------------------------------------------------
 
 
-def _value_string(result: SeriesResult, as_decimal: bool, digits: int) -> str:
+def _cell(value) -> str:
+    """One csv or text cell: None is empty, a bool is true or false."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _table(records: list) -> list:
+    """A header line and one line per record, in aligned columns."""
+    header = list(records[0])
+    rows = [header] + [[_cell(r[key]) for key in header] for r in records]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return ["  ".join(cell.ljust(width)
+                      for cell, width in zip(row, widths)).rstrip()
+            for row in rows]
+
+
+def _render(records: list, output_format: str, payload=None,
+            lines=None) -> str:
+    """A command's output from its records, dicts with the same keys in
+    the same order.
+
+    json prints `payload`, by default the one record or the list of them;
+    csv a header and one row per record; text the `lines`, by default
+    `key: value` lines for one record and _table for several.
+    """
+    if output_format == "json":
+        if payload is None:
+            payload = records[0] if len(records) == 1 else records
+        return json.dumps(payload, indent=2) + "\n"
+    if output_format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows([_cell(v) for v in r.values()] for r in records)
+        return buffer.getvalue()
+    if lines is None:
+        lines = ([f"{key}: {_cell(value)}" for key, value in records[0].items()]
+                 if len(records) == 1 else _table(records))
+    return "\n".join(lines) + "\n"
+
+
+def _series_record(result: SeriesResult, args) -> dict:
+    digits = args.digits
     value = result.value
-    if isinstance(value, Fraction):
-        if as_decimal:
-            return FixedDecimal.from_rational(value, digits).to_decimal_string()
-        numerator = int_to_decimal(value.numerator)
-        if value.denominator == 1:
-            return numerator
-        return f"{numerator}/{int_to_decimal(value.denominator)}"
-    return value.to_decimal_string(digits)
-
-
-def _result_strings(result: SeriesResult, digits: int,
-                    as_decimal: bool) -> dict:
+    if not isinstance(value, Fraction):
+        value_text = value.to_decimal_string(digits)
+    elif getattr(args, "as_decimal", False):
+        value_text = FixedDecimal.from_rational(
+            value, digits).to_decimal_string()
+    elif value.denominator == 1:
+        value_text = int_to_decimal(value.numerator)
+    else:
+        value_text = (f"{int_to_decimal(value.numerator)}/"
+                      f"{int_to_decimal(value.denominator)}")
     # Bounds and errors get two extra places so a bound below 10**-digits
     # does not print as a row of zeros.
     return {
         "depth": result.depth,
         "truncation": result.truncation,
         "mode": result.mode,
-        "value": _value_string(result, as_decimal, digits),
+        "value": value_text,
         "tail_bound": result.tail_bound.to_decimal_string(digits + 2),
-        "reference": (None if result.reference is None
-                      else result.reference.to_decimal_string(digits)),
-        "abs_error": (None if result.abs_error is None
-                      else result.abs_error.to_decimal_string(digits + 2)),
+        "reference": result.reference.to_decimal_string(digits),
+        "abs_error": result.abs_error.to_decimal_string(digits + 2),
     }
 
 
-def _render_results(results: list, args) -> str:
-    as_decimal = getattr(args, "as_decimal", False)
-    rows = [_result_strings(r, args.digits, as_decimal) for r in results]
-    if args.output_format == "json":
-        payload = rows[0] if len(rows) == 1 else rows
-        return json.dumps(payload, indent=2) + "\n"
-    if args.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        for row in rows:
-            writer.writerow(["" if row[f] is None else str(row[f])
-                             for f in RESULT_FIELDS])
-        return buffer.getvalue()
-    if len(rows) == 1:
-        row = rows[0]
-        lines = [f"{field}: {'' if row[field] is None else row[field]}"
-                 for field in RESULT_FIELDS]
-        return "\n".join(lines) + "\n"
-    cells = [[("" if row[f] is None else str(row[f])) for f in RESULT_FIELDS]
-             for row in rows]
-    widths = [max(len(RESULT_FIELDS[i]), *(len(c[i]) for c in cells))
-              for i in range(len(RESULT_FIELDS))]
-    lines = ["  ".join(RESULT_FIELDS[i].ljust(widths[i])
-                       for i in range(len(RESULT_FIELDS))).rstrip()]
-    for cell in cells:
-        lines.append("  ".join(cell[i].ljust(widths[i])
-                               for i in range(len(RESULT_FIELDS))).rstrip())
-    return "\n".join(lines) + "\n"
+def _render_series(results: list, args) -> str:
+    return _render([_series_record(r, args) for r in results],
+                   args.output_format)
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_sum(args) -> tuple[str, int]:
-    depth, truncation, digits = args.depth, args.upto, args.digits
+    truncation = args.upto
     mode = args.mode
     if mode is None:
         mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
@@ -319,52 +310,22 @@ def cmd_sum(args) -> tuple[str, int]:
             % (truncation, args.work_ceiling),
             required=truncation, ceiling=args.work_ceiling,
         )
-    value = partial_sum(depth, truncation, mode=mode, digits=digits)
-    if truncation >= 1:
-        bound = tail_bound(depth, truncation, digits)
-    else:
-        # Nothing summed yet: the whole series is the tail, bounded above
-        # by (pi**2/6)**depth. Round up to keep the certificate sound.
-        whole = basel_power(depth, digits + 10)
-        bound = FixedDecimal(
-            div_round_up(whole.mantissa + 1, 10**10), digits + 10, 10
-        )
-    ref = reference_value(depth, digits)
-    if isinstance(value, Fraction):
-        error = abs(
-            FixedDecimal.from_rational(
-                ref.as_fraction() - value, digits + 10, 10
-            )
-        )
-    else:
-        error = abs(ref - value)
-    result = SeriesResult(
-        depth=depth, truncation=truncation, mode=mode, value=value,
-        tail_bound=bound, reference=ref, abs_error=error, digits=digits,
-    )
-    return _render_results([result], args), EXIT_OK
+    result = series_result(args.depth, truncation, mode, args.digits)
+    return _render_series([result], args), EXIT_OK
 
 
 def cmd_converge(args) -> tuple[str, int]:
     result = converge(args.depth, args.digits, work_ceiling=args.work_ceiling)
-    return _render_results([result], args), EXIT_OK
+    return _render_series([result], args), EXIT_OK
 
 
 def cmd_table(args) -> tuple[str, int]:
-    digits = args.digits
-    results = []
-    for depth in range(1, args.max_depth + 1):
-        needed = required_truncation(depth, digits)
-        truncation = min(needed, args.work_ceiling)
-        value = partial_sum(depth, truncation, mode="fixed", digits=digits)
-        bound = tail_bound(depth, truncation, digits)
-        ref = reference_value(depth, digits)
-        results.append(SeriesResult(
-            depth=depth, truncation=truncation, mode="fixed", value=value,
-            tail_bound=bound, reference=ref, abs_error=abs(ref - value),
-            digits=digits,
-        ))
-    return _render_results(results, args), EXIT_OK
+    results = [
+        series_result(depth, min(required_truncation(depth, args.digits),
+                                 args.work_ceiling), "fixed", args.digits)
+        for depth in range(1, args.max_depth + 1)
+    ]
+    return _render_series(results, args), EXIT_OK
 
 
 def cmd_verify_theorem(args) -> tuple[str, int]:
@@ -376,33 +337,19 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
             % (args.n_vars, PRACTICAL_VERIFY_CEILING, args.n_vars)
         )
     report = verify_expansion(args.n_vars)
+    payload = {
+        "m": report.n_vars,
+        "passed": report.passed,
+        "mismatch_power": report.mismatch_power,
+        "details": list(report.details),
+        "warning": warning,
+    }
+    record = {key: value for key, value in payload.items()
+              if key != "details"}
+    lines = [warning] if warning else []
+    lines += [*report.details, report.summary()]
     code = EXIT_OK if report.passed else EXIT_MISMATCH
-    if args.output_format == "json":
-        payload = {
-            "m": report.n_vars,
-            "passed": report.passed,
-            "mismatch_power": report.mismatch_power,
-            "details": list(report.details),
-            "warning": warning,
-        }
-        return json.dumps(payload, indent=2) + "\n", code
-    if args.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["m", "passed", "mismatch_power", "warning"])
-        writer.writerow([
-            report.n_vars,
-            "true" if report.passed else "false",
-            "" if report.mismatch_power is None else report.mismatch_power,
-            warning or "",
-        ])
-        return buffer.getvalue(), code
-    lines = []
-    if warning:
-        lines.append(warning)
-    lines.extend(report.details)
-    lines.append(report.summary())
-    return "\n".join(lines) + "\n", code
+    return _render([record], args.output_format, payload, lines), code
 
 
 def cmd_sinc(args) -> tuple[str, int]:
@@ -418,12 +365,12 @@ def cmd_sinc(args) -> tuple[str, int]:
     series = sinc_series(x, powers, terms, digits)
     if abs(x) <= 2:
         taylor = sinc_taylor(x, digits)
+        taylor_text = taylor.to_decimal_string(digits)
         product_dev = abs(product - taylor).to_decimal_string(digits)
         series_dev = abs(series - taylor).to_decimal_string(digits)
-        taylor_text = taylor.to_decimal_string(digits)
     else:
-        taylor, taylor_text, product_dev, series_dev = None, None, None, None
-    fields = {
+        taylor_text = product_dev = series_dev = None
+    record = {
         "x": str(x),
         "terms": terms,
         "powers": powers,
@@ -434,18 +381,7 @@ def cmd_sinc(args) -> tuple[str, int]:
         "product_vs_taylor": product_dev,
         "series_vs_taylor": series_dev,
     }
-    if args.output_format == "json":
-        return json.dumps(fields, indent=2) + "\n", EXIT_OK
-    if args.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(list(fields))
-        writer.writerow(["" if fields[k] is None else str(fields[k])
-                         for k in fields])
-        return buffer.getvalue(), EXIT_OK
-    lines = [f"{key}: {'' if val is None else val}"
-             for key, val in fields.items()]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return _render([record], args.output_format), EXIT_OK
 
 
 def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
@@ -466,39 +402,18 @@ def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
 
 def cmd_bench(args) -> tuple[str, int]:
     rows, ok = bench.run_benchmark()
+    records = []
+    for row in rows:
+        record = {key: str(value) for key, value in asdict(row).items()}
+        record["seconds"] = "" if row.seconds is None else "%.6f" % row.seconds
+        records.append(record)
+    payload = {"backend": _backend.BACKEND, "ok": ok, "rows": records}
+    lines = [f"active backend: {_backend.BACKEND}", "",
+             *_table(records), "",
+             "all cross-checks passed" if ok
+             else "CROSS-CHECK MISMATCH: see rows above"]
     code = EXIT_OK if ok else EXIT_MISMATCH
-    header = ["section", "method", "depth", "truncation",
-              "operations", "seconds", "status"]
-    cells = [[row.section, row.method, str(row.depth), str(row.truncation),
-              str(row.operations),
-              "" if row.seconds is None else "%.6f" % row.seconds,
-              row.status]
-             for row in rows]
-    if args.output_format == "json":
-        payload = {
-            "backend": _backend.BACKEND,
-            "ok": ok,
-            "rows": [dict(zip(header, cell)) for cell in cells],
-        }
-        return json.dumps(payload, indent=2) + "\n", code
-    if args.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
-        return buffer.getvalue(), code
-    widths = [max(len(header[i]), *(len(c[i]) for c in cells))
-              for i in range(len(header))]
-    lines = [f"active backend: {_backend.BACKEND}", ""]
-    lines.append("  ".join(header[i].ljust(widths[i])
-                           for i in range(len(header))).rstrip())
-    for cell in cells:
-        lines.append("  ".join(cell[i].ljust(widths[i])
-                               for i in range(len(header))).rstrip())
-    lines.append("")
-    lines.append("all cross-checks passed" if ok
-                 else "CROSS-CHECK MISMATCH: see rows above")
-    return "\n".join(lines) + "\n", code
+    return _render(records, args.output_format, payload, lines), code
 
 
 # --- driver ---------------------------------------------------------------

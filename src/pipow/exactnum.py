@@ -95,9 +95,7 @@ class FixedDecimal:
     `scale` counts the fractional digits carried internally; `guard` of
     those are safety digits beyond the precision the caller requested, so
     the displayed precision is ``scale - guard`` digits. Instances are
-    immutable. Addition and subtraction of aligned values are exact;
-    multiplication, division, and rescaling round half to even and are
-    accurate to half a unit in the last carried place.
+    immutable. Subtraction is exact; rendering rounds half to even.
     """
 
     __slots__ = ("mantissa", "scale", "guard")
@@ -118,12 +116,6 @@ class FixedDecimal:
     def __setattr__(self, name, value):
         raise AttributeError("FixedDecimal is immutable")
 
-    # --- constructors -------------------------------------------------
-
-    @classmethod
-    def from_int(cls, value: int, scale: int, guard: int = 0) -> "FixedDecimal":
-        return cls(value * 10**scale, scale, guard)
-
     @classmethod
     def from_rational(
         cls, value: RationalLike, digits: int, guard: int = 0
@@ -136,8 +128,6 @@ class FixedDecimal:
         mantissa = div_round_half_even(q.numerator * 10**scale, q.denominator)
         return cls(mantissa, scale, guard)
 
-    # --- views ----------------------------------------------------------
-
     @property
     def digits(self) -> int:
         """Fractional digits of requested (non-guard) precision."""
@@ -146,144 +136,19 @@ class FixedDecimal:
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10**self.scale)
 
-    def ulp(self) -> Fraction:
-        """Value of one unit in the last carried place."""
-        return Fraction(1, 10**self.scale)
-
-    # --- rescaling --------------------------------------------------------
-
-    def rescaled(self, scale: int, guard: int = 0) -> "FixedDecimal":
-        """Same value at a new scale: exact when widening, half-even when
-        narrowing."""
-        if scale >= self.scale:
-            return FixedDecimal(
-                self.mantissa * 10 ** (scale - self.scale), scale, guard
-            )
-        mantissa = div_round_half_even(self.mantissa, 10 ** (self.scale - scale))
-        return FixedDecimal(mantissa, scale, guard)
-
-    # --- arithmetic -----------------------------------------------------
-
-    @staticmethod
-    def _aligned(a: "FixedDecimal", b: "FixedDecimal"):
-        scale = max(a.scale, b.scale)
-        guard = max(a.guard + scale - a.scale, b.guard + scale - b.scale)
-        ma = a.mantissa * 10 ** (scale - a.scale)
-        mb = b.mantissa * 10 ** (scale - b.scale)
-        return ma, mb, scale, guard
-
-    def _coerce(self, other) -> "FixedDecimal":
-        if isinstance(other, FixedDecimal):
-            return other
-        if isinstance(other, int):
-            return FixedDecimal.from_int(other, self.scale, self.guard)
-        return NotImplemented
-
-    def __add__(self, other) -> "FixedDecimal":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ma, mb, scale, guard = self._aligned(self, other)
-        return FixedDecimal(ma + mb, scale, guard)
-
-    __radd__ = __add__
-
     def __sub__(self, other) -> "FixedDecimal":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ma, mb, scale, guard = self._aligned(self, other)
-        return FixedDecimal(ma - mb, scale, guard)
-
-    def __rsub__(self, other) -> "FixedDecimal":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
-
-    def __mul__(self, other) -> "FixedDecimal":
-        if isinstance(other, int):
-            return FixedDecimal(self.mantissa * other, self.scale, self.guard)
+        """Exact difference at the wider scale, keeping the wider guard."""
         if not isinstance(other, FixedDecimal):
             return NotImplemented
         scale = max(self.scale, other.scale)
-        guard = max(
-            self.guard + scale - self.scale, other.guard + scale - other.scale
-        )
-        mantissa = div_round_half_even(
-            self.mantissa * other.mantissa, 10 ** (self.scale + other.scale - scale)
-        )
-        return FixedDecimal(mantissa, scale, guard)
-
-    __rmul__ = __mul__
-
-    def divided_by_int(self, divisor: int) -> "FixedDecimal":
-        """Half-even division by a positive integer at the same scale."""
-        if divisor <= 0:
-            raise DomainError("divisor must be positive")
-        mantissa = div_round_half_even(self.mantissa, divisor)
-        return FixedDecimal(mantissa, self.scale, self.guard)
-
-    def __neg__(self) -> "FixedDecimal":
-        return FixedDecimal(-self.mantissa, self.scale, self.guard)
+        guard = max(self.guard + scale - self.scale,
+                    other.guard + scale - other.scale)
+        return FixedDecimal(self.mantissa * 10 ** (scale - self.scale)
+                            - other.mantissa * 10 ** (scale - other.scale),
+                            scale, guard)
 
     def __abs__(self) -> "FixedDecimal":
         return FixedDecimal(abs(self.mantissa), self.scale, self.guard)
-
-    # --- comparison (numeric, scale-independent) -----------------------
-
-    def _cmp_key(self, other):
-        if isinstance(other, FixedDecimal):
-            scale = max(self.scale, other.scale)
-            return (
-                self.mantissa * 10 ** (scale - self.scale),
-                other.mantissa * 10 ** (scale - other.scale),
-            )
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return (
-                self.mantissa * q.denominator,
-                q.numerator * 10**self.scale,
-            )
-        return None
-
-    def __eq__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] == key[1]
-
-    def __lt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] < key[1]
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] <= key[1]
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] > key[1]
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] >= key[1]
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __bool__(self):
-        return self.mantissa != 0
-
-    # --- rendering -------------------------------------------------------
 
     def to_decimal_string(self, display_digits: int | None = None) -> str:
         """Plain decimal string with exactly display_digits fractional
@@ -316,6 +181,3 @@ class FixedDecimal:
             f"FixedDecimal({self.to_decimal_string(self.scale)!r},"
             f" guard={self.guard})"
         )
-
-    def __str__(self):
-        return self.to_decimal_string()

@@ -64,6 +64,7 @@ __all__ = [
     "partial_sum_naive",
     "partial_sum_prefix",
     "required_truncation",
+    "series_result",
     "sinc_product",
     "sinc_series",
     "tail_bound",
@@ -475,8 +476,8 @@ class SeriesResult:
     """One computed partial sum with its error certificates.
 
     value is a Fraction in exact mode and a FixedDecimal in fixed mode.
-    tail_bound always bounds the truncation error from above; reference
-    and abs_error are present when a reference limit was evaluated.
+    tail_bound bounds S_depth(infinity) - value from above; abs_error is
+    |reference - value| for the reference limit pi**(2*depth)/(2*depth+1)!.
     """
 
     depth: int
@@ -484,15 +485,34 @@ class SeriesResult:
     mode: str
     value: Value
     tail_bound: FixedDecimal
-    reference: FixedDecimal | None = None
-    abs_error: FixedDecimal | None = None
-    digits: int | None = None
+    reference: FixedDecimal
+    abs_error: FixedDecimal
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "fixed"):
-            raise DomainError("mode must be 'exact' or 'fixed'")
-        if self.depth < 0 or self.truncation < 0:
-            raise DomainError("depth and truncation must be nonnegative")
+
+def series_result(depth: int, truncation: int, mode: str,
+                  digits: int) -> SeriesResult:
+    """S_depth(truncation) in `mode` at `digits` places, with its tail
+    bound, the reference limit and the observed error.
+
+    At truncation 0 nothing is summed and the whole series is the tail,
+    bounded above by (pi**2/6)**depth, rounded up at digits plus ten guard
+    places like tail_bound so the certificate stays sound. The error of an
+    exact value is rounded half-even at those places too.
+    """
+    value = partial_sum(depth, truncation, mode=mode, digits=digits)
+    if truncation >= 1:
+        bound = tail_bound(depth, truncation, digits)
+    else:
+        whole = basel_power(depth, digits + 10)
+        bound = FixedDecimal(
+            div_round_up(whole.mantissa + 1, 10**10), digits + 10, 10)
+    ref = reference_value(depth, digits)
+    if isinstance(value, Fraction):
+        error = abs(FixedDecimal.from_rational(
+            ref.as_fraction() - value, digits + 10, 10))
+    else:
+        error = abs(ref - value)
+    return SeriesResult(depth, truncation, mode, value, bound, ref, error)
 
 
 def required_truncation(depth: int, digits: int) -> int:
@@ -549,20 +569,7 @@ def converge(
             required=truncation,
             ceiling=ceiling,
         )
-    value = partial_sum(depth, truncation, mode="fixed", digits=digits)
-    bound = tail_bound(depth, truncation, digits)
-    ref = reference_value(depth, digits)
-    error = abs(ref - value)
-    return SeriesResult(
-        depth=depth,
-        truncation=truncation,
-        mode="fixed",
-        value=value,
-        tail_bound=bound,
-        reference=ref,
-        abs_error=error,
-        digits=digits,
-    )
+    return series_result(depth, truncation, "fixed", digits)
 
 
 def sinc_product(x, factors: int, digits: int) -> FixedDecimal:

@@ -428,8 +428,10 @@ class TestUsageErrors:
         ["sum", "--depth", "1", "--upto", "10"],
         ["converge", "--depth", "1"],
         ["table", "--max-depth", "2"],
+        # No reference bounds the digits at |x| > 2: only the parser does.
+        ["sinc", "--x", "3", "--terms", "1"],
     ])
-    @pytest.mark.parametrize("digits", ["99991", "200000"])
+    @pytest.mark.parametrize("digits", ["99991", "200000", "2000000"])
     def test_digits_above_maximum_quote_the_request(self, capsys, command,
                                                     digits):
         # The reference guard is internal: the message names the user's
@@ -459,3 +461,341 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "sum" in proc.stdout
         assert "converge" in proc.stdout
+
+
+# --- pinned output layouts ---------------------------------------------------
+
+# Small deterministic requests covering every layout: one record, several
+# records (table), a wrapper object with its own text (verify-theorem,
+# bench) and empty cells (sinc beyond the Taylor domain). bench runs on
+# fixed rows, so no timing appears.
+GOLDEN_REQUESTS = {
+    "sum-exact": ["sum", "--depth", "2", "--upto", "3"],
+    "sum-fixed": ["sum", "--depth", "2", "--upto", "10", "--mode", "fixed",
+                  "--digits", "8"],
+    "sum-as-decimal": ["sum", "--depth", "2", "--upto", "3", "--as-decimal",
+                       "--digits", "8"],
+    "sum-upto-0": ["sum", "--depth", "1", "--upto", "0", "--digits", "6"],
+    "converge": ["converge", "--depth", "1", "--digits", "2"],
+    "table": ["table", "--max-depth", "3", "--digits", "3"],
+    "verify-theorem": ["verify-theorem", "--m", "3"],
+    "sinc-half": ["sinc", "--x", "1/2", "--terms", "10", "--digits", "8"],
+    "sinc-five-halves": ["sinc", "--x", "5/2", "--terms", "10",
+                         "--digits", "8"],
+    "bench": ["bench"],
+}
+GOLDEN_BENCH_ROWS = [
+    bench.BenchRow("oracles", "product-tree", 1, 35, 35, 0.000123, "agree"),
+    bench.BenchRow("oracles", "enumeration", 5, 100, 75287520, None,
+                   "refused: 75287520 tuples > ceiling 10000000"),
+    bench.BenchRow("reference", "pi-cold", 0, 0, 1000, 1.5, "agree"),
+]
+GOLDEN = {
+    ("sum-exact", "text"): """\
+depth: 2
+truncation: 3
+mode: exact
+value: 7/18
+tail_bound: 0.5483113556160754788241
+reference: 0.81174242528335364364
+abs_error: 0.4228535363944647547481
+""",
+    ("sum-exact", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+2,3,exact,7/18,0.5483113556160754788241,0.81174242528335364364,0.4228535363944647547481
+""",
+    ("sum-exact", "json"): """\
+{
+  "depth": 2,
+  "truncation": 3,
+  "mode": "exact",
+  "value": "7/18",
+  "tail_bound": "0.5483113556160754788241",
+  "reference": "0.81174242528335364364",
+  "abs_error": "0.4228535363944647547481"
+}
+""",
+    ("sum-fixed", "text"): """\
+depth: 2
+truncation: 10
+mode: fixed
+value: 0.65987172
+tail_bound: 0.1644934067
+reference: 0.81174243
+abs_error: 0.1518707067
+""",
+    ("sum-fixed", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+2,10,fixed,0.65987172,0.1644934067,0.81174243,0.1518707067
+""",
+    ("sum-fixed", "json"): """\
+{
+  "depth": 2,
+  "truncation": 10,
+  "mode": "fixed",
+  "value": "0.65987172",
+  "tail_bound": "0.1644934067",
+  "reference": "0.81174243",
+  "abs_error": "0.1518707067"
+}
+""",
+    ("sum-as-decimal", "text"): """\
+depth: 2
+truncation: 3
+mode: exact
+value: 0.38888889
+tail_bound: 0.5483113556
+reference: 0.81174243
+abs_error: 0.4228535364
+""",
+    ("sum-as-decimal", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+2,3,exact,0.38888889,0.5483113556,0.81174243,0.4228535364
+""",
+    ("sum-as-decimal", "json"): """\
+{
+  "depth": 2,
+  "truncation": 3,
+  "mode": "exact",
+  "value": "0.38888889",
+  "tail_bound": "0.5483113556",
+  "reference": "0.81174243",
+  "abs_error": "0.4228535364"
+}
+""",
+    ("sum-upto-0", "text"): """\
+depth: 1
+truncation: 0
+mode: exact
+value: 0
+tail_bound: 1.64493407
+reference: 1.644934
+abs_error: 1.64493407
+""",
+    ("sum-upto-0", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+1,0,exact,0,1.64493407,1.644934,1.64493407
+""",
+    ("sum-upto-0", "json"): """\
+{
+  "depth": 1,
+  "truncation": 0,
+  "mode": "exact",
+  "value": "0",
+  "tail_bound": "1.64493407",
+  "reference": "1.644934",
+  "abs_error": "1.64493407"
+}
+""",
+    ("converge", "text"): """\
+depth: 1
+truncation: 101
+mode: fixed
+value: 1.64
+tail_bound: 0.0099
+reference: 1.64
+abs_error: 0.0099
+""",
+    ("converge", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+1,101,fixed,1.64,0.0099,1.64,0.0099
+""",
+    ("converge", "json"): """\
+{
+  "depth": 1,
+  "truncation": 101,
+  "mode": "fixed",
+  "value": "1.64",
+  "tail_bound": "0.0099",
+  "reference": "1.64",
+  "abs_error": "0.0099"
+}
+""",
+    ("table", "text"): """\
+depth  truncation  mode   value  tail_bound  reference  abs_error
+1      1001        fixed  1.644  0.00100     1.645      0.00100
+2      1645        fixed  0.811  0.00100     0.812      0.00100
+3      2706        fixed  0.190  0.00100     0.191      0.00030
+""",
+    ("table", "csv"): """\
+depth,truncation,mode,value,tail_bound,reference,abs_error
+1,1001,fixed,1.644,0.00100,1.645,0.00100
+2,1645,fixed,0.811,0.00100,0.812,0.00100
+3,2706,fixed,0.190,0.00100,0.191,0.00030
+""",
+    ("table", "json"): """\
+[
+  {
+    "depth": 1,
+    "truncation": 1001,
+    "mode": "fixed",
+    "value": "1.644",
+    "tail_bound": "0.00100",
+    "reference": "1.645",
+    "abs_error": "0.00100"
+  },
+  {
+    "depth": 2,
+    "truncation": 1645,
+    "mode": "fixed",
+    "value": "0.811",
+    "tail_bound": "0.00100",
+    "reference": "0.812",
+    "abs_error": "0.00100"
+  },
+  {
+    "depth": 3,
+    "truncation": 2706,
+    "mode": "fixed",
+    "value": "0.190",
+    "tail_bound": "0.00100",
+    "reference": "0.191",
+    "abs_error": "0.00030"
+  }
+]
+""",
+    ("verify-theorem", "text"): """\
+power 0: 1 squarefree monomials, three constructions agree
+power 1: 3 squarefree monomials, three constructions agree
+power 2: 3 squarefree monomials, three constructions agree
+power 3: 1 squarefree monomials, three constructions agree
+expansion check for 3 variables: PASS
+""",
+    ("verify-theorem", "csv"): """\
+m,passed,mismatch_power,warning
+3,true,,
+""",
+    ("verify-theorem", "json"): """\
+{
+  "m": 3,
+  "passed": true,
+  "mismatch_power": null,
+  "details": [
+    "power 0: 1 squarefree monomials, three constructions agree",
+    "power 1: 3 squarefree monomials, three constructions agree",
+    "power 2: 3 squarefree monomials, three constructions agree",
+    "power 3: 1 squarefree monomials, three constructions agree"
+  ],
+  "warning": null
+}
+""",
+    ("sinc-half", "text"): """\
+x: 1/2
+terms: 10
+powers: 9
+digits: 8
+product: 0.65195342
+series: 0.65195342
+taylor: 0.63661977
+product_vs_taylor: 0.01533365
+series_vs_taylor: 0.01533365
+""",
+    ("sinc-half", "csv"): """\
+x,terms,powers,digits,product,series,taylor,product_vs_taylor,series_vs_taylor
+1/2,10,9,8,0.65195342,0.65195342,0.63661977,0.01533365,0.01533365
+""",
+    ("sinc-half", "json"): """\
+{
+  "x": "1/2",
+  "terms": 10,
+  "powers": 9,
+  "digits": 8,
+  "product": "0.65195342",
+  "series": "0.65195342",
+  "taylor": "0.63661977",
+  "product_vs_taylor": "0.01533365",
+  "series_vs_taylor": "0.01533365"
+}
+""",
+    ("sinc-five-halves", "text"): """\
+x: 5/2
+terms: 10
+powers: 10
+digits: 8
+product: 0.23211964
+series: 0.23211964
+taylor:\x20
+product_vs_taylor:\x20
+series_vs_taylor:\x20
+""",
+    ("sinc-five-halves", "csv"): """\
+x,terms,powers,digits,product,series,taylor,product_vs_taylor,series_vs_taylor
+5/2,10,10,8,0.23211964,0.23211964,,,
+""",
+    ("sinc-five-halves", "json"): """\
+{
+  "x": "5/2",
+  "terms": 10,
+  "powers": 10,
+  "digits": 8,
+  "product": "0.23211964",
+  "series": "0.23211964",
+  "taylor": null,
+  "product_vs_taylor": null,
+  "series_vs_taylor": null
+}
+""",
+    ("bench", "text"): """\
+active backend: pure-python
+
+section    method        depth  truncation  operations  seconds   status
+oracles    product-tree  1      35          35          0.000123  agree
+oracles    enumeration   5      100         75287520              refused: 75287520 tuples > ceiling 10000000
+reference  pi-cold       0      0           1000        1.500000  agree
+
+all cross-checks passed
+""",
+    ("bench", "csv"): """\
+section,method,depth,truncation,operations,seconds,status
+oracles,product-tree,1,35,35,0.000123,agree
+oracles,enumeration,5,100,75287520,,refused: 75287520 tuples > ceiling 10000000
+reference,pi-cold,0,0,1000,1.500000,agree
+""",
+    ("bench", "json"): """\
+{
+  "backend": "pure-python",
+  "ok": true,
+  "rows": [
+    {
+      "section": "oracles",
+      "method": "product-tree",
+      "depth": "1",
+      "truncation": "35",
+      "operations": "35",
+      "seconds": "0.000123",
+      "status": "agree"
+    },
+    {
+      "section": "oracles",
+      "method": "enumeration",
+      "depth": "5",
+      "truncation": "100",
+      "operations": "75287520",
+      "seconds": "",
+      "status": "refused: 75287520 tuples > ceiling 10000000"
+    },
+    {
+      "section": "reference",
+      "method": "pi-cold",
+      "depth": "0",
+      "truncation": "0",
+      "operations": "1000",
+      "seconds": "1.500000",
+      "status": "agree"
+    }
+  ]
+}
+""",
+}
+
+
+class TestOutputLayouts:
+    @pytest.mark.parametrize("name, output_format", list(GOLDEN))
+    def test_stdout_is_pinned(self, capsys, monkeypatch, name,
+                              output_format):
+        monkeypatch.setattr(bench, "run_benchmark",
+                            lambda: (GOLDEN_BENCH_ROWS, True))
+        code, out, err = run_cli(capsys, *GOLDEN_REQUESTS[name], "--format",
+                                 output_format)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == GOLDEN[name, output_format]
