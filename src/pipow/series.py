@@ -14,23 +14,24 @@ error rigorously, and drives truncations to a requested precision under a
 work ceiling.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
-practical for small N) and guarded fixed-point decimals. Fixed mode has
-three routes, all rounded half-even:
+practical for small N) and guarded fixed-point decimals. Every fixed-mode
+value, the sinc series included, is an entry of one mantissa row
+[S_0 .. S_n](N) at 10**-scale from `_scaled_row`, which picks one of three
+routes by measured cost rules, all rounded half-even:
 
 - the block: past a head cutoff M that depends only on the depth and the
-  working scale, S_n(N) = sum_j S_j(M) * E_(n-j)(M, N), with the block
+  working scale, S_k(N) = sum_j S_j(M) * E_(k-j)(M, N), with the block
   E_k over M < l <= N from Euler-Maclaurin power sums (exact Bernoulli
-  numbers, certified remainder) by Newton's identities, so its work grows
-  with M and the depth, not with N. M grows like 10**(scale/27): about
-  40 at 36 carried places, 4*10**4 at 116 and 5*10**8 at 226. It runs
-  only when N is well above M;
-- otherwise one row [S_0 .. S_n] over all of 1..N (and the head rows
-  S_j(M) of the block) from whichever of two routes a measured cost rule
-  says is cheaper at (depth, N, scale): the product tree, divided and
-  rounded once per entry, so correctly rounded, or the pure-Python sweep
-  kernel `_backend.dp_row_scaled`, within depth*N/2 units. The tree wins
-  on wide mantissas at moderate N (depth 4, N = 300, 4300 places: 2.6 ms
-  against 0.45 s for the sweep), the sweep on narrow ones at large N.
+  numbers, certified remainder) by Newton's identities, all on scaled
+  integers, so its work grows with M and the depth, not with N. Each
+  entry is within one unit of exact under one certified radius. M grows
+  like 10**(scale/27): about 40 at 36 carried places, 4*10**4 at 116 and
+  5*10**8 at 226. It runs when N >= 2*M + 3*depth + 128, at any depth;
+- the product tree, divided and rounded once per entry, so correctly
+  rounded; it wins on wide mantissas at moderate N (depth 4, N = 300,
+  4300 places: 2.6 ms against 0.45 s for the sweep);
+- the pure-Python sweep kernel `_backend.dp_row_scaled` over all of 1..N,
+  within depth*N/2 units, on narrow mantissas below the block's reach.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "series_result",
     "sinc_product",
     "sinc_series",
+    "sinc_series_work",
     "tail_bound",
 ]
 
@@ -144,11 +146,11 @@ def _euler_maclaurin(j: int) -> tuple:
         g(a) = a**(2K)/(s-1) + a**(2K-1)/2
                + sum_{k=1..K} B_2k/(2k)! * s(s+1)...(s+2k-2) * a**(2K-2k).
 
-    Returns (coefficients, denominator, remainder): the coefficients of g
-    times `denominator`, highest power first, all integers, and the
-    magnitude c of the first omitted term c / a**(s+2K+1). Every even
-    derivative of x**(-s) is positive on x > 0, so R has the sign of that
-    term and is smaller in magnitude: |R| <= c / a**(s+2K+1).
+    Returns (coefficients, denominator, remainder), all integers: the
+    coefficients of g times `denominator`, highest power first, and the
+    magnitude of the first omitted term, remainder / (denominator *
+    a**(s+2K+1)). Every even derivative of x**(-s) is positive on x > 0,
+    so R has the sign of that term and is smaller in magnitude.
     """
     s = 2 * j
     bernoulli = _bernoulli_even()
@@ -162,47 +164,73 @@ def _euler_maclaurin(j: int) -> tuple:
     rational = [Fraction(1, s - 1), Fraction(1, 2)]
     for k, term in enumerate(terms[:-1]):
         rational += [term] if k == 0 else [Fraction(0), term]
+    rational.append(abs(terms[-1]))
     denominator = math.lcm(*(c.denominator for c in rational))
-    coefficients = tuple(
-        c.numerator * (denominator // c.denominator) for c in rational
-    )
-    return coefficients, denominator, abs(terms[-1])
+    scaled = [c.numerator * (denominator // c.denominator) for c in rational]
+    return tuple(scaled[:-1]), denominator, scaled[-1]
 
 
-def _zeta_tail(j: int, a: int) -> Fraction:
-    """Centre of the Euler-Maclaurin value of Z_j(a), a >= 1."""
+def _zeta_scaled(j: int, a: int, work: int) -> int:
+    """The Euler-Maclaurin centre of Z_j(a) times 10**work, a >= 1,
+    rounded half-even."""
     coefficients, denominator, _ = _euler_maclaurin(j)
     g = 0
     for c in coefficients:
         g = g * a + c
-    return Fraction(g, denominator * a ** (2 * j + 2 * EM_TERMS - 1))
+    return div_round_half_even(
+        g * 10**work, denominator * a ** (2 * j + 2 * EM_TERMS - 1))
 
 
-def _block_radius(depth: int, cutoff: int) -> Fraction:
-    """Bound on |centre - S_depth(N)| of the block evaluation with head
-    cutoff M = cutoff >= 1, for every N > M.
+def _block_radius(depth: int, cutoff: int, work: int) -> int:
+    """Certified bound, in units of 10**-work rounded up, on the distance
+    from exact of every centre sum_j head_j * E_(k-j) / 10**(2*work) that
+    _block_row rounds, for head cutoff M = cutoff >= 1 and every N > M.
 
-    The block power sums p_i over (M, N] lie in (0, M**(1-2i)/(2i-1)] and
-    their centres are off by at most r_i, the two Euler-Maclaurin
-    remainders at M+1 and N+1. E_k is a polynomial in the p_i whose
-    coefficients, taken in absolute value, are those of the complete
-    symmetric h_k, so |dE_k| <= h_k(p + r) - h_k(p) with every argument
-    raised to its bound; Newton's identities give h_k from the power sums
-    (-1)**(i-1) q_i. The head weights S_j(M) add up to less than
-    prod_{l>=1} (1 + 1/l**2) = sinh(pi)/pi < 4.
+    The block power sums p_i over (M, N] lie in [0, q_i], with
+    q_i = M**(1-2i)/(2i-1), and the scaled integers P_i are off by at most
+    r_i: the two Euler-Maclaurin remainders at M+1 and N+1 plus one unit
+    for their two roundings. Newton's identities k*E_k = sum_i +-E_(k-i)*p_i
+    give |E_k| <= h_k(q), the complete symmetric value built by the same
+    recurrence with every sign positive, and the errors a_k of the rounded
+    integer recurrence obey
+
+        k*a_k <= sum_i [a_(k-i)*(q_i + r_i) + h_(k-i)(q)*r_i] + k*u,
+
+    u = 1/2 the rounding of each E_k; without u this is the recurrence of
+    h_k(q + r) - h_k(q). Both run here on integers rounded up. The head
+    S_j(M) comes from _scaled_row at this scale, within ceil(depth*M/2)
+    units on every route, and multiplies |E_k| <= h_k(q) + a_k; the head
+    weights S_j(M) add up to less than prod_{l>=1} (1 + 1/l**2) =
+    sinh(pi)/pi < 4, which weights the a_k.
     """
+    one = 10**work
     bounds = []
     radii = []
     for i in range(1, depth + 1):
-        bounds.append(Fraction(1, (2 * i - 1) * cutoff ** (2 * i - 1)))
-        remainder = _euler_maclaurin(i)[2]
-        radii.append(2 * remainder / (cutoff + 1) ** (2 * i + 2 * EM_TERMS + 1))
-    high = _elementary_from_power_sums(
-        [(-1) ** i * (q + r) for i, (q, r) in enumerate(zip(bounds, radii))])
-    low = _elementary_from_power_sums(
-        [(-1) ** i * q for i, q in enumerate(bounds)])
-    return 4 * max((h - l for h, l in zip(high[1:], low[1:])),
-                   default=Fraction(0))
+        _, denominator, remainder = _euler_maclaurin(i)
+        bounds.append(div_round_up(one, (2 * i - 1) * cutoff ** (2 * i - 1)))
+        radii.append(1 + div_round_up(
+            2 * remainder * one,
+            denominator * (cutoff + 1) ** (2 * i + 2 * EM_TERMS + 1)))
+    h = [one]
+    errors = [0]
+    for k in range(1, depth + 1):
+        h_sum = error_sum = 0
+        for i in range(1, k + 1):
+            q, r = bounds[i - 1], radii[i - 1]
+            h_sum += h[k - i] * q
+            error_sum += errors[k - i] * (q + r) + h[k - i] * r
+        h.append(div_round_up(h_sum, k * one))
+        errors.append(div_round_up(2 * error_sum + k * one, 2 * k * one))
+    head = div_round_up(depth * cutoff, 2) * (sum(h) + sum(errors))
+    return div_round_up(head, one) + 4 * max(errors)
+
+
+def _within_quarter(depth: int, cutoff: int, scale: int) -> bool:
+    """Whether _block_radius at cutoff M, at the block's working scale
+    scale + guard_digits(depth*M), is below a quarter unit at 10**-scale."""
+    guard = guard_digits(depth * cutoff)
+    return 4 * _block_radius(depth, cutoff, scale + guard) < 10**guard
 
 
 def _integer_root(value: int, n: int) -> int:
@@ -216,39 +244,50 @@ def _integer_root(value: int, n: int) -> int:
 
 
 def _head_cutoff(depth: int, scale: int, truncation: int) -> int:
-    """The head cutoff M of the block path, or `truncation` when the
-    sweep over 1..truncation is the cheaper route.
+    """The head cutoff M of the block route at (depth, N, scale), or
+    `truncation` when the block is not the cheaper route.
 
     M is the smallest cutoff at which _block_radius is below a quarter
-    unit at 10**-scale. The radius is at least four times its k = 1 term
-    2*|B_(2K+2)| / (M+1)**(2K+3), so M+1 = a needs
-    a**(2K+3) > 32*|B_(2K+2)|*10**scale; the search starts at the least
-    such a and steps up.
+    unit at 10**-scale (_within_quarter). The radius is at least four
+    times its k = 1 term, which exceeds 2*|B_(2K+2)| / (M+1)**(2K+3), so
+    M+1 = a needs a**(2K+3) > 32*|B_(2K+2)|*10**scale, and a fortiori
+    a**(2K+3) > 10**scale; the search starts at the least such a and steps
+    up. No request whose N is below the second bound builds the Bernoulli
+    table.
 
-    The block costs a head sweep over 1..M, whose steps carry a few more
-    digits (measured at most 1.7 times a sweep step), plus a fixed part:
-    cutoff search, Euler-Maclaurin sums and Newton's identities on exact
-    rationals, measured below 400*depth**2 + 2*depth**4 sweep steps at
-    depths 1 to 64 and 20 to 150 digits. So the block runs only when
-    N >= 2*M + 400*depth + 2*depth**3, where it is cheaper than the sweep
-    over 1..N.
+    The block costs the head row over 1..M, on the tree or on a sweep
+    whose steps carry a few more digits, plus a fixed part: the cutoff
+    search, the Euler-Maclaurin power sums, Newton's identities, the
+    radius and the final sums, about depth**2 multiplications of
+    working-scale integers. Timed against the sweep over 1..N (pure
+    Python, best of 9, whole block including the search) at depths 1 to
+    64 and scales 12 to 80, the block won from N = 2*M + E on, with E at
+    most 127 indices at depth 1 (the depth-1 sweep step does no wide
+    multiplication), 37 at depth 2, 34 at depth 4, 43 at 14, 57 at 22, 79
+    at 32 and 126 at 64; from scale 40 on it won below N = 2*M. So the
+    block runs when N >= _block_indices(depth, M) = 2*M + 3*depth + 128,
+    which lies above every measured crossover.
     """
-    room = truncation - 400 * depth - 2 * depth**3
-    if room < 2:
-        return truncation
+    room = truncation - _block_indices(depth, 0)
     power = 2 * EM_TERMS + 3
-    bernoulli = abs(_bernoulli_even()[-1])
-    target = 32 * bernoulli.numerator * 10**scale
-    if (room // 2 + 1) ** power * bernoulli.denominator <= target:
+    if depth < 1 or room < 2 or (room // 2 + 1) ** power <= 10**scale:
         return truncation
-    base = _integer_root(target // bernoulli.denominator, power)
-    while base**power * bernoulli.denominator <= target:
+    _, denominator, remainder = _euler_maclaurin(1)
+    target = 32 * remainder * 10**scale
+    if (room // 2 + 1) ** power * denominator <= target:
+        return truncation
+    base = _integer_root(target // denominator, power)
+    while base**power * denominator <= target:
         base += 1
     cutoff = base - 1
-    quarter = Fraction(1, 4 * 10**scale)
-    while 2 * cutoff <= room and _block_radius(depth, cutoff) >= quarter:
+    while 2 * cutoff <= room and not _within_quarter(depth, cutoff, scale):
         cutoff += 1
     return cutoff if 2 * cutoff <= room else truncation
+
+
+def _block_indices(depth: int, cutoff: int) -> int:
+    """The block route's cost at head cutoff M, in sweep indices."""
+    return 2 * cutoff + 3 * depth + 128
 
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
@@ -283,18 +322,22 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
 
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth] at 10**-scale, by the cheaper route.
+    """Mantissa row [S_0 .. S_depth](N) at 10**-scale, by the cheapest of
+    three routes.
 
+    The block (_block_row) runs where _head_cutoff finds a cutoff; each
+    entry is within one unit of exact. Otherwise the product tree costs
+    one integer polynomial product, with no scale in it, and one rounded
+    division per entry: S_j = [t**j] P / P(0) with P = prod_{l<=N}
+    (l**2 + t), so each entry is correctly rounded (within half a unit).
     The sweep kernel `_backend.dp_row_scaled` costs about depth*N
     multiply-divides on scale-digit mantissas, and each entry ends within
-    depth*N/2 units of exact. The product tree costs one integer
-    polynomial product, with no scale in it, and one rounded division per
-    entry: S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t), so each
-    entry is correctly rounded (within half a unit), which is inside every
-    budget the sweep's callers allow for.
-
-    _tree_row_is_cheaper says which route runs.
+    depth*N/2 units of exact; _tree_row_is_cheaper says which of the two
+    runs. Every route is inside every budget the sweep's callers allow for.
     """
+    cutoff = _head_cutoff(depth, scale, truncation)
+    if cutoff < truncation:
+        return _block_row(depth, truncation, cutoff, scale)
     if not _tree_row_is_cheaper(depth, truncation, scale):
         return _backend.dp_row_scaled(depth, truncation, scale)
     coefficients = _truncated_product(1, truncation + 1, depth)
@@ -304,27 +347,63 @@ def _scaled_row(depth: int, truncation: int, scale: int) -> list:
             for c in coefficients]
 
 
-def _block_mantissa(depth: int, truncation: int, cutoff: int,
-                    scale: int) -> int:
-    """S_depth(truncation) * 10**scale, rounded half-even once, from
-    S_n(N) = sum_j S_j(M) * E_(n-j)(M, N): the head S_j(M) from the sweep
-    kernel over 1..M, E_k the elementary symmetric values of 1/l**2 over
-    M < l <= N from the Euler-Maclaurin power sums by Newton's
-    identities.
+def _block_row(depth: int, truncation: int, cutoff: int,
+               scale: int) -> list:
+    """Mantissa row [S_0 .. S_depth](N) at 10**-scale from
+    S_k(N) = sum_j S_j(M) * E_(k-j)(M, N), on scaled integers only.
 
-    The head carries guard_digits(depth*M) places beyond `scale`, so its
-    at most depth*M/2 units of sweep error, weighted by the E_k (which add
-    up to less than 4), stay below 10**-9 of a unit at `scale`. With the
-    half unit of the final rounding, the result is then below one unit
-    from exact when _block_radius(depth, cutoff) is below a quarter."""
-    head_scale = scale + guard_digits(depth * cutoff)
-    head = _scaled_row(depth, cutoff, head_scale)
-    power_sums = [_zeta_tail(j, cutoff + 1) - _zeta_tail(j, truncation + 1)
-                  for j in range(1, depth + 1)]
-    block = _elementary_from_power_sums(power_sums)
-    centre = sum(h * block[depth - j] for j, h in enumerate(head))
-    return div_round_half_even(
-        centre.numerator, centre.denominator * 10 ** (head_scale - scale))
+    At the working scale w = scale + g, g = guard_digits(depth*M): the
+    head row S_j(M) from _scaled_row; the block power sums
+    P_i = round(Z_i(M+1)*10**w) - round(Z_i(N+1)*10**w); E_k from Newton's
+    identities k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each divided by
+    k*10**w half-even; then each entry sum_j head_j * E_(k-j) divided by
+    10**(w+g) half-even. When _within_quarter(depth, cutoff, scale), every
+    entry is within one unit of exact: half a unit of final rounding and
+    _block_radius below a quarter.
+    """
+    guard = guard_digits(depth * cutoff)
+    work = scale + guard
+    one = 10**work
+    head = _scaled_row(depth, cutoff, work)
+    power_sums = [_zeta_scaled(i, cutoff + 1, work)
+                  - _zeta_scaled(i, truncation + 1, work)
+                  for i in range(1, depth + 1)]
+    block = [one]
+    for k in range(1, depth + 1):
+        total = 0
+        for i in range(1, k + 1):
+            term = block[k - i] * power_sums[i - 1]
+            total += term if i & 1 else -term
+        block.append(div_round_half_even(total, k * one))
+    shift = 10 ** (work + guard)
+    return [div_round_half_even(
+                sum(head[j] * block[n - j] for j in range(n + 1)), shift)
+            for n in range(depth + 1)]
+
+
+def _row_steps(depth: int, truncation: int, scale: int) -> int:
+    """Estimated cost of _scaled_row(depth, truncation, scale), in sweep
+    digit steps: one step per index, depth entry and mantissa digit.
+
+    On the sweep that is min(depth, N) * N * scale; a step measured 3 to
+    35 ns (pure Python, depths 22 to 400, 44 to 10**4 places). The block
+    costs as much as a sweep over _block_indices(depth, M). The tree's
+    products and divisions on coefficients of D digits, D the decimal
+    length of (N!)**2, grow like m*m*D**1.5 + depth*(scale + D)**1.5 with
+    m = min(depth, N/2 + 1); that count measured 0.05 to 0.54 ns per unit
+    (depths 8 to 1000, N from 60 to 10**5, 520 to 10**5 places), so 64
+    units make one sweep step.
+    """
+    cutoff = _head_cutoff(depth, scale, truncation)
+    if cutoff < truncation:
+        return depth * _block_indices(depth, cutoff) * scale
+    if _tree_row_is_cheaper(depth, truncation, scale):
+        digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
+        width = min(depth, truncation // 2 + 1)
+        wide = scale + digits
+        return (width * width * digits * math.isqrt(digits)
+                + depth * wide * math.isqrt(wide)) // 64
+    return min(depth, truncation) * truncation * scale
 
 
 def partial_sum(
@@ -341,17 +420,16 @@ def partial_sum(
     and one division, with no per-index gcd as in the Fraction sweep.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
-    plus guard_digits(depth*truncation) guard places. Well above the head
-    cutoff M (the smallest M whose certified block radius is below a
-    quarter unit at that scale, about 10**(scale/(2*EM_TERMS+3)); see
-    _head_cutoff for the cost rule) the value is the head-plus-block split
-    of the module docstring, rounded half-even once; its error is below
-    one unit in the last carried place (half a unit of rounding, a
-    certified radius under a quarter, and a head error under 10**-9
-    units). Otherwise one row over 1..N from _scaled_row: the product
-    tree's, correctly rounded, where _tree_row_is_cheaper says so, else
-    the descending-index sweep kernel's, whose at most truncation*depth
-    half-even roundings stay clear of the requested places.
+    plus guard_digits(depth*truncation) guard places: entry `depth` of
+    _scaled_row(depth, N, scale), by one of its three routes. Well above
+    the head cutoff M (the smallest M whose certified block radius is
+    below a quarter unit at that scale, about 10**(scale/(2*EM_TERMS+3));
+    see _head_cutoff for the cost rule) the block row, at any depth,
+    within one unit in the last carried place; otherwise the product
+    tree's row, correctly rounded, where _tree_row_is_cheaper says so,
+    else the descending-index sweep kernel's, whose at most
+    truncation*depth half-even roundings stay clear of the requested
+    places.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
@@ -367,11 +445,7 @@ def partial_sum(
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        cutoff = _head_cutoff(depth, scale, truncation)
-        if cutoff == truncation:
-            mantissa = _scaled_row(depth, truncation, scale)[depth]
-        else:
-            mantissa = _block_mantissa(depth, truncation, cutoff, scale)
+        mantissa = _scaled_row(depth, truncation, scale)[depth]
         return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
@@ -596,17 +670,37 @@ def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
     return FixedDecimal(acc, scale, guard)
 
 
+def _sinc_guard(x2: Fraction, powers: int, truncation: int) -> int:
+    """Guard places of sinc_series: the row's rounding budget, plus the
+    decimal length of x**(2*powers) for |x| > 1, by which row j's
+    rounding error is multiplied."""
+    guard = guard_digits(max(truncation * powers, powers, 1))
+    if x2 > 1:
+        growth = x2.numerator**powers // x2.denominator**powers
+        guard += len(int_to_decimal(growth))
+    return guard
+
+
+def sinc_series_work(x, powers: int, truncation: int, digits: int) -> int:
+    """Estimated cost of sinc_series(x, powers, truncation, digits) in
+    sweep digit steps (see _row_steps): the row dominates it."""
+    q = Fraction(x)
+    return _row_steps(powers, truncation,
+                      digits + _sinc_guard(q * q, powers, truncation))
+
+
 def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     """Truncated alternating series sum_{j=0..powers} (-1)**j S_j(truncation) x**(2j).
 
     Expanding the sinc product into powers of x**2 makes the coefficient of
     x**(2j) exactly the depth-j nested sum, so this evaluates the expansion
     with both the power count and every nested sum truncated. One row from
-    _scaled_row produces all the S_j at once (the sweep kernel, or the
-    product tree where that is cheaper, e.g. at hundreds of places); each
-    term costs one further half-even rounding. Row j's rounding error is
-    multiplied by |x|**(2j), so for |x| > 1 the scale and the guard grow by
-    the decimal length of x**(2*powers).
+    _scaled_row produces all the S_j at once: the block past a short head
+    where the truncation is well above the head cutoff, else the product
+    tree where that is cheaper (e.g. at hundreds of places) or the sweep;
+    each term costs one further half-even rounding. Row j's rounding
+    error is multiplied by |x|**(2j), so for |x| > 1 the scale and the
+    guard grow by the decimal length of x**(2*powers).
     """
     q = Fraction(x)
     if powers < 0:
@@ -614,11 +708,8 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     if digits < 1:
         raise DomainError("at least one digit is required")
     _check_depth_truncation(powers, truncation)
-    guard = guard_digits(max(truncation * powers, powers, 1))
     x2 = q * q
-    if x2 > 1:
-        growth = x2.numerator**powers // x2.denominator**powers
-        guard += len(int_to_decimal(growth))
+    guard = _sinc_guard(x2, powers, truncation)
     scale = digits + guard
     row = _scaled_row(powers, truncation, scale)
     numerator = 1

@@ -343,6 +343,26 @@ class TestSincCommand:
         assert (f"truncation {terms} is above the work ceiling of {ceiling}"
                 in err)
 
+    @pytest.mark.parametrize("x, terms", [("50", 2000), ("200", 5000),
+                                          ("1/2", 1000)])
+    def test_runaway_series_is_refused_before_work(self, capsys, monkeypatch,
+                                                   x, terms):
+        # Unrefused, these series rows ran for about 9 s, over 60 s and
+        # 34 s.
+        def no_work(*args):
+            raise AssertionError("the sinc evaluation started")
+
+        monkeypatch.setattr(cli, "sinc_product", no_work)
+        monkeypatch.setattr(cli, "sinc_series", no_work)
+        argv = ["sinc", "--x", x, "--terms", str(terms)]
+        if x == "1/2":
+            argv += ["--digits", "2000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert f"x = {x} with {terms} terms" in err
+        assert f"ceiling of {cli.SINC_WORK_CEILING}" in err
+
     def test_power_count_stops_at_the_truncation(self, capsys):
         # S_j(10) = 0 for j > 10, so ten powers give the whole series.
         code, out, _ = run_cli(capsys, "sinc", "--x", "3000", "--terms",

@@ -7,6 +7,7 @@ same exact rational; they must agree bit for bit. Tail bounds are checked
 for soundness against exact prefixes.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -148,10 +149,43 @@ class TestFixedModeAccuracy:
             partial_sum(1, 5, mode="fixed", digits=0)
 
 
+@functools.cache
+def exact_row(truncation, depth=24):
+    """[t**j] prod_{l<=N} (l**2 + t) for j <= depth: S_j(N) is entry j
+    over entry 0."""
+    coefficients = series._truncated_product(1, truncation + 1, depth)
+    return coefficients + [0] * (depth + 1 - len(coefficients))
+
+
+def within_one_unit(row, truncation, scale):
+    exact = exact_row(truncation)
+    return all(abs(m * exact[0] - c * 10**scale) < exact[0]
+               for m, c in zip(row, exact))
+
+
+def exact_block_radius(depth, cutoff):
+    """The block radius in exact rationals, without the rounding and head
+    terms: 4 * max_k [h_k(q + r) - h_k(q)], h_k the complete symmetric
+    values of the power-sum bounds q_i = M**(1-2i)/(2i-1) and r_i the two
+    Euler-Maclaurin remainders."""
+    bounds = []
+    radii = []
+    for i in range(1, depth + 1):
+        _, denominator, remainder = series._euler_maclaurin(i)
+        bounds.append(Fraction(1, (2 * i - 1) * cutoff ** (2 * i - 1)))
+        radii.append(Fraction(2 * remainder, denominator * (cutoff + 1) ** (
+            2 * i + 2 * series.EM_TERMS + 1)))
+    high = series._elementary_from_power_sums(
+        [(-1) ** i * (q + r) for i, (q, r) in enumerate(zip(bounds, radii))])
+    low = series._elementary_from_power_sums(
+        [(-1) ** i * q for i, q in enumerate(bounds)])
+    return 4 * max(h - l for h, l in zip(high[1:], low[1:]))
+
+
 class TestBlockEvaluation:
-    """Fixed mode past the head cutoff M: head S_j(M) by the sweep,
-    Euler-Maclaurin block (M, N], Newton's identities, one half-even
-    rounding."""
+    """Fixed mode past the head cutoff M: head row S_j(M), Euler-Maclaurin
+    block (M, N], Newton's identities, all on scaled integers, one
+    half-even rounding per entry."""
 
     @staticmethod
     def fixed_at_scale(depth, truncation, scale):
@@ -170,15 +204,6 @@ class TestBlockEvaluation:
             # The precision cutoff: a truncation far above it leaves the
             # cost rule no say.
             cutoff = series._head_cutoff(depth, scale, 10**9)
-            quarter = Fraction(1, 4 * 10**scale)
-            assert series._block_radius(depth, cutoff) < quarter
-            assert series._block_radius(depth, cutoff - 1) >= quarter
-            for truncation in sorted({cutoff + 1, 2 * cutoff, 3000}):
-                exact = partial_sum(depth, truncation, mode="exact")
-                block = series._block_mantissa(depth, truncation, cutoff,
-                                               scale)
-                assert abs(block - exact * 10**scale) < 1, (
-                    depth, scale, truncation)
             for truncation in sorted({cutoff - 1, cutoff, cutoff + 1,
                                       2 * cutoff, 3000}):
                 value = self.fixed_at_scale(depth, truncation, scale)
@@ -192,9 +217,40 @@ class TestBlockEvaluation:
                 assert abs(value.mantissa - exact * 10**scale) < 1, (
                     depth, scale, truncation)
 
+    @pytest.mark.parametrize("depth", range(1, 25))
+    def test_block_rows_within_one_unit(self, depth):
+        # Every entry S_0 .. S_depth of a block row, against the exact row
+        # of the product tree; the cutoff is minimal.
+        for scale in range(15, 61, 5):
+            cutoff = series._head_cutoff(depth, scale, 10**9)
+            for m, below in ((cutoff, True), (cutoff - 1, False)):
+                guard = guard_digits(depth * m)
+                radius = series._block_radius(depth, m, scale + guard)
+                assert (4 * radius < 10**guard) == below
+            for truncation in sorted({cutoff + 1, 2 * cutoff, 3000, 5000}):
+                row = series._block_row(depth, truncation, cutoff, scale)
+                assert len(row) == depth + 1
+                assert within_one_unit(row, truncation, scale), (
+                    depth, scale, truncation)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 12])
+    def test_integer_radius_covers_the_exact_radius(self, depth):
+        # The rounding and head terms cost no cutoff: M is also the least
+        # cutoff whose exact radius is below a quarter unit.
+        for scale in (15, 30, 45, 60):
+            cutoff = series._head_cutoff(depth, scale, 10**9)
+            for m in (cutoff - 1, cutoff, 2 * cutoff):
+                work = scale + guard_digits(depth * m)
+                radius = series._block_radius(depth, m, work)
+                assert Fraction(radius, 10**work) >= exact_block_radius(
+                    depth, m)
+            quarter = Fraction(1, 4 * 10**scale)
+            assert exact_block_radius(depth, cutoff - 1) >= quarter
+
     @pytest.mark.parametrize("depth, truncation, digits", [
         (d, n, 5) for d in (1, 2, 3, 4) for n in (10**5, 445000)
-    ] + [(d, 10**5, digits) for d in (1, 4) for digits in (60, 100)])
+    ] + [(d, 10**5, digits) for d in (1, 4) for digits in (60, 100)]
+      + [(48, 20000, 20)])
     def test_agrees_with_sweep_at_large_truncation(self, depth, truncation,
                                                    digits):
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
@@ -206,13 +262,13 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("depth, truncation, digits, block", [
         (2, 10**5, 100, True), (4, 10**7, 150, True),
-        (1, 10**6, 130, False), (32, 10**4, 20, False),
+        (1, 10**6, 130, False), (32, 10**4, 20, True), (48, 20000, 20, True),
+        (64, 10**6, 20, True),
     ])
     def test_block_never_sweeps_more_than_half(self, monkeypatch, depth,
                                                truncation, digits, block):
-        # The block's head sweep stays below half the truncation; where it
-        # would not, or the block's fixed part outweighs the saving, the
-        # request runs one plain sweep.
+        # The block's head sweep stays below half the truncation, at any
+        # depth; where it would not, the request runs one plain sweep.
         swept = []
 
         def recording(depth, truncation, scale):
@@ -226,6 +282,19 @@ class TestBlockEvaluation:
             assert 2 * swept[0] < truncation
         else:
             assert swept == [truncation]
+
+    def test_fixed_mode_builds_no_fraction(self, monkeypatch):
+        # Past the cached Euler-Maclaurin tables, the block runs on
+        # integers only.
+        partial_sum(24, 5000, mode="fixed", digits=20)
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        value = partial_sum(24, 6000, mode="fixed", digits=20)
+        monkeypatch.undo()
+        assert series._head_cutoff(24, value.scale, 6000) < 6000
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("truncation", [20, 300])
@@ -249,28 +318,39 @@ class TestBlockEvaluation:
             exact.numerator * 10**value.scale, exact.denominator)
         assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
 
-    @pytest.mark.parametrize("function, args, sweeps", [
-        ("partial_sum", (4, 300, "fixed", 2000), 0),
-        ("sinc_series", (Fraction(7, 5), 40, 300, 500), 0),
-        ("partial_sum", (1, 300, "fixed", 2000), 1),
-        ("partial_sum", (1, 300, "fixed", 4300), 1),
-        ("partial_sum", (16, 16000, "fixed", 20), 1),
-        ("partial_sum", (32, 10**4, "fixed", 20), 1),
+    @pytest.mark.parametrize("function, args, route", [
+        ("partial_sum", (4, 300, "fixed", 2000), "tree"),
+        ("sinc_series", (Fraction(7, 5), 40, 300, 500), "tree"),
+        ("partial_sum", (1, 300, "fixed", 2000), "sweep"),
+        ("partial_sum", (1, 300, "fixed", 4300), "sweep"),
+        ("partial_sum", (16, 16000, "fixed", 20), "block"),
+        ("partial_sum", (32, 10**4, "fixed", 20), "block"),
+        ("sinc_series", (Fraction(3, 2), 22, 3050, 20), "block"),
+        ("partial_sum", (16, 200, "fixed", 20), "sweep"),
     ], ids=["tree-4-300-2000", "tree-sinc-500", "sweep-1-300-2000",
-            "sweep-1-300-4300", "sweep-16-16000-20", "sweep-32-10000-20"])
+            "sweep-1-300-4300", "block-16-16000-20", "block-32-10000-20",
+            "block-sinc-22-3050", "sweep-16-200-20"])
     def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
-                                             args, sweeps):
-        # Wide mantissas at depth >= 2 take the product tree; depth 1,
-        # narrow mantissas and long sweeps keep the kernel.
+                                             args, route):
+        # Wide mantissas at depth >= 2 take the product tree; depth 1 on
+        # wide mantissas keeps the kernel; narrow rows well above the head
+        # cutoff take the block, whose only sweep is its head, and below
+        # 2*M + 3*depth + 128 (M = 34 here) the sweep.
         swept = []
 
         def recording(depth, truncation, scale):
-            swept.append((depth, truncation, scale))
+            swept.append(truncation)
             return [10**scale] + [0] * depth
 
         monkeypatch.setattr(_backend, "dp_row_scaled", recording)
         getattr(series, function)(*args)
-        assert len(swept) == sweeps
+        truncation = args[1] if function == "partial_sum" else args[2]
+        if route == "tree":
+            assert swept == []
+        elif route == "sweep":
+            assert swept == [truncation]
+        else:
+            assert len(swept) == 1 and 2 * swept[0] < truncation
 
     @pytest.mark.parametrize("depth", [2, 3, 5, 8])
     def test_tree_rows_are_correctly_rounded(self, depth):
@@ -292,15 +372,23 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("j", range(1, 7))
     def test_euler_maclaurin_remainder_bound(self, j):
         # Z_j(a) - Z_j(b) is the exact power sum over a <= l < b; each
-        # centre is off by at most its first omitted term.
-        remainder = series._euler_maclaurin(j)[2]
+        # centre is off by at most its first omitted term, and the scaled
+        # integer centre is the rational one rounded.
+        coefficients, denominator, remainder = series._euler_maclaurin(j)
         power = 2 * j + 2 * series.EM_TERMS + 1
+
+        def centre(a):
+            g = sum(c * a**k for k, c in enumerate(reversed(coefficients)))
+            return Fraction(g, denominator * a ** (power - 2))
+
         for a in (1, 2, 3, 5, 10, 40):
             b = a + 50
             exact = sum(Fraction(1, ell ** (2 * j)) for ell in range(a, b))
-            centre = series._zeta_tail(j, a) - series._zeta_tail(j, b)
-            radius = remainder / a**power + remainder / b**power
-            assert abs(centre - exact) <= radius
+            radius = Fraction(remainder, denominator) * (
+                Fraction(1, a**power) + Fraction(1, b**power))
+            assert abs(centre(a) - centre(b) - exact) <= radius
+            assert series._zeta_scaled(j, a, 40) == div_round_half_even(
+                centre(a).numerator * 10**40, centre(a).denominator)
 
     def test_bernoulli_table_built_on_first_use(self):
         script = (
