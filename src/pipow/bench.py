@@ -33,7 +33,9 @@ __all__ = ["BenchRow", "run_benchmark"]
 
 # (depth, truncation) grids; small enough for the enumeration witness,
 # large enough that the product tree's and the sweep's advantage is visible.
-ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35)]
+# N = 200 spans more than two of the tree's leaves, so the agreement there
+# covers its merges.
+ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35), (2, 200)]
 # (depth, truncation, digits) cells of the fixed-mode timing: the routed
 # value takes the Euler-Maclaurin block past a head of 38 to 41 indices at
 # 20 digits, at depths 1 to 32, and of 38016 indices at 100; at 2000

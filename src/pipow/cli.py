@@ -34,7 +34,7 @@ from .series import (
     series_result,
     sinc_product,
     sinc_series,
-    sinc_series_work,
+    sinc_work,
 )
 from .symmetric import PRACTICAL_VERIFY_CEILING, verify_expansion
 
@@ -51,9 +51,9 @@ WORK_CEILING_ENV = "PIPOW_WORK_CEILING"
 # The series commands judge their output against reference constants at
 # digits + REFERENCE_GUARD places, so the guard comes out of the pi budget.
 MAX_SERIES_DIGITS = MAX_PI_DIGITS - REFERENCE_GUARD
-# Digit steps (series.sinc_series_work) of the sinc series row: a sweep
-# digit step measured 3 to 35 ns, so a row at the ceiling runs for at most
-# about 2 s.
+# Digit steps (series.sinc_work) of the sinc product and series row: a
+# sweep digit step measured 3 to 35 ns, so a request at the ceiling runs
+# for at most about 2 s.
 SINC_WORK_CEILING = 5 * 10**7
 
 class _Parser(argparse.ArgumentParser):
@@ -366,12 +366,12 @@ def cmd_sinc(args) -> tuple[str, int]:
             required=terms, ceiling=args.work_ceiling,
         )
     powers = _sinc_powers(x, digits, terms)
-    work = sinc_series_work(x, powers, terms, digits)
+    work = sinc_work(x, powers, terms, digits)
     if work > SINC_WORK_CEILING:
         raise InfeasibleError(
-            "the series at x = %s with %d terms needs %d digit steps, "
-            "above the ceiling of %d; use fewer terms or digits or a "
-            "smaller |x|" % (x, terms, work, SINC_WORK_CEILING),
+            "the product and series at x = %s with %d terms need %d digit "
+            "steps, above the ceiling of %d; use fewer terms or digits or "
+            "a smaller |x|" % (x, terms, work, SINC_WORK_CEILING),
             required=work, ceiling=SINC_WORK_CEILING,
         )
     product = sinc_product(x, terms, digits)

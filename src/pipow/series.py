@@ -29,7 +29,8 @@ routes by measured cost rules, all rounded half-even:
   5*10**8 at 226. It runs when N >= 2*M + 3*depth + 128, at any depth;
 - the product tree, divided and rounded once per entry, so correctly
   rounded; it wins on wide mantissas at moderate N (depth 4, N = 300,
-  4300 places: 2.6 ms against 0.45 s for the sweep);
+  4300 places: 1.7 ms against 0.47 s for the sweep; depth 1: 0.8 ms
+  against 1.6 ms);
 - the pure-Python sweep kernel `_backend.dp_row_scaled` over all of 1..N,
   within depth*N/2 units, on narrow mantissas below the block's reach.
 """
@@ -68,7 +69,7 @@ __all__ = [
     "series_result",
     "sinc_product",
     "sinc_series",
-    "sinc_series_work",
+    "sinc_work",
     "tail_bound",
 ]
 
@@ -82,6 +83,13 @@ EXACT_TRUNCATION_LIMIT = 2000
 # Euler-Maclaurin correction terms in each block power sum of fixed mode;
 # the head cutoff then grows like 10**(scale / (2*EM_TERMS + 3)).
 EM_TERMS = 12
+# Indices the product tree multiplies into one row in place before it
+# halves (_truncated_product). Over exact sums at depths 1 to 6 and N from
+# 50 to 2000 every leaf size from 48 to 384 came within 4% of the best;
+# deep rows favour larger leaves (depth 16, N = 1000: 16 ms at 256, 27 ms
+# at 64) and long shallow ones smaller (depth 2, N = 10**4: 78 ms at 32,
+# 97 ms at 64, 120 ms at 256).
+LEAF = 64
 
 Value = Union[Fraction, FixedDecimal]
 
@@ -95,10 +103,24 @@ def _check_depth_truncation(depth: int, truncation: int) -> None:
 
 def _truncated_product(low: int, high: int, depth: int) -> list:
     """Coefficients [c_0, ..., c_min(depth, high-low)] of
-    prod_{l=low..high-1} (l**2 + t), lowest degree first, by balanced
-    halving so the big multiplications pair operands of equal size."""
-    if high - low == 1:
-        return [low * low, 1][: depth + 1]
+    prod_{l=low..high-1} (l**2 + t), lowest degree first.
+
+    Binary splitting with a block at each leaf: a run of at most LEAF
+    indices is multiplied into one row in place, c_k = c_k*l**2 + c_(k-1)
+    for k descending, on small ints; a longer range halves, so the big
+    multiplications pair operands of equal size, and merges its halves
+    cut off at degree `depth`.
+    """
+    if high - low <= LEAF:
+        row = [1]
+        for ell in range(low, high):
+            square = ell * ell
+            if len(row) <= depth:
+                row.append(0)
+            for k in range(len(row) - 1, 0, -1):
+                row[k] = row[k] * square + row[k - 1]
+            row[0] *= square
+        return row
     middle = (low + high) // 2
     left = _truncated_product(low, middle, depth)
     right = _truncated_product(middle, high, depth)
@@ -292,33 +314,37 @@ def _block_indices(depth: int, cutoff: int) -> int:
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     """Whether the product tree computes the row at (depth, N, scale) in
-    less time than the sweep kernel: depth >= 2, 1 <= N <= 10**5 and
-    scale >= 250 + (4 + depth//8) * isqrt(N).
+    less time than the sweep kernel: 1 <= N <= 10**5 and scale >= 100 +
+    (4 + depth//8) * isqrt(N) at depth >= 2; 1 <= N <= 10**4 and scale >=
+    600 + N at depth 1.
 
     The sweep does about depth*N multiply-divides on scale-digit
     integers. The tree's product does not depend on the scale but grows
     faster than N (its coefficients have about 2*log10(N!) digits) and
-    about like depth**2; its depth+1 divisions are cheap. Timed on a grid
-    (pure Python, both routes whole, best of 3) of depths 1 to 32, N from
-    10 to 10**5 and 20 to 4300 places, plus depths 64 and 128 at N up to
-    4000, the tree won from about 150 to 200 places at depth 2 and
-    N <= 300, 200 at N = 1000, 500 at N = 16000 and 1200 at N = 10**5;
-    at depth 32 from 280, 900 and 2200 places at N = 1000, 16000 and
-    10**5. The threshold lies above every crossover, and at the threshold
-    itself the tree measured 1.3 to 17 times faster, so on the
-    grid the rule never picks the slower route. Depth 1 always sweeps:
-    its step does no wide multiplication. Timed again over N from 10 to
-    10**5 and 150 to 8000 places, the tree lost everywhere below 2000
-    places (0.03 to 0.68 of the sweep's speed), came out 0.75 to 1.06 at
-    2000, and won only 1.14 to 1.30 times at 4300 for N <= 1000 (at most
-    0.4 ms a row) and 1.2 to 1.7 times at 8000 for N <= 4000; a third term
-    for that band would save well under a millisecond on a rare row and
-    pick the slower route near its edge. Past N = 10**5, the edge
-    of the grid, the tree's coefficients run to megabytes each and the
-    sweep keeps the row.
+    about like depth**2; its depth+1 divisions grow like scale*D for
+    coefficients of D digits. Timed on a grid (pure Python, both routes
+    whole, best of 2 to 7) of depths 1 to 32, N from 10 to 10**5 and 50
+    to 16000 places, the tree won at depth 2 from below 50 places for
+    N <= 300, from 100 to 150 at N = 1000, 250 at 3000, 400 at 10**4,
+    550 to 800 at 3*10**4 and about 950 at 10**5; at depth 16 from 200,
+    400 and 600 places at N = 1000, 3000 and 10**4, and at depth 32 from
+    250 and 500 at N = 1000 and 3000. At depth 1, whose sweep step does
+    no wide multiplication, it won from 300 to 500 places for N <= 195,
+    600 at N = 300, 1200 at 1000, 3200 at 3000 and 8000 at 10**4, and
+    lost everywhere up to 8000 places at 3*10**4. Both thresholds lie
+    above every crossover, and at the threshold itself the tree measured
+    1.1 to 1.6 times faster, so on the grid the rule never sends a row
+    to the tree where the sweep is faster. Below 100 places the tree also wins at depth >= 2 for
+    small N (1.3 to 4.5 times at N <= 100, 50 places), but those rows
+    are the block's short heads and the sinc rows at a few tens of
+    places, each well under a millisecond; they keep the sweep. Past
+    N = 10**5, the edge of the grid, the tree's coefficients run to
+    megabytes each and the sweep keeps the row.
     """
+    if depth == 1:
+        return 1 <= truncation <= 10**4 and scale >= 600 + truncation
     return (depth >= 2 and 1 <= truncation <= 10**5
-            and scale >= 250 + (4 + depth // 8) * math.isqrt(truncation))
+            and scale >= 100 + (4 + depth // 8) * math.isqrt(truncation))
 
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
@@ -387,12 +413,17 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
 
     On the sweep that is min(depth, N) * N * scale; a step measured 3 to
     35 ns (pure Python, depths 22 to 400, 44 to 10**4 places). The block
-    costs as much as a sweep over _block_indices(depth, M). The tree's
-    products and divisions on coefficients of D digits, D the decimal
-    length of (N!)**2, grow like m*m*D**1.5 + depth*(scale + D)**1.5 with
-    m = min(depth, N/2 + 1); that count measured 0.05 to 0.54 ns per unit
-    (depths 8 to 1000, N from 60 to 10**5, 520 to 10**5 places), so 64
-    units make one sweep step.
+    costs as much as a sweep over _block_indices(depth, M). The tree
+    counts D**log2(3) for each full-size Karatsuba product of its merges,
+    D the decimal length of (N!)**2: each half holds m = min(depth,
+    N/2 + 1) coefficients, the k-th about 1 - k/(N/2) of the half's
+    digits, which makes about (m - m*m/(N+1))**2 full-size products. It
+    adds (scale + D)**1.5 for each scaled entry and scale*D/8 for each
+    long division, min(depth, N) + 1 of them, and 2048 per leaf step,
+    N*min(depth, LEAF) of them. That count measured 0.04 to 0.45 ns per
+    unit (depths 1 to 1000, N from 1 to 10**5, 168 to 10**5 places), so
+    64 units make one sweep step and the count bounds the tree from
+    above.
     """
     cutoff = _head_cutoff(depth, scale, truncation)
     if cutoff < truncation:
@@ -400,9 +431,13 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     if _tree_row_is_cheaper(depth, truncation, scale):
         digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
         width = min(depth, truncation // 2 + 1)
+        pairs = (width - width * width // (truncation + 1)) ** 2
+        entries = min(depth, truncation) + 1
         wide = scale + digits
-        return (width * width * digits * math.isqrt(digits)
-                + depth * wide * math.isqrt(wide)) // 64
+        return (int(pairs * digits ** math.log2(3))
+                + entries * wide * math.isqrt(wide)
+                + entries * scale * digits // 8
+                + 2048 * truncation * min(depth, LEAF)) // 64
     return min(depth, truncation) * truncation * scale
 
 
@@ -415,9 +450,13 @@ def partial_sum(
     """S_depth(truncation), exact by a product tree, or fixed.
 
     mode "exact" returns a reduced Fraction: with
-    P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
-    so it costs one integer polynomial product cut off at degree `depth`
-    and one division, with no per-index gcd as in the Fraction sweep.
+    P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2.
+    The product tree builds the two halves of P cut off at degree
+    `depth`, and the root forms only the coefficient it returns,
+    sum_i left_i * right_(depth-i): depth+1 products of the widest
+    operands where a whole row would take (depth+1)*(depth+2)/2. One
+    division by (N!)**2 follows, with no per-index gcd as in the Fraction
+    sweep.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
@@ -437,9 +476,12 @@ def partial_sum(
             return Fraction(0)
         if depth == 0:
             return Fraction(1)
-        coefficients = _truncated_product(1, truncation + 1, depth)
-        # The constant term is prod l**2 = (N!)**2.
-        return Fraction(coefficients[depth], coefficients[0])
+        middle = (truncation + 2) // 2
+        left = _truncated_product(1, middle, depth)
+        right = _truncated_product(middle, truncation + 1, depth)
+        coefficient = sum(a * right[depth - i] for i, a in enumerate(left)
+                          if depth - i < len(right))
+        return Fraction(coefficient, math.factorial(truncation) ** 2)
     if mode == "fixed":
         if digits < 1:
             raise DomainError("fixed mode requires at least one digit")
@@ -681,12 +723,17 @@ def _sinc_guard(x2: Fraction, powers: int, truncation: int) -> int:
     return guard
 
 
-def sinc_series_work(x, powers: int, truncation: int, digits: int) -> int:
-    """Estimated cost of sinc_series(x, powers, truncation, digits) in
-    sweep digit steps (see _row_steps): the row dominates it."""
+def sinc_work(x, powers: int, truncation: int, digits: int) -> int:
+    """Estimated cost of sinc_product(x, truncation, digits) plus
+    sinc_series(x, powers, truncation, digits), in sweep digit steps (see
+    _row_steps). The product visits every factor, one multiply-divide on
+    its scale-digit mantissa each, so it counts truncation*scale steps
+    (19 to 42 ns a step for 10**5 to 10**6 factors at 20 digits); the row
+    dominates the series."""
     q = Fraction(x)
-    return _row_steps(powers, truncation,
-                      digits + _sinc_guard(q * q, powers, truncation))
+    product = truncation * (digits + guard_digits(truncation))
+    return product + _row_steps(
+        powers, truncation, digits + _sinc_guard(q * q, powers, truncation))
 
 
 def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:

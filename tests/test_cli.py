@@ -344,11 +344,12 @@ class TestSincCommand:
                 in err)
 
     @pytest.mark.parametrize("x, terms", [("50", 2000), ("200", 5000),
-                                          ("1/2", 1000)])
+                                          ("1/2", 1000),
+                                          ("1/1000", 100000000)])
     def test_runaway_series_is_refused_before_work(self, capsys, monkeypatch,
                                                    x, terms):
         # Unrefused, these series rows ran for about 9 s, over 60 s and
-        # 34 s.
+        # 34 s; the last product, about a minute.
         def no_work(*args):
             raise AssertionError("the sinc evaluation started")
 

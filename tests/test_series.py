@@ -8,6 +8,7 @@ for soundness against exact prefixes.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
     DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
+    LEAF,
     converge,
     newton_cross_check,
     partial_sum,
@@ -100,13 +102,41 @@ class TestThreeWayAgreement:
 class TestProductTreeAgainstSweep:
     @pytest.mark.parametrize("depth", range(9))
     def test_tree_sweep_newton(self, depth):
-        # Covers N == 0, depth > N, depth == N and depth == 0.
+        # Covers N == 0, depth > N, depth == N, depth == 0, and depth above
+        # either half of the root's split (e.g. depth 6, N = 7).
         prefix = partial_sum_prefix(depth, 60)
         for truncation in range(61):
             tree = partial_sum(depth, truncation, mode="exact")
             assert type(tree) is Fraction
             assert tree == prefix[truncation] == newton_cross_check(
                 depth, truncation)
+
+    @pytest.mark.parametrize("truncation", [
+        LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1, 300])
+    def test_tree_crosses_leaves(self, truncation):
+        # One leaf serves N <= LEAF whole; above it the root's halves, and
+        # from 2*LEAF + 1 on the halves themselves, merge leaves.
+        for depth in range(9):
+            assert (partial_sum(depth, truncation, mode="exact")
+                    == partial_sum_prefix(depth, truncation)[-1]
+                    == newton_cross_check(depth, truncation))
+
+    @pytest.mark.parametrize("low, high", [
+        (1, 1), (2, 3), (5, 5 + LEAF), (40, 41 + LEAF), (100, 99 + 2 * LEAF),
+        (1000, 1001 + 2 * LEAF)])
+    def test_ranges_match_a_direct_expansion(self, low, high):
+        # Every coefficient of P(t) = prod (l**2 + t) is positive and they
+        # add up to P(1), so at B = P(1) + 1 the number P(B) mod B**9 holds
+        # c_0 .. c_8 as its base-B digits.
+        base = math.prod(ell * ell + 1 for ell in range(low, high)) + 1
+        modulus = base**9
+        value = 1
+        for ell in range(low, high):
+            value = value * (ell * ell + base) % modulus
+        digits = [value // base**k % base for k in range(9)]
+        for depth in range(9):
+            assert series._truncated_product(low, high, depth) == digits[
+                :min(depth, high - low) + 1]
 
     def test_bit_identical_at_depth_six(self):
         tree = partial_sum(6, 600, mode="exact")
@@ -302,39 +332,43 @@ class TestBlockEvaluation:
     def test_wide_requests_take_the_sweep(self, depth, truncation, digits):
         # Wide requests take the sweep route of partial_sum, one row over
         # all of 1..N, never the block: the Bernoulli table stays unbuilt.
-        # At depth 1 that row is the sweep kernel's bit for bit; from
-        # depth 2 on it is the product tree's, correctly rounded, and so
-        # within the sweep's budget of depth*N/2 units.
+        # Where the cost rule picks the product tree (every case from depth
+        # 2 on, and depth 1 at 1000 digits) the row is correctly rounded;
+        # elsewhere it is the sweep kernel's bit for bit. Either is within
+        # the sweep's budget of depth*N/2 units.
         series._bernoulli_even.cache_clear()
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
         assert series._bernoulli_even.cache_info().currsize == 0
         assert value.scale >= 500
         sweep = _backend.dp_row_scaled(depth, truncation, value.scale)[depth]
-        if depth == 1:
+        assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
+        tree = series._tree_row_is_cheaper(depth, truncation, value.scale)
+        assert tree == (depth >= 2 or digits == 1000)
+        if not tree:
             assert value.mantissa == sweep
             return
         exact = partial_sum_prefix(depth, truncation)[-1]
         assert value.mantissa == div_round_half_even(
             exact.numerator * 10**value.scale, exact.denominator)
-        assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
 
     @pytest.mark.parametrize("function, args, route", [
         ("partial_sum", (4, 300, "fixed", 2000), "tree"),
         ("sinc_series", (Fraction(7, 5), 40, 300, 500), "tree"),
-        ("partial_sum", (1, 300, "fixed", 2000), "sweep"),
-        ("partial_sum", (1, 300, "fixed", 4300), "sweep"),
+        ("partial_sum", (1, 300, "fixed", 2000), "tree"),
+        ("partial_sum", (1, 300, "fixed", 4300), "tree"),
+        ("partial_sum", (1, 300, "fixed", 500), "sweep"),
         ("partial_sum", (16, 16000, "fixed", 20), "block"),
         ("partial_sum", (32, 10**4, "fixed", 20), "block"),
         ("sinc_series", (Fraction(3, 2), 22, 3050, 20), "block"),
         ("partial_sum", (16, 200, "fixed", 20), "sweep"),
-    ], ids=["tree-4-300-2000", "tree-sinc-500", "sweep-1-300-2000",
-            "sweep-1-300-4300", "block-16-16000-20", "block-32-10000-20",
-            "block-sinc-22-3050", "sweep-16-200-20"])
+    ], ids=["tree-4-300-2000", "tree-sinc-500", "tree-1-300-2000",
+            "tree-1-300-4300", "sweep-1-300-500", "block-16-16000-20",
+            "block-32-10000-20", "block-sinc-22-3050", "sweep-16-200-20"])
     def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
                                              args, route):
-        # Wide mantissas at depth >= 2 take the product tree; depth 1 on
-        # wide mantissas keeps the kernel; narrow rows well above the head
-        # cutoff take the block, whose only sweep is its head, and below
+        # Wide mantissas take the product tree, at depth 1 only from
+        # 600 + N places; narrow rows well above the head cutoff take the
+        # block, whose only sweep is its head, and below
         # 2*M + 3*depth + 128 (M = 34 here) the sweep.
         swept = []
 
