@@ -3,11 +3,11 @@
 The depth-n nested sum over 1/(l_1**2 * ... * l_n**2) with strictly
 increasing indices converges to pi**(2n)/(2n+1)!. This package computes
 those partial sums exactly (rationals) or quickly (guarded fixed-point
-decimals from a short sweep head plus a certified Euler-Maclaurin
-block, or from a single sweep), certifies truncation error with
-rigorous tail bounds, mechanically verifies the symmetric-polynomial
-identity the construction rests on, and reproduces the limit values to
-fifty decimal places.
+decimals from power sums by Newton's identities with a certified
+Euler-Maclaurin tail, or from the product tree), certifies truncation
+error with rigorous tail bounds, mechanically verifies the
+symmetric-polynomial identity the construction rests on, and reproduces
+the limit values to fifty decimal places.
 """
 
 from ._backend import BACKEND as KERNEL_BACKEND

@@ -3,11 +3,11 @@
 Timing numbers are only reported after the competing methods have been
 shown to agree: the four exact routes (product tree, Fraction sweep,
 enumeration, Newton identities) must produce identical rationals, and
-the routed fixed-mode value (the Euler-Maclaurin block past a small head
-at any depth, or the product tree's row where that is cheaper than the
-sweep) must agree with the plain sweep within the sweep's rounding
-budget; pi at d digits must be the half-even rounding of pi at d + 64
-digits from a grown cache. A disagreement anywhere turns the run into a
+the routed fixed-mode value (the power sums by Newton's identities, or
+the product tree's row where that is cheaper) must agree with the plain
+sweep kernel, kept as the witness, within the sweep's rounding budget;
+pi at d digits must be the half-even rounding of pi at d + 64 digits
+from a grown cache. A disagreement anywhere turns the run into a
 failure; speed never outranks correctness here.
 """
 
@@ -37,12 +37,13 @@ __all__ = ["BenchRow", "run_benchmark"]
 # covers its merges.
 ORACLE_GRID = [(1, 35), (2, 35), (3, 35), (4, 35), (2, 200)]
 # (depth, truncation, digits) cells of the fixed-mode timing: the routed
-# value takes the Euler-Maclaurin block past a head of 38 to 41 indices at
-# 20 digits, at depths 1 to 32, and of 38016 indices at 100; at 2000
-# digits and N = 300 it is the product tree's correctly rounded row.
+# row adds the Euler-Maclaurin tail past a head of 42 to 272 indices at
+# 20 and 40 digits and of 56822 at 100, sums every index of N = 3000 at
+# 100 digits, and is the product tree's at 2000.
 SWEEP_GRID = [(1, 10**4, 20), (1, 10**5, 20), (2, 10**4, 20),
               (4, 10**4, 20), (20, 3000, 20), (32, 10**4, 20),
-              (2, 10**5, 100), (4, 300, 2000)]
+              (16, 2000, 40), (2, 3000, 100), (2, 10**5, 100),
+              (4, 300, 2000)]
 REFUSAL_CASE = (5, 100)
 # Digit counts of the reference rows: wide sums run to about 4300 digits,
 # and 20000 shows how pi's cost grows past them.

@@ -28,8 +28,10 @@ from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
 from .series import (
     DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
+    STEP_CEILING,
     SeriesResult,
     converge,
+    partial_sum_work,
     required_truncation,
     series_result,
     sinc_product,
@@ -51,10 +53,6 @@ WORK_CEILING_ENV = "PIPOW_WORK_CEILING"
 # The series commands judge their output against reference constants at
 # digits + REFERENCE_GUARD places, so the guard comes out of the pi budget.
 MAX_SERIES_DIGITS = MAX_PI_DIGITS - REFERENCE_GUARD
-# Digit steps (series.sinc_work) of the sinc product and series row: a
-# sweep digit step measured 3 to 35 ns, so a request at the ceiling runs
-# for at most about 2 s.
-SINC_WORK_CEILING = 5 * 10**7
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped to this tool's exit code 3."""
@@ -296,6 +294,23 @@ def _render_series(results: list, args) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
+def _refuse_above_work_ceiling(truncation: int, ceiling: int) -> None:
+    if truncation > ceiling:
+        raise InfeasibleError(
+            "truncation %d is above the work ceiling of %d"
+            % (truncation, ceiling), required=truncation, ceiling=ceiling)
+
+
+def _refuse_above_step_ceiling(steps: int, request: str) -> None:
+    """Refuses a request whose estimated digit steps pass STEP_CEILING."""
+    if steps > STEP_CEILING:
+        raise InfeasibleError(
+            "%s needs about %d digit steps, above the ceiling of %d; "
+            "lower one of these numbers" % (request, steps, STEP_CEILING),
+            required=steps, ceiling=STEP_CEILING,
+        )
+
+
 def cmd_sum(args) -> tuple[str, int]:
     truncation = args.upto
     mode = args.mode
@@ -309,12 +324,12 @@ def cmd_sum(args) -> tuple[str, int]:
             % (truncation, EXACT_TRUNCATION_LIMIT),
             required=truncation, ceiling=EXACT_TRUNCATION_LIMIT,
         )
-    if truncation > args.work_ceiling:
-        raise InfeasibleError(
-            "truncation %d is above the work ceiling of %d"
-            % (truncation, args.work_ceiling),
-            required=truncation, ceiling=args.work_ceiling,
-        )
+    _refuse_above_work_ceiling(truncation, args.work_ceiling)
+    if mode == "fixed":
+        _refuse_above_step_ceiling(
+            partial_sum_work(args.depth, truncation, args.digits),
+            "sum --depth %d --upto %d --digits %d"
+            % (args.depth, truncation, args.digits))
     result = series_result(args.depth, truncation, mode, args.digits)
     return _render_series([result], args), EXIT_OK
 
@@ -359,21 +374,11 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
-    if terms > args.work_ceiling:
-        raise InfeasibleError(
-            "truncation %d is above the work ceiling of %d"
-            % (terms, args.work_ceiling),
-            required=terms, ceiling=args.work_ceiling,
-        )
+    _refuse_above_work_ceiling(terms, args.work_ceiling)
     powers = _sinc_powers(x, digits, terms)
-    work = sinc_work(x, powers, terms, digits)
-    if work > SINC_WORK_CEILING:
-        raise InfeasibleError(
-            "the product and series at x = %s with %d terms need %d digit "
-            "steps, above the ceiling of %d; use fewer terms or digits or "
-            "a smaller |x|" % (x, terms, work, SINC_WORK_CEILING),
-            required=work, ceiling=SINC_WORK_CEILING,
-        )
+    _refuse_above_step_ceiling(
+        sinc_work(x, powers, terms, digits),
+        "sinc --x %s --terms %d --digits %d" % (x, terms, digits))
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)
     if abs(x) <= 2:

@@ -8,7 +8,7 @@ The depth-n partial sum over truncation N is
 the elementary symmetric polynomial of degree n evaluated at x_l = 1/l**2.
 As N grows, S_n(N) converges to pi**(2n) / (2n+1)!. This module computes
 the partial sums four independent ways (a product tree over the integer
-polynomial prod (l**2 + t), a single O(N*n) sweep, direct tuple
+polynomial prod (l**2 + t), a single O(N*n) Fraction sweep, direct tuple
 enumeration, and Newton's identities on power sums), bounds the truncation
 error rigorously, and drives truncations to a requested precision under a
 work ceiling.
@@ -16,35 +16,26 @@ work ceiling.
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. Every fixed-mode
 value, the sinc series included, is an entry of one mantissa row
-[S_0 .. S_n](N) at 10**-scale from `_scaled_row`, which picks one of three
-routes by measured cost rules, all rounded half-even:
-
-- the block: past a head cutoff M that depends only on the depth and the
-  working scale, S_k(N) = sum_j S_j(M) * E_(k-j)(M, N), with the block
-  E_k over M < l <= N from Euler-Maclaurin power sums (exact Bernoulli
-  numbers, certified remainder) by Newton's identities, all on scaled
-  integers, so its work grows with M and the depth, not with N. Each
-  entry is within one unit of exact under one certified radius. M grows
-  like 10**(scale/27): about 40 at 36 carried places, 4*10**4 at 116 and
-  5*10**8 at 226. It runs when N >= 2*M + 3*depth + 128, at any depth;
-- the product tree, divided and rounded once per entry, so correctly
-  rounded; it wins on wide mantissas at moderate N (depth 4, N = 300,
-  4300 places: 1.7 ms against 0.47 s for the sweep; depth 1: 0.8 ms
-  against 1.6 ms);
-- the pure-Python sweep kernel `_backend.dp_row_scaled` over all of 1..N,
-  within depth*N/2 units, on narrow mantissas below the block's reach.
+[S_0 .. S_n](N) at 10**-scale from `_scaled_row`: the product tree's
+correctly rounded row where a measured rule says so, else the power sums
+p_i(N) = sum_{l<=N} l**(-2i) turned into the row by Newton's identities
+on binary scaled integers (`_newton_row`), summed term by term up to an
+Euler-Maclaurin cutoff M and from the certified Euler-Maclaurin tail
+past it, each entry within one unit of exact. The sweep kernel
+`_backend.dp_row_scaled` takes no row; `pipow bench` and the tests keep
+it as a witness.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Union
 
-from . import _backend
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
     FixedDecimal,
@@ -53,18 +44,20 @@ from .exactnum import (
     guard_digits,
     int_to_decimal,
 )
-from .reference import basel_power, reference_value
+from .reference import REFERENCE_GUARD, basel_power, reference_value
 
 __all__ = [
     "DEFAULT_WORK_CEILING",
     "EXACT_TRUNCATION_LIMIT",
     "NAIVE_ENUMERATION_CEILING",
+    "STEP_CEILING",
     "SeriesResult",
     "converge",
     "newton_cross_check",
     "partial_sum",
     "partial_sum_naive",
     "partial_sum_prefix",
+    "partial_sum_work",
     "required_truncation",
     "series_result",
     "sinc_product",
@@ -75,13 +68,17 @@ __all__ = [
 
 # Ceiling on the truncation N accepted by converge and the CLI.
 DEFAULT_WORK_CEILING = 10**8
+# Ceiling on the digit steps (_row_steps, sinc_work) of a fixed sum or a
+# sinc request: a step measured 3 to 35 ns, so a request at the ceiling
+# runs for at most about 2 s.
+STEP_CEILING = 5 * 10**7
 # Ceiling on C(N, depth) above which direct tuple enumeration is refused.
 NAIVE_ENUMERATION_CEILING = 10**7
 # Largest truncation the CLI accepts in exact mode without an override:
 # rational denominators grow superpolynomially with N.
 EXACT_TRUNCATION_LIMIT = 2000
-# Euler-Maclaurin correction terms in each block power sum of fixed mode;
-# the head cutoff then grows like 10**(scale / (2*EM_TERMS + 3)).
+# Euler-Maclaurin correction terms in each tail power sum of fixed mode;
+# the head cutoff then grows like 2**(bits / (2*EM_TERMS + 3)).
 EM_TERMS = 12
 # Indices the product tree multiplies into one row in place before it
 # halves (_truncated_product). Over exact sums at depths 1 to 6 and N from
@@ -192,67 +189,23 @@ def _euler_maclaurin(j: int) -> tuple:
     return tuple(scaled[:-1]), denominator, scaled[-1]
 
 
-def _zeta_scaled(j: int, a: int, work: int) -> int:
-    """The Euler-Maclaurin centre of Z_j(a) times 10**work, a >= 1,
+def _zeta_scaled(j: int, a: int, bits: int) -> int:
+    """The Euler-Maclaurin centre of Z_j(a) times 2**bits, a >= 1,
     rounded half-even."""
     coefficients, denominator, _ = _euler_maclaurin(j)
     g = 0
     for c in coefficients:
         g = g * a + c
     return div_round_half_even(
-        g * 10**work, denominator * a ** (2 * j + 2 * EM_TERMS - 1))
+        g << bits, denominator * a ** (2 * j + 2 * EM_TERMS - 1))
 
 
-def _block_radius(depth: int, cutoff: int, work: int) -> int:
-    """Certified bound, in units of 10**-work rounded up, on the distance
-    from exact of every centre sum_j head_j * E_(k-j) / 10**(2*work) that
-    _block_row rounds, for head cutoff M = cutoff >= 1 and every N > M.
-
-    The block power sums p_i over (M, N] lie in [0, q_i], with
-    q_i = M**(1-2i)/(2i-1), and the scaled integers P_i are off by at most
-    r_i: the two Euler-Maclaurin remainders at M+1 and N+1 plus one unit
-    for their two roundings. Newton's identities k*E_k = sum_i +-E_(k-i)*p_i
-    give |E_k| <= h_k(q), the complete symmetric value built by the same
-    recurrence with every sign positive, and the errors a_k of the rounded
-    integer recurrence obey
-
-        k*a_k <= sum_i [a_(k-i)*(q_i + r_i) + h_(k-i)(q)*r_i] + k*u,
-
-    u = 1/2 the rounding of each E_k; without u this is the recurrence of
-    h_k(q + r) - h_k(q). Both run here on integers rounded up. The head
-    S_j(M) comes from _scaled_row at this scale, within ceil(depth*M/2)
-    units on every route, and multiplies |E_k| <= h_k(q) + a_k; the head
-    weights S_j(M) add up to less than prod_{l>=1} (1 + 1/l**2) =
-    sinh(pi)/pi < 4, which weights the a_k.
-    """
-    one = 10**work
-    bounds = []
-    radii = []
-    for i in range(1, depth + 1):
-        _, denominator, remainder = _euler_maclaurin(i)
-        bounds.append(div_round_up(one, (2 * i - 1) * cutoff ** (2 * i - 1)))
-        radii.append(1 + div_round_up(
-            2 * remainder * one,
-            denominator * (cutoff + 1) ** (2 * i + 2 * EM_TERMS + 1)))
-    h = [one]
-    errors = [0]
-    for k in range(1, depth + 1):
-        h_sum = error_sum = 0
-        for i in range(1, k + 1):
-            q, r = bounds[i - 1], radii[i - 1]
-            h_sum += h[k - i] * q
-            error_sum += errors[k - i] * (q + r) + h[k - i] * r
-        h.append(div_round_up(h_sum, k * one))
-        errors.append(div_round_up(2 * error_sum + k * one, 2 * k * one))
-    head = div_round_up(depth * cutoff, 2) * (sum(h) + sum(errors))
-    return div_round_up(head, one) + 4 * max(errors)
-
-
-def _within_quarter(depth: int, cutoff: int, scale: int) -> bool:
-    """Whether _block_radius at cutoff M, at the block's working scale
-    scale + guard_digits(depth*M), is below a quarter unit at 10**-scale."""
-    guard = guard_digits(depth * cutoff)
-    return 4 * _block_radius(depth, cutoff, scale + guard) < 10**guard
+def _em_remainder(j: int, a: int, bits: int) -> int:
+    """The Euler-Maclaurin remainder bound of Z_j(a), a >= 1, in units of
+    2**-bits rounded up."""
+    _, denominator, remainder = _euler_maclaurin(j)
+    return div_round_up(remainder << bits,
+                        denominator * a ** (2 * j + 2 * EM_TERMS + 1))
 
 
 def _integer_root(value: int, n: int) -> int:
@@ -265,81 +218,157 @@ def _integer_root(value: int, n: int) -> int:
         root = step
 
 
-def _head_cutoff(depth: int, scale: int, truncation: int) -> int:
-    """The head cutoff M of the block route at (depth, N, scale), or
-    `truncation` when the block is not the cheaper route.
+def _tail_terms(depth: int, a: int, bits: int) -> int:
+    """How many of the tails Z_1(a), ..., Z_depth(a) can exceed one unit
+    of 2**-bits: Z_i(a) <= a**(-2i) + a**(1-2i)/(2i-1) <= 2*a**(1-2i),
+    at most a unit once a**(2i-1) >= 2**(bits+1), and i only raises the
+    power."""
+    terms = 0
+    while terms < depth and a ** (2 * terms + 1) < 2 << bits:
+        terms += 1
+    return terms
 
-    M is the smallest cutoff at which _block_radius is below a quarter
-    unit at 10**-scale (_within_quarter). The radius is at least four
-    times its k = 1 term, which exceeds 2*|B_(2K+2)| / (M+1)**(2K+3), so
-    M+1 = a needs a**(2K+3) > 32*|B_(2K+2)|*10**scale, and a fortiori
-    a**(2K+3) > 10**scale; the search starts at the least such a and steps
-    up. No request whose N is below the second bound builds the Bernoulli
-    table.
 
-    The block costs the head row over 1..M, on the tree or on a sweep
-    whose steps carry a few more digits, plus a fixed part: the cutoff
-    search, the Euler-Maclaurin power sums, Newton's identities, the
-    radius and the final sums, about depth**2 multiplications of
-    working-scale integers. Timed against the sweep over 1..N (pure
-    Python, best of 9, whole block including the search) at depths 1 to
-    64 and scales 12 to 80, the block won from N = 2*M + E on, with E at
-    most 127 indices at depth 1 (the depth-1 sweep step does no wide
-    multiplication), 37 at depth 2, 34 at depth 4, 43 at 14, 57 at 22, 79
-    at 32 and 126 at 64; from scale 40 on it won below N = 2*M. So the
-    block runs when N >= _block_indices(depth, M) = 2*M + 3*depth + 128,
-    which lies above every measured crossover.
+def _head_length(depth: int, truncation: int, bits: int) -> int:
+    """H = min(N, M): the indices whose power sums _newton_row adds term
+    by term, M the least cutoff with _em_remainder(1, M+1) at most one
+    unit of 2**-bits (_newton_radius counts every remainder at M+1).
+
+    That remainder is |B_(2K+2)| * 2**bits / a**(2K+3) with |B_26| > 1,
+    so while (N+1)**(2K+3) <= 2**bits, H = N and the Bernoulli table
+    stays unbuilt; otherwise the search starts at the integer root of
+    the bound and steps up.
     """
-    room = truncation - _block_indices(depth, 0)
     power = 2 * EM_TERMS + 3
-    if depth < 1 or room < 2 or (room // 2 + 1) ** power <= 10**scale:
+    if depth < 1 or (truncation + 1) ** power <= 1 << bits:
         return truncation
     _, denominator, remainder = _euler_maclaurin(1)
-    target = 32 * remainder * 10**scale
-    if (room // 2 + 1) ** power * denominator <= target:
-        return truncation
-    base = _integer_root(target // denominator, power)
-    while base**power * denominator <= target:
+    base = _integer_root((remainder << bits) // denominator, power)
+    while _em_remainder(1, base, bits) > 1:
         base += 1
-    cutoff = base - 1
-    while 2 * cutoff <= room and not _within_quarter(depth, cutoff, scale):
-        cutoff += 1
-    return cutoff if 2 * cutoff <= room else truncation
+    return min(truncation, base - 1)
 
 
-def _block_indices(depth: int, cutoff: int) -> int:
-    """The block route's cost at head cutoff M, in sweep indices."""
-    return 2 * cutoff + 3 * depth + 128
+def _newton_radius(depth: int, head: int, tail: bool, bits: int) -> int:
+    """Certified bound, in units of 2**-bits rounded up, on the distance
+    from exact of every E_k of _newton_row, for a head of H = `head`
+    indices and, when `tail`, the tail past it.
+
+    The power sums p_i lie in [0, q_i], q_i = 1 + 1/(2i-1) >= zeta(2i),
+    and the scaled P_i are off by at most r_i units: under H for the head
+    floors and, with the tail, one more (the two roundings of
+    _zeta_scaled, or a tail under one unit left out) plus the remainders
+    at M+1 and N+1, each at most _em_remainder(i, M+1). With h_k(q) the
+    complete symmetric values (Newton's recurrence with every sign
+    positive, so |e_k| <= h_k(q)), the errors a_k of the rounded
+    recurrence obey
+
+        k*a_k <= sum_i [a_(k-i)*(q_i + r_i*2**-bits) + h_(k-i)(q)*r_i]
+                 + k/2,
+
+    k/2 for the rounding of each E_k. Both recurrences run on integers
+    rounded up, with q_i + r_i*2**-bits and h_k at 2**-32; the radius is
+    the largest a_k.
+    """
+    one = 1 << 32
+    terms = _tail_terms(depth, head + 1, bits) if tail else 0
+    radii = [head + int(tail) + (2 * _em_remainder(i, head + 1, bits)
+                                 if i <= terms else 0)
+             for i in range(1, depth + 1)]
+    bounds = [one + div_round_up(one, 2 * i - 1)
+              + div_round_up(r << 32, 1 << bits)
+              for i, r in enumerate(radii, 1)]
+    h = [one]
+    errors = [0]
+    for k in range(1, depth + 1):
+        # h[::-1] pairs h_(k-i) with bounds[i-1], i = 1..k.
+        h_back = h[::-1]
+        h_sum = sum(map(operator.mul, h_back, bounds))
+        error_sum = (sum(map(operator.mul, errors[::-1], bounds))
+                     + sum(map(operator.mul, h_back, radii)))
+        h.append(div_round_up(h_sum, k * one))
+        errors.append(div_round_up(2 * error_sum + k * one, 2 * k * one))
+    return max(errors)
+
+
+@functools.lru_cache(maxsize=1024)
+def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
+    """(bits, H) of _newton_row(depth, N, scale): the working precision
+    2**-bits and the head length _head_length(depth, N, bits).
+
+    bits is the length of 10**scale plus g guard bits with _newton_radius
+    at most 2**(g-1) units, under half a unit at 10**-scale. g starts at
+    the length of 8*depth*(H+4), r_i being about H and the radius at most
+    1.33*depth*(H+4) on depths 1 to 1000, and grows to the radius' own
+    length while the check fails.
+    """
+    base = (10**scale).bit_length()
+    head = _head_length(depth, truncation, base)
+    guard = (8 * depth * (head + 4)).bit_length()
+    while True:
+        bits = base + guard
+        head = _head_length(depth, truncation, bits)
+        radius = _newton_radius(depth, head, head < truncation, bits)
+        if 2 * radius <= 1 << guard:
+            return bits, head
+        guard = radius.bit_length() + 2
+
+
+def _newton_row(depth: int, truncation: int, scale: int) -> list:
+    """Mantissa row [S_0 .. S_depth](N) at 10**-scale from the power sums
+    p_i(N) = sum_{l<=N} l**(-2i) by Newton's identities, on integers at
+    2**-bits (_newton_plan).
+
+    Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
+    P_i by the chain t //= l*l, which stops once t reaches 0; past the
+    head, P_i gains the Euler-Maclaurin tail Z_i(H+1) - Z_i(N+1) where
+    that can reach one unit (_tail_terms). Then
+    k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each E_k rounded once by a
+    shift and a division by k, and each entry rounded half-even once at
+    10**-scale: within half a unit of the final rounding plus under half
+    a unit of _newton_radius, so within one unit of exact.
+    """
+    if depth == 0:
+        return [10**scale]
+    bits, head = _newton_plan(depth, truncation, scale)
+    one = 1 << bits
+    sums = [0] * depth
+    for ell in range(1, head + 1):
+        square = ell * ell
+        t = one
+        for i in range(depth):
+            t //= square
+            if not t:
+                break
+            sums[i] += t
+    if head < truncation:
+        for i in range(_tail_terms(depth, head + 1, bits)):
+            sums[i] += (_zeta_scaled(i + 1, head + 1, bits)
+                        - _zeta_scaled(i + 1, truncation + 1, bits))
+    signed = [p if i & 1 else -p for i, p in enumerate(sums, 1)]
+    row = [one]
+    for k in range(1, depth + 1):
+        total = sum(map(operator.mul, row[::-1], signed))
+        row.append(((total >> (bits - 1)) // k + 1) >> 1)
+    ten = 10**scale
+    return [ten] + [div_round_half_even(entry * ten, one)
+                    for entry in row[1:]]
 
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
-    """Whether the product tree computes the row at (depth, N, scale) in
-    less time than the sweep kernel: 1 <= N <= 10**5 and scale >= 100 +
-    (4 + depth//8) * isqrt(N) at depth >= 2; 1 <= N <= 10**4 and scale >=
-    600 + N at depth 1.
+    """Whether the product tree takes the row at (depth, N, scale):
+    1 <= N <= 10**5 and scale >= 100 + (4 + depth//8) * isqrt(N) at
+    depth >= 2; 1 <= N <= 10**4 and scale >= 600 + N at depth 1.
 
-    The sweep does about depth*N multiply-divides on scale-digit
-    integers. The tree's product does not depend on the scale but grows
-    faster than N (its coefficients have about 2*log10(N!) digits) and
-    about like depth**2; its depth+1 divisions grow like scale*D for
-    coefficients of D digits. Timed on a grid (pure Python, both routes
-    whole, best of 2 to 7) of depths 1 to 32, N from 10 to 10**5 and 50
-    to 16000 places, the tree won at depth 2 from below 50 places for
-    N <= 300, from 100 to 150 at N = 1000, 250 at 3000, 400 at 10**4,
-    550 to 800 at 3*10**4 and about 950 at 10**5; at depth 16 from 200,
-    400 and 600 places at N = 1000, 3000 and 10**4, and at depth 32 from
-    250 and 500 at N = 1000 and 3000. At depth 1, whose sweep step does
-    no wide multiplication, it won from 300 to 500 places for N <= 195,
-    600 at N = 300, 1200 at 1000, 3200 at 3000 and 8000 at 10**4, and
-    lost everywhere up to 8000 places at 3*10**4. Both thresholds lie
-    above every crossover, and at the threshold itself the tree measured
-    1.1 to 1.6 times faster, so on the grid the rule never sends a row
-    to the tree where the sweep is faster. Below 100 places the tree also wins at depth >= 2 for
-    small N (1.3 to 4.5 times at N <= 100, 50 places), but those rows
-    are the block's short heads and the sinc rows at a few tens of
-    places, each well under a millisecond; they keep the sweep. Past
-    N = 10**5, the edge of the grid, the tree's coefficients run to
-    megabytes each and the sweep keeps the row.
+    The tree's product does not depend on the scale but grows faster
+    than N (its coefficients have about 2*log10(N!) digits) and about
+    like depth**2; its depth+1 divisions grow like scale*D for
+    coefficients of D digits. The thresholds lie above every crossover
+    with the sweep kernel, timed when it took the other rows (depths 1
+    to 32, N from 10 to 10**5, 50 to 16000 places). Against _newton_row
+    they hold at depth 1, but at depth >= 2 and N >= 1000 the tree loses
+    at the threshold by 2.2 to 26 times (timed cold; depth 4, N = 10**4,
+    500 places: 202 ms against 24 ms).
     """
     if depth == 1:
         return 1 <= truncation <= 10**4 and scale >= 600 + truncation
@@ -348,24 +377,13 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
 
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth](N) at 10**-scale, by the cheapest of
-    three routes.
-
-    The block (_block_row) runs where _head_cutoff finds a cutoff; each
-    entry is within one unit of exact. Otherwise the product tree costs
-    one integer polynomial product, with no scale in it, and one rounded
-    division per entry: S_j = [t**j] P / P(0) with P = prod_{l<=N}
-    (l**2 + t), so each entry is correctly rounded (within half a unit).
-    The sweep kernel `_backend.dp_row_scaled` costs about depth*N
-    multiply-divides on scale-digit mantissas, and each entry ends within
-    depth*N/2 units of exact; _tree_row_is_cheaper says which of the two
-    runs. Every route is inside every budget the sweep's callers allow for.
+    """Mantissa row [S_0 .. S_depth](N) at 10**-scale: where
+    _tree_row_is_cheaper says so, the product tree's, S_j = [t**j] P / P(0)
+    with P = prod_{l<=N} (l**2 + t), one rounded division per entry and
+    so correctly rounded; else _newton_row's, within one unit of exact.
     """
-    cutoff = _head_cutoff(depth, scale, truncation)
-    if cutoff < truncation:
-        return _block_row(depth, truncation, cutoff, scale)
     if not _tree_row_is_cheaper(depth, truncation, scale):
-        return _backend.dp_row_scaled(depth, truncation, scale)
+        return _newton_row(depth, truncation, scale)
     coefficients = _truncated_product(1, truncation + 1, depth)
     coefficients += [0] * (depth + 1 - len(coefficients))
     one = 10**scale
@@ -373,61 +391,31 @@ def _scaled_row(depth: int, truncation: int, scale: int) -> list:
             for c in coefficients]
 
 
-def _block_row(depth: int, truncation: int, cutoff: int,
-               scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth](N) at 10**-scale from
-    S_k(N) = sum_j S_j(M) * E_(k-j)(M, N), on scaled integers only.
-
-    At the working scale w = scale + g, g = guard_digits(depth*M): the
-    head row S_j(M) from _scaled_row; the block power sums
-    P_i = round(Z_i(M+1)*10**w) - round(Z_i(N+1)*10**w); E_k from Newton's
-    identities k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each divided by
-    k*10**w half-even; then each entry sum_j head_j * E_(k-j) divided by
-    10**(w+g) half-even. When _within_quarter(depth, cutoff, scale), every
-    entry is within one unit of exact: half a unit of final rounding and
-    _block_radius below a quarter.
-    """
-    guard = guard_digits(depth * cutoff)
-    work = scale + guard
-    one = 10**work
-    head = _scaled_row(depth, cutoff, work)
-    power_sums = [_zeta_scaled(i, cutoff + 1, work)
-                  - _zeta_scaled(i, truncation + 1, work)
-                  for i in range(1, depth + 1)]
-    block = [one]
-    for k in range(1, depth + 1):
-        total = 0
-        for i in range(1, k + 1):
-            term = block[k - i] * power_sums[i - 1]
-            total += term if i & 1 else -term
-        block.append(div_round_half_even(total, k * one))
-    shift = 10 ** (work + guard)
-    return [div_round_half_even(
-                sum(head[j] * block[n - j] for j in range(n + 1)), shift)
-            for n in range(depth + 1)]
-
-
 def _row_steps(depth: int, truncation: int, scale: int) -> int:
-    """Estimated cost of _scaled_row(depth, truncation, scale), in sweep
-    digit steps: one step per index, depth entry and mantissa digit.
+    """Estimated cost of _scaled_row(depth, truncation, scale), in digit
+    steps: the unit of the sweep kernel `_backend.dp_row_scaled`, one
+    step per index, depth entry and mantissa digit, which measured 3 to
+    35 ns a step (pure Python, depths 22 to 400, 44 to 10**4 places).
 
-    On the sweep that is min(depth, N) * N * scale; a step measured 3 to
-    35 ns (pure Python, depths 22 to 400, 44 to 10**4 places). The block
-    costs as much as a sweep over _block_indices(depth, M). The tree
-    counts D**log2(3) for each full-size Karatsuba product of its merges,
-    D the decimal length of (N!)**2: each half holds m = min(depth,
-    N/2 + 1) coefficients, the k-th about 1 - k/(N/2) of the half's
-    digits, which makes about (m - m*m/(N+1))**2 full-size products. It
-    adds (scale + D)**1.5 for each scaled entry and scale*D/8 for each
-    long division, min(depth, N) + 1 of them, and 2048 per leaf step,
-    N*min(depth, LEAF) of them. That count measured 0.04 to 0.45 ns per
-    unit (depths 1 to 1000, N from 1 to 10**5, 168 to 10**5 places), so
-    64 units make one sweep step and the count bounds the tree from
-    above.
+    The tree counts D**log2(3) for each full-size Karatsuba product of
+    its merges, D the decimal length of (N!)**2: each half holds
+    m = min(depth, N/2 + 1) coefficients, the k-th about 1 - k/(N/2) of
+    the half's digits, which makes about (m - m*m/(N+1))**2 full-size
+    products. It adds (scale + D)**1.5 for each scaled entry and
+    scale*D/8 for each long division, min(depth, N) + 1 of them, and 2048
+    per leaf step, N*min(depth, LEAF) of them. That count measured 0.04
+    to 0.45 ns per unit (depths 1 to 1000, N from 1 to 10**5, 168 to
+    10**5 places), so 64 units make one step and the count bounds the
+    tree from above.
+
+    _newton_row counts scale**2/2000 + 18 per depth**2, for Newton's
+    identities and the plan's radius, and stops there, unplanned, if
+    that passes STEP_CEILING; then, at head H (_newton_plan),
+    (0.3*bits + 300)/8 per head division, H*min(depth, bits/(2*log2 H)
+    + 1) of them, and 4*(bits + 2000) per depth for the tail. On a grid
+    of depths 1 to 1000, N from 20 to 10**7 and 20 to 4300 places a step
+    took 1.2 to 16 ns cold.
     """
-    cutoff = _head_cutoff(depth, scale, truncation)
-    if cutoff < truncation:
-        return depth * _block_indices(depth, cutoff) * scale
     if _tree_row_is_cheaper(depth, truncation, scale):
         digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
         width = min(depth, truncation // 2 + 1)
@@ -438,7 +426,15 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
                 + entries * wide * math.isqrt(wide)
                 + entries * scale * digits // 8
                 + 2048 * truncation * min(depth, LEAF)) // 64
-    return min(depth, truncation) * truncation * scale
+    steps = depth * depth * (scale * scale // 2000 + 18)
+    if steps > STEP_CEILING:
+        return steps
+    bits, head = _newton_plan(depth, truncation, scale)
+    chain = min(depth, bits // (2 * max(1, head.bit_length())) + 1)
+    steps += head * chain * (bits * 3 // 10 + 300) // 8
+    if head < truncation:
+        steps += 4 * depth * (bits + 2000)
+    return steps
 
 
 def partial_sum(
@@ -460,15 +456,11 @@ def partial_sum(
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
-    _scaled_row(depth, N, scale), by one of its three routes. Well above
-    the head cutoff M (the smallest M whose certified block radius is
-    below a quarter unit at that scale, about 10**(scale/(2*EM_TERMS+3));
-    see _head_cutoff for the cost rule) the block row, at any depth,
-    within one unit in the last carried place; otherwise the product
-    tree's row, correctly rounded, where _tree_row_is_cheaper says so,
-    else the descending-index sweep kernel's, whose at most
-    truncation*depth half-even roundings stay clear of the requested
-    places.
+    _scaled_row(depth, N, scale), the product tree's correctly rounded
+    row where _tree_row_is_cheaper says so, else the power sums' row by
+    Newton's identities, within one unit in the last carried place. The
+    guard is the sweep kernel's budget of depth*N/2 units, which both
+    routes stay well inside.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
@@ -490,6 +482,13 @@ def partial_sum(
         mantissa = _scaled_row(depth, truncation, scale)[depth]
         return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
+
+
+def partial_sum_work(depth: int, truncation: int, digits: int) -> int:
+    """Estimated cost of partial_sum(depth, truncation, "fixed", digits),
+    in digit steps (_row_steps)."""
+    return _row_steps(depth, truncation,
+                      digits + guard_digits(depth * truncation))
 
 
 def partial_sum_prefix(depth: int, truncation: int) -> list:
@@ -725,14 +724,24 @@ def _sinc_guard(x2: Fraction, powers: int, truncation: int) -> int:
 
 def sinc_work(x, powers: int, truncation: int, digits: int) -> int:
     """Estimated cost of sinc_product(x, truncation, digits) plus
-    sinc_series(x, powers, truncation, digits), in sweep digit steps (see
-    _row_steps). The product visits every factor, one multiply-divide on
-    its scale-digit mantissa each, so it counts truncation*scale steps
-    (19 to 42 ns a step for 10**5 to 10**6 factors at 20 digits); the row
-    dominates the series."""
+    sinc_series(x, powers, truncation, digits), plus
+    reference.sinc_taylor(x, digits) for 0 < |x| <= 2, in digit steps
+    (see _row_steps).
+
+    The product visits every factor, one multiply-divide on its
+    scale-digit mantissa each, so it counts truncation*scale steps (19 to
+    42 ns a step for 10**5 to 10**6 factors at 20 digits); the row
+    dominates the series. The Taylor sum takes about w/log(w) terms at
+    w = digits + REFERENCE_GUARD places, each one full-width product,
+    and counts w**2.6/500 steps: timed cold at 1000 to 20000 digits for
+    x = 1/1000, 1/2 and 2, a step took 8.7 to 25 ns.
+    """
     q = Fraction(x)
     product = truncation * (digits + guard_digits(truncation))
-    return product + _row_steps(
+    taylor = 0
+    if 0 < abs(q) <= 2:
+        taylor = int((digits + REFERENCE_GUARD) ** 2.6) // 500
+    return product + taylor + _row_steps(
         powers, truncation, digits + _sinc_guard(q * q, powers, truncation))
 
 
@@ -742,12 +751,11 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     Expanding the sinc product into powers of x**2 makes the coefficient of
     x**(2j) exactly the depth-j nested sum, so this evaluates the expansion
     with both the power count and every nested sum truncated. One row from
-    _scaled_row produces all the S_j at once: the block past a short head
-    where the truncation is well above the head cutoff, else the product
-    tree where that is cheaper (e.g. at hundreds of places) or the sweep;
-    each term costs one further half-even rounding. Row j's rounding
-    error is multiplied by |x|**(2j), so for |x| > 1 the scale and the
-    guard grow by the decimal length of x**(2*powers).
+    _scaled_row produces all the S_j at once: the product tree where that
+    is cheaper (e.g. at hundreds of places), else the power sums by
+    Newton's identities; each term costs one further half-even rounding.
+    Row j's rounding error is multiplied by |x|**(2j), so for |x| > 1 the
+    scale and the guard grow by the decimal length of x**(2*powers).
     """
     q = Fraction(x)
     if powers < 0:

@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -361,8 +362,17 @@ class TestSincCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INFEASIBLE
         assert out == ""
-        assert f"x = {x} with {terms} terms" in err
-        assert f"ceiling of {cli.SINC_WORK_CEILING}" in err
+        assert f"sinc --x {x} --terms {terms} --digits" in err
+        assert f"ceiling of {series.STEP_CEILING}" in err
+
+    def test_zero_terms_is_the_empty_product(self, capsys):
+        # No power is summed: the series row has depth 0.
+        code, out, _ = run_cli(capsys, "sinc", "--x", "1/2", "--terms", "0",
+                               "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["powers"] == 0
+        assert payload["series"] == payload["product"] == "1." + "0" * 20
 
     def test_power_count_stops_at_the_truncation(self, capsys):
         # S_j(10) = 0 for j > 10, so ten powers give the whole series.
@@ -372,6 +382,32 @@ class TestSincCommand:
         payload = json.loads(out)
         assert payload["powers"] == 10
         assert payload["series"] == payload["product"]
+
+
+class TestRunawayRequests:
+    @pytest.mark.parametrize("argv, quoted", [
+        (["sum", "--mode", "fixed", "--depth", "2", "--upto", "99999999",
+          "--digits", "200"], "sum --depth 2 --upto 99999999 --digits 200"),
+        (["sum", "--mode", "fixed", "--depth", "1", "--upto", "10000000",
+          "--digits", "2000"], "sum --depth 1 --upto 10000000 --digits 2000"),
+        (["sinc", "--x", "1/2", "--terms", "1", "--digits", "99990"],
+         "sinc --x 1/2 --terms 1 --digits 99990"),
+    ], ids=["sum-depth-2", "sum-depth-1", "sinc-taylor"])
+    def test_refused_before_work(self, capsys, monkeypatch, argv, quoted):
+        # Unrefused, the two sums ran past 60 s and the sinc for 168 s.
+        def no_work(*args):
+            raise AssertionError("the computation started")
+
+        for name in ("series_result", "sinc_product", "sinc_series",
+                     "sinc_taylor"):
+            monkeypatch.setattr(cli, name, no_work)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert f"{quoted} needs about" in err
+        assert f"ceiling of {series.STEP_CEILING}" in err
 
 
 class TestBenchCommand:

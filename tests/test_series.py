@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from pipow.series import (
     required_truncation,
     sinc_product,
     sinc_series,
+    sinc_work,
     tail_bound,
 )
 from pipow.symmetric import elementary_symmetric, substitute
@@ -193,29 +195,36 @@ def within_one_unit(row, truncation, scale):
                for m, c in zip(row, exact))
 
 
-def exact_block_radius(depth, cutoff):
-    """The block radius in exact rationals, without the rounding and head
-    terms: 4 * max_k [h_k(q + r) - h_k(q)], h_k the complete symmetric
-    values of the power-sum bounds q_i = M**(1-2i)/(2i-1) and r_i the two
-    Euler-Maclaurin remainders."""
+def exact_newton_radius(depth, head, tail, bits):
+    """The radius of _newton_radius in exact rationals, in units of
+    2**-bits and without the rounding of each E_k: max_k [h_k(q + r) -
+    h_k(q)], h_k the complete symmetric values of the power-sum bounds
+    q_i = 1 + 1/(2i-1) and r_i the power-sum errors: the H head floors,
+    with the tail one more unit and the two Euler-Maclaurin remainders of
+    each summed tail."""
+    one = 2**bits
+    terms = series._tail_terms(depth, head + 1, bits) if tail else 0
     bounds = []
     radii = []
     for i in range(1, depth + 1):
-        _, denominator, remainder = series._euler_maclaurin(i)
-        bounds.append(Fraction(1, (2 * i - 1) * cutoff ** (2 * i - 1)))
-        radii.append(Fraction(2 * remainder, denominator * (cutoff + 1) ** (
-            2 * i + 2 * series.EM_TERMS + 1)))
+        radius = Fraction(head + 1 if tail else head, one)
+        if i <= terms:
+            _, denominator, remainder = series._euler_maclaurin(i)
+            radius += Fraction(2 * remainder, denominator * (head + 1) ** (
+                2 * i + 2 * series.EM_TERMS + 1))
+        bounds.append(Fraction(2 * i, 2 * i - 1))
+        radii.append(radius)
     high = series._elementary_from_power_sums(
         [(-1) ** i * (q + r) for i, (q, r) in enumerate(zip(bounds, radii))])
     low = series._elementary_from_power_sums(
         [(-1) ** i * q for i, q in enumerate(bounds)])
-    return 4 * max(h - l for h, l in zip(high[1:], low[1:]))
+    return one * max(h - l for h, l in zip(high[1:], low[1:]))
 
 
 class TestBlockEvaluation:
-    """Fixed mode past the head cutoff M: head row S_j(M), Euler-Maclaurin
-    block (M, N], Newton's identities, all on scaled integers, one
-    half-even rounding per entry."""
+    """Fixed-mode rows from the power sums by Newton's identities: the
+    head 1..H summed term by term, the Euler-Maclaurin tail past it, all
+    on integers at 2**-bits, one half-even rounding per entry."""
 
     @staticmethod
     def fixed_at_scale(depth, truncation, scale):
@@ -228,20 +237,19 @@ class TestBlockEvaluation:
         assert value.scale == scale
         return value
 
+    @staticmethod
+    def cutoff(depth, scale):
+        """The Euler-Maclaurin cutoff M: the head of a row far past it."""
+        return series._newton_plan(depth, 10**9, scale)[1]
+
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_within_one_unit_of_exact(self, depth):
         for scale in range(15, 46, 5):
-            # The precision cutoff: a truncation far above it leaves the
-            # cost rule no say.
-            cutoff = series._head_cutoff(depth, scale, 10**9)
+            cutoff = self.cutoff(depth, scale)
             for truncation in sorted({cutoff - 1, cutoff, cutoff + 1,
                                       2 * cutoff, 3000}):
                 value = self.fixed_at_scale(depth, truncation, scale)
                 if value is None:
-                    continue
-                if series._head_cutoff(depth, scale, truncation) == truncation:
-                    row = _backend.dp_row_scaled(depth, truncation, scale)
-                    assert value.mantissa == row[depth]
                     continue
                 exact = partial_sum(depth, truncation, mode="exact")
                 assert abs(value.mantissa - exact * 10**scale) < 1, (
@@ -249,33 +257,35 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("depth", range(1, 25))
     def test_block_rows_within_one_unit(self, depth):
-        # Every entry S_0 .. S_depth of a block row, against the exact row
-        # of the product tree; the cutoff is minimal.
+        # Every entry S_0 .. S_depth of a row, against the exact row of the
+        # product tree, with N on both sides of the cutoff M: a head over
+        # all of 1..N, or the head 1..M and the Euler-Maclaurin tail.
+        tails = set()
         for scale in range(15, 61, 5):
-            cutoff = series._head_cutoff(depth, scale, 10**9)
-            for m, below in ((cutoff, True), (cutoff - 1, False)):
-                guard = guard_digits(depth * m)
-                radius = series._block_radius(depth, m, scale + guard)
-                assert (4 * radius < 10**guard) == below
-            for truncation in sorted({cutoff + 1, 2 * cutoff, 3000, 5000}):
-                row = series._block_row(depth, truncation, cutoff, scale)
+            cutoff = self.cutoff(depth, scale)
+            for truncation in sorted({1, depth, cutoff - 1, cutoff,
+                                      cutoff + 1, 2 * cutoff, 3000, 5000}):
+                _, head = series._newton_plan(depth, truncation, scale)
+                tails.add(head < truncation)
+                row = series._newton_row(depth, truncation, scale)
                 assert len(row) == depth + 1
                 assert within_one_unit(row, truncation, scale), (
                     depth, scale, truncation)
+        assert tails == {False, True}
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 12])
     def test_integer_radius_covers_the_exact_radius(self, depth):
-        # The rounding and head terms cost no cutoff: M is also the least
-        # cutoff whose exact radius is below a quarter unit.
+        # The integer recurrence rounds up at every step, so it bounds the
+        # exact one, with and without the tail; at the plan's precision it
+        # stays under half a unit at 10**-scale.
         for scale in (15, 30, 45, 60):
-            cutoff = series._head_cutoff(depth, scale, 10**9)
-            for m in (cutoff - 1, cutoff, 2 * cutoff):
-                work = scale + guard_digits(depth * m)
-                radius = series._block_radius(depth, m, work)
-                assert Fraction(radius, 10**work) >= exact_block_radius(
-                    depth, m)
-            quarter = Fraction(1, 4 * 10**scale)
-            assert exact_block_radius(depth, cutoff - 1) >= quarter
+            cutoff = self.cutoff(depth, scale)
+            for truncation in (cutoff // 2, cutoff, 2 * cutoff, 10**9):
+                bits, head = series._newton_plan(depth, truncation, scale)
+                tail = head < truncation
+                radius = series._newton_radius(depth, head, tail, bits)
+                assert radius >= exact_newton_radius(depth, head, tail, bits)
+                assert 2 * radius * 10**scale < 2**bits
 
     @pytest.mark.parametrize("depth, truncation, digits", [
         (d, n, 5) for d in (1, 2, 3, 4) for n in (10**5, 445000)
@@ -284,38 +294,15 @@ class TestBlockEvaluation:
     def test_agrees_with_sweep_at_large_truncation(self, depth, truncation,
                                                    digits):
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
-        assert series._head_cutoff(depth, value.scale,
-                                   truncation) < truncation
+        _, head = series._newton_plan(depth, truncation, value.scale)
+        assert head < truncation
         row = _backend.dp_row_scaled(depth, truncation, value.scale)
-        # The sweep is within depth*N/2 units of exact, the block within one.
+        # The sweep is within depth*N/2 units of exact, the row within one.
         assert 2 * abs(value.mantissa - row[depth]) <= depth * truncation + 2
 
-    @pytest.mark.parametrize("depth, truncation, digits, block", [
-        (2, 10**5, 100, True), (4, 10**7, 150, True),
-        (1, 10**6, 130, False), (32, 10**4, 20, True), (48, 20000, 20, True),
-        (64, 10**6, 20, True),
-    ])
-    def test_block_never_sweeps_more_than_half(self, monkeypatch, depth,
-                                               truncation, digits, block):
-        # The block's head sweep stays below half the truncation, at any
-        # depth; where it would not, the request runs one plain sweep.
-        swept = []
-
-        def recording(depth, truncation, scale):
-            swept.append(truncation)
-            return [10**scale] + [0] * depth
-
-        monkeypatch.setattr(_backend, "dp_row_scaled", recording)
-        partial_sum(depth, truncation, mode="fixed", digits=digits)
-        assert len(swept) == 1
-        if block:
-            assert 2 * swept[0] < truncation
-        else:
-            assert swept == [truncation]
-
     def test_fixed_mode_builds_no_fraction(self, monkeypatch):
-        # Past the cached Euler-Maclaurin tables, the block runs on
-        # integers only.
+        # Past the cached Euler-Maclaurin tables, the row runs on integers
+        # only.
         partial_sum(24, 5000, mode="fixed", digits=20)
 
         def refuse(cls, *args, **kwargs):
@@ -324,18 +311,18 @@ class TestBlockEvaluation:
         monkeypatch.setattr(Fraction, "__new__", refuse)
         value = partial_sum(24, 6000, mode="fixed", digits=20)
         monkeypatch.undo()
-        assert series._head_cutoff(24, value.scale, 6000) < 6000
+        assert series._newton_plan(24, 6000, value.scale)[1] < 6000
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("truncation", [20, 300])
     @pytest.mark.parametrize("digits", [490, 1000])
     def test_wide_requests_take_the_sweep(self, depth, truncation, digits):
-        # Wide requests take the sweep route of partial_sum, one row over
-        # all of 1..N, never the block: the Bernoulli table stays unbuilt.
-        # Where the cost rule picks the product tree (every case from depth
-        # 2 on, and depth 1 at 1000 digits) the row is correctly rounded;
-        # elsewhere it is the sweep kernel's bit for bit. Either is within
-        # the sweep's budget of depth*N/2 units.
+        # Wide requests lie far below the Euler-Maclaurin cutoff, so no
+        # tail is summed and the Bernoulli table stays unbuilt. Where the
+        # cost rule picks the product tree (every case from depth 2 on,
+        # and depth 1 at 1000 digits) the row is correctly rounded,
+        # elsewhere within one unit of exact; either is within the sweep
+        # kernel's budget of depth*N/2 units of its row.
         series._bernoulli_even.cache_clear()
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
         assert series._bernoulli_even.cache_info().currsize == 0
@@ -344,47 +331,60 @@ class TestBlockEvaluation:
         assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
         tree = series._tree_row_is_cheaper(depth, truncation, value.scale)
         assert tree == (depth >= 2 or digits == 1000)
-        if not tree:
-            assert value.mantissa == sweep
-            return
         exact = partial_sum_prefix(depth, truncation)[-1]
-        assert value.mantissa == div_round_half_even(
-            exact.numerator * 10**value.scale, exact.denominator)
+        if tree:
+            assert value.mantissa == div_round_half_even(
+                exact.numerator * 10**value.scale, exact.denominator)
+        else:
+            assert abs(value.mantissa - exact * 10**value.scale) < 1
 
     @pytest.mark.parametrize("function, args, route", [
         ("partial_sum", (4, 300, "fixed", 2000), "tree"),
         ("sinc_series", (Fraction(7, 5), 40, 300, 500), "tree"),
         ("partial_sum", (1, 300, "fixed", 2000), "tree"),
         ("partial_sum", (1, 300, "fixed", 4300), "tree"),
-        ("partial_sum", (1, 300, "fixed", 500), "sweep"),
-        ("partial_sum", (16, 16000, "fixed", 20), "block"),
-        ("partial_sum", (32, 10**4, "fixed", 20), "block"),
-        ("sinc_series", (Fraction(3, 2), 22, 3050, 20), "block"),
-        ("partial_sum", (16, 200, "fixed", 20), "sweep"),
+        ("partial_sum", (1, 300, "fixed", 500), "newton"),
+        ("partial_sum", (16, 16000, "fixed", 20), "newton"),
+        ("partial_sum", (32, 10**4, "fixed", 20), "newton"),
+        ("sinc_series", (Fraction(3, 2), 22, 3050, 20), "newton"),
+        ("partial_sum", (16, 200, "fixed", 20), "newton"),
     ], ids=["tree-4-300-2000", "tree-sinc-500", "tree-1-300-2000",
-            "tree-1-300-4300", "sweep-1-300-500", "block-16-16000-20",
-            "block-32-10000-20", "block-sinc-22-3050", "sweep-16-200-20"])
+            "tree-1-300-4300", "newton-1-300-500", "newton-16-16000-20",
+            "newton-32-10000-20", "newton-sinc-22-3050", "newton-16-200-20"])
     def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
                                              args, route):
         # Wide mantissas take the product tree, at depth 1 only from
-        # 600 + N places; narrow rows well above the head cutoff take the
-        # block, whose only sweep is its head, and below
-        # 2*M + 3*depth + 128 (M = 34 here) the sweep.
-        swept = []
+        # 600 + N places; every other row comes from the power sums. The
+        # sweep kernel is patched to fail: neither route runs it.
+        def no_sweep(*args):
+            raise AssertionError("the sweep kernel ran")
+
+        rows = []
+        newton_row = series._newton_row
 
         def recording(depth, truncation, scale):
-            swept.append(truncation)
-            return [10**scale] + [0] * depth
+            rows.append(truncation)
+            return newton_row(depth, truncation, scale)
 
-        monkeypatch.setattr(_backend, "dp_row_scaled", recording)
+        monkeypatch.setattr(_backend, "dp_row_scaled", no_sweep)
+        monkeypatch.setattr(series, "_newton_row", recording)
         getattr(series, function)(*args)
         truncation = args[1] if function == "partial_sum" else args[2]
-        if route == "tree":
-            assert swept == []
-        elif route == "sweep":
-            assert swept == [truncation]
-        else:
-            assert len(swept) == 1 and 2 * swept[0] < truncation
+        assert rows == ([] if route == "tree" else [truncation])
+
+    @pytest.mark.parametrize("bits", [40, 100, 300])
+    def test_dropped_tails_are_below_one_unit(self, bits):
+        # _newton_row sums the tails Z_i(a) for i <= _tail_terms only; the
+        # ones past it (Hurwitz zeta, at ample precision) are at most one
+        # unit of 2**-bits, and at the last one summed the bound that
+        # drops them, 2*a**(1-2i), is still above a unit.
+        with mpmath.workprec(bits + 64):
+            for a in (2, 3, 10, 50, 1000):
+                terms = series._tail_terms(60, a, bits)
+                for i in range(terms + 1, min(60, terms + 5) + 1):
+                    assert mpmath.zeta(2 * i, a) * 2**bits <= 1, (a, i)
+                if terms < 60:
+                    assert 2**(bits + 1) > a ** (2 * terms - 1), a
 
     @pytest.mark.parametrize("depth", [2, 3, 5, 8])
     def test_tree_rows_are_correctly_rounded(self, depth):
@@ -422,7 +422,7 @@ class TestBlockEvaluation:
                 Fraction(1, a**power) + Fraction(1, b**power))
             assert abs(centre(a) - centre(b) - exact) <= radius
             assert series._zeta_scaled(j, a, 40) == div_round_half_even(
-                centre(a).numerator * 10**40, centre(a).denominator)
+                centre(a).numerator << 40, centre(a).denominator)
 
     def test_bernoulli_table_built_on_first_use(self):
         script = (
@@ -592,6 +592,13 @@ class TestSincSeries:
                     for j in range(powers + 1))
         assert value.to_decimal_string(digits) == FixedDecimal.from_rational(
             exact, digits).to_decimal_string()
+
+    def test_work_counts_the_taylor_sum(self):
+        # The Taylor reference runs for 0 < |x| <= 2 only; at 99990 digits
+        # it alone is far above the step ceiling.
+        assert sinc_work(Fraction(1, 2), 1, 1, 99990) > series.STEP_CEILING
+        for x in (0, 3):
+            assert sinc_work(x, 1, 1, 99990) < series.STEP_CEILING
 
     def test_zero_powers_is_one(self):
         assert sinc_series(Fraction(1, 3), 0, 100, 20).as_fraction() == 1
