@@ -4,8 +4,9 @@ Subcommands: sum, converge, table, verify-theorem, sinc, bench. Output is
 deterministic for a given command line (benchmark timings excepted) in all
 three formats (text, csv, json).
 
-Exit codes: 0 success, 1 verification mismatch, 2 request refused as
-infeasible under the work ceiling, 3 invalid arguments or domain errors.
+Exit codes: 0 success, 1 verification mismatch, 2 request refused before
+any work (its estimated work is above a ceiling, series.STEP_CEILING for
+sum, converge, table and sinc), 3 invalid arguments or domain errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -24,13 +24,16 @@ from fractions import Fraction
 from . import _backend, bench
 from .errors import DomainError, InfeasibleError
 from .exactnum import FixedDecimal, int_to_decimal
-from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
+from .reference import (
+    MAX_PI_DIGITS,
+    REFERENCE_GUARD,
+    pi_power_work,
+    sinc_taylor,
+)
 from .series import (
-    DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
     STEP_CEILING,
     SeriesResult,
-    converge,
     partial_sum_work,
     required_truncation,
     series_result,
@@ -47,8 +50,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INFEASIBLE = 2
 EXIT_USAGE = 3
-
-WORK_CEILING_ENV = "PIPOW_WORK_CEILING"
 
 # The series commands judge their output against reference constants at
 # digits + REFERENCE_GUARD places, so the guard comes out of the pi budget.
@@ -116,24 +117,6 @@ def _rational(text: str) -> Fraction:
     )
 
 
-def _resolve_work_ceiling(args) -> int:
-    flag = getattr(args, "work_ceiling", None)
-    if flag is not None:
-        return flag
-    env = os.environ.get(WORK_CEILING_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(
-                f"{WORK_CEILING_ENV} must be an integer, got {env!r}"
-            )
-        if value < 1:
-            raise DomainError(f"{WORK_CEILING_ENV} must be positive")
-        return value
-    return DEFAULT_WORK_CEILING
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pipow",
@@ -150,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact rationals or fixed decimals (default: "
                             "exact up to --upto %d, fixed beyond)"
                             % EXACT_TRUNCATION_LIMIT)
-    p_sum.add_argument("--force-exact", action="store_true",
-                       help="allow exact mode above the default limit")
     p_sum.add_argument("--as-decimal", action="store_true",
                        help="render exact rational output as a decimal")
 
@@ -161,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--depth", type=_positive_int, required=True)
 
     p_table = sub.add_parser(
-        "table", help="one converged row per depth 1..max-depth, "
-                      "clamped to the work ceiling")
+        "table", help="one converged row per depth 1..max-depth")
     p_table.add_argument("--max-depth", type=_positive_int, required=True)
 
     p_verify = sub.add_parser(
@@ -187,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared options, added after each command's own so --help lists them
     # last.
-    for p, whose in ((p_sum, "the"), (p_conv, "the"),
-                     (p_table, "each row's")):
-        p.add_argument("--work-ceiling", type=_positive_int, default=None,
-                       help="cap on %s truncation N (env %s, default %d)"
-                            % (whose, WORK_CEILING_ENV, DEFAULT_WORK_CEILING))
     for p, default in ((p_sum, 20), (p_conv, 10), (p_table, 20),
                        (p_sinc, 20)):
         p.add_argument("--digits", type=_series_digits, default=default,
@@ -294,20 +269,13 @@ def _render_series(results: list, args) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _refuse_above_work_ceiling(truncation: int, ceiling: int) -> None:
-    if truncation > ceiling:
-        raise InfeasibleError(
-            "truncation %d is above the work ceiling of %d"
-            % (truncation, ceiling), required=truncation, ceiling=ceiling)
-
-
 def _refuse_above_step_ceiling(steps: int, request: str) -> None:
     """Refuses a request whose estimated digit steps pass STEP_CEILING."""
     if steps > STEP_CEILING:
         raise InfeasibleError(
             "%s needs about %d digit steps, above the ceiling of %d; "
             "lower one of these numbers" % (request, steps, STEP_CEILING),
-            required=steps, ceiling=STEP_CEILING,
+            required=steps,
         )
 
 
@@ -316,36 +284,41 @@ def cmd_sum(args) -> tuple[str, int]:
     mode = args.mode
     if mode is None:
         mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
-    if (mode == "exact" and truncation > EXACT_TRUNCATION_LIMIT
-            and not args.force_exact):
-        raise InfeasibleError(
-            "exact mode at truncation %d exceeds the limit of %d; "
-            "use --mode fixed or --force-exact"
-            % (truncation, EXACT_TRUNCATION_LIMIT),
-            required=truncation, ceiling=EXACT_TRUNCATION_LIMIT,
-        )
-    _refuse_above_work_ceiling(truncation, args.work_ceiling)
-    if mode == "fixed":
-        _refuse_above_step_ceiling(
-            partial_sum_work(args.depth, truncation, args.digits),
-            "sum --depth %d --upto %d --digits %d"
-            % (args.depth, truncation, args.digits))
+    # The tail bound and the limit each raise pi**2 to about the depth.
+    _refuse_above_step_ceiling(
+        partial_sum_work(args.depth, truncation, args.digits, mode)
+        + 2 * pi_power_work(args.depth, args.digits + REFERENCE_GUARD),
+        "sum --depth %d --upto %d --digits %d"
+        % (args.depth, truncation, args.digits))
     result = series_result(args.depth, truncation, mode, args.digits)
     return _render_series([result], args), EXIT_OK
 
 
+def _render_converged(args, depths: range, request: str) -> str:
+    """The fixed rows at required_truncation(depth, digits), refused
+    before any is computed if their estimated steps pass the ceiling,
+    each from the deepest with its three powers of pi**2 costed before
+    required_truncation runs one (0.3 s at depth 5000, 13 s at 20000)."""
+    digits, request = args.digits, request + " --digits %d" % args.digits
+    rows, steps = [], 0
+    for depth in reversed(depths):
+        steps += 3 * pi_power_work(depth, digits + REFERENCE_GUARD)
+        _refuse_above_step_ceiling(steps, request)
+        rows.insert(0, (depth, required_truncation(depth, digits)))
+        steps += partial_sum_work(*rows[0], digits)
+        _refuse_above_step_ceiling(steps, request)
+    return _render_series([series_result(depth, truncation, "fixed", digits)
+                           for depth, truncation in rows], args)
+
+
 def cmd_converge(args) -> tuple[str, int]:
-    result = converge(args.depth, args.digits, work_ceiling=args.work_ceiling)
-    return _render_series([result], args), EXIT_OK
+    return _render_converged(args, range(args.depth, args.depth + 1),
+                             "converge --depth %d" % args.depth), EXIT_OK
 
 
 def cmd_table(args) -> tuple[str, int]:
-    results = [
-        series_result(depth, min(required_truncation(depth, args.digits),
-                                 args.work_ceiling), "fixed", args.digits)
-        for depth in range(1, args.max_depth + 1)
-    ]
-    return _render_series(results, args), EXIT_OK
+    return _render_converged(args, range(1, args.max_depth + 1),
+                             "table --max-depth %d" % args.max_depth), EXIT_OK
 
 
 def cmd_verify_theorem(args) -> tuple[str, int]:
@@ -374,11 +347,13 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
-    _refuse_above_work_ceiling(terms, args.work_ceiling)
-    powers = _sinc_powers(x, digits, terms)
+    request = "sinc --x %s --terms %d --digits %d" % (x, terms, digits)
+    # The row at the power floor first: _sinc_powers' loop grows with |x|.
     _refuse_above_step_ceiling(
-        sinc_work(x, powers, terms, digits),
-        "sinc --x %s --terms %d --digits %d" % (x, terms, digits))
+        partial_sum_work(_sinc_power_floor(x, terms), terms, digits),
+        request)
+    powers = _sinc_powers(x, digits, terms)
+    _refuse_above_step_ceiling(sinc_work(x, powers, terms, digits), request)
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)
     if abs(x) <= 2:
@@ -418,6 +393,12 @@ def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
     return terms
 
 
+def _sinc_power_floor(x: Fraction, terms: int) -> int:
+    """A lower bound on _sinc_powers(x, digits, terms), with no loop: its
+    terms do not shrink while (2j+1)**2 <= (16x/5)**2."""
+    return min(terms, (16 * abs(x.numerator) // (5 * x.denominator) + 1) // 2)
+
+
 def cmd_bench(args) -> tuple[str, int]:
     rows, ok = bench.run_benchmark()
     records = []
@@ -453,7 +434,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        args.work_ceiling = _resolve_work_ceiling(args)
         output, code = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"pipow: invalid request: {exc}", file=sys.stderr)

@@ -6,14 +6,15 @@ class DomainError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """A request was refused because it exceeds a stated work ceiling.
+    """A request was refused before any work because its estimated work
+    exceeds a stated ceiling (series.STEP_CEILING digit steps for every
+    series request of the CLI).
 
-    Carries enough context to tell the caller what was needed versus what
-    was allowed, so the CLI can print an actionable refusal instead of
+    The message quotes the request and the ceiling, and `required` holds
+    the estimate, so the CLI prints an actionable refusal instead of
     silently burning CPU.
     """
 
-    def __init__(self, message: str, required=None, ceiling=None):
+    def __init__(self, message: str, required=None):
         super().__init__(message)
         self.required = required
-        self.ceiling = ceiling

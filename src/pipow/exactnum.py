@@ -21,6 +21,7 @@ from .errors import DomainError
 
 __all__ = [
     "FixedDecimal",
+    "decimal_length",
     "div_round_half_even",
     "div_round_up",
     "guard_digits",
@@ -53,19 +54,30 @@ def div_round_up(numerator: int, denominator: int) -> int:
     return -((-numerator) // denominator)
 
 
+def decimal_length(value: int) -> int:
+    """len(str(value)) for value >= 0, with no int->str conversion and so
+    none of its digit limit: at least 2**(b-1) for b bits, the value has
+    at least (b-1)*0.30102999 + 1 digits, and each comparison with the
+    next power of ten adds one."""
+    digits = max(0, value.bit_length() - 1) * 30102999 // 10**8 + 1
+    while value >= 10**digits:
+        digits += 1
+    return digits
+
+
 def guard_digits(operation_count: int) -> int:
     """Guard-digit budget for a computation of the given operation count.
 
     Each fixed-point operation loses at most half a unit in the last
     carried place, so a run of `operation_count` operations stays well
-    inside one unit at ten fewer digits than `10 + len(str(count))`
+    inside one unit at ten fewer digits than `10 + decimal_length(count)`
     (which equals 10 + ceil(log10(count + 1)) for positive counts).
     """
     if operation_count < 0:
         raise DomainError("operation count must be nonnegative")
     if operation_count == 0:
         return 10
-    return 10 + len(str(operation_count))
+    return 10 + decimal_length(operation_count)
 
 
 def int_to_decimal(value: int) -> str:

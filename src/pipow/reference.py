@@ -44,6 +44,7 @@ __all__ = [
     "factorial",
     "pi_digits",
     "pi_mantissa",
+    "pi_power_work",
     "reference_value",
     "sinc_taylor",
 ]
@@ -242,6 +243,16 @@ def basel_power(power: int, digits: int) -> FixedDecimal:
     if power < 0:
         raise DomainError("power must be nonnegative")
     return _pi_power_ratio(power, 6**power, digits)
+
+
+def pi_power_work(power: int, digits: int) -> int:
+    """Estimated digit steps of reference_value or basel_power at (power,
+    digits), pi cached: `power` products of the square at w working bits
+    into an accumulator growing 3.3 bits a product, each its mean length
+    times sqrt(w) / 400. A step took 24 to 54 ns (powers 1 to 10**4, 5 to
+    5000 digits)."""
+    bits = (digits + REFERENCE_GUARD) * 3322 // 1000 + 1 + _GUARD_BITS + power
+    return power * (bits + 33 * power // 20) * math.isqrt(bits) // 400
 
 
 def sinc_taylor(x, digits: int) -> FixedDecimal:

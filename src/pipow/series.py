@@ -10,8 +10,8 @@ As N grows, S_n(N) converges to pi**(2n) / (2n+1)!. This module computes
 the partial sums four independent ways (a product tree over the integer
 polynomial prod (l**2 + t), a single O(N*n) Fraction sweep, direct tuple
 enumeration, and Newton's identities on power sums), bounds the truncation
-error rigorously, and drives truncations to a requested precision under a
-work ceiling.
+error rigorously, plans the truncation for a requested precision, and
+estimates each request's cost against STEP_CEILING.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. Every fixed-mode
@@ -39,15 +39,14 @@ from typing import Union
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
     FixedDecimal,
+    decimal_length,
     div_round_half_even,
     div_round_up,
     guard_digits,
-    int_to_decimal,
 )
 from .reference import REFERENCE_GUARD, basel_power, reference_value
 
 __all__ = [
-    "DEFAULT_WORK_CEILING",
     "EXACT_TRUNCATION_LIMIT",
     "NAIVE_ENUMERATION_CEILING",
     "STEP_CEILING",
@@ -66,16 +65,14 @@ __all__ = [
     "tail_bound",
 ]
 
-# Ceiling on the truncation N accepted by converge and the CLI.
-DEFAULT_WORK_CEILING = 10**8
-# Ceiling on the digit steps (_row_steps, sinc_work) of a fixed sum or a
-# sinc request: a step measured 3 to 35 ns, so a request at the ceiling
-# runs for at most about 2 s.
+# Ceiling on the estimated digit steps (partial_sum_work, sinc_work) of
+# every series request of the CLI: a step measured 1.2 to 54 ns, so a
+# request at the ceiling runs for at most about 3 s.
 STEP_CEILING = 5 * 10**7
 # Ceiling on C(N, depth) above which direct tuple enumeration is refused.
 NAIVE_ENUMERATION_CEILING = 10**7
-# Largest truncation the CLI accepts in exact mode without an override:
-# rational denominators grow superpolynomially with N.
+# Largest truncation at which `sum` defaults to exact mode: the exact
+# denominator (N!)**2 grows superpolynomially with N.
 EXACT_TRUNCATION_LIMIT = 2000
 # Euler-Maclaurin correction terms in each tail power sum of fixed mode;
 # the head cutoff then grows like 2**(bits / (2*EM_TERMS + 3)).
@@ -236,11 +233,13 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
 
     That remainder is |B_(2K+2)| * 2**bits / a**(2K+3) with |B_26| > 1,
     so while (N+1)**(2K+3) <= 2**bits, H = N and the Bernoulli table
-    stays unbuilt; otherwise the search starts at the integer root of
-    the bound and steps up.
+    stays unbuilt (a bit length of N+1 past bits/(2K+3) + 1 rules that
+    out before the power is formed); otherwise the search starts at the
+    integer root of the bound and steps up.
     """
-    power = 2 * EM_TERMS + 3
-    if depth < 1 or (truncation + 1) ** power <= 1 << bits:
+    power, a = 2 * EM_TERMS + 3, truncation + 1
+    if depth < 1 or ((a.bit_length() - 1) * power <= bits
+                     and a ** power <= 1 << bits):
         return truncation
     _, denominator, remainder = _euler_maclaurin(1)
     base = _integer_root((remainder << bits) // denominator, power)
@@ -357,23 +356,16 @@ def _newton_row(depth: int, truncation: int, scale: int) -> list:
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     """Whether the product tree takes the row at (depth, N, scale):
-    1 <= N <= 10**5 and scale >= 100 + (4 + depth//8) * isqrt(N) at
-    depth >= 2; 1 <= N <= 10**4 and scale >= 600 + N at depth 1.
+    scale >= N * (1 + depth/16).
 
-    The tree's product does not depend on the scale but grows faster
-    than N (its coefficients have about 2*log10(N!) digits) and about
-    like depth**2; its depth+1 divisions grow like scale*D for
-    coefficients of D digits. The thresholds lie above every crossover
-    with the sweep kernel, timed when it took the other rows (depths 1
-    to 32, N from 10 to 10**5, 50 to 16000 places). Against _newton_row
-    they hold at depth 1, but at depth >= 2 and N >= 1000 the tree loses
-    at the threshold by 2.2 to 26 times (timed cold; depth 4, N = 10**4,
-    500 places: 202 ms against 24 ms).
+    The tree's product does not depend on the scale but grows faster than
+    N; _newton_row's head grows like N*scale. Timed against it (best of
+    2, cold plan, depths 1 to 64, N from 100 to 10**4), the tree overtook
+    it at 0.5 to 3 times N places, the factor growing with the depth
+    (depth 2, N = 10**4: about 4600; depth 64, N = 1000: about 3000); the
+    rule lies at or above every crossover timed from N = 300 on.
     """
-    if depth == 1:
-        return 1 <= truncation <= 10**4 and scale >= 600 + truncation
-    return (depth >= 2 and 1 <= truncation <= 10**5
-            and scale >= 100 + (4 + depth // 8) * math.isqrt(truncation))
+    return 16 * scale >= truncation * (16 + depth)
 
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
@@ -391,22 +383,34 @@ def _scaled_row(depth: int, truncation: int, scale: int) -> list:
             for c in coefficients]
 
 
+def _tree_units(depth: int, truncation: int) -> tuple:
+    """(units, D): the product tree's count in the units of _row_steps,
+    and D, the decimal length of (N!)**2.
+
+    It counts D**log2(3) for each full-size Karatsuba product of the
+    merges: each half holds m = min(depth, N/2 + 1) coefficients, the
+    k-th about 1 - k/(N/2) of the half's digits, which makes about
+    (m - m*m/(N+1))**2 full-size products; and 2048 per leaf step,
+    N*min(depth, LEAF) of them.
+    """
+    digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
+    width = min(depth, truncation // 2 + 1)
+    pairs = (width - width * width // (truncation + 1)) ** 2
+    return (int(pairs * digits ** math.log2(3))
+            + 2048 * truncation * min(depth, LEAF)), digits
+
+
 def _row_steps(depth: int, truncation: int, scale: int) -> int:
     """Estimated cost of _scaled_row(depth, truncation, scale), in digit
     steps: the unit of the sweep kernel `_backend.dp_row_scaled`, one
     step per index, depth entry and mantissa digit, which measured 3 to
     35 ns a step (pure Python, depths 22 to 400, 44 to 10**4 places).
 
-    The tree counts D**log2(3) for each full-size Karatsuba product of
-    its merges, D the decimal length of (N!)**2: each half holds
-    m = min(depth, N/2 + 1) coefficients, the k-th about 1 - k/(N/2) of
-    the half's digits, which makes about (m - m*m/(N+1))**2 full-size
-    products. It adds (scale + D)**1.5 for each scaled entry and
-    scale*D/8 for each long division, min(depth, N) + 1 of them, and 2048
-    per leaf step, N*min(depth, LEAF) of them. That count measured 0.04
-    to 0.45 ns per unit (depths 1 to 1000, N from 1 to 10**5, 168 to
-    10**5 places), so 64 units make one step and the count bounds the
-    tree from above.
+    The tree counts _tree_units, plus (scale + D)**1.5 for each scaled
+    entry and scale*D/8 for each long division, min(depth, N) + 1 of
+    them. That count measured 0.04 to 0.45 ns per unit (depths 1 to
+    1000, N from 1 to 10**5, 168 to 10**5 places), so 64 units make one
+    step and the count bounds the tree from above.
 
     _newton_row counts scale**2/2000 + 18 per depth**2, for Newton's
     identities and the plan's radius, and stops there, unplanned, if
@@ -417,15 +421,11 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     took 1.2 to 16 ns cold.
     """
     if _tree_row_is_cheaper(depth, truncation, scale):
-        digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
-        width = min(depth, truncation // 2 + 1)
-        pairs = (width - width * width // (truncation + 1)) ** 2
+        units, digits = _tree_units(depth, truncation)
         entries = min(depth, truncation) + 1
         wide = scale + digits
-        return (int(pairs * digits ** math.log2(3))
-                + entries * wide * math.isqrt(wide)
-                + entries * scale * digits // 8
-                + 2048 * truncation * min(depth, LEAF)) // 64
+        return (units + entries * wide * math.isqrt(wide)
+                + entries * scale * digits // 8) // 64
     steps = depth * depth * (scale * scale // 2000 + 18)
     if steps > STEP_CEILING:
         return steps
@@ -484,11 +484,24 @@ def partial_sum(
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
 
-def partial_sum_work(depth: int, truncation: int, digits: int) -> int:
-    """Estimated cost of partial_sum(depth, truncation, "fixed", digits),
-    in digit steps (_row_steps)."""
-    return _row_steps(depth, truncation,
-                      digits + guard_digits(depth * truncation))
+def partial_sum_work(depth: int, truncation: int, digits: int,
+                     mode: str = "fixed") -> int:
+    """Estimated cost of partial_sum(depth, truncation, mode, digits), in
+    digit steps (_row_steps).
+
+    Exact mode counts _tree_units, 64 to a step, plus D**2/2000 for
+    reducing and rendering the D-digit rational: a step took 2.2 to 53
+    ns (cold CLI runs, depths 1 to 1000, N from 300 to 40000). Its leaves
+    alone, 32*N*min(depth, LEAF), end the estimate past STEP_CEILING.
+    """
+    if mode == "fixed":
+        return _row_steps(depth, truncation,
+                          digits + guard_digits(depth * truncation))
+    leaves = 32 * truncation * min(depth, LEAF)
+    if leaves > STEP_CEILING:
+        return leaves
+    units, width = _tree_units(depth, truncation)
+    return units // 64 + width * width // 2000
 
 
 def partial_sum_prefix(depth: int, truncation: int) -> list:
@@ -526,7 +539,6 @@ def partial_sum_naive(depth: int, truncation: int) -> Fraction:
             "enumeration of %d tuples exceeds the ceiling of %d"
             % (tuples, NAIVE_ENUMERATION_CEILING),
             required=tuples,
-            ceiling=NAIVE_ENUMERATION_CEILING,
         )
     total = Fraction(0)
     for subset in combinations(range(1, truncation + 1), depth):
@@ -655,36 +667,17 @@ def required_truncation(depth: int, digits: int) -> int:
     return div_round_up(upper, (10**10 - 1) * 10**10)
 
 
-def converge(
-    depth: int, digits: int, work_ceiling: int | None = None
-) -> SeriesResult:
+def converge(depth: int, digits: int) -> SeriesResult:
     """Smallest truncation whose tail bound drops below 10**-digits.
 
     Chooses N = required_truncation(depth, digits), computes the
     fixed-mode partial sum there, and packages it with the bound, the
-    reference limit, and the observed absolute error. If the required N
-    exceeds the work ceiling (default 10**8), the request is refused with
-    the required truncation attached rather than silently truncating
-    early; the bound decays only like 1/N, so this is the expected
-    outcome for roughly nine or more digits.
+    reference limit, and the observed absolute error. Past the
+    Euler-Maclaurin cutoff the row costs the same at any N, so
+    partial_sum_work(depth, N, digits) grows with depth and digits only.
     """
-    if depth < 1:
-        raise DomainError("converge requires depth >= 1")
-    if digits < 1:
-        raise DomainError("converge requires at least one digit")
-    ceiling = DEFAULT_WORK_CEILING if work_ceiling is None else work_ceiling
-    if ceiling < 1:
-        raise DomainError("work ceiling must be a positive integer")
-    truncation = required_truncation(depth, digits)
-    if truncation > ceiling:
-        raise InfeasibleError(
-            "reaching %d digits at depth %d requires truncation N = %d, "
-            "above the work ceiling of %d"
-            % (digits, depth, truncation, ceiling),
-            required=truncation,
-            ceiling=ceiling,
-        )
-    return series_result(depth, truncation, "fixed", digits)
+    return series_result(depth, required_truncation(depth, digits), "fixed",
+                         digits)
 
 
 def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
@@ -717,8 +710,8 @@ def _sinc_guard(x2: Fraction, powers: int, truncation: int) -> int:
     rounding error is multiplied."""
     guard = guard_digits(max(truncation * powers, powers, 1))
     if x2 > 1:
-        growth = x2.numerator**powers // x2.denominator**powers
-        guard += len(int_to_decimal(growth))
+        guard += decimal_length(x2.numerator**powers
+                                // x2.denominator**powers)
     return guard
 
 

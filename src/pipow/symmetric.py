@@ -174,7 +174,7 @@ def verify_expansion(n_vars: int) -> ExpansionReport:
         raise InfeasibleError(
             "verifying m = %d variables expands 2**%d terms; at most m = %d "
             "is accepted" % (n_vars, n_vars, VERIFY_WORK_CEILING),
-            required=n_vars, ceiling=VERIFY_WORK_CEILING)
+            required=n_vars)
     expansion = expand_product(n_vars)
     row = elementary_symmetric_row(n_vars, n_vars)
     details = []

@@ -1,4 +1,4 @@
-"""Command-line interface: output formats, exit codes, environment knobs.
+"""Command-line interface: output formats, exit codes, refusals.
 
 Everything runs in-process through main(argv) for speed; a single
 subprocess test proves the installed console script exists.
@@ -13,11 +13,12 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pipow import bench, cli, reference, series, symmetric
 from pipow.exactnum import FixedDecimal
-from pipow.series import partial_sum
+from pipow.series import partial_sum, required_truncation
 from pipow.cli import (
     EXIT_INFEASIBLE,
     EXIT_MISMATCH,
@@ -31,6 +32,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_certified(records, digits):
+    """Each converged record's bound is at most 10**-digits (printed at
+    digits + 2 places) and its value lies within that bound plus
+    10**-digits of pi**(2n)/(2n+1)!, computed by mpmath."""
+    with mpmath.workdps(digits + 30):
+        for record in records:
+            depth = record["depth"]
+            limit = mpmath.pi ** (2 * depth) / mpmath.factorial(2 * depth + 1)
+            bound = mpmath.mpf(record["tail_bound"])
+            assert bound <= mpmath.mpf(10) ** -digits
+            assert (abs(mpmath.mpf(record["value"]) - limit)
+                    <= bound + mpmath.mpf(10) ** -digits)
 
 
 class TestSumCommand:
@@ -106,14 +121,18 @@ class TestSumCommand:
         assert bound > Fraction(16449, 10**4)  # > pi**2/6
 
     def test_exact_guardrail_and_override(self, capsys):
-        code, _, err = run_cli(capsys, "sum", "--depth", "1", "--upto",
-                               "2500", "--mode", "exact")
-        assert code == EXIT_INFEASIBLE
-        assert "refused" in err
+        # Exact mode past the default switch is served without a flag and
+        # refused by its estimated work alone (the override flag now exits
+        # 3: test_removed_knobs_are_usage_errors).
         code, out, _ = run_cli(capsys, "sum", "--depth", "1", "--upto",
-                               "2500", "--mode", "exact", "--force-exact")
+                               "2500", "--mode", "exact", "--format", "json")
         assert code == EXIT_OK
-        assert "value:" in out
+        assert json.loads(out)["value"] == str(partial_sum(1, 2500))
+        code, out, err = run_cli(capsys, "sum", "--depth", "1", "--upto",
+                                 "40000", "--mode", "exact")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "sum --depth 1 --upto 40000 --digits 20 needs about" in err
 
     def test_exact_output_beyond_int_str_limit(self, capsys):
         # The reduced denominator of S_7(2000) has more than 4300 digits.
@@ -130,13 +149,6 @@ class TestSumCommand:
         assert parsed == partial_sum(7, 2000)
         assert parsed.denominator >= 10**4300
 
-    def test_work_ceiling_flag(self, capsys):
-        code, _, err = run_cli(capsys, "sum", "--depth", "1", "--upto",
-                               "5000", "--mode", "fixed",
-                               "--work-ceiling", "100")
-        assert code == EXIT_INFEASIBLE
-        assert "refused" in err
-
 
 class TestConvergeCommand:
     def test_four_digits(self, capsys):
@@ -151,45 +163,51 @@ class TestConvergeCommand:
         assert Fraction(payload["abs_error"].replace(".", "")) / 10**6 <= (
             Fraction(1, 10**4))
 
-    def test_infeasible_fifty_digits(self, capsys):
-        code, _, err = run_cli(capsys, "converge", "--depth", "2",
-                               "--digits", "50")
-        assert code == EXIT_INFEASIBLE
-        assert "164493406701271984317368715096339390431528929163833" in err
-
-    def test_env_ceiling_is_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORK_CEILING_ENV, "1000")
-        code, _, err = run_cli(capsys, "converge", "--depth", "1",
-                               "--digits", "6")
-        assert code == EXIT_INFEASIBLE
-        assert "1000001" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORK_CEILING_ENV, "1000")
-        code, out, _ = run_cli(capsys, "converge", "--depth", "1",
-                               "--digits", "6", "--work-ceiling", "2000000",
-                               "--format", "json")
+    @pytest.mark.parametrize("argv, digits", [
+        (["--depth", "1"], 10),
+        (["--depth", "2", "--digits", "50"], 50),
+        (["--depth", "300", "--digits", "3"], 3),
+    ], ids=["default", "depth-2-fifty-digits", "depth-300"])
+    def test_served_within_the_certified_bound(self, capsys, argv, digits):
+        # Past the Euler-Maclaurin cutoff the row costs the same at any N,
+        # so N far above 10**8 is served; the value lies within
+        # tail_bound + 10**-digits of the limit, judged by mpmath.
+        code, out, _ = run_cli(capsys, "converge", *argv, "--format",
+                               "json")
         assert code == EXIT_OK
-        assert json.loads(out)["truncation"] == 1000001
+        assert_certified([json.loads(out)], digits)
 
-    def test_malformed_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORK_CEILING_ENV, "many")
-        code, _, err = run_cli(capsys, "converge", "--depth", "1",
-                               "--digits", "3")
-        assert code == EXIT_USAGE
-        assert "invalid request" in err
+    def test_fifty_digits_served_seventy_refused(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--depth", "2",
+                               "--digits", "50", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["truncation"] == (
+            164493406701271984317368715096339390431528929163833)
+        code, out, err = run_cli(capsys, "converge", "--depth", "2",
+                                 "--digits", "70")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "converge --depth 2 --digits 70 needs about" in err
 
 
 class TestTableCommand:
-    def test_row_count_and_clamping(self, capsys):
+    def test_row_count_and_truncations(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-depth", "4",
-                               "--digits", "6", "--work-ceiling", "20000",
-                               "--format", "csv")
+                               "--digits", "6", "--format", "csv")
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["depth"]) for r in rows] == [1, 2, 3, 4]
-        for row in rows:
-            assert int(row["truncation"]) <= 20000
+        for depth, row in enumerate(rows, 1):
+            assert int(row["truncation"]) == required_truncation(depth, 6)
+
+    def test_default_rows_reach_twenty_digits(self, capsys):
+        # Every row is served at its own truncation, above 10**20.
+        code, out, _ = run_cli(capsys, "table", "--max-depth", "3",
+                               "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        assert [row["depth"] for row in rows] == [1, 2, 3]
+        assert_certified(rows, 20)
 
     def test_text_layout_has_aligned_columns(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-depth", "3",
@@ -321,29 +339,6 @@ class TestSincCommand:
         assert code == EXIT_OK
         assert spaced == joined
 
-    @pytest.mark.parametrize("env, terms", [
-        (None, series.DEFAULT_WORK_CEILING + 1), ("50", 51),
-    ])
-    def test_terms_above_the_work_ceiling_are_refused(self, capsys,
-                                                      monkeypatch, env,
-                                                      terms):
-        def no_work(*args):
-            raise AssertionError("the sinc evaluation started")
-
-        monkeypatch.setattr(cli, "_sinc_powers", no_work)
-        monkeypatch.setattr(cli, "sinc_product", no_work)
-        if env is None:
-            monkeypatch.delenv(cli.WORK_CEILING_ENV, raising=False)
-        else:
-            monkeypatch.setenv(cli.WORK_CEILING_ENV, env)
-        ceiling = series.DEFAULT_WORK_CEILING if env is None else int(env)
-        code, out, err = run_cli(capsys, "sinc", "--x", "1/2", "--terms",
-                                 str(terms))
-        assert code == EXIT_INFEASIBLE
-        assert out == ""
-        assert (f"truncation {terms} is above the work ceiling of {ceiling}"
-                in err)
-
     @pytest.mark.parametrize("x, terms", [("50", 2000), ("200", 5000),
                                           ("1/2", 1000),
                                           ("1/1000", 100000000)])
@@ -364,6 +359,17 @@ class TestSincCommand:
         assert out == ""
         assert f"sinc --x {x} --terms {terms} --digits" in err
         assert f"ceiling of {series.STEP_CEILING}" in err
+
+    @pytest.mark.parametrize("x", ["0", "1/3", "-5/16", "5/16", "3/2",
+                                   "15/8", "-7/3", "25/8", "50", "-201/2"])
+    def test_power_floor_is_a_lower_bound(self, x):
+        # The floor refuses a request before the power count is formed,
+        # so it must never exceed that count.
+        x = Fraction(x)
+        for digits in (1, 20, 300):
+            for terms in (0, 1, 3, 40, 10**6):
+                assert (cli._sinc_power_floor(x, terms)
+                        <= cli._sinc_powers(x, digits, terms))
 
     def test_zero_terms_is_the_empty_product(self, capsys):
         # No power is summed: the series row has depth 0.
@@ -392,9 +398,28 @@ class TestRunawayRequests:
           "--digits", "2000"], "sum --depth 1 --upto 10000000 --digits 2000"),
         (["sinc", "--x", "1/2", "--terms", "1", "--digits", "99990"],
          "sinc --x 1/2 --terms 1 --digits 99990"),
-    ], ids=["sum-depth-2", "sum-depth-1", "sinc-taylor"])
+        (["sum", "--depth", "500", "--upto", "2000"],
+         "sum --depth 500 --upto 2000 --digits 20"),
+        (["sum", "--depth", "20000", "--upto", "5"],
+         "sum --depth 20000 --upto 5 --digits 20"),
+        (["converge", "--depth", "2", "--digits", "70"],
+         "converge --depth 2 --digits 70"),
+        (["converge", "--depth", "20000", "--digits", "5"],
+         "converge --depth 20000 --digits 5"),
+        (["table", "--max-depth", "20000", "--digits", "3"],
+         "table --max-depth 20000 --digits 3"),
+        (["sinc", "--x", "100000", "--terms", "1000000"],
+         "sinc --x 100000 --terms 1000000 --digits 20"),
+        (["sinc", "--x", "1/2", "--terms", "200000000"],
+         "sinc --x 1/2 --terms 200000000 --digits 20"),
+    ], ids=["sum-depth-2", "sum-depth-1", "sinc-taylor", "sum-exact",
+            "sum-deep-references", "converge-seventy-digits",
+            "converge-deep", "table-deep", "sinc-wide-x", "sinc-many-terms"])
     def test_refused_before_work(self, capsys, monkeypatch, argv, quoted):
-        # Unrefused, the two sums ran past 60 s and the sinc for 168 s.
+        # Unrefused, the two fixed sums ran past 60 s, the sinc Taylor sum
+        # for 168 s and the exact sum for 15.6 s; the deep table ran past
+        # 120 s, the wide-x sinc's power count past 30 s, and the two
+        # reference constants of the empty depth-20000 sum take 27 s.
         def no_work(*args):
             raise AssertionError("the computation started")
 
@@ -500,12 +525,18 @@ class TestUsageErrors:
         assert f"at most {limit} digits are supported, got {digits}" in err
         assert str(int(digits) + reference.REFERENCE_GUARD) not in err
 
-    @pytest.mark.parametrize("command", ["sum", "converge", "table"])
-    def test_work_ceiling_help_names_the_truncation(self, capsys, command):
-        code, out, _ = run_cli(capsys, command, "--help")
-        assert code == EXIT_OK
-        assert "truncation N" in " ".join(out.split())
-        assert "ring operations" not in out
+    @pytest.mark.parametrize("command", [
+        ["sum", "--depth", "1", "--upto", "10"],
+        ["converge", "--depth", "1"],
+        ["table", "--max-depth", "2"],
+    ])
+    @pytest.mark.parametrize("option", [["--work-ceiling", "100"],
+                                        ["--force-exact"]])
+    def test_removed_knobs_are_usage_errors(self, capsys, command, option):
+        code, out, err = run_cli(capsys, *command, *option)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestConsoleScript:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pipow.errors import DomainError
 from pipow.exactnum import (
     FixedDecimal,
+    decimal_length,
     div_round_half_even,
     div_round_up,
     guard_digits,
@@ -104,6 +105,11 @@ class TestGuardDigits:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             guard_digits(-1)
+
+    def test_counts_past_the_int_str_limit(self):
+        # A truncation of 4300+ digits times the depth: the cost estimate
+        # of a deep converge request takes its guard.
+        assert guard_digits(20000 * 10**4320) == 10 + 4325
 
 
 class TestFixedDecimalConstruction:
@@ -212,6 +218,21 @@ def int_str_limit(digits: int):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+class TestDecimalLength:
+    @pytest.mark.parametrize("k", [*range(0, 40), 300, 1233, 4299, 4300,
+                                   4301, 5000, 12345])
+    def test_matches_str_at_powers_of_ten(self, k):
+        with int_str_limit(0):
+            for value in (10**k - 1, 10**k, 10**k + 1):
+                assert decimal_length(value) == len(str(value))
+
+    @given(st.integers(min_value=0, max_value=2**20000))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_str(self, value):
+        with int_str_limit(0):
+            assert decimal_length(value) == len(str(value))
 
 
 class TestIntToDecimal:

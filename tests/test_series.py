@@ -25,7 +25,6 @@ from pipow.errors import DomainError, InfeasibleError
 from pipow.exactnum import FixedDecimal, div_round_half_even, guard_digits
 from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
-    DEFAULT_WORK_CEILING,
     EXACT_TRUNCATION_LIMIT,
     LEAF,
     converge,
@@ -318,44 +317,39 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("digits", [490, 1000])
     def test_wide_requests_take_the_sweep(self, depth, truncation, digits):
         # Wide requests lie far below the Euler-Maclaurin cutoff, so no
-        # tail is summed and the Bernoulli table stays unbuilt. Where the
-        # cost rule picks the product tree (every case from depth 2 on,
-        # and depth 1 at 1000 digits) the row is correctly rounded,
-        # elsewhere within one unit of exact; either is within the sweep
-        # kernel's budget of depth*N/2 units of its row.
+        # tail is summed and the Bernoulli table stays unbuilt. The cost
+        # rule picks the product tree for every case (N <= 300 and at
+        # least 500 places), so the row is correctly rounded, within the
+        # sweep kernel's budget of depth*N/2 units of its row.
         series._bernoulli_even.cache_clear()
         value = partial_sum(depth, truncation, mode="fixed", digits=digits)
         assert series._bernoulli_even.cache_info().currsize == 0
         assert value.scale >= 500
         sweep = _backend.dp_row_scaled(depth, truncation, value.scale)[depth]
         assert 2 * abs(value.mantissa - sweep) <= depth * truncation + 1
-        tree = series._tree_row_is_cheaper(depth, truncation, value.scale)
-        assert tree == (depth >= 2 or digits == 1000)
+        assert series._tree_row_is_cheaper(depth, truncation, value.scale)
         exact = partial_sum_prefix(depth, truncation)[-1]
-        if tree:
-            assert value.mantissa == div_round_half_even(
-                exact.numerator * 10**value.scale, exact.denominator)
-        else:
-            assert abs(value.mantissa - exact * 10**value.scale) < 1
+        assert value.mantissa == div_round_half_even(
+            exact.numerator * 10**value.scale, exact.denominator)
 
     @pytest.mark.parametrize("function, args, route", [
         ("partial_sum", (4, 300, "fixed", 2000), "tree"),
-        ("sinc_series", (Fraction(7, 5), 40, 300, 500), "tree"),
+        ("sinc_series", (Fraction(7, 5), 40, 100, 500), "tree"),
         ("partial_sum", (1, 300, "fixed", 2000), "tree"),
         ("partial_sum", (1, 300, "fixed", 4300), "tree"),
-        ("partial_sum", (1, 300, "fixed", 500), "newton"),
+        ("partial_sum", (1, 300, "fixed", 200), "newton"),
         ("partial_sum", (16, 16000, "fixed", 20), "newton"),
         ("partial_sum", (32, 10**4, "fixed", 20), "newton"),
         ("sinc_series", (Fraction(3, 2), 22, 3050, 20), "newton"),
         ("partial_sum", (16, 200, "fixed", 20), "newton"),
     ], ids=["tree-4-300-2000", "tree-sinc-500", "tree-1-300-2000",
-            "tree-1-300-4300", "newton-1-300-500", "newton-16-16000-20",
+            "tree-1-300-4300", "newton-1-300-200", "newton-16-16000-20",
             "newton-32-10000-20", "newton-sinc-22-3050", "newton-16-200-20"])
     def test_row_route_follows_the_cost_rule(self, monkeypatch, function,
                                              args, route):
-        # Wide mantissas take the product tree, at depth 1 only from
-        # 600 + N places; every other row comes from the power sums. The
-        # sweep kernel is patched to fail: neither route runs it.
+        # Rows at N * (1 + depth/16) places or more take the product
+        # tree; every other row comes from the power sums. The sweep
+        # kernel is patched to fail: neither route runs it.
         def no_sweep(*args):
             raise AssertionError("the sweep kernel ran")
 
@@ -522,23 +516,11 @@ class TestConverge:
         value = result.value.as_fraction()
         assert lo - Fraction(1, 10**4) < value < hi
 
-    def test_work_ceiling_refusal(self):
-        with pytest.raises(InfeasibleError) as info:
-            converge(2, 6, work_ceiling=10**5)
-        assert info.value.required == 1644935
-        assert info.value.ceiling == 10**5
-
-    def test_default_ceiling_allows_six_digits(self):
-        # 1000001 <= 10^8: runs without a ceiling argument.
-        assert DEFAULT_WORK_CEILING == 10**8
-        result = converge(1, 6)
-        assert result.truncation <= DEFAULT_WORK_CEILING
-
     def test_validation(self):
         with pytest.raises(DomainError):
             converge(0, 5)
         with pytest.raises(DomainError):
-            converge(1, 5, work_ceiling=0)
+            converge(1, 0)
 
 
 class TestSincProduct:

@@ -1,4 +1,5 @@
-"""The package namespace, the README quickstart and the benchmark's hooks.
+"""The package namespace, the command-line options, the README quickstart
+and the benchmark's hooks.
 
 ``perfbench/spans.py`` wraps pipow functions by module and attribute name
 and reads their arguments by parameter name, so a rename or a dropped
@@ -6,6 +7,7 @@ parameter in ``src/`` breaks the traced benchmark run silently; these
 tests catch it in the regular suite.
 """
 
+import argparse
 import doctest
 import importlib
 import importlib.util
@@ -14,6 +16,7 @@ import re
 from pathlib import Path
 
 import pipow
+from pipow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,3 +83,26 @@ class TestNamespace:
         runner = doctest.DocTestRunner()
         runner.run(test)
         assert runner.summarize(verbose=False) == (0, 7)
+
+
+class TestCommandLineSurface:
+    # Every option of every subcommand; a new knob must change this table.
+    OPTIONS = {
+        "sum": {"--depth", "--upto", "--mode", "--as-decimal", "--digits"},
+        "converge": {"--depth", "--digits"},
+        "table": {"--max-depth", "--digits"},
+        "verify-theorem": {"--m"},
+        "sinc": {"--x", "--terms", "--digits"},
+        "bench": set(),
+    }
+    SHARED = {"-h", "--help", "--format", "--out"}
+
+    def test_option_sets_are_pinned(self):
+        parser = cli.build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == set(self.OPTIONS)
+        for name, command in commands.items():
+            options = {option for action in command._actions
+                       for option in action.option_strings}
+            assert options == self.OPTIONS[name] | self.SHARED, name
