@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend
 from .errors import InfeasibleError
@@ -50,8 +50,7 @@ REFUSAL_CASE = (5, 100)
 REFERENCE_DIGITS = (1000, 4300, 20000)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     """One timed (or refused) benchmark measurement; in the reference
     section `operations` is the digit count."""
 

@@ -12,16 +12,14 @@ sum, converge, table and sinc), 3 invalid arguments or domain errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
+import math
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import _backend, bench
+from . import _backend
 from .errors import DomainError, InfeasibleError
 from .exactnum import FixedDecimal, int_to_decimal
 from .reference import (
@@ -36,12 +34,12 @@ from .series import (
     SeriesResult,
     partial_sum_work,
     required_truncation,
+    row_work_floor,
     series_result,
     sinc_product,
     sinc_series,
     sinc_work,
 )
-from .symmetric import PRACTICAL_VERIFY_CEILING, verify_expansion
 
 __all__ = ["EXIT_INFEASIBLE", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE",
            "build_parser", "entrypoint", "main"]
@@ -220,10 +218,14 @@ def _render(records: list, output_format: str, payload=None,
     `key: value` lines for one record and _table for several.
     """
     if output_format == "json":
+        import json
+
         if payload is None:
             payload = records[0] if len(records) == 1 else records
         return json.dumps(payload, indent=2) + "\n"
     if output_format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(records[0])
@@ -270,11 +272,14 @@ def _render_series(results: list, args) -> str:
 
 
 def _refuse_above_step_ceiling(steps: int, request: str) -> None:
-    """Refuses a request whose estimated digit steps pass STEP_CEILING."""
+    """Refuses a request whose estimated digit steps pass STEP_CEILING,
+    quoting a count of more than 15 digits as the nearest power of ten."""
     if steps > STEP_CEILING:
+        about = ("%d" % steps if steps < 10**15
+                 else "10**%d" % round(math.log10(steps)))
         raise InfeasibleError(
-            "%s needs about %d digit steps, above the ceiling of %d; "
-            "lower one of these numbers" % (request, steps, STEP_CEILING),
+            "%s needs about %s digit steps, above the ceiling of %d; "
+            "lower one of these numbers" % (request, about, STEP_CEILING),
             required=steps,
         )
 
@@ -297,13 +302,15 @@ def cmd_sum(args) -> tuple[str, int]:
 def _render_converged(args, depths: range, request: str) -> str:
     """The fixed rows at required_truncation(depth, digits), refused
     before any is computed if their estimated steps pass the ceiling,
-    each from the deepest with its three powers of pi**2 costed before
-    required_truncation runs one (0.3 s at depth 5000, 13 s at 20000)."""
+    each from the deepest with its three powers of pi**2 and the floor of
+    its row costed before required_truncation runs one (0.3 s at depth
+    5000, 13 s at 20000): that truncation is above 10**digits and depth."""
     digits, request = args.digits, request + " --digits %d" % args.digits
     rows, steps = [], 0
     for depth in reversed(depths):
         steps += 3 * pi_power_work(depth, digits + REFERENCE_GUARD)
-        _refuse_above_step_ceiling(steps, request)
+        _refuse_above_step_ceiling(steps + row_work_floor(depth, digits),
+                                   request)
         rows.insert(0, (depth, required_truncation(depth, digits)))
         steps += partial_sum_work(*rows[0], digits)
         _refuse_above_step_ceiling(steps, request)
@@ -322,14 +329,16 @@ def cmd_table(args) -> tuple[str, int]:
 
 
 def cmd_verify_theorem(args) -> tuple[str, int]:
+    from . import symmetric
+
     warning = None
-    if args.n_vars > PRACTICAL_VERIFY_CEILING:
+    if args.n_vars > symmetric.PRACTICAL_VERIFY_CEILING:
         warning = (
             "warning: %d variables is above the practical ceiling of %d; "
             "the expansion has 2**%d terms and this may take a long time"
-            % (args.n_vars, PRACTICAL_VERIFY_CEILING, args.n_vars)
+            % (args.n_vars, symmetric.PRACTICAL_VERIFY_CEILING, args.n_vars)
         )
-    report = verify_expansion(args.n_vars)
+    report = symmetric.verify_expansion(args.n_vars)
     payload = {
         "m": report.n_vars,
         "passed": report.passed,
@@ -348,10 +357,10 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
     request = "sinc --x %s --terms %d --digits %d" % (x, terms, digits)
-    # The row at the power floor first: _sinc_powers' loop grows with |x|.
+    # The row's floor at the power floor first: _sinc_powers' search
+    # grows with |x|.
     _refuse_above_step_ceiling(
-        partial_sum_work(_sinc_power_floor(x, terms), terms, digits),
-        request)
+        row_work_floor(_sinc_power_floor(x, terms), digits), request)
     powers = _sinc_powers(x, digits, terms)
     _refuse_above_step_ceiling(sinc_work(x, powers, terms, digits), request)
     product = sinc_product(x, terms, digits)
@@ -380,17 +389,36 @@ def cmd_sinc(args) -> tuple[str, int]:
 def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
     """Power cutoff for the sinc series: enough alternating terms that the
     first omitted one is below 10**-(digits+5), using pi < 16/5, and never
-    more than the truncation `terms`, since S_j(terms) = 0 for j > terms."""
-    ratio_base = (Fraction(16, 5) * abs(Fraction(x))) ** 2
-    threshold = Fraction(1, 10 ** (digits + 5))
-    j = 0
-    term = Fraction(1)
-    while j < terms:
+    more than the truncation `terms`, since S_j(terms) = 0 for j > terms.
+
+    Term j is (16x/5)**(2j) / (2j+1)!, tested by one integer comparison.
+    The terms rise while (2j)*(2j+1) <= (16x/5)**2 and fall after, so
+    unless term 1 is small, the small terms are exactly those from the
+    cutoff on. A bisection on lgamma estimates the cutoff, and the exact
+    tests step from the estimate to it, one or two of them in practice.
+    """
+    a, b = 16 * abs(x.numerator), 5 * x.denominator
+    limit = 10 ** (digits + 5)
+
+    def small(j):
+        return a ** (2 * j) * limit < b ** (2 * j) * math.factorial(2 * j + 1)
+
+    if terms <= 1 or small(1):
+        return min(terms, 1)
+    log_ratio = 2 * (math.log(a) - math.log(b))
+    log_limit = (digits + 5) * math.log(10)
+    low, j = 1, terms
+    while j - low > 1:
+        middle = (low + j) // 2
+        if math.lgamma(2 * middle + 2) > middle * log_ratio + log_limit:
+            j = middle
+        else:
+            low = middle
+    while j < terms and not small(j):
         j += 1
-        term = term * ratio_base / ((2 * j) * (2 * j + 1))
-        if term < threshold:
-            return j
-    return terms
+    while j > 2 and small(j - 1):
+        j -= 1
+    return j
 
 
 def _sinc_power_floor(x: Fraction, terms: int) -> int:
@@ -400,10 +428,12 @@ def _sinc_power_floor(x: Fraction, terms: int) -> int:
 
 
 def cmd_bench(args) -> tuple[str, int]:
+    from . import bench
+
     rows, ok = bench.run_benchmark()
     records = []
     for row in rows:
-        record = {key: str(value) for key, value in asdict(row).items()}
+        record = {key: str(value) for key, value in row._asdict().items()}
         record["seconds"] = "" if row.seconds is None else "%.6f" % row.seconds
         records.append(record)
     payload = {"backend": _backend.BACKEND, "ok": ok, "rows": records}

@@ -190,11 +190,11 @@ def _pi_power_ratio(power: int, divisor: int, digits: int) -> FixedDecimal:
     rounded half-even.
 
     At w bits: p = pi * 2**w within one unit, the square (p*p) >> w, then
-    power - 1 products acc = (acc * square) >> w from acc = square (2**w
-    for power 0), then one floor division by the divisor. The square is
-    within 2*pi + 1 units, a relative 0.74 * 2**-w, and each floor loses
-    under one unit, a relative 0.11 * 2**-w, so while power * 2**-w is
-    small acc is within a relative 2 * power * 2**-w of
+    power - 1 products acc = (acc * square) >> w from acc = square (2**w,
+    and no pi, for power 0), then one floor division by the divisor. The
+    square is within 2*pi + 1 units, a relative 0.74 * 2**-w, and each
+    floor loses under one unit, a relative 0.11 * 2**-w, so while
+    power * 2**-w is small acc is within a relative 2 * power * 2**-w of
     pi**(2*power) * 2**w. With
     v = pi**(2*power) / divisor and x the result,
 
@@ -209,11 +209,12 @@ def _pi_power_ratio(power: int, divisor: int, digits: int) -> FixedDecimal:
     out_scale = digits + REFERENCE_GUARD
 
     def approximate(bits):
-        p = _PI_CACHE.bits(bits)
-        square = (p * p) >> bits
-        acc = square if power else 1 << bits
-        for _ in range(power - 1):
-            acc = (acc * square) >> bits
+        acc = 1 << bits
+        if power:  # pi**0 needs no pi
+            p = _PI_CACHE.bits(bits)
+            acc = square = (p * p) >> bits
+            for _ in range(power - 1):
+                acc = (acc * square) >> bits
         value = acc // divisor
         return value, (2 * power + 1) * ((value >> bits) + 2)
 

@@ -31,10 +31,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
@@ -58,6 +57,7 @@ __all__ = [
     "partial_sum_prefix",
     "partial_sum_work",
     "required_truncation",
+    "row_work_floor",
     "series_result",
     "sinc_product",
     "sinc_series",
@@ -413,12 +413,15 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     step and the count bounds the tree from above.
 
     _newton_row counts scale**2/2000 + 18 per depth**2, for Newton's
-    identities and the plan's radius, and stops there, unplanned, if
-    that passes STEP_CEILING; then, at head H (_newton_plan),
+    identities and the plan's radius; then, at head H (_newton_plan),
     (0.3*bits + 300)/8 per head division, H*min(depth, bits/(2*log2 H)
     + 1) of them, and 4*(bits + 2000) per depth for the tail. On a grid
     of depths 1 to 1000, N from 20 to 10**7 and 20 to 4300 places a step
-    took 1.2 to 16 ns cold.
+    took 1.2 to 16 ns cold. It stops unplanned if the first count plus
+    one division for each of min(N, 2**(b/(2K+3)) - 1) head indices, b
+    the length of 10**scale, passes STEP_CEILING: H is at least that
+    (_head_length, whose remainder constant |B_26| is above 1), and
+    forming the plan at hundreds of thousands of bits took seconds.
     """
     if _tree_row_is_cheaper(depth, truncation, scale):
         units, digits = _tree_units(depth, truncation)
@@ -427,8 +430,11 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
         return (units + entries * wide * math.isqrt(wide)
                 + entries * scale * digits // 8) // 64
     steps = depth * depth * (scale * scale // 2000 + 18)
-    if steps > STEP_CEILING:
-        return steps
+    base = (10**scale).bit_length()
+    head = min(truncation, (1 << base // (2 * EM_TERMS + 3)) - 1)
+    floor = steps + min(depth, 1) * head * (base * 3 // 10 + 300) // 8
+    if floor > STEP_CEILING:
+        return floor
     bits, head = _newton_plan(depth, truncation, scale)
     chain = min(depth, bits // (2 * max(1, head.bit_length())) + 1)
     steps += head * chain * (bits * 3 // 10 + 300) // 8
@@ -502,6 +508,26 @@ def partial_sum_work(depth: int, truncation: int, digits: int,
         return leaves
     units, width = _tree_units(depth, truncation)
     return units // 64 + width * width // 2000
+
+
+def row_work_floor(depth: int, digits: int) -> int:
+    """A lower bound, formed without a plan, on the row's count in
+    partial_sum_work(d, N, digits) and in sinc_work at d powers, for
+    every d >= depth and N >= d.
+
+    Both scale the row by s >= digits + 10 places (guard_digits).
+    _newton_row counts at least depth**2 * (s**2/2000 + 18); the product
+    tree at least its 2048*N*min(d, LEAF) leaf units and its min(d, N) + 1
+    scaled entries of s + D digits, D the decimal length of (N!)**2,
+    which grows with N, so both are taken at N = d = depth. The bound is
+    the lesser of the two.
+    """
+    scale = digits + 10
+    newton = depth * depth * (scale * scale // 2000 + 18)
+    wide = scale + _tree_units(depth, depth)[1]
+    tree = (2048 * depth * min(depth, LEAF)
+            + (depth + 1) * wide * math.isqrt(wide)) // 64
+    return min(newton, tree)
 
 
 def partial_sum_prefix(depth: int, truncation: int) -> list:
@@ -598,8 +624,7 @@ def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
     return FixedDecimal(mantissa, out_scale, 10)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """One computed partial sum with its error certificates.
 
     value is a Fraction in exact mode and a FixedDecimal in fixed mode.

@@ -24,10 +24,9 @@ squarefree check exists to catch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, InfeasibleError
 
@@ -144,8 +143,7 @@ def render(poly: dict) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Outcome of the mechanical product-expansion check for one n_vars."""
 
     n_vars: int

@@ -242,7 +242,7 @@ class TestVerifyTheoremCommand:
                                    mismatch_power=1,
                                    details=("power 1: mismatch",))
 
-        monkeypatch.setattr(cli, "verify_expansion", broken)
+        monkeypatch.setattr(symmetric, "verify_expansion", broken)
         code, out, _ = run_cli(capsys, "verify-theorem", "--m", "3")
         assert code == EXIT_MISMATCH
         assert "FAIL" in out
@@ -360,6 +360,26 @@ class TestSincCommand:
         assert f"sinc --x {x} --terms {terms} --digits" in err
         assert f"ceiling of {series.STEP_CEILING}" in err
 
+    @pytest.mark.parametrize("x", ["0", "1/1000", "1/3", "-5/16", "3/2",
+                                   "15/8", "-7/3", "25/8", "50", "-201/2"])
+    def test_power_count_is_the_first_small_term(self, x):
+        # The count the searched cutoff must reproduce: one term at a time
+        # in exact rationals.
+        def first_small_term(x, digits, terms):
+            ratio = (Fraction(16, 5) * x) ** 2
+            term = Fraction(1)
+            for j in range(1, terms + 1):
+                term = term * ratio / ((2 * j) * (2 * j + 1))
+                if term < Fraction(1, 10 ** (digits + 5)):
+                    return j
+            return terms
+
+        x = Fraction(x)
+        for digits in (1, 5, 20, 300):
+            for terms in (0, 1, 2, 3, 40, 400, 10**6):
+                assert (cli._sinc_powers(x, digits, terms)
+                        == first_small_term(x, digits, terms)), (digits, terms)
+
     @pytest.mark.parametrize("x", ["0", "1/3", "-5/16", "5/16", "3/2",
                                    "15/8", "-7/3", "25/8", "50", "-201/2"])
     def test_power_floor_is_a_lower_bound(self, x):
@@ -412,14 +432,24 @@ class TestRunawayRequests:
          "sinc --x 100000 --terms 1000000 --digits 20"),
         (["sinc", "--x", "1/2", "--terms", "200000000"],
          "sinc --x 1/2 --terms 200000000 --digits 20"),
+        (["sinc", "--x", "700", "--terms", "100000"],
+         "sinc --x 700 --terms 100000 --digits 20"),
+        (["sinc", "--x", "1000", "--terms", "100000"],
+         "sinc --x 1000 --terms 100000 --digits 20"),
+        (["converge", "--depth", "1", "--digits", "99000"],
+         "converge --depth 1 --digits 99000"),
     ], ids=["sum-depth-2", "sum-depth-1", "sinc-taylor", "sum-exact",
             "sum-deep-references", "converge-seventy-digits",
-            "converge-deep", "table-deep", "sinc-wide-x", "sinc-many-terms"])
+            "converge-deep", "table-deep", "sinc-wide-x", "sinc-many-terms",
+            "sinc-x-700", "sinc-x-1000", "converge-wide"])
     def test_refused_before_work(self, capsys, monkeypatch, argv, quoted):
         # Unrefused, the two fixed sums ran past 60 s, the sinc Taylor sum
         # for 168 s and the exact sum for 15.6 s; the deep table ran past
         # 120 s, the wide-x sinc's power count past 30 s, and the two
-        # reference constants of the empty depth-20000 sum take 27 s.
+        # reference constants of the empty depth-20000 sum take 27 s. The
+        # two sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
+        # Fraction loop for their power count, and the depth-1 converge
+        # crashed after 11 s on a step count of over 4300 digits.
         def no_work(*args):
             raise AssertionError("the computation started")
 
@@ -433,6 +463,37 @@ class TestRunawayRequests:
         assert out == ""
         assert f"{quoted} needs about" in err
         assert f"ceiling of {series.STEP_CEILING}" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("command, digits", [("converge --depth", 5),
+                                                 ("table --max-depth", 3)],
+                             ids=["converge", "table"])
+    def test_deep_rows_refused_before_their_truncation(self, capsys,
+                                                       monkeypatch, command,
+                                                       digits):
+        # required_truncation raises pi**2/6 to the depth: 0.47 s at depth
+        # 5000. The floor of the row, about depth**2 * 18 steps at any
+        # truncation, refuses first.
+        def no_work(*args):
+            raise AssertionError("the truncation was computed")
+
+        monkeypatch.setattr(cli, "required_truncation", no_work)
+        code, out, err = run_cli(capsys, *command.split(), "5000",
+                                 "--digits", str(digits))
+        steps = (3 * reference.pi_power_work(
+            5000, digits + reference.REFERENCE_GUARD)
+            + series.row_work_floor(5000, digits))
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert (f"{command} 5000 --digits {digits} needs about {steps} "
+                "digit steps") in err
+
+    def test_huge_counts_are_quoted_as_powers_of_ten(self, capsys):
+        code, _, err = run_cli(capsys, "converge", "--depth", "1",
+                               "--digits", "4400")
+        assert code == EXIT_INFEASIBLE
+        assert "needs about 10**" in err
+        assert len(err) < 200
 
 
 class TestBenchCommand:

@@ -433,6 +433,45 @@ class TestBlockEvaluation:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestWorkFloors:
+    """The floors that refuse a request before its plan or its truncation
+    is formed never exceed the estimate they stand in for."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 16, 64, 150])
+    def test_row_floor_is_below_every_row_estimate(self, depth):
+        routes = set()
+        for digits in (1, 20, 300, 2000):
+            floor = series.row_work_floor(depth, digits)
+            for deeper in (depth, depth + 1, 2 * depth):
+                for truncation in (deeper, 3 * deeper + 7, 1000, 10**6,
+                                   10**12):
+                    if truncation < deeper:
+                        continue
+                    routes.add(series._tree_row_is_cheaper(
+                        deeper, truncation,
+                        digits + guard_digits(deeper * truncation)))
+                    assert floor <= series.partial_sum_work(
+                        deeper, truncation, digits), (deeper, truncation)
+        assert routes == {False, True}
+
+    @pytest.mark.parametrize("bits", [40, 200, 1000, 5000])
+    def test_head_is_at_least_its_floor(self, bits):
+        floor = (1 << bits // (2 * series.EM_TERMS + 3)) - 1
+        for depth in (1, 3):
+            for truncation in (10, 10**6, 10**60, 10**400):
+                assert (series._head_length(depth, truncation, bits)
+                        >= min(truncation, floor))
+
+    @pytest.mark.parametrize("depth, truncation, scale", [
+        (1, 10**30, 4000), (2, 10**9, 2500), (3, 10**200, 1500)])
+    def test_unplanned_count_is_below_the_planned_one(
+            self, monkeypatch, depth, truncation, scale):
+        unplanned = series._row_steps(depth, truncation, scale)
+        assert unplanned > series.STEP_CEILING
+        monkeypatch.setattr(series, "STEP_CEILING", 10**400)
+        assert unplanned <= series._row_steps(depth, truncation, scale)
+
+
 class TestTailBound:
     def test_depth_two_window(self):
         # B(2, 10^5) = (pi^2/6)/10^5, which lives in [1.6449e-5, 1.6450e-5].

@@ -1,5 +1,5 @@
-"""The package namespace, the command-line options, the README quickstart
-and the benchmark's hooks.
+"""The package namespace, the command-line options, the README quickstart,
+what importing the command line loads, and the benchmark's hooks.
 
 ``perfbench/spans.py`` wraps pipow functions by module and attribute name
 and reads their arguments by parameter name, so a rename or a dropped
@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pipow
@@ -106,3 +108,27 @@ class TestCommandLineSurface:
             options = {option for action in command._actions
                        for option in action.option_strings}
             assert options == self.OPTIONS[name] | self.SHARED, name
+
+
+class TestStartUp:
+    # Loaded on first use: the symbolic engine and the benchmark by their
+    # commands, csv and json by their formats; dataclasses would pull in
+    # inspect, ast and dis on every start.
+    LAZY = ["csv", "dataclasses", "inspect", "json", "pipow.bench",
+            "pipow.symmetric"]
+
+    def test_cli_import_loads_only_what_every_command_runs(self, capsys):
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from pipow.cli import main\n"
+            "print(sorted(set(%r) & set(sys.modules)))\n"
+            "main(['verify-theorem', '--m', '3', '--format', 'csv'])\n"
+            "main(['sum', '--depth', '2', '--upto', '3', '--format', 'csv'])\n"
+            % (str(ROOT / "src"), self.LAZY))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True,
+            text=True, check=True, timeout=60).stdout
+        cli.main(["verify-theorem", "--m", "3", "--format", "csv"])
+        cli.main(["sum", "--depth", "2", "--upto", "3", "--format", "csv"])
+        assert out == "[]\n" + capsys.readouterr().out
