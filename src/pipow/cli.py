@@ -6,7 +6,8 @@ three formats (text, csv, json).
 
 Exit codes: 0 success, 1 verification mismatch, 2 request refused before
 any work (its estimated work is above a ceiling, series.STEP_CEILING for
-sum, converge, table and sinc), 3 invalid arguments or domain errors.
+sum, converge, table and sinc), 3 invalid arguments, domain errors or
+an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -472,8 +473,13 @@ def main(argv=None) -> int:
         print(f"pipow: refused: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        try:
+            with open(args.out_path, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"pipow: cannot write --out {args.out_path}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(output)
     return code

@@ -41,7 +41,6 @@ __all__ = [
     "PiCache",
     "REFERENCE_GUARD",
     "basel_power",
-    "factorial",
     "pi_digits",
     "pi_mantissa",
     "pi_power_work",
@@ -56,8 +55,6 @@ MAX_PI_DIGITS = 10**5
 # the correctly rounded result through the retry; 64 keeps the chance of
 # a retry below about 2**-45 for every constant here.
 _GUARD_BITS = 64
-
-factorial = math.factorial
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple:
@@ -231,7 +228,7 @@ def reference_value(depth: int, digits: int) -> FixedDecimal:
     """
     if depth < 1:
         raise DomainError("depth must be a positive integer")
-    return _pi_power_ratio(depth, factorial(2 * depth + 1), digits)
+    return _pi_power_ratio(depth, math.factorial(2 * depth + 1), digits)
 
 
 def basel_power(power: int, digits: int) -> FixedDecimal:

@@ -21,9 +21,11 @@ correctly rounded row where a measured rule says so, else the power sums
 p_i(N) = sum_{l<=N} l**(-2i) turned into the row by Newton's identities
 on binary scaled integers (`_newton_row`), summed term by term up to an
 Euler-Maclaurin cutoff M and from the certified Euler-Maclaurin tail
-past it, each entry within one unit of exact. The sweep kernel
-`_backend.dp_row_scaled` takes no row; `pipow bench` and the tests keep
-it as a witness.
+past it, each entry within one unit of exact under a closed-form radius
+of O(R * log depth) units, R the largest power-sum error
+(`_newton_radius`), so no pass but the row's grows with the depth. The
+sweep kernel `_backend.dp_row_scaled` takes no row; `pipow bench` and
+the tests keep it as a witness.
 """
 
 from __future__ import annotations
@@ -123,23 +125,6 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
         for j, b in enumerate(right[: len(out) - i]):
             out[i + j] += a * b
     return out
-
-
-def _elementary_from_power_sums(power_sums: list) -> list:
-    """[e_0, e_1, ..., e_d] from the power sums [p_1, ..., p_d].
-
-    Newton's identities k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i with
-    e_0 = 1, in exact rationals.
-    """
-    e = [Fraction(1)]
-    for k in range(1, len(power_sums) + 1):
-        acc = Fraction(0)
-        sign = 1
-        for i in range(1, k + 1):
-            acc += sign * e[k - i] * power_sums[i - 1]
-            sign = -sign
-        e.append(acc / k)
-    return e
 
 
 @functools.cache
@@ -249,45 +234,38 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
 
 
 def _newton_radius(depth: int, head: int, tail: bool, bits: int) -> int:
-    """Certified bound, in units of 2**-bits rounded up, on the distance
-    from exact of every E_k of _newton_row, for a head of H = `head`
-    indices and, when `tail`, the tail past it.
+    """Certified bound, in units of 2**-bits, on the distance from exact
+    of every E_k of _newton_row, for a head of H = `head` indices and,
+    when `tail`, the tail past it: 4*(2R + 1)*(L + 1), L the bit length
+    of the depth, valid whenever it is below 2**bits.
 
     The power sums p_i lie in [0, q_i], q_i = 1 + 1/(2i-1) >= zeta(2i),
-    and the scaled P_i are off by at most r_i units: under H for the head
+    and the scaled P_i are off by at most r_i <= R units: H for the head
     floors and, with the tail, one more (the two roundings of
     _zeta_scaled, or a tail under one unit left out) plus the remainders
-    at M+1 and N+1, each at most _em_remainder(i, M+1). With h_k(q) the
-    complete symmetric values (Newton's recurrence with every sign
-    positive, so |e_k| <= h_k(q)), the errors a_k of the rounded
-    recurrence obey
+    at M+1 and N+1, each at most _em_remainder(i, M+1). With
+    b_i = q_i + r_i*2**-bits and k*h_k = sum_i b_i*h_(k-i), h_0 = 1, so
+    |e_k| <= h_k, the errors a_k of the rounded recurrence obey
 
-        k*a_k <= sum_i [a_(k-i)*(q_i + r_i*2**-bits) + h_(k-i)(q)*r_i]
-                 + k/2,
+        k*a_k <= sum_i [a_(k-i)*b_i + h_(k-i)*r_i] + k/2,
 
-    k/2 for the rounding of each E_k. Both recurrences run on integers
-    rounded up, with q_i + r_i*2**-bits and h_k at 2**-32; the radius is
-    the largest a_k.
+    k/2 for the rounding of each E_k, at most sum_i h_(k-i)/2 as every
+    h_j >= 1. In generating functions H(t) = exp(sum_i b_i*t**i/i), and
+    A(t) = (R + 1/2)*H(t)*log(1/(1-t)) solves the recurrence with R + 1/2
+    for each r_i + 1/2, so a_k <= (R + 1/2)*sum_{j=1..k} h_(k-j)/j.
+    Term by term H(t) <= exp(f(t))*(1-t)**-(1+rho), rho = R*2**-bits and
+    f(t) = sum_i t**i/(i*(2i-1)): the coefficients of exp(f) are
+    nonnegative and sum to exp(f(1)) = exp(2 ln 2) = 4, and those of
+    (1-t)**-(1+rho), prod_{l<=j} (1 + rho/l) <= exp(rho*(1 + ln j)), do
+    not decrease. So h_m <= 4*exp(rho*(L+1)), as 1 + ln m < L + 1, and
+    a_k <= 2*(2R + 1)*(L + 1)*exp(rho*(L+1)); a bound below 2**bits
+    makes rho*(L+1) < 1/8 and the exponential below 2.
     """
-    one = 1 << 32
     terms = _tail_terms(depth, head + 1, bits) if tail else 0
-    radii = [head + int(tail) + (2 * _em_remainder(i, head + 1, bits)
-                                 if i <= terms else 0)
-             for i in range(1, depth + 1)]
-    bounds = [one + div_round_up(one, 2 * i - 1)
-              + div_round_up(r << 32, 1 << bits)
-              for i, r in enumerate(radii, 1)]
-    h = [one]
-    errors = [0]
-    for k in range(1, depth + 1):
-        # h[::-1] pairs h_(k-i) with bounds[i-1], i = 1..k.
-        h_back = h[::-1]
-        h_sum = sum(map(operator.mul, h_back, bounds))
-        error_sum = (sum(map(operator.mul, errors[::-1], bounds))
-                     + sum(map(operator.mul, h_back, radii)))
-        h.append(div_round_up(h_sum, k * one))
-        errors.append(div_round_up(2 * error_sum + k * one, 2 * k * one))
-    return max(errors)
+    remainder = max((_em_remainder(i, head + 1, bits)
+                     for i in range(1, terms + 1)), default=0)
+    largest = head + int(tail) + 2 * remainder
+    return 4 * (2 * largest + 1) * (depth.bit_length() + 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -297,20 +275,19 @@ def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
 
     bits is the length of 10**scale plus g guard bits with _newton_radius
     at most 2**(g-1) units, under half a unit at 10**-scale. g starts at
-    the length of 8*depth*(H+4), r_i being about H and the radius at most
-    1.33*depth*(H+4) on depths 1 to 1000, and grows to the radius' own
-    length while the check fails.
+    1 and grows to one more than the radius' length while the check
+    fails; past the first pass it failed only where H moved with the bits
+    (depths 1 to 5000, 5 to 3000 places, two to four passes).
     """
     base = (10**scale).bit_length()
-    head = _head_length(depth, truncation, base)
-    guard = (8 * depth * (head + 4)).bit_length()
+    guard = 1
     while True:
         bits = base + guard
         head = _head_length(depth, truncation, bits)
         radius = _newton_radius(depth, head, head < truncation, bits)
         if 2 * radius <= 1 << guard:
             return bits, head
-        guard = radius.bit_length() + 2
+        guard = radius.bit_length() + 1
 
 
 def _newton_row(depth: int, truncation: int, scale: int) -> list:
@@ -412,16 +389,18 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     1000, N from 1 to 10**5, 168 to 10**5 places), so 64 units make one
     step and the count bounds the tree from above.
 
-    _newton_row counts scale**2/2000 + 18 per depth**2, for Newton's
-    identities and the plan's radius; then, at head H (_newton_plan),
-    (0.3*bits + 300)/8 per head division, H*min(depth, bits/(2*log2 H)
-    + 1) of them, and 4*(bits + 2000) per depth for the tail. On a grid
-    of depths 1 to 1000, N from 20 to 10**7 and 20 to 4300 places a step
-    took 1.2 to 16 ns cold. It stops unplanned if the first count plus
-    one division for each of min(N, 2**(b/(2K+3)) - 1) head indices, b
-    the length of 10**scale, passes STEP_CEILING: H is at least that
-    (_head_length, whose remainder constant |B_26| is above 1), and
-    forming the plan at hundreds of thousands of bits took seconds.
+    _newton_row counts scale**2/2000 + 3 per depth**2 for Newton's
+    identities; then, at head H (_newton_plan), (0.3*bits + 300)/8 per
+    head division, H*min(depth, bits/(2*log2 H) + 1) of them, and
+    4*(bits + 2000) per depth for the tail. A step took 0.8 to 15 ns
+    cold, the plan formed each time (depths 1 to 1000, N from 20 to
+    10**7, 20 to 1000 places), and 1.4 to 6.9 ns for the row alone
+    (depths 500 to 4000, N = depth and 10**6, 30 to 300 places). It
+    stops unplanned if the first count plus one division for each of
+    min(N, 2**(b/(2K+3)) - 1) head indices, b the length of 10**scale,
+    passes STEP_CEILING: H is at least that (_head_length, whose
+    remainder constant |B_26| is above 1), and forming the plan at
+    hundreds of thousands of bits took seconds.
     """
     if _tree_row_is_cheaper(depth, truncation, scale):
         units, digits = _tree_units(depth, truncation)
@@ -429,7 +408,7 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
         wide = scale + digits
         return (units + entries * wide * math.isqrt(wide)
                 + entries * scale * digits // 8) // 64
-    steps = depth * depth * (scale * scale // 2000 + 18)
+    steps = depth * depth * (scale * scale // 2000 + 3)
     base = (10**scale).bit_length()
     head = min(truncation, (1 << base // (2 * EM_TERMS + 3)) - 1)
     floor = steps + min(depth, 1) * head * (base * 3 // 10 + 300) // 8
@@ -516,14 +495,14 @@ def row_work_floor(depth: int, digits: int) -> int:
     every d >= depth and N >= d.
 
     Both scale the row by s >= digits + 10 places (guard_digits).
-    _newton_row counts at least depth**2 * (s**2/2000 + 18); the product
+    _newton_row counts at least depth**2 * (s**2/2000 + 3); the product
     tree at least its 2048*N*min(d, LEAF) leaf units and its min(d, N) + 1
     scaled entries of s + D digits, D the decimal length of (N!)**2,
     which grows with N, so both are taken at N = d = depth. The bound is
     the lesser of the two.
     """
     scale = digits + 10
-    newton = depth * depth * (scale * scale // 2000 + 18)
+    newton = depth * depth * (scale * scale // 2000 + 3)
     wide = scale + _tree_units(depth, depth)[1]
     tree = (2048 * depth * min(depth, LEAF)
             + (depth + 1) * wide * math.isqrt(wide)) // 64
@@ -592,7 +571,19 @@ def newton_cross_check(depth: int, truncation: int) -> Fraction:
         for j in range(depth):
             power *= reciprocal
             p[j] += power
-    return _elementary_from_power_sums(p)[depth]
+    e = [Fraction(1)]
+    for k in range(1, depth + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return e[depth]
+
+
+def _basel_upper(power: int, digits: int) -> int:
+    """A certified upper bound on (pi**2/6)**power in units of
+    10**-(digits+20): basel_power at digits+10 places carries scale
+    digits+20 and is correctly rounded, so one unit more bounds it from
+    above. Power 0 is exactly 1 and needs no slack."""
+    return basel_power(power, digits + 10).mantissa + (1 if power else 0)
 
 
 def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
@@ -614,14 +605,9 @@ def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
         raise DomainError("tail bound requires truncation >= 1")
     if digits < 1:
         raise DomainError("tail bound requires at least one digit")
-    factor = basel_power(depth - 1, digits + 10)
-    # factor carries scale digits+20 and sits within one unit of the true
-    # power; adding one unit makes it a certified upper bound. Power 0 is
-    # exactly 1 and needs no slack.
-    upper = factor.mantissa + (0 if depth == 1 else 1)
-    out_scale = digits + 10
-    mantissa = div_round_up(upper, truncation * 10 ** (factor.scale - out_scale))
-    return FixedDecimal(mantissa, out_scale, 10)
+    mantissa = div_round_up(_basel_upper(depth - 1, digits),
+                            truncation * 10**10)
+    return FixedDecimal(mantissa, digits + 10, 10)
 
 
 class SeriesResult(NamedTuple):
@@ -655,9 +641,8 @@ def series_result(depth: int, truncation: int, mode: str,
     if truncation >= 1:
         bound = tail_bound(depth, truncation, digits)
     else:
-        whole = basel_power(depth, digits + 10)
         bound = FixedDecimal(
-            div_round_up(whole.mantissa + 1, 10**10), digits + 10, 10)
+            div_round_up(_basel_upper(depth, digits), 10**10), digits + 10, 10)
     ref = reference_value(depth, digits)
     if isinstance(value, Fraction):
         error = abs(FixedDecimal.from_rational(
@@ -687,9 +672,8 @@ def required_truncation(depth: int, digits: int) -> int:
         raise DomainError("depth must be at least 1")
     if digits < 1:
         raise DomainError("at least one digit is required")
-    factor = basel_power(depth - 1, digits + 10)
-    upper = factor.mantissa + (0 if depth == 1 else 1)
-    return div_round_up(upper, (10**10 - 1) * 10**10)
+    return div_round_up(_basel_upper(depth - 1, digits),
+                        (10**10 - 1) * 10**10)
 
 
 def converge(depth: int, digits: int) -> SeriesResult:

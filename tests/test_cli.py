@@ -472,7 +472,7 @@ class TestRunawayRequests:
                                                        monkeypatch, command,
                                                        digits):
         # required_truncation raises pi**2/6 to the depth: 0.47 s at depth
-        # 5000. The floor of the row, about depth**2 * 18 steps at any
+        # 5000. The floor of the row, about depth**2 * 3 steps at any
         # truncation, refuses first.
         def no_work(*args):
             raise AssertionError("the truncation was computed")
@@ -487,6 +487,16 @@ class TestRunawayRequests:
         assert out == ""
         assert (f"{command} 5000 --digits {digits} needs about {steps} "
                 "digit steps") in err
+
+    def test_deep_fixed_row_is_served(self, capsys):
+        # The row takes about 0.1 s, and its estimate stays under the
+        # step ceiling.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sum", "--mode", "fixed", "--depth",
+                                 "2000", "--upto", "3000", "--digits", "20")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK and err == ""
+        assert "value: 0." + "0" * 20 + "\n" in out
 
     def test_huge_counts_are_quoted_as_powers_of_ten(self, capsys):
         code, _, err = run_cli(capsys, "converge", "--depth", "1",
@@ -546,6 +556,16 @@ class TestOutputPlumbing:
         assert captured.out == ""
         on_disk = json.loads(target.read_text())
         assert on_disk["value"] == "7/18"
+
+    def test_unwritable_out_file_is_one_line_and_exit_three(self, capsys,
+                                                            tmp_path):
+        target = tmp_path / "missing" / "result.txt"
+        code, out, err = run_cli(capsys, "sum", "--depth", "3", "--upto",
+                                 "5", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"pipow: cannot write --out {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--max-depth", "3",

@@ -25,7 +25,6 @@ from pipow.reference import (
     PiCache,
     REFERENCE_GUARD,
     basel_power,
-    factorial,
     pi_digits,
     pi_mantissa,
     reference_value,
@@ -218,19 +217,6 @@ class TestPiCache:
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
         assert out.strip() == "0"
-
-
-class TestFactorial:
-    @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (5, 120),
-                                             (9, 362880)])
-    def test_small(self, n, expected):
-        assert factorial(n) == expected
-
-    def test_matches_recurrence(self):
-        acc = 1
-        for n in range(1, 30):
-            acc *= n
-            assert factorial(n) == acc
 
 
 class TestReferenceValue:

@@ -195,29 +195,39 @@ def within_one_unit(row, truncation, scale):
 
 
 def exact_newton_radius(depth, head, tail, bits):
-    """The radius of _newton_radius in exact rationals, in units of
-    2**-bits and without the rounding of each E_k: max_k [h_k(q + r) -
-    h_k(q)], h_k the complete symmetric values of the power-sum bounds
-    q_i = 1 + 1/(2i-1) and r_i the power-sum errors: the H head floors,
-    with the tail one more unit and the two Euler-Maclaurin remainders of
-    each summed tail."""
+    """The largest a_k of the error recurrence that _newton_radius
+    bounds, in exact rationals and units of 2**-bits:
+
+        k*h_k = sum_i b_i*h_(k-i),  h_0 = 1,
+        k*a_k = sum_i [a_(k-i)*b_i + h_(k-i)*r_i] + k/2,  a_0 = 0,
+
+    b_i = q_i + r_i*2**-bits, q_i = 1 + 1/(2i-1), r_i the power-sum
+    errors (the H head floors, with the tail one more unit and the two
+    Euler-Maclaurin remainders of each summed tail) and k/2 for the
+    rounding of each E_k. Fractions would reduce at every step; instead
+    h_k = eta_k / (k! * d**k) and a_k = alpha_k / (2 * k! * d**k), d the
+    common denominator of the b_i, and each k sums its terms by Horner's
+    rule on integers."""
     one = 2**bits
     terms = series._tail_terms(depth, head + 1, bits) if tail else 0
-    bounds = []
-    radii = []
-    for i in range(1, depth + 1):
-        radius = Fraction(head + 1 if tail else head, one)
-        if i <= terms:
-            _, denominator, remainder = series._euler_maclaurin(i)
-            radius += Fraction(2 * remainder, denominator * (head + 1) ** (
-                2 * i + 2 * series.EM_TERMS + 1))
-        bounds.append(Fraction(2 * i, 2 * i - 1))
-        radii.append(radius)
-    high = series._elementary_from_power_sums(
-        [(-1) ** i * (q + r) for i, (q, r) in enumerate(zip(bounds, radii))])
-    low = series._elementary_from_power_sums(
-        [(-1) ** i * q for i, q in enumerate(bounds)])
-    return one * max(h - l for h, l in zip(high[1:], low[1:]))
+    radii = [head + int(tail) + (2 * series._em_remainder(i, head + 1, bits)
+                                 if i <= terms else 0)
+             for i in range(1, depth + 1)]
+    odd = math.lcm(*range(1, 2 * depth, 2))
+    d = one * odd
+    beta = [(2 * i * one + r * (2 * i - 1)) * (odd // (2 * i - 1))
+            for i, r in enumerate(radii, 1)]
+    eta, alpha = [1], [0]
+    for k in range(1, depth + 1):
+        h = a = 0
+        for i in range(k, 0, -1):
+            h = beta[i - 1] * eta[k - i] + (k - i) * d * h
+            a = (beta[i - 1] * alpha[k - i] + 2 * radii[i - 1] * d * eta[k - i]
+                 + (k - i) * d * a)
+        eta.append(h)
+        alpha.append(a + math.factorial(k) * d**k)
+    return max(Fraction(a, 2 * math.factorial(k) * d**k)
+               for k, a in enumerate(alpha[1:], 1))
 
 
 class TestBlockEvaluation:
@@ -272,19 +282,22 @@ class TestBlockEvaluation:
                     depth, scale, truncation)
         assert tails == {False, True}
 
-    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("depth", range(1, 65))
     def test_integer_radius_covers_the_exact_radius(self, depth):
-        # The integer recurrence rounds up at every step, so it bounds the
-        # exact one, with and without the tail; at the plan's precision it
-        # stays under half a unit at 10**-scale.
-        for scale in (15, 30, 45, 60):
-            cutoff = self.cutoff(depth, scale)
-            for truncation in (cutoff // 2, cutoff, 2 * cutoff, 10**9):
-                bits, head = series._newton_plan(depth, truncation, scale)
-                tail = head < truncation
-                radius = series._newton_radius(depth, head, tail, bits)
-                assert radius >= exact_newton_radius(depth, head, tail, bits)
-                assert 2 * radius * 10**scale < 2**bits
+        # The closed form bounds the exact error recurrence, with and
+        # without the tail, at a scale that cycles with the depth; at the
+        # plan's precision it stays under half a unit at 10**-scale.
+        scale = 15 * (1 + depth % 4)
+        cutoff = self.cutoff(depth, scale)
+        tails = set()
+        for truncation in (cutoff // 2, 10**9):
+            bits, head = series._newton_plan(depth, truncation, scale)
+            tail = head < truncation
+            tails.add(tail)
+            radius = series._newton_radius(depth, head, tail, bits)
+            assert radius >= exact_newton_radius(depth, head, tail, bits)
+            assert 2 * radius * 10**scale < 2**bits
+        assert tails == {False, True}
 
     @pytest.mark.parametrize("depth, truncation, digits", [
         (d, n, 5) for d in (1, 2, 3, 4) for n in (10**5, 445000)
