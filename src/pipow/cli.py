@@ -290,7 +290,8 @@ def cmd_sum(args) -> tuple[str, int]:
     mode = args.mode
     if mode is None:
         mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
-    # The tail bound and the limit each raise pi**2 to about the depth.
+    # The tail bound and the limit share one chain of powers of pi**2 up
+    # to the depth; it is counted twice, an upper bound.
     _refuse_above_step_ceiling(
         partial_sum_work(args.depth, truncation, args.digits, mode)
         + 2 * pi_power_work(args.depth, args.digits + REFERENCE_GUARD),

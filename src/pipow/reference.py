@@ -16,21 +16,24 @@ by its Taylor series -- is assembled in binary fixed point at w bits, where
 each rescale is a shift, together with an integer bound on its absolute
 error in units of 2**-w. One routine, _round_certified, turns that into
 the decimal mantissa at digits plus ten guard places: one multiplication
-by the power of ten, then half-even rounding by shift and mask. It rounds
+by the power of five, then half-even rounding by shift and mask. It rounds
 only when the discarded bits lie farther than the error bound from the
 half point, the one place where rounding to nearest can go either way;
 otherwise the value is assembled again with twice the guard bits (Ziv,
 "Fast evaluation of elementary mathematical functions with correctly
 rounded last bit", ACM TOMS 1991). Every returned mantissa is therefore
-the correctly rounded value. These values serve as the judge for
-everything the series code produces, which is why they carry their own
-guard digits rather than borrowing the caller's.
+the correctly rounded value. The powers of pi**2 come from one chain,
+_pi_power_ratios, which serves a sum's limit and its tail bound's
+(pi**2/6)**p together, each with its own bound and its own retry. These
+values serve as the judge for everything the series code produces, which
+is why they carry their own guard digits rather than borrowing the
+caller's.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
-import threading
 from fractions import Fraction
 
 from .errors import DomainError
@@ -100,7 +103,7 @@ class PiCache:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = _thread.allocate_lock()
         self._bits = 0
         self._value = 3  # pi within one unit at 2**0
 
@@ -127,22 +130,28 @@ _PI_CACHE = PiCache()
 
 def _round_certified(value: int, bits: int, error: int, scale: int):
     """round_half_even(v * 10**scale) for every v with
-    |value - v * 2**bits| <= error, or None when those v round apart.
+    |value - v * 2**bits| <= error, or None when those v round apart;
+    bits >= scale.
 
     value * 10**scale lies within error * 10**scale of v * 10**scale *
     2**bits. Rounding to nearest changes only across a half point, so when
     the discarded low `bits` bits are farther than that from one half,
     value and v round alike and the shift-and-mask rounding of value is
-    the answer. An exact value on the decimal grid, such as 1 or 0, has
-    its low bits near 0 or 2**bits, far from one half, so it never waits
-    on a retry.
+    the answer. As 10**scale = 5**scale * 2**scale, value * 5**scale
+    shifted by bits - scale gives the same quotient, and its low bits and
+    the slack error * 5**scale are those of the decimal product divided
+    by 2**scale, so the test and the result are the same with a multiplier
+    a third shorter. An exact value on the decimal grid, such as 1 or 0,
+    has its low bits near 0 or the full shift, far from one half, so it
+    never waits on a retry.
     """
-    pow10 = 10**scale
-    scaled = value * pow10
-    low = scaled & ((1 << bits) - 1)
-    if abs(2 * low - (1 << bits)) <= 2 * error * pow10:
+    pow5 = 5**scale
+    shift = bits - scale
+    scaled = value * pow5
+    low = scaled & ((1 << shift) - 1)
+    if abs(2 * low - (1 << shift)) <= 2 * error * pow5:
         return None
-    return (scaled >> bits) + (2 * low > (1 << bits))
+    return (scaled >> shift) + (2 * low > (1 << shift))
 
 
 def _certified(approximate, scale: int, guard: int) -> int:
@@ -182,65 +191,97 @@ def pi_digits(digits: int) -> FixedDecimal:
     return FixedDecimal(pi_mantissa(scale), scale, REFERENCE_GUARD)
 
 
-def _pi_power_ratio(power: int, divisor: int, digits: int) -> FixedDecimal:
-    """pi**(2*power) / divisor at digits plus ten guard digits, correctly
-    rounded half-even.
+def _pi_power_ratios(targets: list) -> list:
+    """pi**(2*power) / divisor at 10**-scale, correctly rounded half-even,
+    for each (power, divisor, scale) of `targets` (_limit_target,
+    _basel_target), from one chain of powers of pi**2.
 
     At w bits: p = pi * 2**w within one unit, the square (p*p) >> w, then
-    power - 1 products acc = (acc * square) >> w from acc = square (2**w,
-    and no pi, for power 0), then one floor division by the divisor. The
-    square is within 2*pi + 1 units, a relative 0.74 * 2**-w, and each
-    floor loses under one unit, a relative 0.11 * 2**-w, so while
-    power * 2**-w is small acc is within a relative 2 * power * 2**-w of
-    pi**(2*power) * 2**w. With
-    v = pi**(2*power) / divisor and x the result,
+    the products acc = (acc * square) >> w from acc = square (2**w, and no
+    pi, for power 0) up to the largest power, and one floor division by
+    each target's divisor of the accumulator at its power. The square is
+    within 2*pi + 1 units, a relative 0.74 * 2**-w, and each floor loses
+    under one unit, a relative 0.11 * 2**-w, so while power * 2**-w is
+    small acc is within a relative 2 * power * 2**-w of
+    pi**(2*power) * 2**w. With v = pi**(2*power) / divisor and x the
+    result,
 
         |x - v * 2**w| <= 2 * power * v + 1
                        <= (2*power + 1) * ((x >> w) + 2)   units of 2**-w,
 
     the bound handed to _round_certified. It is relative to v, which grows
     like 1.65**power for divisor 6**power, so 64 + power guard bits keep
-    the retry rare in both uses.
+    the retry rare in both uses. The first try of every target shares one
+    chain at the widest w the targets ask for; a target whose rounding
+    stays open retries alone through _certified, from twice the guard it
+    was tried with.
     """
-    _check_digits(digits)
-    out_scale = digits + REFERENCE_GUARD
+    # The widest bits of 10**scale plus guard, as _certified forms them.
+    widest = max([scale * 3322 // 1000 + 1 + _GUARD_BITS + power
+                  for power, _, scale in targets])
+    low, top = min(targets)[0], max(targets)[0]
 
     def approximate(bits):
-        acc = 1 << bits
-        if power:  # pi**0 needs no pi
+        at = {0: 1 << bits}  # pi**(2*power) * 2**bits from power low on
+        if top:  # pi**0 needs no pi
             p = _PI_CACHE.bits(bits)
-            acc = square = (p * p) >> bits
-            for _ in range(power - 1):
+            at[1] = acc = square = (p * p) >> bits
+            for k in range(2, top + 1):
                 acc = (acc * square) >> bits
-        value = acc // divisor
-        return value, (2 * power + 1) * ((value >> bits) + 2)
+                if k >= low:
+                    at[k] = acc
+        approximations = []
+        for power, divisor, _ in targets:
+            value = at[power] // divisor
+            approximations.append(
+                (value, (2 * power + 1) * ((value >> bits) + 2)))
+        return approximations
 
-    mantissa = _certified(approximate, out_scale, _GUARD_BITS + power)
-    return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)
+    out = []
+    for i, (value, error) in enumerate(approximate(widest)):
+        scale = targets[i][2]
+        mantissa = _round_certified(value, widest, error, scale)
+        if mantissa is None:  # this target alone, with twice the guard
+            mantissa = _certified(lambda bits: approximate(bits)[i], scale,
+                                  2 * (widest - scale * 3322 // 1000 - 1))
+        out.append(FixedDecimal(mantissa, scale, REFERENCE_GUARD))
+    return out
+
+
+def _limit_target(depth: int, digits: int) -> tuple:
+    """The _pi_power_ratios target of reference_value(depth, digits)."""
+    if depth < 1:
+        raise DomainError("depth must be a positive integer")
+    _check_digits(digits)
+    return depth, math.factorial(2 * depth + 1), digits + REFERENCE_GUARD
+
+
+def _basel_target(power: int, digits: int) -> tuple:
+    """The _pi_power_ratios target of basel_power(power, digits)."""
+    if power < 0:
+        raise DomainError("power must be nonnegative")
+    _check_digits(digits)
+    return power, 6**power, digits + REFERENCE_GUARD
 
 
 def reference_value(depth: int, digits: int) -> FixedDecimal:
     """pi**(2*depth) / (2*depth + 1)! at digits plus ten guard digits,
-    correctly rounded half-even (see _pi_power_ratio for the bound).
+    correctly rounded half-even (see _pi_power_ratios for the bound).
 
     This is the exact limit of the depth-nested reciprocal-square sum, so
     it is the value partial sums are judged against.
     """
-    if depth < 1:
-        raise DomainError("depth must be a positive integer")
-    return _pi_power_ratio(depth, math.factorial(2 * depth + 1), digits)
+    return _pi_power_ratios([_limit_target(depth, digits)])[0]
 
 
 def basel_power(power: int, digits: int) -> FixedDecimal:
     """(pi**2 / 6)**power at digits plus ten guard digits, correctly
-    rounded half-even (see _pi_power_ratio for the bound).
+    rounded half-even (see _pi_power_ratios for the bound).
 
     power 0 gives exactly 1; pi**2/6 itself is the depth-1 series limit and
     the base of the comparison bound on deeper sums.
     """
-    if power < 0:
-        raise DomainError("power must be nonnegative")
-    return _pi_power_ratio(power, 6**power, digits)
+    return _pi_power_ratios([_basel_target(power, digits)])[0]
 
 
 def pi_power_work(power: int, digits: int) -> int:

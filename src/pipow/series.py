@@ -14,28 +14,33 @@ error rigorously, plans the truncation for a requested precision, and
 estimates each request's cost against STEP_CEILING.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
-practical for small N) and guarded fixed-point decimals. Every fixed-mode
-value, the sinc series included, is an entry of one mantissa row
-[S_0 .. S_n](N) at 10**-scale from `_scaled_row`: the product tree's
-correctly rounded row where a measured rule says so, else the power sums
-p_i(N) = sum_{l<=N} l**(-2i) turned into the row by Newton's identities
-on binary scaled integers (`_newton_row`), summed term by term up to an
-Euler-Maclaurin cutoff M and from the certified Euler-Maclaurin tail
-past it, each entry within one unit of exact under a closed-form radius
-of O(R * log depth) units, R the largest power-sum error
-(`_newton_radius`), so no pass but the row's grows with the depth. The
-sweep kernel `_backend.dp_row_scaled` takes no row; `pipow bench` and
+practical for small N) and guarded fixed-point decimals. The product tree
+serves exact mode, and fixed mode where a measured rule says so: its root
+forms only the coefficient [t**n] prod_{l<=N} (l**2 + t)
+(`_tree_coefficient`), divided by (N!)**2 exactly or rounded once at
+10**-scale. Elsewhere a fixed value
+is an entry of the mantissa row [S_0 .. S_n](N) at 10**-scale that the
+power sums p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on
+binary scaled integers (`_newton_row`), which need every entry below the
+one returned: summed term by term up to an Euler-Maclaurin cutoff M and
+from the certified Euler-Maclaurin tail past it, each entry within one
+unit of exact under a closed-form radius of O(R * log depth) units, R the
+largest power-sum error (`_newton_radius`), so no pass but the row's
+grows with the depth. The sinc series weighs every entry and takes the
+whole row from `_scaled_row` on either route. A fixed sum's limit and
+tail bound take their powers of pi**2 from one chain (`series_result`).
+The sweep kernel `_backend.dp_row_scaled` takes no row; `pipow bench` and
 the tests keep it as a witness.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Union
 
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
@@ -45,7 +50,13 @@ from .exactnum import (
     div_round_up,
     guard_digits,
 )
-from .reference import REFERENCE_GUARD, basel_power, reference_value
+from .reference import (
+    REFERENCE_GUARD,
+    _basel_target,
+    _limit_target,
+    _pi_power_ratios,
+    basel_power,
+)
 
 __all__ = [
     "EXACT_TRUNCATION_LIMIT",
@@ -87,7 +98,7 @@ EM_TERMS = 12
 # 97 ms at 64, 120 ms at 256).
 LEAF = 64
 
-Value = Union[Fraction, FixedDecimal]
+Value = Fraction | FixedDecimal
 
 
 def _check_depth_truncation(depth: int, truncation: int) -> None:
@@ -125,6 +136,24 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
         for j, b in enumerate(right[: len(out) - i]):
             out[i + j] += a * b
     return out
+
+
+def _tree_coefficient(depth: int, truncation: int) -> int:
+    """[t**depth] prod_{l<=N} (l**2 + t), N = truncation, 0 for depth > N.
+
+    The product tree builds the two halves of the product cut off at
+    degree `depth`, and the root forms only this coefficient,
+    sum_i left_i * right_(depth-i): depth+1 products of the widest
+    operands where the whole row would take (depth+1)*(depth+2)/2.
+    Divided by the constant term (N!)**2 it is S_depth(N).
+    """
+    if depth > truncation:
+        return 0
+    middle = (truncation + 2) // 2
+    left = _truncated_product(1, middle, depth)
+    right = _truncated_product(middle, truncation + 1, depth)
+    return sum(a * right[depth - i] for i, a in enumerate(left)
+               if depth - i < len(right))
 
 
 @functools.cache
@@ -200,6 +229,7 @@ def _integer_root(value: int, n: int) -> int:
         root = step
 
 
+@functools.lru_cache(maxsize=1024)
 def _tail_terms(depth: int, a: int, bits: int) -> int:
     """How many of the tails Z_1(a), ..., Z_depth(a) can exceed one unit
     of 2**-bits: Z_i(a) <= a**(-2i) + a**(1-2i)/(2i-1) <= 2*a**(1-2i),
@@ -346,10 +376,12 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
 
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth](N) at 10**-scale: where
-    _tree_row_is_cheaper says so, the product tree's, S_j = [t**j] P / P(0)
-    with P = prod_{l<=N} (l**2 + t), one rounded division per entry and
-    so correctly rounded; else _newton_row's, within one unit of exact.
+    """Mantissa row [S_0 .. S_depth](N) at 10**-scale, for sinc_series,
+    which weighs every entry: where _tree_row_is_cheaper says so, the
+    product tree's, S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t),
+    one rounded division per entry and so correctly rounded; else
+    _newton_row's, within one unit of exact. A fixed partial_sum takes
+    entry `depth` of the same row with no other entry formed on the tree.
     """
     if not _tree_row_is_cheaper(depth, truncation, scale):
         return _newton_row(depth, truncation, scale)
@@ -390,13 +422,15 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     step and the count bounds the tree from above.
 
     _newton_row counts scale**2/2000 + 3 per depth**2 for Newton's
-    identities; then, at head H (_newton_plan), (0.3*bits + 300)/8 per
-    head division, H*min(depth, bits/(2*log2 H) + 1) of them, and
-    4*(bits + 2000) per depth for the tail. A step took 0.8 to 15 ns
-    cold, the plan formed each time (depths 1 to 1000, N from 20 to
-    10**7, 20 to 1000 places), and 1.4 to 6.9 ns for the row alone
-    (depths 500 to 4000, N = depth and 10**6, 30 to 300 places). It
-    stops unplanned if the first count plus one division for each of
+    identities and scale**2/200 + 150 per depth for the rest, mostly one
+    long division per entry (0.73 us at 24 places, 263 us at 3000); then,
+    at head H (_newton_plan), (0.3*bits + 300)/8 per head division,
+    H*min(depth, bits/(2*log2 H) + 1) of them, and 4*(bits + 2000) for
+    each tail summed (_tail_terms, at most 13 at up to 100 places). A
+    step took 1.7 to 13 ns for the row alone and 2.7 to 14 ns cold, the
+    plan formed each time (depths 1 to 4000, N from the depth to 10**12,
+    24 to 1000 places, every estimate under STEP_CEILING). It stops
+    unplanned if the first count plus one division for each of
     min(N, 2**(b/(2K+3)) - 1) head indices, b the length of 10**scale,
     passes STEP_CEILING: H is at least that (_head_length, whose
     remainder constant |B_26| is above 1), and forming the plan at
@@ -408,7 +442,8 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
         wide = scale + digits
         return (units + entries * wide * math.isqrt(wide)
                 + entries * scale * digits // 8) // 64
-    steps = depth * depth * (scale * scale // 2000 + 3)
+    steps = (depth * depth * (scale * scale // 2000 + 3)
+             + depth * (scale * scale // 200 + 150))
     base = (10**scale).bit_length()
     head = min(truncation, (1 << base // (2 * EM_TERMS + 3)) - 1)
     floor = steps + min(depth, 1) * head * (base * 3 // 10 + 300) // 8
@@ -418,7 +453,7 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     chain = min(depth, bits // (2 * max(1, head.bit_length())) + 1)
     steps += head * chain * (bits * 3 // 10 + 300) // 8
     if head < truncation:
-        steps += 4 * depth * (bits + 2000)
+        steps += 4 * _tail_terms(depth, head + 1, bits) * (bits + 2000)
     return steps
 
 
@@ -431,40 +466,35 @@ def partial_sum(
     """S_depth(truncation), exact by a product tree, or fixed.
 
     mode "exact" returns a reduced Fraction: with
-    P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2.
-    The product tree builds the two halves of P cut off at degree
-    `depth`, and the root forms only the coefficient it returns,
-    sum_i left_i * right_(depth-i): depth+1 products of the widest
-    operands where a whole row would take (depth+1)*(depth+2)/2. One
-    division by (N!)**2 follows, with no per-index gcd as in the Fraction
-    sweep.
+    P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
+    the one coefficient the product tree's root forms
+    (_tree_coefficient), then one division by (N!)**2, with no per-index
+    gcd as in the Fraction sweep.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
-    _scaled_row(depth, N, scale), the product tree's correctly rounded
-    row where _tree_row_is_cheaper says so, else the power sums' row by
-    Newton's identities, within one unit in the last carried place. The
-    guard is the sweep kernel's budget of depth*N/2 units, which both
-    routes stay well inside.
+    _scaled_row(depth, N, scale). Where _tree_row_is_cheaper says so that
+    is the same root coefficient times 10**scale divided by (N!)**2 with
+    one half-even rounding, correctly rounded and formed with no other
+    entry; else the power sums' row by Newton's identities, within one
+    unit in the last carried place. The guard is the sweep kernel's budget
+    of depth*N/2 units, which both routes stay well inside.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
-        if depth > truncation:
-            return Fraction(0)
-        if depth == 0:
-            return Fraction(1)
-        middle = (truncation + 2) // 2
-        left = _truncated_product(1, middle, depth)
-        right = _truncated_product(middle, truncation + 1, depth)
-        coefficient = sum(a * right[depth - i] for i, a in enumerate(left)
-                          if depth - i < len(right))
-        return Fraction(coefficient, math.factorial(truncation) ** 2)
+        return Fraction(_tree_coefficient(depth, truncation),
+                        math.factorial(truncation) ** 2)
     if mode == "fixed":
         if digits < 1:
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        mantissa = _scaled_row(depth, truncation, scale)[depth]
+        if _tree_row_is_cheaper(depth, truncation, scale):
+            mantissa = div_round_half_even(
+                _tree_coefficient(depth, truncation) * 10**scale,
+                math.factorial(truncation) ** 2)
+        else:
+            mantissa = _newton_row(depth, truncation, scale)[depth]
         return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
@@ -578,12 +608,15 @@ def newton_cross_check(depth: int, truncation: int) -> Fraction:
     return e[depth]
 
 
-def _basel_upper(power: int, digits: int) -> int:
-    """A certified upper bound on (pi**2/6)**power in units of
-    10**-(digits+20): basel_power at digits+10 places carries scale
-    digits+20 and is correctly rounded, so one unit more bounds it from
-    above. Power 0 is exactly 1 and needs no slack."""
-    return basel_power(power, digits + 10).mantissa + (1 if power else 0)
+def _basel_ceiling(basel: FixedDecimal, power: int, divisor: int) -> int:
+    """ceil(U / (divisor * 10**10)) for U a certified upper bound on
+    (pi**2/6)**power in units of 10**-(digits+20), from
+    basel = basel_power(power, digits + 10): that carries scale digits+20
+    and is correctly rounded, so one unit more bounds it from above.
+    Power 0 is exactly 1 and needs no slack. The result is in units of
+    10**-(digits+10)."""
+    return div_round_up(basel.mantissa + (1 if power else 0),
+                        divisor * 10**10)
 
 
 def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
@@ -605,26 +638,20 @@ def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
         raise DomainError("tail bound requires truncation >= 1")
     if digits < 1:
         raise DomainError("tail bound requires at least one digit")
-    mantissa = div_round_up(_basel_upper(depth - 1, digits),
-                            truncation * 10**10)
+    mantissa = _basel_ceiling(basel_power(depth - 1, digits + 10),
+                              depth - 1, truncation)
     return FixedDecimal(mantissa, digits + 10, 10)
 
 
-class SeriesResult(NamedTuple):
-    """One computed partial sum with its error certificates.
+SeriesResult = collections.namedtuple(
+    "SeriesResult",
+    "depth truncation mode value tail_bound reference abs_error")
+SeriesResult.__doc__ = """One computed partial sum with its error certificates.
 
     value is a Fraction in exact mode and a FixedDecimal in fixed mode.
     tail_bound bounds S_depth(infinity) - value from above; abs_error is
     |reference - value| for the reference limit pi**(2*depth)/(2*depth+1)!.
     """
-
-    depth: int
-    truncation: int
-    mode: str
-    value: Value
-    tail_bound: FixedDecimal
-    reference: FixedDecimal
-    abs_error: FixedDecimal
 
 
 def series_result(depth: int, truncation: int, mode: str,
@@ -632,18 +659,20 @@ def series_result(depth: int, truncation: int, mode: str,
     """S_depth(truncation) in `mode` at `digits` places, with its tail
     bound, the reference limit and the observed error.
 
-    At truncation 0 nothing is summed and the whole series is the tail,
-    bounded above by (pi**2/6)**depth, rounded up at digits plus ten guard
-    places like tail_bound so the certificate stays sound. The error of an
-    exact value is rounded half-even at those places too.
+    The tail bound is tail_bound's, and the limit reference_value's, both
+    from one chain of powers of pi**2 (reference._pi_power_ratios) that
+    rounds each correctly on its own. At truncation 0 nothing is summed
+    and the whole series is the tail, bounded above by (pi**2/6)**depth,
+    rounded up at digits plus ten guard places like tail_bound so the
+    certificate stays sound. The error of an exact value is rounded
+    half-even at those places too.
     """
     value = partial_sum(depth, truncation, mode=mode, digits=digits)
-    if truncation >= 1:
-        bound = tail_bound(depth, truncation, digits)
-    else:
-        bound = FixedDecimal(
-            div_round_up(_basel_upper(depth, digits), 10**10), digits + 10, 10)
-    ref = reference_value(depth, digits)
+    power = depth - 1 if truncation else depth
+    basel, ref = _pi_power_ratios([_basel_target(power, digits + 10),
+                                   _limit_target(depth, digits)])
+    bound = FixedDecimal(_basel_ceiling(basel, power, max(truncation, 1)),
+                         digits + 10, 10)
     if isinstance(value, Fraction):
         error = abs(FixedDecimal.from_rational(
             ref.as_fraction() - value, digits + 10, 10))
@@ -672,8 +701,8 @@ def required_truncation(depth: int, digits: int) -> int:
         raise DomainError("depth must be at least 1")
     if digits < 1:
         raise DomainError("at least one digit is required")
-    return div_round_up(_basel_upper(depth - 1, digits),
-                        (10**10 - 1) * 10**10)
+    return _basel_ceiling(basel_power(depth - 1, digits + 10), depth - 1,
+                          10**10 - 1)
 
 
 def converge(depth: int, digits: int) -> SeriesResult:

@@ -498,6 +498,16 @@ class TestRunawayRequests:
         assert code == EXIT_OK and err == ""
         assert "value: 0." + "0" * 20 + "\n" in out
 
+    def test_row_past_its_head_counts_only_the_tails_summed(self, capsys):
+        # Past a 20-place head the row sums about a dozen tails, not one
+        # per depth; counted per depth, this was refused at 50238600 steps.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sum", "--mode", "fixed", "--depth",
+                                 "2700", "--upto", "3000", "--digits", "20")
+        assert time.perf_counter() - start < 3
+        assert code == EXIT_OK and err == ""
+        assert "value: 0." + "0" * 20 + "\n" in out
+
     def test_huge_counts_are_quoted_as_powers_of_ten(self, capsys):
         code, _, err = run_cli(capsys, "converge", "--depth", "1",
                                "--digits", "4400")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipow import exactnum
 from pipow.errors import DomainError
 from pipow.exactnum import (
     FixedDecimal,
@@ -258,6 +259,51 @@ class TestIntToDecimal:
         expected = "0." + ("142857" * 834)[:5000]
         fd = FixedDecimal.from_rational(Fraction(sign, 7), 5000, guard=3)
         assert fd.to_decimal_string() == ("-" if sign < 0 else "") + expected
+
+
+def split_cases():
+    """Values around every cut of the split rendering: lengths next to
+    SPLIT_DIGITS and to each 2**k up to 2**15, the powers of ten beside
+    them, and values whose low part, below a cut, starts with zeros."""
+    lengths = {999, 1000, 1001}
+    for k in range(1, 16):
+        lengths |= {2**k - 1, 2**k, 2**k + 1}
+    values = [0]
+    for n in sorted(lengths):
+        top = 10**n
+        values += [top // 10 + 1, top // 7, top - 1, top, top + 1,
+                   top // 3 * 10 ** (n // 2) + 1, top // 9 * 10 ** (n // 2)]
+    for k in range(9, 16):
+        # Cut at 10**(2**k): the low 2**k digits are 0...0 then 5...5.
+        values.append((10**2**k + 7) * 10**2**k + 10**(2**k - 40) // 9 * 5)
+    return values
+
+
+class TestSplitRendering:
+    """int_to_decimal against str with the limit lifted, at and around
+    each cut of the ladder."""
+
+    def test_equals_str(self):
+        # Negatives only below 5000 digits: the sign takes one path.
+        values = split_cases()
+        values += [-v for v in values if v < 10**5000]
+        with int_str_limit(0):
+            expected = [str(v) for v in values]
+        assert [int_to_decimal(v) for v in values] == expected
+
+    def test_equals_str_under_a_lowered_limit(self):
+        values = [v for v in split_cases() if v < 10**5000]
+        saved = sys.get_int_max_str_digits()
+        with int_str_limit(0):
+            expected = [str(v) for v in values]
+        with int_str_limit(640):
+            assert [int_to_decimal(v) for v in values] == expected
+        assert sys.get_int_max_str_digits() == saved
+
+    def test_ladder_holds_one_power_per_step(self):
+        int_to_decimal(10**20000 + 1)
+        ladder = exactnum._TEN_POWERS
+        assert all(ladder[k] == 10**2**k for k in range(len(ladder)))
 
 
 class TestFixedDecimalArithmetic:

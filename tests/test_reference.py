@@ -8,6 +8,7 @@ that shares neither the series nor the arithmetic.
 """
 
 import math
+import random
 import subprocess
 import sys
 import threading
@@ -380,3 +381,110 @@ class TestCorrectRounding:
         assert reference._round_certified(5 * 256 + 13, 8, 3, 1) is None
         assert reference._round_certified(5 * 256 + 14, 8, 1, 1) == 51
         assert reference._round_certified(-(5 << 8) - 124, 8, 3, 0) == -5
+
+
+def round_certified_by_ten(value, bits, error, scale):
+    """_round_certified as it multiplied by 10**scale and masked `bits`
+    low bits, kept as the judge of the 5**scale form."""
+    pow10 = 10**scale
+    scaled = value * pow10
+    low = scaled & ((1 << bits) - 1)
+    if abs(2 * low - (1 << bits)) <= 2 * error * pow10:
+        return None
+    return (scaled >> bits) + (2 * low > (1 << bits))
+
+
+class TestRoundCertifiedByFive:
+    def test_random_values(self):
+        rng = random.Random(15)
+        for _ in range(3000):
+            scale = rng.randrange(0, 300)
+            bits = scale * 3322 // 1000 + 1 + rng.randrange(1, 80)
+            value = rng.randrange(-(1 << (bits + 20)), 1 << (bits + 20))
+            error = rng.choice([0, 1, rng.randrange(1 << 12)])
+            assert (reference._round_certified(value, bits, error, scale)
+                    == round_certified_by_ten(value, bits, error, scale))
+
+    def test_near_the_half_point(self):
+        # value * 10**scale placed at the half point of the last place,
+        # then moved by up to twice the slack, so both outcomes and the
+        # open (None) band around it are crossed.
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(400):
+            scale = rng.randrange(0, 60)
+            bits = scale * 3322 // 1000 + 1 + rng.randrange(1, 20)
+            error = rng.randrange(0, 5)
+            # value whose scaled product lies nearest the half point of
+            # rounded unit m
+            m = rng.randrange(1 << 40)
+            centre = ((2 * m + 1) << (bits - 1)) // 10**scale
+            for step in range(-3 * error - 3, 3 * error + 4):
+                value = centre + step
+                new = reference._round_certified(value, bits, error, scale)
+                assert new == round_certified_by_ten(value, bits, error,
+                                                     scale)
+                outcomes.add(new is None)
+        assert outcomes == {True, False}
+
+    def test_exact_half_ties_wait(self):
+        # At scale 0 a value exactly on the half point is open at any error.
+        assert reference._round_certified((5 << 8) + 128, 8, 0, 0) is None
+        assert round_certified_by_ten((5 << 8) + 128, 8, 0, 0) is None
+
+
+def chained(depth, digits, truncation):
+    """series_result's pair: (pi**2/6)**p at digits + 10 and the limit at
+    digits, p = depth - 1, or depth at truncation 0."""
+    power = depth - 1 if truncation else depth
+    return reference._pi_power_ratios([
+        reference._basel_target(power, digits + 10),
+        reference._limit_target(depth, digits)]), power
+
+
+class TestOneChain:
+    """One chain of pi**2 powers gives what separate calls give."""
+
+    @pytest.mark.parametrize("digits", [1, 2, 17, 100, 999, 2048, 4300])
+    def test_equals_separate_calls(self, digits):
+        for depth in range(1, 65):
+            for truncation in (0, 1):
+                (basel, limit), power = chained(depth, digits, truncation)
+                separate = (basel_power(power, digits + 10),
+                            reference_value(depth, digits))
+                assert [(v.mantissa, v.scale, v.guard)
+                        for v in (basel, limit)] == [
+                    (v.mantissa, v.scale, v.guard) for v in separate]
+
+    def test_equals_separate_calls_through_the_retry(self, monkeypatch):
+        expected = {(depth, digits, truncation): (
+            basel_power(depth - 1 if truncation else depth,
+                        digits + 10).mantissa,
+            reference_value(depth, digits).mantissa)
+            for depth in range(1, 9) for digits in (1, 50, 500)
+            for truncation in (0, 1)}
+        outcomes = []
+        real = reference._round_certified
+
+        def recording(*args):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+        monkeypatch.setattr(reference, "_round_certified", recording)
+        for (depth, digits, truncation), pair in expected.items():
+            (basel, limit), _ = chained(depth, digits, truncation)
+            assert (basel.mantissa, limit.mantissa) == pair
+        assert None in outcomes
+
+    def test_one_pi_square_per_try(self, monkeypatch):
+        calls = []
+        real = reference._PI_CACHE.bits
+
+        def counting(bits):
+            calls.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(reference._PI_CACHE, "bits", counting)
+        chained(5, 300, 10)
+        assert len(calls) == 1

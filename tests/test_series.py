@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 from pipow import _backend, series
 from pipow.errors import DomainError, InfeasibleError
-from pipow.exactnum import FixedDecimal, div_round_half_even, guard_digits
+from pipow.exactnum import (
+    FixedDecimal,
+    div_round_half_even,
+    div_round_up,
+    guard_digits,
+)
 from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
     EXACT_TRUNCATION_LIMIT,
@@ -652,3 +657,102 @@ class TestSincSeries:
 class TestExactTruncationLimit:
     def test_constant_value(self):
         assert EXACT_TRUNCATION_LIMIT == 2000
+
+
+class TestOneTreeCoefficient:
+    """A fixed sum forms one tree coefficient where its row had every one,
+    and the mantissa is the row's entry."""
+
+    TRUNCATIONS = sorted({*range(0, 401, 7), 1, 2, 3, 5, 8, 13, 16, 17, 64,
+                          65, 66, 129, 400})
+
+    def test_fixed_sum_is_the_row_entry_on_both_routes(self):
+        routes = set()
+        for depth in range(17):
+            for truncation in self.TRUNCATIONS:
+                guard = guard_digits(depth * truncation)
+                # 5 places: the power sums' row from N = 17 on; the wider
+                # count: at or past the tree rule's scale.
+                for digits in (5, truncation * (16 + depth) // 16 + 1):
+                    scale = digits + guard
+                    routes.add(series._tree_row_is_cheaper(
+                        depth, truncation, scale))
+                    value = partial_sum(depth, truncation, "fixed", digits)
+                    assert (value.mantissa, value.scale, value.guard) == (
+                        series._scaled_row(depth, truncation, scale)[depth],
+                        scale, guard), (depth, truncation, digits)
+        assert routes == {False, True}
+
+    def test_exact_and_fixed_share_the_root(self, monkeypatch):
+        calls = []
+        real = series._tree_coefficient
+
+        def recording(depth, truncation):
+            calls.append((depth, truncation))
+            return real(depth, truncation)
+
+        monkeypatch.setattr(series, "_tree_coefficient", recording)
+        monkeypatch.setattr(series, "_scaled_row", None)
+        exact = partial_sum(3, 40)
+        fixed = partial_sum(3, 40, "fixed", 200)
+        assert calls == [(3, 40), (3, 40)]
+        # The tree's entry is correctly rounded.
+        assert abs(fixed.as_fraction() - exact) <= Fraction(
+            1, 2 * 10**fixed.scale)
+
+
+class TestOneChainResult:
+    """series_result's bound and limit are tail_bound's and
+    reference_value's, from one chain."""
+
+    @pytest.mark.parametrize("mode", ["exact", "fixed"])
+    def test_matches_separate_calls(self, mode):
+        for depth in (1, 2, 3, 7, 16):
+            for truncation in (0, 1, 5, 40):
+                for digits in (1, 20, 600):
+                    result = series.series_result(depth, truncation, mode,
+                                                  digits)
+                    if truncation:
+                        bound = tail_bound(depth, truncation, digits)
+                    else:
+                        # The whole series: (pi**2/6)**depth rounded up.
+                        upper = basel_power(depth, digits + 10).mantissa + 1
+                        bound = FixedDecimal(div_round_up(upper, 10**10),
+                                             digits + 10, 10)
+                    ref = reference_value(depth, digits)
+                    for got, want in ((result.tail_bound, bound),
+                                      (result.reference, ref)):
+                        assert (got.mantissa, got.scale, got.guard) == (
+                            want.mantissa, want.scale, want.guard)
+
+    def test_series_result_is_a_plain_named_tuple(self):
+        result = series.series_result(2, 3, "exact", 5)
+        assert series.SeriesResult._fields == (
+            "depth", "truncation", "mode", "value", "tail_bound",
+            "reference", "abs_error")
+        assert result == tuple(result)
+        assert result[:3] == (2, 3, "exact")
+        assert series.SeriesResult.__doc__.startswith(
+            "One computed partial sum with its error certificates.")
+        with pytest.raises(AttributeError):
+            result.depth = 3
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            series.series_result(2, 3, "exact", 0)
+        with pytest.raises(DomainError):
+            series.series_result(0, 3, "exact", 5)
+
+
+class TestRowCostCountsTheTailsSummed:
+    def test_each_tail_summed_counts_once(self, monkeypatch):
+        # Depth 2700 past a 20-place head: about a dozen tails are summed,
+        # and the estimate counts those, not one per depth.
+        depth, truncation, scale = 2700, 3000, 20 + guard_digits(2700 * 3000)
+        bits, head = series._newton_plan(depth, truncation, scale)
+        terms = series._tail_terms(depth, head + 1, bits)
+        assert head < truncation and terms <= 13
+        steps = series._row_steps(depth, truncation, scale)
+        monkeypatch.setattr(series, "_tail_terms", lambda *args: 0)
+        assert (steps - series._row_steps(depth, truncation, scale)
+                == 4 * terms * (bits + 2000))

@@ -113,9 +113,11 @@ class TestCommandLineSurface:
 class TestStartUp:
     # Loaded on first use: the symbolic engine and the benchmark by their
     # commands, csv and json by their formats; dataclasses would pull in
-    # inspect, ast and dis on every start.
+    # inspect, ast and dis on every start. threading and typing are not
+    # needed to start at all (7 to 11 ms of a bare start): PiCache locks
+    # with _thread, and SeriesResult is a collections.namedtuple.
     LAZY = ["csv", "dataclasses", "inspect", "json", "pipow.bench",
-            "pipow.symmetric"]
+            "pipow.symmetric", "threading", "typing"]
 
     def test_cli_import_loads_only_what_every_command_runs(self, capsys):
         script = (
