@@ -4,6 +4,10 @@ Subcommands: sum, converge, table, verify-theorem, sinc, bench. Output is
 deterministic for a given command line (benchmark timings excepted) in all
 three formats (text, csv, json).
 
+Each series command plans its request in `series` (sum_plan,
+converged_plan, sinc_plan), which refuses it there, then runs the plan and
+renders the result; no costing happens here.
+
 Exit codes: 0 success, 1 verification mismatch, 2 request refused before
 any work (its estimated work is above a ceiling, series.STEP_CEILING for
 sum, converge, table and sinc), 3 invalid arguments, domain errors or
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import re
 import sys
 from fractions import Fraction
@@ -23,23 +26,16 @@ from fractions import Fraction
 from . import _backend
 from .errors import DomainError, InfeasibleError
 from .exactnum import FixedDecimal, int_to_decimal
-from .reference import (
-    MAX_PI_DIGITS,
-    REFERENCE_GUARD,
-    pi_power_work,
-    sinc_taylor,
-)
+from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
 from .series import (
     EXACT_TRUNCATION_LIMIT,
-    STEP_CEILING,
     SeriesResult,
-    partial_sum_work,
-    required_truncation,
-    row_work_floor,
-    series_result,
+    converged_plan,
+    series_results,
+    sinc_plan,
     sinc_product,
     sinc_series,
-    sinc_work,
+    sum_plan,
 )
 
 __all__ = ["EXIT_INFEASIBLE", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE",
@@ -272,52 +268,19 @@ def _render_series(results: list, args) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _refuse_above_step_ceiling(steps: int, request: str) -> None:
-    """Refuses a request whose estimated digit steps pass STEP_CEILING,
-    quoting a count of more than 15 digits as the nearest power of ten."""
-    if steps > STEP_CEILING:
-        about = ("%d" % steps if steps < 10**15
-                 else "10**%d" % round(math.log10(steps)))
-        raise InfeasibleError(
-            "%s needs about %s digit steps, above the ceiling of %d; "
-            "lower one of these numbers" % (request, about, STEP_CEILING),
-            required=steps,
-        )
-
-
 def cmd_sum(args) -> tuple[str, int]:
-    truncation = args.upto
-    mode = args.mode
-    if mode is None:
-        mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
-    # The tail bound and the limit share one chain of powers of pi**2 up
-    # to the depth; it is counted twice, an upper bound.
-    _refuse_above_step_ceiling(
-        partial_sum_work(args.depth, truncation, args.digits, mode)
-        + 2 * pi_power_work(args.depth, args.digits + REFERENCE_GUARD),
-        "sum --depth %d --upto %d --digits %d"
-        % (args.depth, truncation, args.digits))
-    result = series_result(args.depth, truncation, mode, args.digits)
-    return _render_series([result], args), EXIT_OK
+    plan = sum_plan(args.depth, args.upto, args.mode, args.digits,
+                    "sum --depth %d --upto %d --digits %d"
+                    % (args.depth, args.upto, args.digits))
+    return _render_series(series_results(plan, args.digits), args), EXIT_OK
 
 
 def _render_converged(args, depths: range, request: str) -> str:
-    """The fixed rows at required_truncation(depth, digits), refused
-    before any is computed if their estimated steps pass the ceiling,
-    each from the deepest with its three powers of pi**2 and the floor of
-    its row costed before required_truncation runs one (0.3 s at depth
-    5000, 13 s at 20000): that truncation is above 10**digits and depth."""
-    digits, request = args.digits, request + " --digits %d" % args.digits
-    rows, steps = [], 0
-    for depth in reversed(depths):
-        steps += 3 * pi_power_work(depth, digits + REFERENCE_GUARD)
-        _refuse_above_step_ceiling(steps + row_work_floor(depth, digits),
-                                   request)
-        rows.insert(0, (depth, required_truncation(depth, digits)))
-        steps += partial_sum_work(*rows[0], digits)
-        _refuse_above_step_ceiling(steps, request)
-    return _render_series([series_result(depth, truncation, "fixed", digits)
-                           for depth, truncation in rows], args)
+    """The fixed rows at required_truncation(depth, digits), all planned
+    (and refused) before any is computed."""
+    plan = converged_plan(depths, args.digits,
+                          request + " --digits %d" % args.digits)
+    return _render_series(series_results(plan, args.digits), args)
 
 
 def cmd_converge(args) -> tuple[str, int]:
@@ -358,13 +321,8 @@ def cmd_verify_theorem(args) -> tuple[str, int]:
 
 def cmd_sinc(args) -> tuple[str, int]:
     x, terms, digits = args.x, args.terms, args.digits
-    request = "sinc --x %s --terms %d --digits %d" % (x, terms, digits)
-    # The row's floor at the power floor first: _sinc_powers' search
-    # grows with |x|.
-    _refuse_above_step_ceiling(
-        row_work_floor(_sinc_power_floor(x, terms), digits), request)
-    powers = _sinc_powers(x, digits, terms)
-    _refuse_above_step_ceiling(sinc_work(x, powers, terms, digits), request)
+    powers = sinc_plan(x, terms, digits, "sinc --x %s --terms %d --digits %d"
+                       % (x, terms, digits))
     product = sinc_product(x, terms, digits)
     series = sinc_series(x, powers, terms, digits)
     if abs(x) <= 2:
@@ -386,47 +344,6 @@ def cmd_sinc(args) -> tuple[str, int]:
         "series_vs_taylor": series_dev,
     }
     return _render([record], args.output_format), EXIT_OK
-
-
-def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
-    """Power cutoff for the sinc series: enough alternating terms that the
-    first omitted one is below 10**-(digits+5), using pi < 16/5, and never
-    more than the truncation `terms`, since S_j(terms) = 0 for j > terms.
-
-    Term j is (16x/5)**(2j) / (2j+1)!, tested by one integer comparison.
-    The terms rise while (2j)*(2j+1) <= (16x/5)**2 and fall after, so
-    unless term 1 is small, the small terms are exactly those from the
-    cutoff on. A bisection on lgamma estimates the cutoff, and the exact
-    tests step from the estimate to it, one or two of them in practice.
-    """
-    a, b = 16 * abs(x.numerator), 5 * x.denominator
-    limit = 10 ** (digits + 5)
-
-    def small(j):
-        return a ** (2 * j) * limit < b ** (2 * j) * math.factorial(2 * j + 1)
-
-    if terms <= 1 or small(1):
-        return min(terms, 1)
-    log_ratio = 2 * (math.log(a) - math.log(b))
-    log_limit = (digits + 5) * math.log(10)
-    low, j = 1, terms
-    while j - low > 1:
-        middle = (low + j) // 2
-        if math.lgamma(2 * middle + 2) > middle * log_ratio + log_limit:
-            j = middle
-        else:
-            low = middle
-    while j < terms and not small(j):
-        j += 1
-    while j > 2 and small(j - 1):
-        j -= 1
-    return j
-
-
-def _sinc_power_floor(x: Fraction, terms: int) -> int:
-    """A lower bound on _sinc_powers(x, digits, terms), with no loop: its
-    terms do not shrink while (2j+1)**2 <= (16x/5)**2."""
-    return min(terms, (16 * abs(x.numerator) // (5 * x.denominator) + 1) // 2)
 
 
 def cmd_bench(args) -> tuple[str, int]:

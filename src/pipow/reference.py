@@ -193,7 +193,7 @@ def pi_digits(digits: int) -> FixedDecimal:
 
 def _pi_power_ratios(targets: list) -> list:
     """pi**(2*power) / divisor at 10**-scale, correctly rounded half-even,
-    for each (power, divisor, scale) of `targets` (_limit_target,
+    for each (power, divisor, scale) of `targets` (_limit_targets,
     _basel_target), from one chain of powers of pi**2.
 
     At w bits: p = pi * 2**w within one unit, the square (p*p) >> w, then
@@ -248,12 +248,18 @@ def _pi_power_ratios(targets: list) -> list:
     return out
 
 
-def _limit_target(depth: int, digits: int) -> tuple:
-    """The _pi_power_ratios target of reference_value(depth, digits)."""
-    if depth < 1:
+def _limit_targets(depths: range, digits: int) -> list:
+    """The _pi_power_ratios targets of reference_value(depth, digits) for
+    each depth of `depths`, each (2*depth + 1)! formed from the last."""
+    if depths[0] < 1:
         raise DomainError("depth must be a positive integer")
     _check_digits(digits)
-    return depth, math.factorial(2 * depth + 1), digits + REFERENCE_GUARD
+    factorial = math.factorial(2 * depths[0] - 1)
+    targets = []
+    for depth in depths:
+        factorial *= 2 * depth * (2 * depth + 1)
+        targets.append((depth, factorial, digits + REFERENCE_GUARD))
+    return targets
 
 
 def _basel_target(power: int, digits: int) -> tuple:
@@ -271,7 +277,8 @@ def reference_value(depth: int, digits: int) -> FixedDecimal:
     This is the exact limit of the depth-nested reciprocal-square sum, so
     it is the value partial sums are judged against.
     """
-    return _pi_power_ratios([_limit_target(depth, digits)])[0]
+    return _pi_power_ratios(_limit_targets(range(depth, depth + 1),
+                                           digits))[0]
 
 
 def basel_power(power: int, digits: int) -> FixedDecimal:

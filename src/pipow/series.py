@@ -10,8 +10,7 @@ As N grows, S_n(N) converges to pi**(2n) / (2n+1)!. This module computes
 the partial sums four independent ways (a product tree over the integer
 polynomial prod (l**2 + t), a single O(N*n) Fraction sweep, direct tuple
 enumeration, and Newton's identities on power sums), bounds the truncation
-error rigorously, plans the truncation for a requested precision, and
-estimates each request's cost against STEP_CEILING.
+error rigorously, and plans each request of the command line once.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
@@ -26,11 +25,19 @@ one returned: summed term by term up to an Euler-Maclaurin cutoff M and
 from the certified Euler-Maclaurin tail past it, each entry within one
 unit of exact under a closed-form radius of O(R * log depth) units, R the
 largest power-sum error (`_newton_radius`), so no pass but the row's
-grows with the depth. The sinc series weighs every entry and takes the
-whole row from `_scaled_row` on either route. A fixed sum's limit and
-tail bound take their powers of pi**2 from one chain (`series_result`).
-The sweep kernel `_backend.dp_row_scaled` takes no row; `pipow bench` and
-the tests keep it as a witness.
+grows with the depth; only the entries read are rounded to 10**-scale.
+The sinc series weighs every entry and takes the whole row from
+`_scaled_row` on either route. The sweep kernel `_backend.dp_row_scaled`
+takes no row; `pipow bench` and the tests keep it as a witness.
+
+A plan decides each choice of a request once, and its estimate, its
+refusal and its run read it. A row's route, working precision and cost
+in digit steps are one `_row_plan`. A sum, converge or table request
+(`sum_plan`, `converged_plan`) forms every power of pi**2 it needs, for
+the truncations, the tail bounds and the limits, in one chain, and
+`series_results` runs the rows; `sinc_plan` counts the sinc series'
+powers. Each plan refuses its command line when the estimate passes
+STEP_CEILING, before the work it costs.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ from .exactnum import (
 from .reference import (
     REFERENCE_GUARD,
     _basel_target,
-    _limit_target,
+    _limit_targets,
     _pi_power_ratios,
     basel_power,
+    pi_power_work,
 )
 
 __all__ = [
@@ -64,6 +72,7 @@ __all__ = [
     "STEP_CEILING",
     "SeriesResult",
     "converge",
+    "converged_plan",
     "newton_cross_check",
     "partial_sum",
     "partial_sum_naive",
@@ -71,10 +80,12 @@ __all__ = [
     "partial_sum_work",
     "required_truncation",
     "row_work_floor",
-    "series_result",
+    "series_results",
+    "sinc_plan",
     "sinc_product",
     "sinc_series",
     "sinc_work",
+    "sum_plan",
     "tail_bound",
 ]
 
@@ -243,8 +254,9 @@ def _tail_terms(depth: int, a: int, bits: int) -> int:
 
 def _head_length(depth: int, truncation: int, bits: int) -> int:
     """H = min(N, M): the indices whose power sums _newton_row adds term
-    by term, M the least cutoff with _em_remainder(1, M+1) at most one
-    unit of 2**-bits (_newton_radius counts every remainder at M+1).
+    by term (none at depth 0, which has no power sum), M the least cutoff
+    with _em_remainder(1, M+1) at most one unit of 2**-bits
+    (_newton_radius counts every remainder at M+1).
 
     That remainder is |B_(2K+2)| * 2**bits / a**(2K+3) with |B_26| > 1,
     so while (N+1)**(2K+3) <= 2**bits, H = N and the Bernoulli table
@@ -253,8 +265,9 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
     integer root of the bound and steps up.
     """
     power, a = 2 * EM_TERMS + 3, truncation + 1
-    if depth < 1 or ((a.bit_length() - 1) * power <= bits
-                     and a ** power <= 1 << bits):
+    if depth < 1:
+        return 0
+    if (a.bit_length() - 1) * power <= bits and a ** power <= 1 << bits:
         return truncation
     _, denominator, remainder = _euler_maclaurin(1)
     base = _integer_root((remainder << bits) // denominator, power)
@@ -298,7 +311,6 @@ def _newton_radius(depth: int, head: int, tail: bool, bits: int) -> int:
     return 4 * (2 * largest + 1) * (depth.bit_length() + 1)
 
 
-@functools.lru_cache(maxsize=1024)
 def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
     """(bits, H) of _newton_row(depth, N, scale): the working precision
     2**-bits and the head length _head_length(depth, N, bits).
@@ -320,23 +332,25 @@ def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
         guard = radius.bit_length() + 1
 
 
-def _newton_row(depth: int, truncation: int, scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth](N) at 10**-scale from the power sums
-    p_i(N) = sum_{l<=N} l**(-2i) by Newton's identities, on integers at
-    2**-bits (_newton_plan).
+def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
+    """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
+    2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
+    identities, with bits and the head H from _row_plan.
 
     Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
     P_i by the chain t //= l*l, which stops once t reaches 0; past the
     head, P_i gains the Euler-Maclaurin tail Z_i(H+1) - Z_i(N+1) where
     that can reach one unit (_tail_terms). Then
     k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each E_k rounded once by a
-    shift and a division by k, and each entry rounded half-even once at
-    10**-scale: within half a unit of the final rounding plus under half
-    a unit of _newton_radius, so within one unit of exact.
+    shift and a division by k. The caller rounds the entries it reads
+    half-even once at 10**-scale (_round_bits): within half a unit of
+    that rounding plus under half a unit of _newton_radius, so within one
+    unit of exact.
     """
-    if depth == 0:
-        return [10**scale]
-    bits, head = _newton_plan(depth, truncation, scale)
+    plan = _row_plan(depth, truncation, scale)
+    if plan.bits is None:  # the tree's, or stopped at its floor
+        plan = _row_plan(depth, truncation, scale, True)
+    bits, head = plan.bits, plan.head
     one = 1 << bits
     sums = [0] * depth
     for ell in range(1, head + 1):
@@ -356,9 +370,22 @@ def _newton_row(depth: int, truncation: int, scale: int) -> list:
     for k in range(1, depth + 1):
         total = sum(map(operator.mul, row[::-1], signed))
         row.append(((total >> (bits - 1)) // k + 1) >> 1)
-    ten = 10**scale
-    return [ten] + [div_round_half_even(entry * ten, one)
-                    for entry in row[1:]]
+    return bits, row
+
+
+def _round_bits(entries: list, bits: int, scale: int) -> list:
+    """Each entry e at 2**-bits as a mantissa at 10**-scale, rounded
+    half-even, for bits > scale: div_round_half_even(e * 10**scale,
+    2**bits) by shift and mask, as 10**scale = 5**scale * 2**scale leaves
+    e * 5**scale over 2**(bits - scale)."""
+    pow5, shift = 5**scale, bits - scale
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    out = []
+    for entry in entries:
+        scaled = entry * pow5
+        low, quotient = scaled & mask, scaled >> shift
+        out.append(quotient + (low > half or (low == half and quotient & 1)))
+    return out
 
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
@@ -377,14 +404,15 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
 
 def _scaled_row(depth: int, truncation: int, scale: int) -> list:
     """Mantissa row [S_0 .. S_depth](N) at 10**-scale, for sinc_series,
-    which weighs every entry: where _tree_row_is_cheaper says so, the
-    product tree's, S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t),
-    one rounded division per entry and so correctly rounded; else
-    _newton_row's, within one unit of exact. A fixed partial_sum takes
-    entry `depth` of the same row with no other entry formed on the tree.
+    which weighs every entry, on the route of _row_plan: the product
+    tree's, S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t), one
+    rounded division per entry and so correctly rounded; or _newton_row's,
+    every entry rounded, within one unit of exact. A fixed partial_sum
+    takes entry `depth` of the same row and rounds no other.
     """
-    if not _tree_row_is_cheaper(depth, truncation, scale):
-        return _newton_row(depth, truncation, scale)
+    if _row_plan(depth, truncation, scale).route == "newton":
+        bits, row = _newton_row(depth, truncation, scale)
+        return _round_bits(row, bits, scale)
     coefficients = _truncated_product(1, truncation + 1, depth)
     coefficients += [0] * (depth + 1 - len(coefficients))
     one = 10**scale
@@ -393,7 +421,7 @@ def _scaled_row(depth: int, truncation: int, scale: int) -> list:
 
 
 def _tree_units(depth: int, truncation: int) -> tuple:
-    """(units, D): the product tree's count in the units of _row_steps,
+    """(units, D): the product tree's count in the units of _row_plan,
     and D, the decimal length of (N!)**2.
 
     It counts D**log2(3) for each full-size Karatsuba product of the
@@ -409,11 +437,20 @@ def _tree_units(depth: int, truncation: int) -> tuple:
             + 2048 * truncation * min(depth, LEAF)), digits
 
 
-def _row_steps(depth: int, truncation: int, scale: int) -> int:
-    """Estimated cost of _scaled_row(depth, truncation, scale), in digit
-    steps: the unit of the sweep kernel `_backend.dp_row_scaled`, one
-    step per index, depth entry and mantissa digit, which measured 3 to
-    35 ns a step (pure Python, depths 22 to 400, 44 to 10**4 places).
+RowPlan = collections.namedtuple("RowPlan", "route steps bits head")
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_plan(depth: int, truncation: int, scale: int,
+              newton: bool = False) -> RowPlan:
+    """How the row [S_0 .. S_depth](N) at 10**-scale is formed, decided
+    once for its estimate and its run: the route, "tree" or "newton" by
+    _tree_row_is_cheaper; the Newton route's bits and head H
+    (_newton_plan), None on the tree or where the estimate stopped at its
+    floor; and the steps, the cost in the unit of the sweep kernel
+    `_backend.dp_row_scaled` (one step per index, depth entry and mantissa
+    digit), which measured 3 to 35 ns a step (pure Python, depths 22 to
+    400, 44 to 10**4 places).
 
     The tree counts _tree_units, plus (scale + D)**1.5 for each scaled
     entry and scale*D/8 for each long division, min(depth, N) + 1 of
@@ -422,9 +459,10 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     step and the count bounds the tree from above.
 
     _newton_row counts scale**2/2000 + 3 per depth**2 for Newton's
-    identities and scale**2/200 + 150 per depth for the rest, mostly one
-    long division per entry (0.73 us at 24 places, 263 us at 3000); then,
-    at head H (_newton_plan), (0.3*bits + 300)/8 per head division,
+    identities and scale**2/200 + 150 per depth for the rest, fitted when
+    each entry took a long division (263 us at 3000 places; _round_bits'
+    shift takes less, so this term now counts high); then, at
+    head H (_newton_plan), (0.3*bits + 300)/8 per head division,
     H*min(depth, bits/(2*log2 H) + 1) of them, and 4*(bits + 2000) for
     each tail summed (_tail_terms, at most 13 at up to 100 places). A
     step took 1.7 to 13 ns for the row alone and 2.7 to 14 ns cold, the
@@ -435,26 +473,32 @@ def _row_steps(depth: int, truncation: int, scale: int) -> int:
     passes STEP_CEILING: H is at least that (_head_length, whose
     remainder constant |B_26| is above 1), and forming the plan at
     hundreds of thousands of bits took seconds.
+
+    `newton` plans the Newton route in full whatever the rule and the
+    ceiling say: for _newton_row past the ceiling, which only a library
+    call runs, and for the tests, which take it as a witness on either
+    side of the rule.
     """
-    if _tree_row_is_cheaper(depth, truncation, scale):
+    if not newton and _tree_row_is_cheaper(depth, truncation, scale):
         units, digits = _tree_units(depth, truncation)
         entries = min(depth, truncation) + 1
         wide = scale + digits
-        return (units + entries * wide * math.isqrt(wide)
-                + entries * scale * digits // 8) // 64
+        return RowPlan("tree", (units + entries * wide * math.isqrt(wide)
+                                + entries * scale * digits // 8) // 64,
+                       None, None)
     steps = (depth * depth * (scale * scale // 2000 + 3)
              + depth * (scale * scale // 200 + 150))
     base = (10**scale).bit_length()
     head = min(truncation, (1 << base // (2 * EM_TERMS + 3)) - 1)
     floor = steps + min(depth, 1) * head * (base * 3 // 10 + 300) // 8
-    if floor > STEP_CEILING:
-        return floor
+    if not newton and floor > STEP_CEILING:
+        return RowPlan("newton", floor, None, None)
     bits, head = _newton_plan(depth, truncation, scale)
     chain = min(depth, bits // (2 * max(1, head.bit_length())) + 1)
     steps += head * chain * (bits * 3 // 10 + 300) // 8
     if head < truncation:
         steps += 4 * _tail_terms(depth, head + 1, bits) * (bits + 2000)
-    return steps
+    return RowPlan("newton", steps, bits, head)
 
 
 def partial_sum(
@@ -473,7 +517,7 @@ def partial_sum(
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
-    _scaled_row(depth, N, scale). Where _tree_row_is_cheaper says so that
+    _scaled_row(depth, N, scale). On the tree route of _row_plan that
     is the same root coefficient times 10**scale divided by (N!)**2 with
     one half-even rounding, correctly rounded and formed with no other
     entry; else the power sums' row by Newton's identities, within one
@@ -489,12 +533,13 @@ def partial_sum(
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        if _tree_row_is_cheaper(depth, truncation, scale):
+        if _row_plan(depth, truncation, scale).route == "tree":
             mantissa = div_round_half_even(
                 _tree_coefficient(depth, truncation) * 10**scale,
                 math.factorial(truncation) ** 2)
         else:
-            mantissa = _newton_row(depth, truncation, scale)[depth]
+            bits, row = _newton_row(depth, truncation, scale)
+            (mantissa,) = _round_bits(row[depth:], bits, scale)
         return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
@@ -502,7 +547,7 @@ def partial_sum(
 def partial_sum_work(depth: int, truncation: int, digits: int,
                      mode: str = "fixed") -> int:
     """Estimated cost of partial_sum(depth, truncation, mode, digits), in
-    digit steps (_row_steps).
+    digit steps: in fixed mode the steps of its _row_plan.
 
     Exact mode counts _tree_units, 64 to a step, plus D**2/2000 for
     reducing and rendering the D-digit rational: a step took 2.2 to 53
@@ -510,8 +555,8 @@ def partial_sum_work(depth: int, truncation: int, digits: int,
     alone, 32*N*min(depth, LEAF), end the estimate past STEP_CEILING.
     """
     if mode == "fixed":
-        return _row_steps(depth, truncation,
-                          digits + guard_digits(depth * truncation))
+        return _row_plan(depth, truncation,
+                         digits + guard_digits(depth * truncation)).steps
     leaves = 32 * truncation * min(depth, LEAF)
     if leaves > STEP_CEILING:
         return leaves
@@ -608,15 +653,15 @@ def newton_cross_check(depth: int, truncation: int) -> Fraction:
     return e[depth]
 
 
-def _basel_ceiling(basel: FixedDecimal, power: int, divisor: int) -> int:
-    """ceil(U / (divisor * 10**10)) for U a certified upper bound on
-    (pi**2/6)**power in units of 10**-(digits+20), from
-    basel = basel_power(power, digits + 10): that carries scale digits+20
-    and is correctly rounded, so one unit more bounds it from above.
-    Power 0 is exactly 1 and needs no slack. The result is in units of
-    10**-(digits+10)."""
-    return div_round_up(basel.mantissa + (1 if power else 0),
-                        divisor * 10**10)
+def _basel_ceiling(basel: FixedDecimal, power: int,
+                   divisor: int) -> FixedDecimal:
+    """ceil(U / (divisor * 10**10)) units of 10**-(digits+10), ten of them
+    guard places, for U a certified upper bound on (pi**2/6)**power in
+    units of 10**-(digits+20), from basel = basel_power(power, digits + 10):
+    that carries scale digits+20 and is correctly rounded, so one unit
+    more bounds it from above. Power 0 is exactly 1 and needs no slack."""
+    return FixedDecimal(div_round_up(basel.mantissa + (1 if power else 0),
+                                     divisor * 10**10), basel.scale - 10, 10)
 
 
 def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
@@ -638,9 +683,8 @@ def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
         raise DomainError("tail bound requires truncation >= 1")
     if digits < 1:
         raise DomainError("tail bound requires at least one digit")
-    mantissa = _basel_ceiling(basel_power(depth - 1, digits + 10),
-                              depth - 1, truncation)
-    return FixedDecimal(mantissa, digits + 10, 10)
+    return _basel_ceiling(basel_power(depth - 1, digits + 10), depth - 1,
+                          truncation)
 
 
 SeriesResult = collections.namedtuple(
@@ -654,31 +698,107 @@ SeriesResult.__doc__ = """One computed partial sum with its error certificates.
     """
 
 
-def series_result(depth: int, truncation: int, mode: str,
-                  digits: int) -> SeriesResult:
-    """S_depth(truncation) in `mode` at `digits` places, with its tail
-    bound, the reference limit and the observed error.
+def _refuse_above_step_ceiling(steps: int, request: str | None) -> None:
+    """Refuses the command line `request` when its estimated digit steps
+    pass STEP_CEILING, quoting a count of more than 15 digits as the
+    nearest power of ten. A library call (request None) has no ceiling."""
+    if request is not None and steps > STEP_CEILING:
+        about = ("%d" % steps if steps < 10**15
+                 else "10**%d" % round(math.log10(steps)))
+        raise InfeasibleError(
+            "%s needs about %s digit steps, above the ceiling of %d; "
+            "lower one of these numbers" % (request, about, STEP_CEILING),
+            required=steps,
+        )
 
-    The tail bound is tail_bound's, and the limit reference_value's, both
-    from one chain of powers of pi**2 (reference._pi_power_ratios) that
-    rounds each correctly on its own. At truncation 0 nothing is summed
-    and the whole series is the tail, bounded above by (pi**2/6)**depth,
-    rounded up at digits plus ten guard places like tail_bound so the
-    certificate stays sound. The error of an exact value is rounded
-    half-even at those places too.
+
+def sum_plan(depth: int, truncation: int, mode: str | None, digits: int,
+             request: str | None = None) -> list:
+    """[(depth, N, mode, bound, limit)], the row of a sum in `mode`, by
+    default exact up to EXACT_TRUNCATION_LIMIT and fixed past it, with
+    its tail bound (tail_bound's; at N = 0 the whole series, bounded by
+    (pi**2/6)**depth rounded up likewise) and its limit from one chain.
+    Before the chain runs, `request` is refused if partial_sum_work plus
+    the chain, counted twice as an upper bound, passes STEP_CEILING.
     """
-    value = partial_sum(depth, truncation, mode=mode, digits=digits)
+    _check_depth_truncation(depth, truncation)
+    if mode is None:
+        mode = "exact" if truncation <= EXACT_TRUNCATION_LIMIT else "fixed"
+    _refuse_above_step_ceiling(
+        partial_sum_work(depth, truncation, digits, mode)
+        + 2 * pi_power_work(depth, digits + REFERENCE_GUARD), request)
     power = depth - 1 if truncation else depth
-    basel, ref = _pi_power_ratios([_basel_target(power, digits + 10),
-                                   _limit_target(depth, digits)])
-    bound = FixedDecimal(_basel_ceiling(basel, power, max(truncation, 1)),
-                         digits + 10, 10)
-    if isinstance(value, Fraction):
-        error = abs(FixedDecimal.from_rational(
-            ref.as_fraction() - value, digits + 10, 10))
-    else:
-        error = abs(ref - value)
-    return SeriesResult(depth, truncation, mode, value, bound, ref, error)
+    basel, limit = _pi_power_ratios([
+        _basel_target(power, digits + 10),
+        *_limit_targets(range(depth, depth + 1), digits)])
+    return [(depth, truncation, mode,
+             _basel_ceiling(basel, power, max(truncation, 1)), limit)]
+
+
+def converged_plan(depths: range, digits: int,
+                   request: str | None = None) -> list:
+    """[(depth, N, "fixed", bound, limit)] for each depth, N =
+    required_truncation(depth, digits), all from one chain of powers.
+
+    From the deepest row, each row adds three chains to its depth
+    (pi_power_work) and is costed at its floor (row_work_floor), then at
+    N (partial_sum_work); `request` is refused at the first count past
+    STEP_CEILING. The chain runs after the deepest row's floor: it raises
+    pi**2 to that depth (0.3 s at depth 5000, 13 s at 20000). N at depth
+    1 needs no pi, (pi**2/6)**0 = 1, so a plan of that row alone runs the
+    chain last: pi at 99000 digits takes a second.
+    """
+    _check_converge(depths[0], digits)
+
+    def chain():
+        return _pi_power_ratios([_basel_target(depth - 1, digits + 10)
+                                 for depth in depths]
+                                + _limit_targets(depths, digits))
+
+    values, truncations, steps = None, [], 0
+    for depth in reversed(depths):
+        steps += 3 * pi_power_work(depth, digits + REFERENCE_GUARD)
+        _refuse_above_step_ceiling(steps + row_work_floor(depth, digits),
+                                   request)
+        if depth > 1:
+            values = values or chain()
+            basel = values[depth - depths[0]]
+        else:
+            basel = FixedDecimal(10 ** (digits + 20), digits + 20, 10)
+        truncation = _basel_ceiling(basel, depth - 1, 10**10 - 1).mantissa
+        steps += partial_sum_work(depth, truncation, digits)
+        _refuse_above_step_ceiling(steps, request)
+        truncations.insert(0, truncation)
+    values = values or chain()
+    return [(depth, truncation, "fixed",
+             _basel_ceiling(basel, depth - 1, truncation), limit)
+            for depth, truncation, basel, limit in zip(
+                depths, truncations, values, values[len(depths):])]
+
+
+def series_results(plan: list, digits: int) -> list:
+    """The SeriesResult of each row of sum_plan or converged_plan:
+    S_depth(N) at `digits` places, the row's bound and limit, and the
+    observed error, rounded half-even at digits plus ten places for an
+    exact value."""
+    results = []
+    for depth, truncation, mode, bound, limit in plan:
+        value = partial_sum(depth, truncation, mode, digits)
+        if mode == "exact":
+            error = abs(FixedDecimal.from_rational(
+                limit.as_fraction() - value, digits + 10, 10))
+        else:
+            error = abs(limit - value)
+        results.append(SeriesResult(depth, truncation, mode, value, bound,
+                                    limit, error))
+    return results
+
+
+def _check_converge(depth: int, digits: int) -> None:
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    if digits < 1:
+        raise DomainError("at least one digit is required")
 
 
 def required_truncation(depth: int, digits: int) -> int:
@@ -697,12 +817,9 @@ def required_truncation(depth: int, digits: int) -> int:
     large targets. Since the certified factor is at least 1, the result
     is always above 10**digits (and in particular at least depth).
     """
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    if digits < 1:
-        raise DomainError("at least one digit is required")
+    _check_converge(depth, digits)
     return _basel_ceiling(basel_power(depth - 1, digits + 10), depth - 1,
-                          10**10 - 1)
+                          10**10 - 1).mantissa
 
 
 def converge(depth: int, digits: int) -> SeriesResult:
@@ -710,12 +827,13 @@ def converge(depth: int, digits: int) -> SeriesResult:
 
     Chooses N = required_truncation(depth, digits), computes the
     fixed-mode partial sum there, and packages it with the bound, the
-    reference limit, and the observed absolute error. Past the
-    Euler-Maclaurin cutoff the row costs the same at any N, so
-    partial_sum_work(depth, N, digits) grows with depth and digits only.
+    reference limit, and the observed absolute error, all three from the
+    chain that gave N (converged_plan). Past the Euler-Maclaurin cutoff
+    the row costs the same at any N, so partial_sum_work(depth, N, digits)
+    grows with depth and digits only.
     """
-    return series_result(depth, required_truncation(depth, digits), "fixed",
-                         digits)
+    return series_results(converged_plan(range(depth, depth + 1), digits),
+                          digits)[0]
 
 
 def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
@@ -757,7 +875,7 @@ def sinc_work(x, powers: int, truncation: int, digits: int) -> int:
     """Estimated cost of sinc_product(x, truncation, digits) plus
     sinc_series(x, powers, truncation, digits), plus
     reference.sinc_taylor(x, digits) for 0 < |x| <= 2, in digit steps
-    (see _row_steps).
+    (see _row_plan).
 
     The product visits every factor, one multiply-divide on its
     scale-digit mantissa each, so it counts truncation*scale steps (19 to
@@ -772,8 +890,62 @@ def sinc_work(x, powers: int, truncation: int, digits: int) -> int:
     taylor = 0
     if 0 < abs(q) <= 2:
         taylor = int((digits + REFERENCE_GUARD) ** 2.6) // 500
-    return product + taylor + _row_steps(
-        powers, truncation, digits + _sinc_guard(q * q, powers, truncation))
+    return product + taylor + _row_plan(
+        powers, truncation,
+        digits + _sinc_guard(q * q, powers, truncation)).steps
+
+
+def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
+    """Power cutoff for the sinc series: enough alternating terms that the
+    first omitted one is below 10**-(digits+5), using pi < 16/5, and never
+    more than the truncation `terms`, since S_j(terms) = 0 for j > terms.
+
+    Term j is (16x/5)**(2j) / (2j+1)!, tested by one integer comparison.
+    The terms rise while (2j)*(2j+1) <= (16x/5)**2 and fall after, so
+    unless term 1 is small, the small terms are exactly those from the
+    cutoff on. A bisection on lgamma estimates the cutoff, and the exact
+    tests step from the estimate to it, one or two of them in practice.
+    """
+    a, b = 16 * abs(x.numerator), 5 * x.denominator
+    limit = 10 ** (digits + 5)
+
+    def small(j):
+        return a ** (2 * j) * limit < b ** (2 * j) * math.factorial(2 * j + 1)
+
+    if terms <= 1 or small(1):
+        return min(terms, 1)
+    log_ratio = 2 * (math.log(a) - math.log(b))
+    log_limit = (digits + 5) * math.log(10)
+    low, j = 1, terms
+    while j - low > 1:
+        middle = (low + j) // 2
+        if math.lgamma(2 * middle + 2) > middle * log_ratio + log_limit:
+            j = middle
+        else:
+            low = middle
+    while j < terms and not small(j):
+        j += 1
+    while j > 2 and small(j - 1):
+        j -= 1
+    return j
+
+
+def _sinc_power_floor(x: Fraction, terms: int) -> int:
+    """A lower bound on _sinc_powers(x, digits, terms), with no loop: its
+    terms do not shrink while (2j+1)**2 <= (16x/5)**2."""
+    return min(terms, (16 * abs(x.numerator) // (5 * x.denominator) + 1) // 2)
+
+
+def sinc_plan(x: Fraction, terms: int, digits: int, request: str) -> int:
+    """The power count of the command line `request` (_sinc_powers),
+    refused before any work if sinc_work passes STEP_CEILING: first the
+    row's floor (row_work_floor) at the power floor, since the count's
+    search grows with |x|, then the whole estimate at the count."""
+    _refuse_above_step_ceiling(
+        row_work_floor(_sinc_power_floor(x, terms), digits), request)
+    powers = _sinc_powers(x, digits, terms)
+    _refuse_above_step_ceiling(sinc_work(x, powers, terms, digits), request)
+    return powers
 
 
 def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:

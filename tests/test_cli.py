@@ -377,7 +377,7 @@ class TestSincCommand:
         x = Fraction(x)
         for digits in (1, 5, 20, 300):
             for terms in (0, 1, 2, 3, 40, 400, 10**6):
-                assert (cli._sinc_powers(x, digits, terms)
+                assert (series._sinc_powers(x, digits, terms)
                         == first_small_term(x, digits, terms)), (digits, terms)
 
     @pytest.mark.parametrize("x", ["0", "1/3", "-5/16", "5/16", "3/2",
@@ -388,8 +388,8 @@ class TestSincCommand:
         x = Fraction(x)
         for digits in (1, 20, 300):
             for terms in (0, 1, 3, 40, 10**6):
-                assert (cli._sinc_power_floor(x, terms)
-                        <= cli._sinc_powers(x, digits, terms))
+                assert (series._sinc_power_floor(x, terms)
+                        <= series._sinc_powers(x, digits, terms))
 
     def test_zero_terms_is_the_empty_product(self, capsys):
         # No power is summed: the series row has depth 0.
@@ -453,9 +453,15 @@ class TestRunawayRequests:
         def no_work(*args):
             raise AssertionError("the computation started")
 
-        for name in ("series_result", "sinc_product", "sinc_series",
-                     "sinc_taylor"):
-            monkeypatch.setattr(cli, name, no_work)
+        # Where the work starts: the row, the three sinc evaluations and,
+        # for a sum, its chain of powers of pi**2 (the plan of converge
+        # and table costs each row at the truncation that chain gives).
+        patched = [(series, "partial_sum"), (cli, "sinc_product"),
+                   (cli, "sinc_series"), (cli, "sinc_taylor")]
+        if argv[0] == "sum":
+            patched.append((series, "_pi_power_ratios"))
+        for owner, name in patched:
+            monkeypatch.setattr(owner, name, no_work)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.5
@@ -471,13 +477,13 @@ class TestRunawayRequests:
     def test_deep_rows_refused_before_their_truncation(self, capsys,
                                                        monkeypatch, command,
                                                        digits):
-        # required_truncation raises pi**2/6 to the depth: 0.47 s at depth
-        # 5000. The floor of the row, about depth**2 * 3 steps at any
-        # truncation, refuses first.
+        # The chain that gives the truncation raises pi**2/6 to the depth:
+        # 0.47 s at depth 5000. The floor of the row, about depth**2 * 3
+        # steps at any truncation, refuses first.
         def no_work(*args):
             raise AssertionError("the truncation was computed")
 
-        monkeypatch.setattr(cli, "required_truncation", no_work)
+        monkeypatch.setattr(series, "_pi_power_ratios", no_work)
         code, out, err = run_cli(capsys, *command.split(), "5000",
                                  "--digits", str(digits))
         steps = (3 * reference.pi_power_work(
@@ -514,6 +520,109 @@ class TestRunawayRequests:
         assert code == EXIT_INFEASIBLE
         assert "needs about 10**" in err
         assert len(err) < 200
+
+
+class TestPinnedRefusals:
+    # Each message as the costing spread over the command line and the
+    # series module printed it, step counts included: planning every
+    # request in one place keeps every estimate and so every refusal.
+    # Among them: a table refused at a shallower row after its deepest
+    # passed (depth 1 of 4, depth 2 of 6) and a sinc refused at the floor
+    # of its power count (x = 100000 and -30000).
+    REFUSED = [
+        ("sum --mode fixed --depth 2 --upto 99999999 --digits 200",
+         "sum --depth 2 --upto 99999999 --digits 200 needs about 4345299985"),
+        ("sum --mode fixed --depth 1 --upto 10000000 --digits 2000",
+         "sum --depth 1 --upto 10000000 --digits 2000 needs about "
+         "2888775328"),
+        ("sinc --x 1/2 --terms 1 --digits 99990",
+         "sinc --x 1/2 --terms 1 --digits 99990 needs about 20001087943"),
+        ("sum --depth 500 --upto 2000",
+         "sum --depth 500 --upto 2000 --digits 20 needs about 6010069735"),
+        ("sum --depth 20000 --upto 5",
+         "sum --depth 20000 --upto 5 --digits 20 needs about 755407640"),
+        ("sum --depth 20000 --upto 0 --digits 50",
+         "sum --depth 20000 --upto 0 --digits 50 needs about 756817400"),
+        ("sum --mode exact --depth 3 --upto 40000",
+         "sum --depth 3 --upto 40000 --digits 20 needs about 139191689"),
+        ("converge --depth 2 --digits 70",
+         "converge --depth 2 --digits 70 needs about 149141931"),
+        ("converge --depth 20000 --digits 5",
+         "converge --depth 20000 --digits 5 needs about 2324080200"),
+        ("table --max-depth 20000 --digits 3",
+         "table --max-depth 20000 --digits 3 needs about 2323932150"),
+        ("sinc --x 100000 --terms 1000000",
+         "sinc --x 100000 --terms 1000000 --digits 20 needs about "
+         "76800000000"),
+        ("sinc --x 1/2 --terms 200000000",
+         "sinc --x 1/2 --terms 200000000 --digits 20 needs about "
+         "7800139306"),
+        ("sinc --x 700 --terms 100000",
+         "sinc --x 700 --terms 100000 --digits 20 needs about 1443827833105"),
+        ("sinc --x 1000 --terms 100000",
+         "sinc --x 1000 --terms 100000 --digits 20 needs about "
+         "6605980312487"),
+        ("converge --depth 1 --digits 99000",
+         "converge --depth 1 --digits 99000 needs about 10**7338"),
+        ("converge --depth 5000 --digits 5",
+         "converge --depth 5000 --digits 5 needs about 110672175"),
+        ("table --max-depth 5000 --digits 3",
+         "table --max-depth 5000 --digits 3 needs about 110653536"),
+        ("table --max-depth 4 --digits 55",
+         "table --max-depth 4 --digits 55 needs about 51559407"),
+        ("table --max-depth 6 --digits 51",
+         "table --max-depth 6 --digits 51 needs about 51672519"),
+        ("sinc --x -30000 --terms 100000 --digits 5",
+         "sinc --x -30000 --terms 100000 --digits 5 needs about 6912000000"),
+        ("converge --depth 1 --digits 4400",
+         "converge --depth 1 --digits 4400 needs about 10**329"),
+    ]
+
+    @pytest.mark.parametrize("request_, message", REFUSED,
+                             ids=[r for r, _ in REFUSED])
+    def test_message_is_pinned(self, capsys, request_, message):
+        code, out, err = run_cli(capsys, *request_.split())
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == ("pipow: refused: %s digit steps, above the ceiling "
+                       "of 50000000; lower one of these numbers\n" % message)
+
+
+class TestOneChainPerRequest:
+    """Each sum, converge and table request raises pi**2 to its powers in
+    one chain (reference._pi_power_ratios); sinc in none."""
+
+    @pytest.mark.parametrize("argv, chains", [
+        ("sum --depth 3 --upto 0", 1),
+        ("sum --depth 3 --upto 40", 1),
+        ("sum --depth 2 --upto 5000 --digits 30", 1),
+        *[("converge --depth %d --digits 6" % d, 1) for d in range(1, 6)],
+        *[("table --max-depth %d --digits 6" % d, 1) for d in range(1, 7)],
+        ("sinc --x 1/2 --terms 100", 0),
+        ("sinc --x 3 --terms 40", 0),
+    ])
+    def test_chain_count(self, capsys, monkeypatch, argv, chains):
+        calls = self.count_chains(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert len(calls) == chains
+
+    def test_library_converge_runs_one_chain(self, monkeypatch):
+        calls = self.count_chains(monkeypatch)
+        series.converge(3, 6)
+        assert len(calls) == 1
+
+    @staticmethod
+    def count_chains(monkeypatch):
+        calls = []
+        real = reference._pi_power_ratios
+
+        def counting(targets):
+            calls.append(targets)
+            return real(targets)
+
+        for owner in (reference, series):
+            monkeypatch.setattr(owner, "_pi_power_ratios", counting)
+        return calls
 
 
 class TestBenchCommand:

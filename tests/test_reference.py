@@ -434,12 +434,12 @@ class TestRoundCertifiedByFive:
 
 
 def chained(depth, digits, truncation):
-    """series_result's pair: (pi**2/6)**p at digits + 10 and the limit at
+    """A sum plan's pair: (pi**2/6)**p at digits + 10 and the limit at
     digits, p = depth - 1, or depth at truncation 0."""
     power = depth - 1 if truncation else depth
     return reference._pi_power_ratios([
         reference._basel_target(power, digits + 10),
-        reference._limit_target(depth, digits)]), power
+        *reference._limit_targets(range(depth, depth + 1), digits)]), power
 
 
 class TestOneChain:

@@ -10,6 +10,7 @@ for soundness against exact prefixes.
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -281,7 +282,8 @@ class TestBlockEvaluation:
                                       cutoff + 1, 2 * cutoff, 3000, 5000}):
                 _, head = series._newton_plan(depth, truncation, scale)
                 tails.add(head < truncation)
-                row = series._newton_row(depth, truncation, scale)
+                bits, row = series._newton_row(depth, truncation, scale)
+                row = series._round_bits(row, bits, scale)
                 assert len(row) == depth + 1
                 assert within_one_unit(row, truncation, scale), (
                     depth, scale, truncation)
@@ -451,6 +453,32 @@ class TestBlockEvaluation:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestRoundBits:
+    """A row entry at 2**-bits is rounded at 10**-scale by shift and mask
+    exactly as the long division rounded it."""
+
+    @pytest.mark.parametrize("scale", [0, 1, 5, 24, 300, 3000])
+    def test_equals_the_division(self, scale):
+        rng = random.Random(scale)
+        outcomes = set()
+        for extra in (1, 2, 17, 64):
+            bits = (10**scale).bit_length() + extra
+            shift = bits - scale
+            # Exact ties: entry * 5**scale is 2**(shift-1) modulo 2**shift,
+            # with quotients of either parity.
+            tie = (pow(5**scale, -1, 1 << shift) << (shift - 1)) % (1 << shift)
+            ties = [tie + (k << shift) for k in range(-4, 4)]
+            entries = ties + [rng.randrange(-(1 << bits), 1 << (bits + 8))
+                              for _ in range(200)]
+            expected = [div_round_half_even(e * 10**scale, 1 << bits)
+                        for e in entries]
+            assert series._round_bits(entries, bits, scale) == expected
+            outcomes |= {r - (e * 10**scale >> bits)
+                         for e, r in zip(ties, expected)}
+        # The ties rounded both up and down.
+        assert outcomes == {0, 1}
+
+
 class TestWorkFloors:
     """The floors that refuse a request before its plan or its truncation
     is formed never exceed the estimate they stand in for."""
@@ -483,11 +511,12 @@ class TestWorkFloors:
     @pytest.mark.parametrize("depth, truncation, scale", [
         (1, 10**30, 4000), (2, 10**9, 2500), (3, 10**200, 1500)])
     def test_unplanned_count_is_below_the_planned_one(
-            self, monkeypatch, depth, truncation, scale):
-        unplanned = series._row_steps(depth, truncation, scale)
-        assert unplanned > series.STEP_CEILING
-        monkeypatch.setattr(series, "STEP_CEILING", 10**400)
-        assert unplanned <= series._row_steps(depth, truncation, scale)
+            self, depth, truncation, scale):
+        unplanned = series._row_plan(depth, truncation, scale)
+        assert unplanned.steps > series.STEP_CEILING
+        assert unplanned.bits is None
+        planned = series._row_plan(depth, truncation, scale, True)
+        assert unplanned.steps <= planned.steps
 
 
 class TestTailBound:
@@ -701,8 +730,13 @@ class TestOneTreeCoefficient:
             1, 2 * 10**fixed.scale)
 
 
+def sum_result(depth, truncation, mode, digits):
+    return series.series_results(
+        series.sum_plan(depth, truncation, mode, digits), digits)[0]
+
+
 class TestOneChainResult:
-    """series_result's bound and limit are tail_bound's and
+    """A sum plan's bound and limit are tail_bound's and
     reference_value's, from one chain."""
 
     @pytest.mark.parametrize("mode", ["exact", "fixed"])
@@ -710,8 +744,7 @@ class TestOneChainResult:
         for depth in (1, 2, 3, 7, 16):
             for truncation in (0, 1, 5, 40):
                 for digits in (1, 20, 600):
-                    result = series.series_result(depth, truncation, mode,
-                                                  digits)
+                    result = sum_result(depth, truncation, mode, digits)
                     if truncation:
                         bound = tail_bound(depth, truncation, digits)
                     else:
@@ -726,7 +759,7 @@ class TestOneChainResult:
                             want.mantissa, want.scale, want.guard)
 
     def test_series_result_is_a_plain_named_tuple(self):
-        result = series.series_result(2, 3, "exact", 5)
+        result = sum_result(2, 3, "exact", 5)
         assert series.SeriesResult._fields == (
             "depth", "truncation", "mode", "value", "tail_bound",
             "reference", "abs_error")
@@ -739,9 +772,9 @@ class TestOneChainResult:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            series.series_result(2, 3, "exact", 0)
+            sum_result(2, 3, "exact", 0)
         with pytest.raises(DomainError):
-            series.series_result(0, 3, "exact", 5)
+            sum_result(0, 3, "exact", 5)
 
 
 class TestRowCostCountsTheTailsSummed:
@@ -752,7 +785,9 @@ class TestRowCostCountsTheTailsSummed:
         bits, head = series._newton_plan(depth, truncation, scale)
         terms = series._tail_terms(depth, head + 1, bits)
         assert head < truncation and terms <= 13
-        steps = series._row_steps(depth, truncation, scale)
+        steps = series._row_plan(depth, truncation, scale).steps
         monkeypatch.setattr(series, "_tail_terms", lambda *args: 0)
-        assert (steps - series._row_steps(depth, truncation, scale)
-                == 4 * terms * (bits + 2000))
+        # Past the plan's cache, so that no plan formed with the patch is
+        # kept.
+        assert (steps - series._row_plan.__wrapped__(
+            depth, truncation, scale).steps == 4 * terms * (bits + 2000))
