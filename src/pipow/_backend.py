@@ -1,14 +1,13 @@
 """The fixed-point sweep kernel: Euler's product expanded one index at a time.
 
-Pure Python on big-integer mantissas; the hot loop of fixed mode and of the
-sinc series.
+Pure Python on big-integer mantissas. No request runs it: `pipow bench` and
+the tests keep it as the witness that each routed fixed value must agree
+with.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-
-BACKEND = "pure-python"
 
 
 def dp_row_scaled(depth: int, truncation: int, scale: int) -> list:

@@ -1,35 +1,37 @@
-"""Benchmark with built-in cross-checks.
+"""Benchmark with built-in cross-checks, and the witnesses it runs.
 
-Timing numbers are only reported after the competing methods have been
-shown to agree: the four exact routes (product tree, Fraction sweep,
-enumeration, Newton identities) must produce identical rationals, and
-the routed fixed-mode value (the power sums by Newton's identities, or
-the product tree's row where that is cheaper) must agree with the plain
-sweep kernel, kept as the witness, within the sweep's rounding budget;
-pi at d digits must be the half-even rounding of pi at d + 64 digits
-from a grown cache. A disagreement anywhere turns the run into a
-failure; speed never outranks correctness here.
+No request runs the witnesses; this benchmark and the tests do. Timing
+numbers are only reported after the competing methods have been shown
+to agree: the product tree and the three exact witnesses (the Fraction
+sweep partial_sum_prefix, tuple enumeration partial_sum_naive, Newton's
+identities on exact power sums newton_cross_check) must produce
+identical rationals, and the routed fixed-mode value (the power sums by
+Newton's identities, or the product tree's row where that is cheaper)
+must agree with the sweep kernel `_backend.dp_row_scaled` within the
+sweep's rounding budget; pi at d digits must be the half-even rounding
+of pi at d + 64 digits from a grown cache. A disagreement anywhere turns
+the run into a failure; speed never outranks correctness here.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
-from . import _backend
+from . import KERNEL_BACKEND, _backend
 from .errors import InfeasibleError
 from .exactnum import div_round_half_even
 from .reference import PiCache, reference_value
-from .series import (
-    NAIVE_ENUMERATION_CEILING,
-    newton_cross_check,
-    partial_sum,
-    partial_sum_naive,
-    partial_sum_prefix,
-)
+from .series import _check_depth_truncation, partial_sum
 
-__all__ = ["BenchRow", "run_benchmark"]
+__all__ = ["BenchRow", "NAIVE_ENUMERATION_CEILING", "newton_cross_check",
+           "partial_sum_naive", "partial_sum_prefix", "run_benchmark"]
+
+# Ceiling on C(N, depth) above which direct tuple enumeration is refused.
+NAIVE_ENUMERATION_CEILING = 10**7
 
 # (depth, truncation) grids; small enough for the enumeration witness,
 # large enough that the product tree's and the sweep's advantage is visible.
@@ -61,6 +63,75 @@ class BenchRow(NamedTuple):
     operations: int
     seconds: float | None
     status: str
+
+
+def partial_sum_prefix(depth: int, truncation: int) -> list:
+    """Exact values [S_depth(0), S_depth(1), ..., S_depth(truncation)].
+
+    One descending-index Fraction sweep; the depth-limit entry is recorded
+    after each index is folded in, so the whole prefix costs the same as
+    the final value. Its last entry is the independent witness that the
+    product tree in partial_sum must reproduce.
+    """
+    _check_depth_truncation(depth, truncation)
+    row = [Fraction(1)] + [Fraction(0)] * depth
+    prefix = [row[depth]]
+    for ell in range(1, truncation + 1):
+        x = Fraction(1, ell * ell)
+        for k in range(min(depth, ell), 0, -1):
+            row[k] += x * row[k - 1]
+        prefix.append(row[depth])
+    return prefix
+
+
+def partial_sum_naive(depth: int, truncation: int) -> Fraction:
+    """S_depth(truncation) by direct enumeration of index tuples.
+
+    Walks every strictly increasing depth-tuple from 1..truncation and adds
+    the exact reciprocal of the squared product. Cost is C(truncation,
+    depth) tuples; requests beyond NAIVE_ENUMERATION_CEILING are refused,
+    since this exists as an independent witness for small cases, not as a
+    computation path.
+    """
+    _check_depth_truncation(depth, truncation)
+    tuples = math.comb(truncation, depth)
+    if tuples > NAIVE_ENUMERATION_CEILING:
+        raise InfeasibleError(
+            "enumeration of %d tuples exceeds the ceiling of %d"
+            % (tuples, NAIVE_ENUMERATION_CEILING),
+            required=tuples,
+        )
+    total = Fraction(0)
+    for subset in combinations(range(1, truncation + 1), depth):
+        denominator = 1
+        for index in subset:
+            denominator *= index * index
+        total += Fraction(1, denominator)
+    return total
+
+
+def newton_cross_check(depth: int, truncation: int) -> Fraction:
+    """S_depth(truncation) through Newton's identities on power sums.
+
+    With p_j the sum of 1/l**(2j) over l = 1..truncation and e_0 = 1, the
+    identities k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i recover the
+    elementary symmetric value e_depth without visiting any index tuple;
+    an algebraically independent route from the product tree, the sweep
+    and the enumeration.
+    """
+    _check_depth_truncation(depth, truncation)
+    p = [Fraction(0)] * depth
+    for ell in range(1, truncation + 1):
+        reciprocal = Fraction(1, ell * ell)
+        power = Fraction(1)
+        for j in range(depth):
+            power *= reciprocal
+            p[j] += power
+    e = [Fraction(1)]
+    for k in range(1, depth + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return e[depth]
 
 
 def _timed(fn):
@@ -135,7 +206,7 @@ def run_benchmark() -> tuple[list, bool]:
             ok = False
         status = "agree" if agree else "MISMATCH"
         for method, seconds in (("routed", routed_seconds),
-                                (_backend.BACKEND, sweep_seconds)):
+                                (KERNEL_BACKEND, sweep_seconds)):
             rows.append(
                 BenchRow("sweep-fixed", method, depth, truncation,
                          depth * truncation, seconds, status)

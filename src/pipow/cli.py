@@ -23,7 +23,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import _backend
 from .errors import DomainError, InfeasibleError
 from .exactnum import FixedDecimal, int_to_decimal
 from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
@@ -347,7 +346,7 @@ def cmd_sinc(args) -> tuple[str, int]:
 
 
 def cmd_bench(args) -> tuple[str, int]:
-    from . import bench
+    from . import KERNEL_BACKEND, bench
 
     rows, ok = bench.run_benchmark()
     records = []
@@ -355,8 +354,8 @@ def cmd_bench(args) -> tuple[str, int]:
         record = {key: str(value) for key, value in row._asdict().items()}
         record["seconds"] = "" if row.seconds is None else "%.6f" % row.seconds
         records.append(record)
-    payload = {"backend": _backend.BACKEND, "ok": ok, "rows": records}
-    lines = [f"active backend: {_backend.BACKEND}", "",
+    payload = {"backend": KERNEL_BACKEND, "ok": ok, "rows": records}
+    lines = [f"active backend: {KERNEL_BACKEND}", "",
              *_table(records), "",
              "all cross-checks passed" if ok
              else "CROSS-CHECK MISMATCH: see rows above"]

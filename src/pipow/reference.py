@@ -45,7 +45,6 @@ __all__ = [
     "REFERENCE_GUARD",
     "basel_power",
     "pi_digits",
-    "pi_mantissa",
     "pi_power_work",
     "reference_value",
     "sinc_taylor",
@@ -172,11 +171,6 @@ def _certified(approximate, scale: int, guard: int) -> int:
         guard *= 2
 
 
-def pi_mantissa(scale: int) -> int:
-    """pi * 10**scale rounded half-even, served from the shared cache."""
-    return _PI_CACHE.mantissa(scale)
-
-
 def _check_digits(digits: int, maximum: int = MAX_PI_DIGITS) -> None:
     if not 1 <= digits <= maximum:
         raise DomainError(
@@ -188,7 +182,7 @@ def pi_digits(digits: int) -> FixedDecimal:
     """pi to the requested fractional digits plus ten guard digits."""
     _check_digits(digits)
     scale = digits + REFERENCE_GUARD
-    return FixedDecimal(pi_mantissa(scale), scale, REFERENCE_GUARD)
+    return FixedDecimal(_PI_CACHE.mantissa(scale), scale, REFERENCE_GUARD)
 
 
 def _pi_power_ratios(targets: list) -> list:

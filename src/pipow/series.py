@@ -7,10 +7,10 @@ The depth-n partial sum over truncation N is
 
 the elementary symmetric polynomial of degree n evaluated at x_l = 1/l**2.
 As N grows, S_n(N) converges to pi**(2n) / (2n+1)!. This module computes
-the partial sums four independent ways (a product tree over the integer
-polynomial prod (l**2 + t), a single O(N*n) Fraction sweep, direct tuple
-enumeration, and Newton's identities on power sums), bounds the truncation
-error rigorously, and plans each request of the command line once.
+the partial sums by two routes (a product tree over the integer polynomial
+prod (l**2 + t), and Newton's identities on power sums), bounds the
+truncation error rigorously, and plans each request of the command line
+once. The witnesses both routes are checked against live in `bench`.
 
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
@@ -27,8 +27,7 @@ unit of exact under a closed-form radius of O(R * log depth) units, R the
 largest power-sum error (`_newton_radius`), so no pass but the row's
 grows with the depth; only the entries read are rounded to 10**-scale.
 The sinc series weighs every entry and takes the whole row from
-`_scaled_row` on either route. The sweep kernel `_backend.dp_row_scaled`
-takes no row; `pipow bench` and the tests keep it as a witness.
+`_scaled_row` on either route.
 
 A plan decides each choice of a request once, and its estimate, its
 refusal and its run read it. A row's route, working precision and cost
@@ -47,7 +46,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
@@ -68,15 +66,11 @@ from .reference import (
 
 __all__ = [
     "EXACT_TRUNCATION_LIMIT",
-    "NAIVE_ENUMERATION_CEILING",
     "STEP_CEILING",
     "SeriesResult",
     "converge",
     "converged_plan",
-    "newton_cross_check",
     "partial_sum",
-    "partial_sum_naive",
-    "partial_sum_prefix",
     "partial_sum_work",
     "required_truncation",
     "row_work_floor",
@@ -93,8 +87,6 @@ __all__ = [
 # every series request of the CLI: a step measured 1.2 to 54 ns, so a
 # request at the ceiling runs for at most about 3 s.
 STEP_CEILING = 5 * 10**7
-# Ceiling on C(N, depth) above which direct tuple enumeration is refused.
-NAIVE_ENUMERATION_CEILING = 10**7
 # Largest truncation at which `sum` defaults to exact mode: the exact
 # denominator (N!)**2 grows superpolynomially with N.
 EXACT_TRUNCATION_LIMIT = 2000
@@ -335,7 +327,9 @@ def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
 def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
     2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
-    identities, with bits and the head H from _row_plan.
+    identities, with bits and the head H from _row_plan, or from
+    _newton_plan where that plan has none (the tree's row, or one stopped
+    at its floor past STEP_CEILING).
 
     Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
     P_i by the chain t //= l*l, which stops once t reaches 0; past the
@@ -347,10 +341,9 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     that rounding plus under half a unit of _newton_radius, so within one
     unit of exact.
     """
-    plan = _row_plan(depth, truncation, scale)
-    if plan.bits is None:  # the tree's, or stopped at its floor
-        plan = _row_plan(depth, truncation, scale, True)
-    bits, head = plan.bits, plan.head
+    _, _, bits, head = _row_plan(depth, truncation, scale)
+    if bits is None:
+        bits, head = _newton_plan(depth, truncation, scale)
     one = 1 << bits
     sums = [0] * depth
     for ell in range(1, head + 1):
@@ -441,8 +434,7 @@ RowPlan = collections.namedtuple("RowPlan", "route steps bits head")
 
 
 @functools.lru_cache(maxsize=1024)
-def _row_plan(depth: int, truncation: int, scale: int,
-              newton: bool = False) -> RowPlan:
+def _row_plan(depth: int, truncation: int, scale: int) -> RowPlan:
     """How the row [S_0 .. S_depth](N) at 10**-scale is formed, decided
     once for its estimate and its run: the route, "tree" or "newton" by
     _tree_row_is_cheaper; the Newton route's bits and head H
@@ -473,13 +465,8 @@ def _row_plan(depth: int, truncation: int, scale: int,
     passes STEP_CEILING: H is at least that (_head_length, whose
     remainder constant |B_26| is above 1), and forming the plan at
     hundreds of thousands of bits took seconds.
-
-    `newton` plans the Newton route in full whatever the rule and the
-    ceiling say: for _newton_row past the ceiling, which only a library
-    call runs, and for the tests, which take it as a witness on either
-    side of the rule.
     """
-    if not newton and _tree_row_is_cheaper(depth, truncation, scale):
+    if _tree_row_is_cheaper(depth, truncation, scale):
         units, digits = _tree_units(depth, truncation)
         entries = min(depth, truncation) + 1
         wide = scale + digits
@@ -491,7 +478,7 @@ def _row_plan(depth: int, truncation: int, scale: int,
     base = (10**scale).bit_length()
     head = min(truncation, (1 << base // (2 * EM_TERMS + 3)) - 1)
     floor = steps + min(depth, 1) * head * (base * 3 // 10 + 300) // 8
-    if not newton and floor > STEP_CEILING:
+    if floor > STEP_CEILING:
         return RowPlan("newton", floor, None, None)
     bits, head = _newton_plan(depth, truncation, scale)
     chain = min(depth, bits // (2 * max(1, head.bit_length())) + 1)
@@ -582,75 +569,6 @@ def row_work_floor(depth: int, digits: int) -> int:
     tree = (2048 * depth * min(depth, LEAF)
             + (depth + 1) * wide * math.isqrt(wide)) // 64
     return min(newton, tree)
-
-
-def partial_sum_prefix(depth: int, truncation: int) -> list:
-    """Exact values [S_depth(0), S_depth(1), ..., S_depth(truncation)].
-
-    One descending-index Fraction sweep; the depth-limit entry is recorded
-    after each index is folded in, so the whole prefix costs the same as
-    the final value. Its last entry is the independent witness that the
-    product tree in partial_sum must reproduce.
-    """
-    _check_depth_truncation(depth, truncation)
-    row = [Fraction(1)] + [Fraction(0)] * depth
-    prefix = [row[depth]]
-    for ell in range(1, truncation + 1):
-        x = Fraction(1, ell * ell)
-        for k in range(min(depth, ell), 0, -1):
-            row[k] += x * row[k - 1]
-        prefix.append(row[depth])
-    return prefix
-
-
-def partial_sum_naive(depth: int, truncation: int) -> Fraction:
-    """S_depth(truncation) by direct enumeration of index tuples.
-
-    Walks every strictly increasing depth-tuple from 1..truncation and adds
-    the exact reciprocal of the squared product. Cost is C(truncation,
-    depth) tuples; requests beyond NAIVE_ENUMERATION_CEILING are refused,
-    since this exists as an independent witness for small cases, not as a
-    computation path.
-    """
-    _check_depth_truncation(depth, truncation)
-    tuples = math.comb(truncation, depth)
-    if tuples > NAIVE_ENUMERATION_CEILING:
-        raise InfeasibleError(
-            "enumeration of %d tuples exceeds the ceiling of %d"
-            % (tuples, NAIVE_ENUMERATION_CEILING),
-            required=tuples,
-        )
-    total = Fraction(0)
-    for subset in combinations(range(1, truncation + 1), depth):
-        denominator = 1
-        for index in subset:
-            denominator *= index * index
-        total += Fraction(1, denominator)
-    return total
-
-
-def newton_cross_check(depth: int, truncation: int) -> Fraction:
-    """S_depth(truncation) through Newton's identities on power sums.
-
-    With p_j the sum of 1/l**(2j) over l = 1..truncation and e_0 = 1, the
-    identities k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} p_i recover the
-    elementary symmetric value e_depth without visiting any index tuple;
-    an algebraically independent route from the product tree, the sweep
-    and the enumeration.
-    """
-    _check_depth_truncation(depth, truncation)
-    p = [Fraction(0)] * depth
-    for ell in range(1, truncation + 1):
-        reciprocal = Fraction(1, ell * ell)
-        power = Fraction(1)
-        for j in range(depth):
-            power *= reciprocal
-            p[j] += power
-    e = [Fraction(1)]
-    for k in range(1, depth + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
-                     for i in range(1, k + 1)) / k)
-    return e[depth]
 
 
 def _basel_ceiling(basel: FixedDecimal, power: int,

@@ -22,12 +22,14 @@ from itertools import combinations
 
 import mpmath as mp
 
-from pipow.reference import basel_power, reference_value, sinc_taylor
-from pipow.series import (
+from pipow.bench import (
     newton_cross_check,
-    partial_sum,
     partial_sum_naive,
     partial_sum_prefix,
+)
+from pipow.reference import basel_power, reference_value, sinc_taylor
+from pipow.series import (
+    partial_sum,
     sinc_product,
     sinc_series,
     tail_bound,

@@ -40,7 +40,6 @@ class TestPureKernel:
 class TestBackendFacade:
     def test_backend_name_is_published(self):
         assert pipow.KERNEL_BACKEND == "pure-python"
-        assert _backend.BACKEND == pipow.KERNEL_BACKEND
 
     def test_validation(self):
         with pytest.raises(DomainError):

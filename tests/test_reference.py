@@ -27,7 +27,6 @@ from pipow.reference import (
     REFERENCE_GUARD,
     basel_power,
     pi_digits,
-    pi_mantissa,
     reference_value,
     sinc_taylor,
 )
@@ -152,7 +151,8 @@ class TestMachinInternals:
 
     @pytest.mark.parametrize("digits", [1, 50, 1000, 4300, 20000])
     def test_pi_mantissa_matches_machin(self, digits):
-        assert pi_mantissa(digits) == _machin_pi_mantissa(digits)
+        assert (reference._PI_CACHE.mantissa(digits)
+                == _machin_pi_mantissa(digits))
 
 
 class TestPiCache:
@@ -324,7 +324,8 @@ class TestCorrectRounding:
 
     @pytest.mark.parametrize("digits", DIGITS)
     def test_pi_mantissa(self, digits):
-        assert pi_mantissa(digits) == correctly_rounded(lambda: mp.pi, digits)
+        assert (reference._PI_CACHE.mantissa(digits)
+                == correctly_rounded(lambda: mp.pi, digits))
 
     # One x at 20000 digits: sinc there sums about 3800 terms, and
     # mpmath takes seconds more at multiples of pi/2.

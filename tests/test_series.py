@@ -1,9 +1,10 @@
 """Nested-sum evaluation, truncation tails, and convergence planning.
 
-Cross-validation strategy: the product tree behind partial_sum, the
-Fraction sweep behind partial_sum_prefix, the literal tuple enumeration,
-and the Newton power-sum identities are four independent routes to the
-same exact rational; they must agree bit for bit. Tail bounds are checked
+Cross-validation strategy: the product tree behind partial_sum and the
+exact witnesses in pipow.bench (the Fraction sweep behind
+partial_sum_prefix, the literal tuple enumeration, and the Newton
+power-sum identities) are four independent routes to the same exact
+rational; they must agree bit for bit. Tail bounds are checked
 for soundness against exact prefixes.
 """
 
@@ -22,6 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipow import _backend, series
+from pipow.bench import (
+    newton_cross_check,
+    partial_sum_naive,
+    partial_sum_prefix,
+)
 from pipow.errors import DomainError, InfeasibleError
 from pipow.exactnum import (
     FixedDecimal,
@@ -34,10 +40,7 @@ from pipow.series import (
     EXACT_TRUNCATION_LIMIT,
     LEAF,
     converge,
-    newton_cross_check,
     partial_sum,
-    partial_sum_naive,
-    partial_sum_prefix,
     required_truncation,
     sinc_product,
     sinc_series,
@@ -511,11 +514,15 @@ class TestWorkFloors:
     @pytest.mark.parametrize("depth, truncation, scale", [
         (1, 10**30, 4000), (2, 10**9, 2500), (3, 10**200, 1500)])
     def test_unplanned_count_is_below_the_planned_one(
-            self, depth, truncation, scale):
+            self, monkeypatch, depth, truncation, scale):
         unplanned = series._row_plan(depth, truncation, scale)
         assert unplanned.steps > series.STEP_CEILING
         assert unplanned.bits is None
-        planned = series._row_plan(depth, truncation, scale, True)
+        monkeypatch.setattr(series, "STEP_CEILING", 10**400)
+        # Past the plan's cache, so that no plan formed with the patch is
+        # kept.
+        planned = series._row_plan.__wrapped__(depth, truncation, scale)
+        assert planned.bits is not None
         assert unplanned.steps <= planned.steps
 
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import pipow
-from pipow import cli
+from pipow import bench, cli, reference, series
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +77,24 @@ class TestNamespace:
         for name in pipow.__all__:
             assert hasattr(pipow, name), name
 
+    def test_module_names_are_pinned(self):
+        # A public name that comes back must change this table.
+        assert sorted(series.__all__) == [
+            "EXACT_TRUNCATION_LIMIT", "STEP_CEILING", "SeriesResult",
+            "converge", "converged_plan", "partial_sum", "partial_sum_work",
+            "required_truncation", "row_work_floor", "series_results",
+            "sinc_plan", "sinc_product", "sinc_series", "sinc_work",
+            "sum_plan", "tail_bound"]
+        assert sorted(reference.__all__) == [
+            "MAX_PI_DIGITS", "PiCache", "REFERENCE_GUARD", "basel_power",
+            "pi_digits", "pi_power_work", "reference_value", "sinc_taylor"]
+        assert sorted(bench.__all__) == [
+            "BenchRow", "NAIVE_ENUMERATION_CEILING", "newton_cross_check",
+            "partial_sum_naive", "partial_sum_prefix", "run_benchmark"]
+        for module in (series, reference, bench):
+            for name in module.__all__:
+                assert hasattr(module, name), (module.__name__, name)
+
     def test_readme_quickstart(self):
         text = (ROOT / "README.md").read_text()
         block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
@@ -111,13 +129,14 @@ class TestCommandLineSurface:
 
 
 class TestStartUp:
-    # Loaded on first use: the symbolic engine and the benchmark by their
-    # commands, csv and json by their formats; dataclasses would pull in
-    # inspect, ast and dis on every start. threading and typing are not
-    # needed to start at all (7 to 11 ms of a bare start): PiCache locks
-    # with _thread, and SeriesResult is a collections.namedtuple.
-    LAZY = ["csv", "dataclasses", "inspect", "json", "pipow.bench",
-            "pipow.symmetric", "threading", "typing"]
+    # Loaded on first use: the symbolic engine and the benchmark (with its
+    # sweep kernel) by their commands, csv and json by their formats;
+    # dataclasses would pull in inspect, ast and dis on every start.
+    # threading and typing are not needed to start at all (7 to 11 ms of
+    # a bare start): PiCache locks with _thread, and SeriesResult is a
+    # collections.namedtuple.
+    LAZY = ["csv", "dataclasses", "inspect", "json", "pipow._backend",
+            "pipow.bench", "pipow.symmetric", "threading", "typing"]
     # Nor after any series command, whose plans are named tuples too;
     # verify-theorem's symmetric engine takes typing with it.
     NEVER = ["dataclasses", "inspect", "typing"]
