@@ -171,11 +171,10 @@ def _certified(approximate, scale: int, guard: int) -> int:
         guard *= 2
 
 
-def _check_digits(digits: int, maximum: int = MAX_PI_DIGITS) -> None:
-    if not 1 <= digits <= maximum:
-        raise DomainError(
-            "digit count must be between 1 and %d, got %d" % (maximum, digits)
-        )
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_PI_DIGITS:
+        raise DomainError("digit count must be between 1 and %d, got %d"
+                          % (MAX_PI_DIGITS, digits))
 
 
 def pi_digits(digits: int) -> FixedDecimal:

@@ -15,19 +15,20 @@ once. The witnesses both routes are checked against live in `bench`.
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
 serves exact mode, and fixed mode where a measured rule says so: its root
-forms only the coefficient [t**n] prod_{l<=N} (l**2 + t)
-(`_tree_coefficient`), divided by (N!)**2 exactly or rounded once at
-10**-scale. Elsewhere a fixed value
-is an entry of the mantissa row [S_0 .. S_n](N) at 10**-scale that the
-power sums p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on
-binary scaled integers (`_newton_row`), which need every entry below the
+(`_tree_coefficients`) forms only the coefficients [t**j] prod_{l<=N}
+(l**2 + t) that are read, divided by (N!)**2 exactly or rounded once at
+10**-scale. Elsewhere a fixed value is an entry of the mantissa row
+[S_0 .. S_n](N) at 10**-scale that the power sums
+p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on binary
+scaled integers (`_newton_row`), which need every entry below the
 one returned: summed term by term up to an Euler-Maclaurin cutoff M and
 from the certified Euler-Maclaurin tail past it, each entry within one
 unit of exact under a closed-form radius of O(R * log depth) units, R the
 largest power-sum error (`_newton_radius`), so no pass but the row's
 grows with the depth; only the entries read are rounded to 10**-scale.
-The sinc series weighs every entry and takes the whole row from
-`_scaled_row` on either route.
+A fixed sum reads entry n, and the sinc series weighs every entry: both
+read `_fixed_row`, which rounds each entry it returns by one long
+division on either route.
 
 A plan decides each choice of a request once, and its estimate, its
 refusal and its run read it. A row's route, working precision and cost
@@ -141,22 +142,22 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
     return out
 
 
-def _tree_coefficient(depth: int, truncation: int) -> int:
-    """[t**depth] prod_{l<=N} (l**2 + t), N = truncation, 0 for depth > N.
+def _tree_coefficients(depth: int, truncation: int, first: int) -> list:
+    """[c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation:
+    divided by the constant term (N!)**2, c_j is S_j(N).
 
     The product tree builds the two halves of the product cut off at
-    degree `depth`, and the root forms only this coefficient,
-    sum_i left_i * right_(depth-i): depth+1 products of the widest
+    degree `depth`, and the root forms only these coefficients,
+    c_k = sum_i left_i * right_(k-i), 0 past N where no pair reaches k: a
+    single one (first = depth) takes depth+1 products of the widest
     operands where the whole row would take (depth+1)*(depth+2)/2.
-    Divided by the constant term (N!)**2 it is S_depth(N).
     """
-    if depth > truncation:
-        return 0
     middle = (truncation + 2) // 2
     left = _truncated_product(1, middle, depth)
     right = _truncated_product(middle, truncation + 1, depth)
-    return sum(a * right[depth - i] for i, a in enumerate(left)
-               if depth - i < len(right))
+    return [sum(a * right[k - i] for i, a in enumerate(left[:k + 1])
+                if k - i < len(right))
+            for k in range(first, depth + 1)]
 
 
 @functools.cache
@@ -232,7 +233,6 @@ def _integer_root(value: int, n: int) -> int:
         root = step
 
 
-@functools.lru_cache(maxsize=1024)
 def _tail_terms(depth: int, a: int, bits: int) -> int:
     """How many of the tails Z_1(a), ..., Z_depth(a) can exceed one unit
     of 2**-bits: Z_i(a) <= a**(-2i) + a**(1-2i)/(2i-1) <= 2*a**(1-2i),
@@ -250,17 +250,13 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
     with _em_remainder(1, M+1) at most one unit of 2**-bits
     (_newton_radius counts every remainder at M+1).
 
-    That remainder is |B_(2K+2)| * 2**bits / a**(2K+3) with |B_26| > 1,
-    so while (N+1)**(2K+3) <= 2**bits, H = N and the Bernoulli table
-    stays unbuilt (a bit length of N+1 past bits/(2K+3) + 1 rules that
-    out before the power is formed); otherwise the search starts at the
-    integer root of the bound and steps up.
+    That remainder is |B_(2K+2)| * 2**bits / a**(2K+3); the search starts
+    at the integer root of the bound and steps up. As |B_26| > 1, M + 1
+    passes 2**(bits/(2K+3)), so H = N while (N+1)**(2K+3) <= 2**bits.
     """
-    power, a = 2 * EM_TERMS + 3, truncation + 1
+    power = 2 * EM_TERMS + 3
     if depth < 1:
         return 0
-    if (a.bit_length() - 1) * power <= bits and a ** power <= 1 << bits:
-        return truncation
     _, denominator, remainder = _euler_maclaurin(1)
     base = _integer_root((remainder << bits) // denominator, power)
     while _em_remainder(1, base, bits) > 1:
@@ -337,7 +333,7 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     that can reach one unit (_tail_terms). Then
     k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each E_k rounded once by a
     shift and a division by k. The caller rounds the entries it reads
-    half-even once at 10**-scale (_round_bits): within half a unit of
+    half-even once at 10**-scale (_fixed_row): within half a unit of
     that rounding plus under half a unit of _newton_radius, so within one
     unit of exact.
     """
@@ -366,21 +362,6 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     return bits, row
 
 
-def _round_bits(entries: list, bits: int, scale: int) -> list:
-    """Each entry e at 2**-bits as a mantissa at 10**-scale, rounded
-    half-even, for bits > scale: div_round_half_even(e * 10**scale,
-    2**bits) by shift and mask, as 10**scale = 5**scale * 2**scale leaves
-    e * 5**scale over 2**(bits - scale)."""
-    pow5, shift = 5**scale, bits - scale
-    mask, half = (1 << shift) - 1, 1 << (shift - 1)
-    out = []
-    for entry in entries:
-        scaled = entry * pow5
-        low, quotient = scaled & mask, scaled >> shift
-        out.append(quotient + (low > half or (low == half and quotient & 1)))
-    return out
-
-
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     """Whether the product tree takes the row at (depth, N, scale):
     scale >= N * (1 + depth/16).
@@ -395,22 +376,22 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     return 16 * scale >= truncation * (16 + depth)
 
 
-def _scaled_row(depth: int, truncation: int, scale: int) -> list:
-    """Mantissa row [S_0 .. S_depth](N) at 10**-scale, for sinc_series,
-    which weighs every entry, on the route of _row_plan: the product
-    tree's, S_j = [t**j] P / P(0) with P = prod_{l<=N} (l**2 + t), one
-    rounded division per entry and so correctly rounded; or _newton_row's,
-    every entry rounded, within one unit of exact. A fixed partial_sum
-    takes entry `depth` of the same row and rounds no other.
+def _fixed_row(depth: int, truncation: int, scale: int, first: int) -> list:
+    """Mantissas of S_first .. S_depth(N) at 10**-scale, on the route of
+    _row_plan: each entry e of the row, the product tree's root
+    coefficients over (N!)**2 or _newton_row's integers over 2**bits, is
+    rounded half-even once as e * 10**scale / divisor, so the tree's are
+    correctly rounded and Newton's within one unit of exact. A fixed
+    partial_sum reads entry `depth` alone and sinc_series the whole row.
     """
-    if _row_plan(depth, truncation, scale).route == "newton":
+    if _row_plan(depth, truncation, scale).route == "tree":
+        row = _tree_coefficients(depth, truncation, first)
+        divisor = math.factorial(truncation) ** 2
+    else:
         bits, row = _newton_row(depth, truncation, scale)
-        return _round_bits(row, bits, scale)
-    coefficients = _truncated_product(1, truncation + 1, depth)
-    coefficients += [0] * (depth + 1 - len(coefficients))
+        row, divisor = row[first:], 1 << bits
     one = 10**scale
-    return [div_round_half_even(c * one, coefficients[0])
-            for c in coefficients]
+    return [div_round_half_even(e * one, divisor) for e in row]
 
 
 def _tree_units(depth: int, truncation: int) -> tuple:
@@ -451,10 +432,9 @@ def _row_plan(depth: int, truncation: int, scale: int) -> RowPlan:
     step and the count bounds the tree from above.
 
     _newton_row counts scale**2/2000 + 3 per depth**2 for Newton's
-    identities and scale**2/200 + 150 per depth for the rest, fitted when
-    each entry took a long division (263 us at 3000 places; _round_bits'
-    shift takes less, so this term now counts high); then, at
-    head H (_newton_plan), (0.3*bits + 300)/8 per head division,
+    identities and scale**2/200 + 150 per depth for the rest, fitted with
+    the long division that rounds each entry (263 us at 3000 places);
+    then, at head H (_newton_plan), (0.3*bits + 300)/8 per head division,
     H*min(depth, bits/(2*log2 H) + 1) of them, and 4*(bits + 2000) for
     each tail summed (_tail_terms, at most 13 at up to 100 places). A
     step took 1.7 to 13 ns for the row alone and 2.7 to 14 ns cold, the
@@ -499,34 +479,27 @@ def partial_sum(
     mode "exact" returns a reduced Fraction: with
     P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
     the one coefficient the product tree's root forms
-    (_tree_coefficient), then one division by (N!)**2, with no per-index
-    gcd as in the Fraction sweep.
+    (_tree_coefficients), over (N!)**2 and reduced by one gcd.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
-    _scaled_row(depth, N, scale). On the tree route of _row_plan that
-    is the same root coefficient times 10**scale divided by (N!)**2 with
-    one half-even rounding, correctly rounded and formed with no other
-    entry; else the power sums' row by Newton's identities, within one
+    _fixed_row(depth, N, scale, depth), the only entry it forms. On the
+    tree route of _row_plan that is the same root coefficient times
+    10**scale divided by (N!)**2 with one half-even rounding, correctly
+    rounded; else the power sums' row by Newton's identities, within one
     unit in the last carried place. The guard is the sweep kernel's budget
     of depth*N/2 units, which both routes stay well inside.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
-        return Fraction(_tree_coefficient(depth, truncation),
-                        math.factorial(truncation) ** 2)
+        (coefficient,) = _tree_coefficients(depth, truncation, depth)
+        return Fraction(coefficient, math.factorial(truncation) ** 2)
     if mode == "fixed":
         if digits < 1:
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        if _row_plan(depth, truncation, scale).route == "tree":
-            mantissa = div_round_half_even(
-                _tree_coefficient(depth, truncation) * 10**scale,
-                math.factorial(truncation) ** 2)
-        else:
-            bits, row = _newton_row(depth, truncation, scale)
-            (mantissa,) = _round_bits(row[depth:], bits, scale)
+        (mantissa,) = _fixed_row(depth, truncation, scale, depth)
         return FixedDecimal(mantissa, scale, guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
@@ -698,13 +671,17 @@ def series_results(plan: list, digits: int) -> list:
     """The SeriesResult of each row of sum_plan or converged_plan:
     S_depth(N) at `digits` places, the row's bound and limit, and the
     observed error, rounded half-even at digits plus ten places for an
-    exact value."""
+    exact value p/q: |L*10**10*q - p*10**(digits+20)| / q for the limit's
+    mantissa L at 10**-(digits+10), in integers, which half-even rounding,
+    symmetric about 0, takes to the rounded |limit - p/q|."""
     results = []
     for depth, truncation, mode, bound, limit in plan:
         value = partial_sum(depth, truncation, mode, digits)
         if mode == "exact":
-            error = abs(FixedDecimal.from_rational(
-                limit.as_fraction() - value, digits + 10, 10))
+            p, q = value.numerator, value.denominator
+            error = FixedDecimal(div_round_half_even(
+                abs(limit.mantissa * 10**10 * q - p * 10 ** (digits + 20)),
+                q), digits + 20, 10)
         else:
             error = abs(limit - value)
         results.append(SeriesResult(depth, truncation, mode, value, bound,
@@ -872,7 +849,7 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     Expanding the sinc product into powers of x**2 makes the coefficient of
     x**(2j) exactly the depth-j nested sum, so this evaluates the expansion
     with both the power count and every nested sum truncated. One row from
-    _scaled_row produces all the S_j at once: the product tree where that
+    _fixed_row produces all the S_j at once: the product tree where that
     is cheaper (e.g. at hundreds of places), else the power sums by
     Newton's identities; each term costs one further half-even rounding.
     Row j's rounding error is multiplied by |x|**(2j), so for |x| > 1 the
@@ -887,7 +864,7 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     x2 = q * q
     guard = _sinc_guard(x2, powers, truncation)
     scale = digits + guard
-    row = _scaled_row(powers, truncation, scale)
+    row = _fixed_row(powers, truncation, scale, 0)
     numerator = 1
     denominator = 1
     total = row[0]

@@ -339,27 +339,6 @@ class TestSincCommand:
         assert code == EXIT_OK
         assert spaced == joined
 
-    @pytest.mark.parametrize("x, terms", [("50", 2000), ("200", 5000),
-                                          ("1/2", 1000),
-                                          ("1/1000", 100000000)])
-    def test_runaway_series_is_refused_before_work(self, capsys, monkeypatch,
-                                                   x, terms):
-        # Unrefused, these series rows ran for about 9 s, over 60 s and
-        # 34 s; the last product, about a minute.
-        def no_work(*args):
-            raise AssertionError("the sinc evaluation started")
-
-        monkeypatch.setattr(cli, "sinc_product", no_work)
-        monkeypatch.setattr(cli, "sinc_series", no_work)
-        argv = ["sinc", "--x", x, "--terms", str(terms)]
-        if x == "1/2":
-            argv += ["--digits", "2000"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_INFEASIBLE
-        assert out == ""
-        assert f"sinc --x {x} --terms {terms} --digits" in err
-        assert f"ceiling of {series.STEP_CEILING}" in err
-
     @pytest.mark.parametrize("x", ["0", "1/1000", "1/3", "-5/16", "3/2",
                                    "15/8", "-7/3", "25/8", "50", "-201/2"])
     def test_power_count_is_the_first_small_term(self, x):
@@ -411,89 +390,6 @@ class TestSincCommand:
 
 
 class TestRunawayRequests:
-    @pytest.mark.parametrize("argv, quoted", [
-        (["sum", "--mode", "fixed", "--depth", "2", "--upto", "99999999",
-          "--digits", "200"], "sum --depth 2 --upto 99999999 --digits 200"),
-        (["sum", "--mode", "fixed", "--depth", "1", "--upto", "10000000",
-          "--digits", "2000"], "sum --depth 1 --upto 10000000 --digits 2000"),
-        (["sinc", "--x", "1/2", "--terms", "1", "--digits", "99990"],
-         "sinc --x 1/2 --terms 1 --digits 99990"),
-        (["sum", "--depth", "500", "--upto", "2000"],
-         "sum --depth 500 --upto 2000 --digits 20"),
-        (["sum", "--depth", "20000", "--upto", "5"],
-         "sum --depth 20000 --upto 5 --digits 20"),
-        (["converge", "--depth", "2", "--digits", "70"],
-         "converge --depth 2 --digits 70"),
-        (["converge", "--depth", "20000", "--digits", "5"],
-         "converge --depth 20000 --digits 5"),
-        (["table", "--max-depth", "20000", "--digits", "3"],
-         "table --max-depth 20000 --digits 3"),
-        (["sinc", "--x", "100000", "--terms", "1000000"],
-         "sinc --x 100000 --terms 1000000 --digits 20"),
-        (["sinc", "--x", "1/2", "--terms", "200000000"],
-         "sinc --x 1/2 --terms 200000000 --digits 20"),
-        (["sinc", "--x", "700", "--terms", "100000"],
-         "sinc --x 700 --terms 100000 --digits 20"),
-        (["sinc", "--x", "1000", "--terms", "100000"],
-         "sinc --x 1000 --terms 100000 --digits 20"),
-        (["converge", "--depth", "1", "--digits", "99000"],
-         "converge --depth 1 --digits 99000"),
-    ], ids=["sum-depth-2", "sum-depth-1", "sinc-taylor", "sum-exact",
-            "sum-deep-references", "converge-seventy-digits",
-            "converge-deep", "table-deep", "sinc-wide-x", "sinc-many-terms",
-            "sinc-x-700", "sinc-x-1000", "converge-wide"])
-    def test_refused_before_work(self, capsys, monkeypatch, argv, quoted):
-        # Unrefused, the two fixed sums ran past 60 s, the sinc Taylor sum
-        # for 168 s and the exact sum for 15.6 s; the deep table ran past
-        # 120 s, the wide-x sinc's power count past 30 s, and the two
-        # reference constants of the empty depth-20000 sum take 27 s. The
-        # two sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
-        # Fraction loop for their power count, and the depth-1 converge
-        # crashed after 11 s on a step count of over 4300 digits.
-        def no_work(*args):
-            raise AssertionError("the computation started")
-
-        # Where the work starts: the row, the three sinc evaluations and,
-        # for a sum, its chain of powers of pi**2 (the plan of converge
-        # and table costs each row at the truncation that chain gives).
-        patched = [(series, "partial_sum"), (cli, "sinc_product"),
-                   (cli, "sinc_series"), (cli, "sinc_taylor")]
-        if argv[0] == "sum":
-            patched.append((series, "_pi_power_ratios"))
-        for owner, name in patched:
-            monkeypatch.setattr(owner, name, no_work)
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv)
-        assert time.perf_counter() - start < 0.5
-        assert code == EXIT_INFEASIBLE
-        assert out == ""
-        assert f"{quoted} needs about" in err
-        assert f"ceiling of {series.STEP_CEILING}" in err
-        assert err.count("\n") == 1 and len(err) < 200
-
-    @pytest.mark.parametrize("command, digits", [("converge --depth", 5),
-                                                 ("table --max-depth", 3)],
-                             ids=["converge", "table"])
-    def test_deep_rows_refused_before_their_truncation(self, capsys,
-                                                       monkeypatch, command,
-                                                       digits):
-        # The chain that gives the truncation raises pi**2/6 to the depth:
-        # 0.47 s at depth 5000. The floor of the row, about depth**2 * 3
-        # steps at any truncation, refuses first.
-        def no_work(*args):
-            raise AssertionError("the truncation was computed")
-
-        monkeypatch.setattr(series, "_pi_power_ratios", no_work)
-        code, out, err = run_cli(capsys, *command.split(), "5000",
-                                 "--digits", str(digits))
-        steps = (3 * reference.pi_power_work(
-            5000, digits + reference.REFERENCE_GUARD)
-            + series.row_work_floor(5000, digits))
-        assert code == EXIT_INFEASIBLE
-        assert out == ""
-        assert (f"{command} 5000 --digits {digits} needs about {steps} "
-                "digit steps") in err
-
     def test_deep_fixed_row_is_served(self, capsys):
         # The row takes about 0.1 s, and its estimate stays under the
         # step ceiling.
@@ -514,21 +410,26 @@ class TestRunawayRequests:
         assert code == EXIT_OK and err == ""
         assert "value: 0." + "0" * 20 + "\n" in out
 
-    def test_huge_counts_are_quoted_as_powers_of_ten(self, capsys):
-        code, _, err = run_cli(capsys, "converge", "--depth", "1",
-                               "--digits", "4400")
-        assert code == EXIT_INFEASIBLE
-        assert "needs about 10**" in err
-        assert len(err) < 200
-
 
 class TestPinnedRefusals:
     # Each message as the costing spread over the command line and the
     # series module printed it, step counts included: planning every
     # request in one place keeps every estimate and so every refusal.
     # Among them: a table refused at a shallower row after its deepest
-    # passed (depth 1 of 4, depth 2 of 6) and a sinc refused at the floor
-    # of its power count (x = 100000 and -30000).
+    # passed (depth 1 of 4, depth 2 of 6), a sinc refused at the floor of
+    # its power count (x = 100000 and -30000), converge and table rows
+    # refused at the floor of a deep row (depth 5000 and 20000), before
+    # the chain that gives their truncation (0.47 s at depth 5000), and a
+    # count of over 15 digits quoted as a power of ten. Unrefused, the
+    # two fixed sums ran past 60 s, the sinc Taylor sum at 99990 digits
+    # for 168 s and the exact depth-500 sum for 15.6 s; the deep table ran
+    # past 120 s, the wide-x sinc's power count past 30 s, and the two
+    # reference constants of the empty depth-20000 sum take 27 s. The
+    # sinc series rows at x = 50, 200 and 1/2 ran for about 9 s, over 60 s
+    # and 34 s, and the product at x = 1/1000 for about a minute; the
+    # sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
+    # Fraction loop for their power count, and the depth-1 converge at
+    # 99000 digits crashed after 11 s on a step count of over 4300 digits.
     REFUSED = [
         ("sum --mode fixed --depth 2 --upto 99999999 --digits 200",
          "sum --depth 2 --upto 99999999 --digits 200 needs about 4345299985"),
@@ -576,12 +477,39 @@ class TestPinnedRefusals:
          "sinc --x -30000 --terms 100000 --digits 5 needs about 6912000000"),
         ("converge --depth 1 --digits 4400",
          "converge --depth 1 --digits 4400 needs about 10**329"),
+        ("sinc --x 50 --terms 2000",
+         "sinc --x 50 --terms 2000 --digits 20 needs about 60283313"),
+        ("sinc --x 200 --terms 5000",
+         "sinc --x 200 --terms 5000 --digits 20 needs about 6938720708"),
+        ("sinc --x 1/2 --terms 1000 --digits 2000",
+         "sinc --x 1/2 --terms 1000 --digits 2000 needs about 397055452"),
+        ("sinc --x 1/1000 --terms 100000000",
+         "sinc --x 1/1000 --terms 100000000 --digits 20 needs about "
+         "3900046263"),
     ]
+    # Refused at a row's truncation, which the chain of powers of pi**2
+    # gives; every other request is refused before the chain runs.
+    AFTER_CHAIN = {"converge --depth 2 --digits 70",
+                   "table --max-depth 4 --digits 55",
+                   "table --max-depth 6 --digits 51"}
 
     @pytest.mark.parametrize("request_, message", REFUSED,
                              ids=[r for r, _ in REFUSED])
-    def test_message_is_pinned(self, capsys, request_, message):
+    def test_message_is_pinned(self, capsys, monkeypatch, request_, message):
+        def no_work(*args):
+            raise AssertionError("the computation started")
+
+        # Where the work starts: the row, the three sinc evaluations and
+        # the chain of powers of pi**2.
+        patched = [(series, "partial_sum"), (cli, "sinc_product"),
+                   (cli, "sinc_series"), (cli, "sinc_taylor")]
+        if request_ not in self.AFTER_CHAIN:
+            patched.append((series, "_pi_power_ratios"))
+        for owner, name in patched:
+            monkeypatch.setattr(owner, name, no_work)
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, *request_.split())
+        assert time.perf_counter() - start < 0.5
         assert (code, out) == (EXIT_INFEASIBLE, "")
         assert err == ("pipow: refused: %s digit steps, above the ceiling "
                        "of 50000000; lower one of these numbers\n" % message)

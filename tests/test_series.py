@@ -11,7 +11,6 @@ for soundness against exact prefixes.
 import functools
 import math
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -286,7 +285,8 @@ class TestBlockEvaluation:
                 _, head = series._newton_plan(depth, truncation, scale)
                 tails.add(head < truncation)
                 bits, row = series._newton_row(depth, truncation, scale)
-                row = series._round_bits(row, bits, scale)
+                row = [div_round_half_even(e * 10**scale, 2**bits)
+                       for e in row]
                 assert len(row) == depth + 1
                 assert within_one_unit(row, truncation, scale), (
                     depth, scale, truncation)
@@ -454,32 +454,6 @@ class TestBlockEvaluation:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-
-
-class TestRoundBits:
-    """A row entry at 2**-bits is rounded at 10**-scale by shift and mask
-    exactly as the long division rounded it."""
-
-    @pytest.mark.parametrize("scale", [0, 1, 5, 24, 300, 3000])
-    def test_equals_the_division(self, scale):
-        rng = random.Random(scale)
-        outcomes = set()
-        for extra in (1, 2, 17, 64):
-            bits = (10**scale).bit_length() + extra
-            shift = bits - scale
-            # Exact ties: entry * 5**scale is 2**(shift-1) modulo 2**shift,
-            # with quotients of either parity.
-            tie = (pow(5**scale, -1, 1 << shift) << (shift - 1)) % (1 << shift)
-            ties = [tie + (k << shift) for k in range(-4, 4)]
-            entries = ties + [rng.randrange(-(1 << bits), 1 << (bits + 8))
-                              for _ in range(200)]
-            expected = [div_round_half_even(e * 10**scale, 1 << bits)
-                        for e in entries]
-            assert series._round_bits(entries, bits, scale) == expected
-            outcomes |= {r - (e * 10**scale >> bits)
-                         for e, r in zip(ties, expected)}
-        # The ties rounded both up and down.
-        assert outcomes == {0, 1}
 
 
 class TestWorkFloors:
@@ -715,23 +689,31 @@ class TestOneTreeCoefficient:
                         depth, truncation, scale))
                     value = partial_sum(depth, truncation, "fixed", digits)
                     assert (value.mantissa, value.scale, value.guard) == (
-                        series._scaled_row(depth, truncation, scale)[depth],
+                        series._fixed_row(depth, truncation, scale, 0)[depth],
                         scale, guard), (depth, truncation, digits)
         assert routes == {False, True}
 
     def test_exact_and_fixed_share_the_root(self, monkeypatch):
-        calls = []
-        real = series._tree_coefficient
+        # A sum forms only its own coefficient at the root, the tree's sinc
+        # row every one; no product spans the whole range 1..N.
+        calls, ranges = [], []
+        root, product = series._tree_coefficients, series._truncated_product
 
-        def recording(depth, truncation):
-            calls.append((depth, truncation))
-            return real(depth, truncation)
+        def recording_root(depth, truncation, first):
+            calls.append((depth, truncation, first))
+            return root(depth, truncation, first)
 
-        monkeypatch.setattr(series, "_tree_coefficient", recording)
-        monkeypatch.setattr(series, "_scaled_row", None)
+        def recording_product(low, high, depth):
+            ranges.append((low, high))
+            return product(low, high, depth)
+
+        monkeypatch.setattr(series, "_tree_coefficients", recording_root)
+        monkeypatch.setattr(series, "_truncated_product", recording_product)
         exact = partial_sum(3, 40)
         fixed = partial_sum(3, 40, "fixed", 200)
-        assert calls == [(3, 40), (3, 40)]
+        sinc_series(Fraction(1, 2), 12, 60, 500)
+        assert calls == [(3, 40, 3), (3, 40, 3), (12, 60, 0)]
+        assert (1, 41) not in ranges and (1, 61) not in ranges
         # The tree's entry is correctly rounded.
         assert abs(fixed.as_fraction() - exact) <= Fraction(
             1, 2 * 10**fixed.scale)
