@@ -389,7 +389,159 @@ class TestSincCommand:
         assert payload["series"] == payload["product"]
 
 
+# Each message as the costing spread over the command line and the
+# series module printed it, step counts included: planning every
+# request in one place keeps every estimate and so every refusal.
+# Among them: a table refused at a shallower row after its deepest
+# passed (depth 1 of 4, depth 2 of 6), a sinc refused at the floor of
+# its power count (x = 100000 and -30000), converge and table rows
+# refused at the floor of a deep row (depth 5000 and 20000), before
+# the chain that gives their truncation (0.47 s at depth 5000), and a
+# count of over 15 digits quoted as a power of ten. Unrefused, the
+# two fixed sums ran past 60 s, the sinc Taylor sum at 99990 digits
+# for 168 s and the exact depth-500 sum for 15.6 s; the deep table ran
+# past 120 s, the wide-x sinc's power count past 30 s, and the two
+# reference constants of the empty depth-20000 sum take 27 s. The
+# sinc series rows at x = 50, 200 and 1/2 ran for about 9 s, over 60 s
+# and 34 s, and the product at x = 1/1000 for about a minute; the
+# sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
+# Fraction loop for their power count, and the depth-1 converge at
+# 99000 digits crashed after 11 s on a step count of over 4300 digits.
+REFUSED = [
+    ("sum --mode fixed --depth 2 --upto 99999999 --digits 200",
+     "sum --depth 2 --upto 99999999 --digits 200 needs about 4345299985"),
+    ("sum --mode fixed --depth 1 --upto 10000000 --digits 2000",
+     "sum --depth 1 --upto 10000000 --digits 2000 needs about "
+     "2888775328"),
+    ("sinc --x 1/2 --terms 1 --digits 99990",
+     "sinc --x 1/2 --terms 1 --digits 99990 needs about 20001087943"),
+    ("sum --depth 500 --upto 2000",
+     "sum --depth 500 --upto 2000 --digits 20 needs about 6010069735"),
+    ("sum --depth 20000 --upto 5",
+     "sum --depth 20000 --upto 5 --digits 20 needs about 755407640"),
+    ("sum --depth 20000 --upto 0 --digits 50",
+     "sum --depth 20000 --upto 0 --digits 50 needs about 756817400"),
+    ("sum --mode exact --depth 3 --upto 40000",
+     "sum --depth 3 --upto 40000 --digits 20 needs about 139191689"),
+    ("converge --depth 2 --digits 70",
+     "converge --depth 2 --digits 70 needs about 149141931"),
+    ("converge --depth 20000 --digits 5",
+     "converge --depth 20000 --digits 5 needs about 2324080200"),
+    ("table --max-depth 20000 --digits 3",
+     "table --max-depth 20000 --digits 3 needs about 2323932150"),
+    ("sinc --x 100000 --terms 1000000",
+     "sinc --x 100000 --terms 1000000 --digits 20 needs about "
+     "76800000000"),
+    ("sinc --x 1/2 --terms 200000000",
+     "sinc --x 1/2 --terms 200000000 --digits 20 needs about "
+     "7800139306"),
+    ("sinc --x 700 --terms 100000",
+     "sinc --x 700 --terms 100000 --digits 20 needs about 1443827833105"),
+    ("sinc --x 1000 --terms 100000",
+     "sinc --x 1000 --terms 100000 --digits 20 needs about "
+     "6605980312487"),
+    ("converge --depth 1 --digits 99000",
+     "converge --depth 1 --digits 99000 needs about 10**7338"),
+    ("converge --depth 5000 --digits 5",
+     "converge --depth 5000 --digits 5 needs about 110672175"),
+    ("table --max-depth 5000 --digits 3",
+     "table --max-depth 5000 --digits 3 needs about 110653536"),
+    ("table --max-depth 4 --digits 55",
+     "table --max-depth 4 --digits 55 needs about 51559407"),
+    ("table --max-depth 6 --digits 51",
+     "table --max-depth 6 --digits 51 needs about 51672519"),
+    ("sinc --x -30000 --terms 100000 --digits 5",
+     "sinc --x -30000 --terms 100000 --digits 5 needs about 6912000000"),
+    ("converge --depth 1 --digits 4400",
+     "converge --depth 1 --digits 4400 needs about 10**329"),
+    ("sinc --x 50 --terms 2000",
+     "sinc --x 50 --terms 2000 --digits 20 needs about 60283313"),
+    ("sinc --x 200 --terms 5000",
+     "sinc --x 200 --terms 5000 --digits 20 needs about 6938720708"),
+    ("sinc --x 1/2 --terms 1000 --digits 2000",
+     "sinc --x 1/2 --terms 1000 --digits 2000 needs about 397055452"),
+    ("sinc --x 1/1000 --terms 100000000",
+     "sinc --x 1/1000 --terms 100000000 --digits 20 needs about "
+     "3900046263"),
+]
+# Refused at a row's truncation, which the chain of powers of pi**2
+# gives; every other request is refused before the chain runs.
+AFTER_CHAIN = {"converge --depth 2 --digits 70",
+               "table --max-depth 4 --digits 55",
+               "table --max-depth 6 --digits 51"}
+
+
+def check_refused(capsys, monkeypatch, request_):
+    """Run one row of REFUSED: exit 2, no stdout, the full message on one
+    stderr line, under 0.5 s, and no work started."""
+    def no_work(*args):
+        raise AssertionError("the computation started")
+
+    # Where the work starts: the row, the three sinc evaluations and the
+    # chain of powers of pi**2.
+    patched = [(series, "partial_sum"), (cli, "sinc_product"),
+               (cli, "sinc_series"), (cli, "sinc_taylor")]
+    if request_ not in AFTER_CHAIN:
+        patched.append((series, "_pi_power_ratios"))
+    for owner, name in patched:
+        monkeypatch.setattr(owner, name, no_work)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *request_.split())
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert err == ("pipow: refused: %s digit steps, above the ceiling "
+                   "of 50000000; lower one of these numbers\n"
+                   % dict(REFUSED)[request_])
+
+
 class TestRunawayRequests:
+    # Named views onto rows of REFUSED, each run by check_refused.
+    RUNAWAY = {
+        "sum-depth-2": "sum --mode fixed --depth 2 --upto 99999999 "
+                       "--digits 200",
+        "sum-depth-1": "sum --mode fixed --depth 1 --upto 10000000 "
+                       "--digits 2000",
+        "sinc-taylor": "sinc --x 1/2 --terms 1 --digits 99990",
+        "sum-exact": "sum --depth 500 --upto 2000",
+        "sum-deep-references": "sum --depth 20000 --upto 5",
+        "converge-seventy-digits": "converge --depth 2 --digits 70",
+        "converge-deep": "converge --depth 20000 --digits 5",
+        "table-deep": "table --max-depth 20000 --digits 3",
+        "sinc-wide-x": "sinc --x 100000 --terms 1000000",
+        "sinc-many-terms": "sinc --x 1/2 --terms 200000000",
+        "sinc-x-700": "sinc --x 700 --terms 100000",
+        "sinc-x-1000": "sinc --x 1000 --terms 100000",
+        "converge-wide": "converge --depth 1 --digits 99000",
+    }
+
+    @pytest.mark.parametrize("request_", list(RUNAWAY.values()),
+                             ids=list(RUNAWAY))
+    def test_refused_before_work(self, capsys, monkeypatch, request_):
+        check_refused(capsys, monkeypatch, request_)
+
+    @pytest.mark.parametrize("command, digits", [("converge --depth", 5),
+                                                 ("table --max-depth", 3)],
+                             ids=["converge", "table"])
+    def test_deep_rows_refused_before_their_truncation(self, capsys,
+                                                       monkeypatch, command,
+                                                       digits):
+        # The chain that gives the truncation raises pi**2/6 to the depth:
+        # 0.47 s at depth 5000. The floor of the row, about depth**2 * 3
+        # steps at any truncation, refuses first, and its pinned count is
+        # that floor.
+        request_ = f"{command} 5000 --digits {digits}"
+        steps = (3 * reference.pi_power_work(
+            5000, digits + reference.REFERENCE_GUARD)
+            + series.row_work_floor(5000, digits))
+        assert dict(REFUSED)[request_] == f"{request_} needs about {steps}"
+        check_refused(capsys, monkeypatch, request_)
+
+    def test_huge_counts_are_quoted_as_powers_of_ten(self, capsys,
+                                                     monkeypatch):
+        request_ = "converge --depth 1 --digits 4400"
+        assert dict(REFUSED)[request_].endswith("needs about 10**329")
+        check_refused(capsys, monkeypatch, request_)
+
     def test_deep_fixed_row_is_served(self, capsys):
         # The row takes about 0.1 s, and its estimate stays under the
         # step ceiling.
@@ -412,107 +564,10 @@ class TestRunawayRequests:
 
 
 class TestPinnedRefusals:
-    # Each message as the costing spread over the command line and the
-    # series module printed it, step counts included: planning every
-    # request in one place keeps every estimate and so every refusal.
-    # Among them: a table refused at a shallower row after its deepest
-    # passed (depth 1 of 4, depth 2 of 6), a sinc refused at the floor of
-    # its power count (x = 100000 and -30000), converge and table rows
-    # refused at the floor of a deep row (depth 5000 and 20000), before
-    # the chain that gives their truncation (0.47 s at depth 5000), and a
-    # count of over 15 digits quoted as a power of ten. Unrefused, the
-    # two fixed sums ran past 60 s, the sinc Taylor sum at 99990 digits
-    # for 168 s and the exact depth-500 sum for 15.6 s; the deep table ran
-    # past 120 s, the wide-x sinc's power count past 30 s, and the two
-    # reference constants of the empty depth-20000 sum take 27 s. The
-    # sinc series rows at x = 50, 200 and 1/2 ran for about 9 s, over 60 s
-    # and 34 s, and the product at x = 1/1000 for about a minute; the
-    # sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
-    # Fraction loop for their power count, and the depth-1 converge at
-    # 99000 digits crashed after 11 s on a step count of over 4300 digits.
-    REFUSED = [
-        ("sum --mode fixed --depth 2 --upto 99999999 --digits 200",
-         "sum --depth 2 --upto 99999999 --digits 200 needs about 4345299985"),
-        ("sum --mode fixed --depth 1 --upto 10000000 --digits 2000",
-         "sum --depth 1 --upto 10000000 --digits 2000 needs about "
-         "2888775328"),
-        ("sinc --x 1/2 --terms 1 --digits 99990",
-         "sinc --x 1/2 --terms 1 --digits 99990 needs about 20001087943"),
-        ("sum --depth 500 --upto 2000",
-         "sum --depth 500 --upto 2000 --digits 20 needs about 6010069735"),
-        ("sum --depth 20000 --upto 5",
-         "sum --depth 20000 --upto 5 --digits 20 needs about 755407640"),
-        ("sum --depth 20000 --upto 0 --digits 50",
-         "sum --depth 20000 --upto 0 --digits 50 needs about 756817400"),
-        ("sum --mode exact --depth 3 --upto 40000",
-         "sum --depth 3 --upto 40000 --digits 20 needs about 139191689"),
-        ("converge --depth 2 --digits 70",
-         "converge --depth 2 --digits 70 needs about 149141931"),
-        ("converge --depth 20000 --digits 5",
-         "converge --depth 20000 --digits 5 needs about 2324080200"),
-        ("table --max-depth 20000 --digits 3",
-         "table --max-depth 20000 --digits 3 needs about 2323932150"),
-        ("sinc --x 100000 --terms 1000000",
-         "sinc --x 100000 --terms 1000000 --digits 20 needs about "
-         "76800000000"),
-        ("sinc --x 1/2 --terms 200000000",
-         "sinc --x 1/2 --terms 200000000 --digits 20 needs about "
-         "7800139306"),
-        ("sinc --x 700 --terms 100000",
-         "sinc --x 700 --terms 100000 --digits 20 needs about 1443827833105"),
-        ("sinc --x 1000 --terms 100000",
-         "sinc --x 1000 --terms 100000 --digits 20 needs about "
-         "6605980312487"),
-        ("converge --depth 1 --digits 99000",
-         "converge --depth 1 --digits 99000 needs about 10**7338"),
-        ("converge --depth 5000 --digits 5",
-         "converge --depth 5000 --digits 5 needs about 110672175"),
-        ("table --max-depth 5000 --digits 3",
-         "table --max-depth 5000 --digits 3 needs about 110653536"),
-        ("table --max-depth 4 --digits 55",
-         "table --max-depth 4 --digits 55 needs about 51559407"),
-        ("table --max-depth 6 --digits 51",
-         "table --max-depth 6 --digits 51 needs about 51672519"),
-        ("sinc --x -30000 --terms 100000 --digits 5",
-         "sinc --x -30000 --terms 100000 --digits 5 needs about 6912000000"),
-        ("converge --depth 1 --digits 4400",
-         "converge --depth 1 --digits 4400 needs about 10**329"),
-        ("sinc --x 50 --terms 2000",
-         "sinc --x 50 --terms 2000 --digits 20 needs about 60283313"),
-        ("sinc --x 200 --terms 5000",
-         "sinc --x 200 --terms 5000 --digits 20 needs about 6938720708"),
-        ("sinc --x 1/2 --terms 1000 --digits 2000",
-         "sinc --x 1/2 --terms 1000 --digits 2000 needs about 397055452"),
-        ("sinc --x 1/1000 --terms 100000000",
-         "sinc --x 1/1000 --terms 100000000 --digits 20 needs about "
-         "3900046263"),
-    ]
-    # Refused at a row's truncation, which the chain of powers of pi**2
-    # gives; every other request is refused before the chain runs.
-    AFTER_CHAIN = {"converge --depth 2 --digits 70",
-                   "table --max-depth 4 --digits 55",
-                   "table --max-depth 6 --digits 51"}
-
-    @pytest.mark.parametrize("request_, message", REFUSED,
+    @pytest.mark.parametrize("request_", [r for r, _ in REFUSED],
                              ids=[r for r, _ in REFUSED])
-    def test_message_is_pinned(self, capsys, monkeypatch, request_, message):
-        def no_work(*args):
-            raise AssertionError("the computation started")
-
-        # Where the work starts: the row, the three sinc evaluations and
-        # the chain of powers of pi**2.
-        patched = [(series, "partial_sum"), (cli, "sinc_product"),
-                   (cli, "sinc_series"), (cli, "sinc_taylor")]
-        if request_ not in self.AFTER_CHAIN:
-            patched.append((series, "_pi_power_ratios"))
-        for owner, name in patched:
-            monkeypatch.setattr(owner, name, no_work)
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *request_.split())
-        assert time.perf_counter() - start < 0.5
-        assert (code, out) == (EXIT_INFEASIBLE, "")
-        assert err == ("pipow: refused: %s digit steps, above the ceiling "
-                       "of 50000000; lower one of these numbers\n" % message)
+    def test_message_is_pinned(self, capsys, monkeypatch, request_):
+        check_refused(capsys, monkeypatch, request_)
 
 
 class TestOneChainPerRequest:
