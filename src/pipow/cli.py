@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, InfeasibleError
-from .exactnum import FixedDecimal, int_to_decimal
+from .exactnum import FixedDecimal, div_round_up, int_to_decimal
 from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
 from .series import (
     EXACT_TRUNCATION_LIMIT,
@@ -182,6 +182,76 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _plain_commands() -> dict:
+    """For each command of _parser(): its actions by option string, its
+    namespace's defaults and its required dests, read off the parser once;
+    None for a command holding an action other than help, a one-value
+    store or a store_true flag, which _plain_args does not model."""
+    subparsers = next(action for action in _parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    commands = {}
+    for name, command in subparsers.choices.items():
+        options, defaults, required = {}, {subparsers.dest: name}, set()
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not action.option_strings or not (
+                    type(action) is argparse._StoreTrueAction
+                    or type(action) is argparse._StoreAction
+                    and action.nargs is None):
+                options = None
+                break
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action.dest)
+        commands[name] = (None if options is None
+                          else (options, defaults, required))
+    return commands
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The namespace _parser().parse_args(argv) returns, for a plain
+    command line: a known command, then its own options, each spelled in
+    full and given once, as `--name value` (a value not starting with
+    '-') or `--name=value`, a flag bare, every value valid for its type
+    and choices, every required option present. None for any other line
+    (help, an error, an abbreviation, a repeat, '--', a stray token),
+    which argparse then parses: it stays the one definition of the
+    command line, its help and its error messages."""
+    rules = _plain_commands().get(argv[0]) if argv else None
+    if rules is None:
+        return None
+    options, defaults, required = rules
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, text = token.partition("=")
+        action = options.get(name)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            if equals:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 # --- rendering ------------------------------------------------------------
 
 
@@ -233,6 +303,14 @@ def _render(records: list, output_format: str, payload=None,
     return "\n".join(lines) + "\n"
 
 
+def _bound_text(bound: FixedDecimal, places: int) -> str:
+    """bound rounded up, not half-even, at `places` places, so that the
+    printed number still bounds what bound does."""
+    return FixedDecimal(div_round_up(bound.mantissa,
+                                     10 ** (bound.scale - places)),
+                        places).to_decimal_string()
+
+
 def _series_record(result: SeriesResult, args) -> dict:
     digits = args.digits
     value = result.value
@@ -247,13 +325,13 @@ def _series_record(result: SeriesResult, args) -> dict:
         value_text = (f"{int_to_decimal(value.numerator)}/"
                       f"{int_to_decimal(value.denominator)}")
     # Bounds and errors get two extra places so a bound below 10**-digits
-    # does not print as a row of zeros.
+    # does not print as a row of zeros; the bound is rounded up.
     return {
         "depth": result.depth,
         "truncation": result.truncation,
         "mode": result.mode,
         "value": value_text,
-        "tail_bound": result.tail_bound.to_decimal_string(digits + 2),
+        "tail_bound": _bound_text(result.tail_bound, digits + 2),
         "reference": result.reference.to_decimal_string(digits),
         "abs_error": result.abs_error.to_decimal_string(digits + 2),
     }
@@ -377,10 +455,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         output, code = _COMMANDS[args.command](args)
     except DomainError as exc:

@@ -5,16 +5,21 @@ subprocess test proves the installed console script exists.
 """
 
 import csv
+import importlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipow import bench, cli, reference, series, symmetric
 from pipow.exactnum import FixedDecimal
@@ -26,6 +31,8 @@ from pipow.cli import (
     EXIT_USAGE,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +126,17 @@ class TestSumCommand:
         assert payload["value"] == "0"
         bound = Fraction(payload["tail_bound"].replace(".", "")) / 10**22
         assert bound > Fraction(16449, 10**4)  # > pi**2/6
+
+    def test_printed_tail_bound_is_rounded_up(self, capsys):
+        # Rounded half-even at digits + 2 places it printed 0.000, below
+        # the true tail sum_{l > 2000} 1/l**2 = 0.000499875...
+        code, out, _ = run_cli(capsys, "sum", "--depth", "1", "--upto",
+                               "2000", "--mode", "fixed", "--digits", "1",
+                               "--format", "json")
+        assert code == EXIT_OK
+        bound = json.loads(out)["tail_bound"]
+        assert bound == "0.001"
+        assert mpmath.mpf(bound) >= mpmath.zeta(2, 2001)
 
     def test_exact_guardrail_and_override(self, capsys):
         # Exact mode past the default switch is served without a flag and
@@ -767,13 +785,13 @@ depth: 2
 truncation: 3
 mode: exact
 value: 7/18
-tail_bound: 0.5483113556160754788241
+tail_bound: 0.5483113556160754788242
 reference: 0.81174242528335364364
 abs_error: 0.4228535363944647547481
 """,
     ("sum-exact", "csv"): """\
 depth,truncation,mode,value,tail_bound,reference,abs_error
-2,3,exact,7/18,0.5483113556160754788241,0.81174242528335364364,0.4228535363944647547481
+2,3,exact,7/18,0.5483113556160754788242,0.81174242528335364364,0.4228535363944647547481
 """,
     ("sum-exact", "json"): """\
 {
@@ -781,7 +799,7 @@ depth,truncation,mode,value,tail_bound,reference,abs_error
   "truncation": 3,
   "mode": "exact",
   "value": "7/18",
-  "tail_bound": "0.5483113556160754788241",
+  "tail_bound": "0.5483113556160754788242",
   "reference": "0.81174242528335364364",
   "abs_error": "0.4228535363944647547481"
 }
@@ -815,13 +833,13 @@ depth: 2
 truncation: 3
 mode: exact
 value: 0.38888889
-tail_bound: 0.5483113556
+tail_bound: 0.5483113557
 reference: 0.81174243
 abs_error: 0.4228535364
 """,
     ("sum-as-decimal", "csv"): """\
 depth,truncation,mode,value,tail_bound,reference,abs_error
-2,3,exact,0.38888889,0.5483113556,0.81174243,0.4228535364
+2,3,exact,0.38888889,0.5483113557,0.81174243,0.4228535364
 """,
     ("sum-as-decimal", "json"): """\
 {
@@ -829,7 +847,7 @@ depth,truncation,mode,value,tail_bound,reference,abs_error
   "truncation": 3,
   "mode": "exact",
   "value": "0.38888889",
-  "tail_bound": "0.5483113556",
+  "tail_bound": "0.5483113557",
   "reference": "0.81174243",
   "abs_error": "0.4228535364"
 }
@@ -863,13 +881,13 @@ depth: 1
 truncation: 101
 mode: fixed
 value: 1.64
-tail_bound: 0.0099
+tail_bound: 0.0100
 reference: 1.64
 abs_error: 0.0099
 """,
     ("converge", "csv"): """\
 depth,truncation,mode,value,tail_bound,reference,abs_error
-1,101,fixed,1.64,0.0099,1.64,0.0099
+1,101,fixed,1.64,0.0100,1.64,0.0099
 """,
     ("converge", "json"): """\
 {
@@ -877,7 +895,7 @@ depth,truncation,mode,value,tail_bound,reference,abs_error
   "truncation": 101,
   "mode": "fixed",
   "value": "1.64",
-  "tail_bound": "0.0099",
+  "tail_bound": "0.0100",
   "reference": "1.64",
   "abs_error": "0.0099"
 }
@@ -1070,3 +1088,218 @@ class TestOutputLayouts:
                                  output_format)
         assert (code, err) == (EXIT_OK, "")
         assert out == GOLDEN[name, output_format]
+
+
+# --- command lines left to argparse ------------------------------------------
+
+TOP_HELP = """\
+usage: pipow [-h] {sum,converge,table,verify-theorem,sinc,bench} ...
+
+Nested reciprocal-square sums converging to pi**(2n)/(2n+1)!, with exact and
+fixed-point modes.
+
+positional arguments:
+  {sum,converge,table,verify-theorem,sinc,bench}
+    sum                 one partial sum S_depth(upto)
+    converge            drive the truncation until the tail bound drops below
+                        10**-digits
+    table               one converged row per depth 1..max-depth
+    verify-theorem      mechanically verify the product expansion against the
+                        symmetric polynomials for m variables
+    sinc                compare the product and series forms of
+                        sin(pi*x)/(pi*x) at a rational x
+    bench               cross-checked timings: exact oracles and the fixed
+                        sweep
+
+options:
+  -h, --help            show this help message and exit
+"""
+SUM_HELP = """\
+usage: pipow sum [-h] --depth DEPTH --upto UPTO [--mode {exact,fixed}]
+                 [--as-decimal] [--digits DIGITS] [--format {text,csv,json}]
+                 [--out OUT_PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --depth DEPTH
+  --upto UPTO           truncation: largest index folded into the sum
+  --mode {exact,fixed}  exact rationals or fixed decimals (default: exact up
+                        to --upto 2000, fixed beyond)
+  --as-decimal          render exact rational output as a decimal
+  --digits DIGITS       requested decimal precision (default 20)
+  --format {text,csv,json}
+                        output format (default text)
+  --out OUT_PATH        write output to this file instead of stdout
+"""
+SINC_HELP = """\
+usage: pipow sinc [-h] --x X [--terms TERMS] [--digits DIGITS]
+                  [--format {text,csv,json}] [--out OUT_PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --x X                 rational argument, 'p' or 'p/q'
+  --terms TERMS         product factors / series truncation (default 100)
+  --digits DIGITS       requested decimal precision (default 20)
+  --format {text,csv,json}
+                        output format (default text)
+  --out OUT_PATH        write output to this file instead of stdout
+"""
+SUM_2_3 = ["sum", "--depth", "2", "--upto", "3"]
+# Command lines that cli._plain_args declines, each with the exit code,
+# stdout and stderr that argparse (CPython 3.11, 80 columns) gives it.
+# argv None runs the console script that pyproject.toml names, as
+# `pipow --help`.
+IRREGULAR = {
+    "empty": ([], EXIT_USAGE, "",
+              "pipow: error: the following arguments are required: "
+              "command\n"),
+    "unknown-command": (
+        ["frobnicate"], EXIT_USAGE, "",
+        "pipow: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'sum', 'converge', 'table', 'verify-theorem', "
+        "'sinc', 'bench')\n"),
+    "help": (["--help"], EXIT_OK, TOP_HELP, ""),
+    "h": (["-h"], EXIT_OK, TOP_HELP, ""),
+    "sum-help": (["sum", "--help"], EXIT_OK, SUM_HELP, ""),
+    "sinc-h": (["sinc", "-h"], EXIT_OK, SINC_HELP, ""),
+    "abbreviation": (["sum", "--dep", "2", "--upto", "3"], EXIT_OK,
+                     GOLDEN["sum-exact", "text"], ""),
+    "repeated": (["sum", "--depth", "2", "--depth", "3", "--upto", "3"],
+                 EXIT_OK, """\
+depth: 3
+truncation: 3
+mode: exact
+value: 1/36
+tail_bound: 0.9019360280926151595967
+reference: 0.19075182412208421370
+abs_error: 0.1629740463443064359187
+""", ""),
+    "missing-upto": (["sum", "--depth", "2"], EXIT_USAGE, "",
+                     "pipow sum: error: the following arguments are "
+                     "required: --upto\n"),
+    "depth-x": (["sum", "--depth", "x", "--upto", "3"], EXIT_USAGE, "",
+                "pipow sum: error: argument --depth: 'x' is not an "
+                "integer\n"),
+    "upto-negative": (["sum", "--depth", "2", "--upto", "-1"],
+                      EXIT_USAGE, "",
+                      "pipow sum: error: argument --upto: value must be "
+                      "nonnegative\n"),
+    "mode-approx": (SUM_2_3 + ["--mode", "approx"], EXIT_USAGE, "",
+                    "pipow sum: error: argument --mode: invalid choice: "
+                    "'approx' (choose from 'exact', 'fixed')\n"),
+    "digits-0": (SUM_2_3 + ["--digits", "0"], EXIT_USAGE, "",
+                 "pipow sum: error: argument --digits: value must be a "
+                 "positive integer\n"),
+    "flag-with-value": (SUM_2_3 + ["--as-decimal=1"], EXIT_USAGE, "",
+                        "pipow sum: error: argument --as-decimal: ignored "
+                        "explicit argument '1'\n"),
+    "double-dash": (SUM_2_3 + ["--"], EXIT_USAGE, "",
+                    "pipow: error: unrecognized arguments: --\n"),
+    "stray-token": (SUM_2_3 + ["extra"], EXIT_USAGE, "",
+                    "pipow: error: unrecognized arguments: extra\n"),
+    "negative-after-space": (["sinc", "--x", "-3/2", "--terms", "10"],
+                             EXIT_OK, """\
+x: -3/2
+terms: 10
+powers: 10
+digits: 20
+product: -0.26306892540014814585
+series: -0.26306892540014814585
+taylor: -0.21220659078919378103
+product_vs_taylor: 0.05086233461095436483
+series_vs_taylor: 0.05086233461095436483
+""", ""),
+    "digits-200000": (["converge", "--depth", "1", "--digits", "200000"],
+                      EXIT_USAGE, "",
+                      "pipow converge: error: argument --digits: at most "
+                      "99990 digits are supported, got 200000\n"),
+    "removed-knob": (["converge", "--depth", "1", "--work-ceiling", "5"],
+                     EXIT_USAGE, "",
+                     "pipow: error: unrecognized arguments: "
+                     "--work-ceiling 5\n"),
+    "format-without-value": (["table", "--max-depth", "2", "--format"],
+                             EXIT_USAGE, "",
+                             "pipow table: error: argument --format: "
+                             "expected one argument\n"),
+    "format-xml": (["bench", "--format", "xml"], EXIT_USAGE, "",
+                   "pipow bench: error: argument --format: invalid choice: "
+                   "'xml' (choose from 'text', 'csv', 'json')\n"),
+    "console-script-help": (None, EXIT_OK, TOP_HELP, ""),
+}
+
+
+class TestIrregularCommandLines:
+    @pytest.mark.parametrize("name", list(IRREGULAR))
+    def test_argparse_output_is_pinned(self, capsys, monkeypatch, name):
+        argv, code, out, err = IRREGULAR[name]
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = []
+        parse_args = cli._Parser.parse_args
+
+        def counted(self, *args):
+            calls.append(args)
+            return parse_args(self, *args)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", counted)
+        if argv is None:
+            text = (ROOT / "pyproject.toml").read_text()
+            module, function = re.search(r'^pipow = "([\w.]+):(\w+)"$',
+                                         text, re.M).groups()
+            monkeypatch.setattr(sys, "argv", ["pipow", "--help"])
+            with pytest.raises(SystemExit) as stop:
+                getattr(importlib.import_module(module), function)()
+            argv, result = ["--help"], stop.value.code
+        else:
+            result = main(argv)
+        assert cli._plain_args(argv) is None
+        assert len(calls) == 1
+        assert (result, *capsys.readouterr()) == (code, out, err)
+
+
+def valid_values(action):
+    """Values one option accepts, as a command line spells them."""
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    return {
+        cli._positive_int: st.integers(1, 10**9).map(str),
+        cli._series_digits: st.integers(1, cli.MAX_SERIES_DIGITS).map(str),
+        cli._nonnegative_int: st.integers(0, 10**9).map(str),
+        cli._rational: st.one_of(
+            st.integers().map(str),
+            st.builds("{}/{}".format, st.integers(),
+                      st.integers(1, 10**9))),
+        None: st.text(),
+    }[action.type]
+
+
+@st.composite
+def plain_command_lines(draw):
+    """A command, every required option and any subset of the others, in
+    any order, each `--name value` or `--name=value` (always the latter
+    for a value starting with '-'), a flag bare."""
+    commands = cli._plain_commands()
+    command = draw(st.sampled_from(sorted(commands)))
+    options, _, _ = commands[command]
+    actions = [action for action in dict.fromkeys(options.values())
+               if action.required or draw(st.booleans())]
+    argv = [command]
+    for action in draw(st.permutations(actions)):
+        option = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(option)
+            continue
+        value = draw(valid_values(action))
+        if value.startswith("-") or draw(st.booleans()):
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option, value]
+    return argv
+
+
+class TestPlainReader:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_command_lines())
+    def test_reads_what_argparse_reads(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(cli._parser().parse_args(argv))

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pipow
 from pipow import bench, cli, reference, series
 
@@ -117,15 +119,48 @@ class TestCommandLineSurface:
     }
     SHARED = {"-h", "--help", "--format", "--out"}
 
+    @staticmethod
+    def commands(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
     def test_option_sets_are_pinned(self):
-        parser = cli.build_parser()
-        commands = next(action.choices for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
+        commands = self.commands(cli.build_parser())
         assert set(commands) == set(self.OPTIONS)
         for name, command in commands.items():
             options = {option for action in command._actions
                        for option in action.option_strings}
             assert options == self.OPTIONS[name] | self.SHARED, name
+
+    def test_actions_are_shapes_the_plain_reader_models(self):
+        # cli._plain_args reads help, one-value store options and
+        # store_true flags; a positional, an nargs or an append must fail
+        # here before it is misread.
+        for name, command in self.commands(cli.build_parser()).items():
+            for action in command._actions:
+                assert (type(action) in (argparse._HelpAction,
+                                         argparse._StoreTrueAction)
+                        or type(action) is argparse._StoreAction
+                        and action.nargs is None
+                        and action.option_strings), (name, action.dest)
+        assert None not in cli._plain_commands().values()
+
+    @pytest.mark.parametrize("add", [
+        lambda command: command.add_argument("--tag", action="append"),
+        lambda command: command.add_argument("--pair", nargs=2),
+        lambda command: command.add_argument("name"),
+    ], ids=["append", "nargs-2", "positional"])
+    def test_plain_reader_declines_other_shapes(self, monkeypatch, add):
+        parser = cli.build_parser()
+        add(self.commands(parser)["sum"])
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        cli._plain_commands.cache_clear()
+        try:
+            assert cli._plain_args(
+                ["sum", "--depth", "2", "--upto", "3"]) is None
+            assert cli._plain_args(["converge", "--depth", "2"]) is not None
+        finally:
+            cli._plain_commands.cache_clear()
 
 
 class TestStartUp:
