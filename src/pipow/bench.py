@@ -15,11 +15,11 @@ the run into a failure; speed never outranks correctness here.
 
 from __future__ import annotations
 
+import collections
 import math
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from . import KERNEL_BACKEND, _backend
 from .errors import InfeasibleError
@@ -52,17 +52,11 @@ REFUSAL_CASE = (5, 100)
 REFERENCE_DIGITS = (1000, 4300, 20000)
 
 
-class BenchRow(NamedTuple):
-    """One timed (or refused) benchmark measurement; in the reference
-    section `operations` is the digit count."""
-
-    section: str
-    method: str
-    depth: int
-    truncation: int
-    operations: int
-    seconds: float | None
-    status: str
+BenchRow = collections.namedtuple(
+    "BenchRow", "section method depth truncation operations seconds status")
+BenchRow.__doc__ = """One timed (or refused) benchmark measurement; seconds is
+    None when refused, and in the reference section `operations` is the
+    digit count."""
 
 
 def partial_sum_prefix(depth: int, truncation: int) -> list:

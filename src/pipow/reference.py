@@ -21,10 +21,11 @@ only when the discarded bits lie farther than the error bound from the
 half point, the one place where rounding to nearest can go either way;
 otherwise the value is assembled again with twice the guard bits (Ziv,
 "Fast evaluation of elementary mathematical functions with correctly
-rounded last bit", ACM TOMS 1991). Every returned mantissa is therefore
-the correctly rounded value. The powers of pi**2 come from one chain,
-_pi_power_ratios, which serves a sum's limit and its tail bound's
-(pi**2/6)**p together, each with its own bound and its own retry. These
+rounded last bit", ACM TOMS 1991). One loop, _certified, does this for
+every constant, so every returned mantissa is the correctly rounded
+value. The powers of pi**2 come from one chain, _pi_power_ratios, which
+serves a sum's limit and its tail bound's (pi**2/6)**p together, each
+with its own bound; a retry forms the chain once for all of them. These
 values serve as the judge for everything the series code produces, which
 is why they carry their own guard digits rather than borrowing the
 caller's.
@@ -120,8 +121,8 @@ class PiCache:
         """pi * 10**scale, correctly rounded half-even."""
         if scale < 0:
             raise DomainError("scale must be nonnegative")
-        return _certified(lambda bits: (self.bits(bits), 1), scale,
-                          _GUARD_BITS)
+        return _certified(lambda bits: [(self.bits(bits), 1)], [scale],
+                          _GUARD_BITS)[0]
 
 
 _PI_CACHE = PiCache()
@@ -153,21 +154,22 @@ def _round_certified(value: int, bits: int, error: int, scale: int):
     return (scaled >> shift) + (2 * low > (1 << shift))
 
 
-def _certified(approximate, scale: int, guard: int) -> int:
-    """The correctly rounded mantissa at 10**-scale.
+def _certified(approximate, scales: list, guard: int) -> list:
+    """The correctly rounded mantissas at 10**-scale of each of `scales`.
 
-    approximate(bits) returns (value, error) for the constant v with
-    |value - v * 2**bits| <= error. It is called at the bits of 10**scale
-    plus `guard`, and again with the guard doubled until _round_certified
-    can decide.
+    approximate(bits) returns one (value, error) per scale, for its
+    constant v with |value - v * 2**bits| <= error. It is called at the
+    bits of 10**max(scales) plus `guard`, and again for all of them with
+    the guard doubled while _round_certified leaves any open.
     """
     while True:
         # 3322/1000 > log2(10), so 2**bits > 10**scale * 2**guard.
-        bits = scale * 3322 // 1000 + 1 + guard
-        value, error = approximate(bits)
-        rounded = _round_certified(value, bits, error, scale)
-        if rounded is not None:
-            return rounded
+        bits = max(scales) * 3322 // 1000 + 1 + guard
+        mantissas = [_round_certified(value, bits, error, scale)
+                     for (value, error), scale
+                     in zip(approximate(bits), scales)]
+        if None not in mantissas:
+            return mantissas
         guard *= 2
 
 
@@ -203,15 +205,11 @@ def _pi_power_ratios(targets: list) -> list:
                        <= (2*power + 1) * ((x >> w) + 2)   units of 2**-w,
 
     the bound handed to _round_certified. It is relative to v, which grows
-    like 1.65**power for divisor 6**power, so 64 + power guard bits keep
-    the retry rare in both uses. The first try of every target shares one
-    chain at the widest w the targets ask for; a target whose rounding
-    stays open retries alone through _certified, from twice the guard it
-    was tried with.
+    like 1.65**power for divisor 6**power, so 64 guard bits plus the
+    largest power keep the retry rare in both uses. _certified rounds every
+    target from one chain, and forms the chain again for all of them while
+    any stays open.
     """
-    # The widest bits of 10**scale plus guard, as _certified forms them.
-    widest = max([scale * 3322 // 1000 + 1 + _GUARD_BITS + power
-                  for power, _, scale in targets])
     low, top = min(targets)[0], max(targets)[0]
 
     def approximate(bits):
@@ -230,15 +228,10 @@ def _pi_power_ratios(targets: list) -> list:
                 (value, (2 * power + 1) * ((value >> bits) + 2)))
         return approximations
 
-    out = []
-    for i, (value, error) in enumerate(approximate(widest)):
-        scale = targets[i][2]
-        mantissa = _round_certified(value, widest, error, scale)
-        if mantissa is None:  # this target alone, with twice the guard
-            mantissa = _certified(lambda bits: approximate(bits)[i], scale,
-                                  2 * (widest - scale * 3322 // 1000 - 1))
-        out.append(FixedDecimal(mantissa, scale, REFERENCE_GUARD))
-    return out
+    scales = [scale for _, _, scale in targets]
+    return [FixedDecimal(mantissa, scale, REFERENCE_GUARD)
+            for mantissa, scale in zip(
+                _certified(approximate, scales, _GUARD_BITS + top), scales)]
 
 
 def _limit_targets(depths: range, digits: int) -> list:
@@ -335,7 +328,7 @@ def sinc_taylor(x, digits: int) -> FixedDecimal:
             total += -term if j & 1 else term
             error += term_error
             j += 1
-        return total, error + term_error
+        return [(total, error + term_error)]
 
-    mantissa = _certified(approximate, out_scale, _GUARD_BITS)
+    mantissa = _certified(approximate, [out_scale], _GUARD_BITS)[0]
     return FixedDecimal(mantissa, out_scale, REFERENCE_GUARD)

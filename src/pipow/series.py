@@ -250,17 +250,19 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
     with _em_remainder(1, M+1) at most one unit of 2**-bits
     (_newton_radius counts every remainder at M+1).
 
-    That remainder is |B_(2K+2)| * 2**bits / a**(2K+3); the search starts
-    at the integer root of the bound and steps up. As |B_26| > 1, M + 1
-    passes 2**(bits/(2K+3)), so H = N while (N+1)**(2K+3) <= 2**bits.
+    That remainder is remainder * 2**bits / (denominator * a**(2K+3))
+    rounded up (_euler_maclaurin(1)), at most one unit exactly when
+    denominator * a**(2K+3) >= remainder * 2**bits. The least such a is
+    the floor root r of remainder * 2**bits // denominator, or r + 1 when
+    r falls short. As |B_26| > 1, M + 1 passes 2**(bits/(2K+3)), so
+    H = N while (N+1)**(2K+3) <= 2**bits.
     """
     power = 2 * EM_TERMS + 3
     if depth < 1:
         return 0
     _, denominator, remainder = _euler_maclaurin(1)
     base = _integer_root((remainder << bits) // denominator, power)
-    while _em_remainder(1, base, bits) > 1:
-        base += 1
+    base += denominator * base**power < remainder << bits
     return min(truncation, base - 1)
 
 
@@ -795,33 +797,21 @@ def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
     first omitted one is below 10**-(digits+5), using pi < 16/5, and never
     more than the truncation `terms`, since S_j(terms) = 0 for j > terms.
 
-    Term j is (16x/5)**(2j) / (2j+1)!, tested by one integer comparison.
-    The terms rise while (2j)*(2j+1) <= (16x/5)**2 and fall after, so
-    unless term 1 is small, the small terms are exactly those from the
-    cutoff on. A bisection on lgamma estimates the cutoff, and the exact
-    tests step from the estimate to it, one or two of them in practice.
+    Term j is (a/b)**(2j) / (2j+1)!, a/b = 16|x|/5, so it is small when
+    numerator = a**(2j) * 10**(digits+5) is below denominator =
+    b**(2j) * (2j+1)!; both are carried from j = 1, one product each a
+    step. The terms rise while (2j)*(2j+1) <= (a/b)**2 and fall after, so
+    the small terms are exactly those from the first one on.
     """
-    a, b = 16 * abs(x.numerator), 5 * x.denominator
-    limit = 10 ** (digits + 5)
-
-    def small(j):
-        return a ** (2 * j) * limit < b ** (2 * j) * math.factorial(2 * j + 1)
-
-    if terms <= 1 or small(1):
-        return min(terms, 1)
-    log_ratio = 2 * (math.log(a) - math.log(b))
-    log_limit = (digits + 5) * math.log(10)
-    low, j = 1, terms
-    while j - low > 1:
-        middle = (low + j) // 2
-        if math.lgamma(2 * middle + 2) > middle * log_ratio + log_limit:
-            j = middle
-        else:
-            low = middle
-    while j < terms and not small(j):
+    if terms < 1:
+        return 0
+    a2, b2 = (16 * x.numerator) ** 2, (5 * x.denominator) ** 2
+    numerator, denominator = a2 * 10 ** (digits + 5), 6 * b2
+    j = 1
+    while j < terms and numerator >= denominator:
         j += 1
-    while j > 2 and small(j - 1):
-        j -= 1
+        numerator *= a2
+        denominator *= b2 * (2 * j) * (2 * j + 1)
     return j
 
 

@@ -23,10 +23,11 @@ squarefree check exists to catch.
 
 from __future__ import annotations
 
+import collections
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, NamedTuple
 
 from .errors import DomainError, InfeasibleError
 
@@ -143,13 +144,12 @@ def render(poly: dict) -> str:
     return " + ".join(parts)
 
 
-class ExpansionReport(NamedTuple):
-    """Outcome of the mechanical product-expansion check for one n_vars."""
+class ExpansionReport(collections.namedtuple(
+        "ExpansionReport", "n_vars passed mismatch_power details")):
+    """Outcome of the mechanical product-expansion check for one n_vars:
+    mismatch_power is the first differing power, or None."""
 
-    n_vars: int
-    passed: bool
-    mismatch_power: int | None
-    details: tuple
+    __slots__ = ()
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"

@@ -360,8 +360,8 @@ class TestSincCommand:
     @pytest.mark.parametrize("x", ["0", "1/1000", "1/3", "-5/16", "3/2",
                                    "15/8", "-7/3", "25/8", "50", "-201/2"])
     def test_power_count_is_the_first_small_term(self, x):
-        # The count the searched cutoff must reproduce: one term at a time
-        # in exact rationals.
+        # The count _sinc_powers must reproduce: one term at a time in
+        # exact rationals.
         def first_small_term(x, digits, terms):
             ratio = (Fraction(16, 5) * x) ** 2
             term = Fraction(1)

@@ -489,3 +489,36 @@ class TestOneChain:
         monkeypatch.setattr(reference._PI_CACHE, "bits", counting)
         chained(5, 300, 10)
         assert len(calls) == 1
+
+    def test_one_retry_serves_every_open_target(self, monkeypatch):
+        # The targets of a table of rows 1..8 at 60 digits, tried with one
+        # guard bit: several stay open, and each retry forms one chain,
+        # wider than the last, for all of them.
+        def targets():
+            return ([reference._basel_target(depth - 1, 70)
+                     for depth in range(1, 9)]
+                    + reference._limit_targets(range(1, 9), 60))
+
+        expected = [v.mantissa for v in reference._pi_power_ratios(targets())]
+        chains, outcomes = [], []
+        real_bits, real_round = (reference._PI_CACHE.bits,
+                                 reference._round_certified)
+
+        def counting(bits):
+            chains.append(bits)
+            return real_bits(bits)
+
+        def recording(value, bits, error, scale):
+            outcomes.append((bits, real_round(value, bits, error, scale)))
+            return outcomes[-1][1]
+
+        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+        monkeypatch.setattr(reference._PI_CACHE, "bits", counting)
+        monkeypatch.setattr(reference, "_round_certified", recording)
+        values = reference._pi_power_ratios(targets())
+        assert [v.mantissa for v in values] == expected
+        first = [rounded for bits, rounded in outcomes if bits == chains[0]]
+        assert first.count(None) >= 2
+        assert all(a < b for a, b in zip(chains, chains[1:]))
+        assert None not in [rounded for bits, rounded in outcomes
+                            if bits == chains[-1]]

@@ -477,13 +477,19 @@ class TestWorkFloors:
                         deeper, truncation, digits), (deeper, truncation)
         assert routes == {False, True}
 
-    @pytest.mark.parametrize("bits", [40, 200, 1000, 5000])
+    @pytest.mark.parametrize("bits", [1, 2, 26, 27, 28, 40, 200, 1000, 5000])
     def test_head_is_at_least_its_floor(self, bits):
+        # Short of N, the head is the least cutoff M with the remainder at
+        # M + 1 within one unit.
         floor = (1 << bits // (2 * series.EM_TERMS + 3)) - 1
         for depth in (1, 3):
             for truncation in (10, 10**6, 10**60, 10**400):
-                assert (series._head_length(depth, truncation, bits)
-                        >= min(truncation, floor))
+                head = series._head_length(depth, truncation, bits)
+                assert head >= min(truncation, floor)
+                if head < truncation:
+                    assert series._em_remainder(1, head + 1, bits) <= 1
+                    assert (head == 0
+                            or series._em_remainder(1, head, bits) > 1)
 
     @pytest.mark.parametrize("depth, truncation, scale", [
         (1, 10**30, 4000), (2, 10**9, 2500), (3, 10**200, 1500)])

@@ -172,8 +172,8 @@ class TestStartUp:
     # collections.namedtuple.
     LAZY = ["csv", "dataclasses", "inspect", "json", "pipow._backend",
             "pipow.bench", "pipow.symmetric", "threading", "typing"]
-    # Nor after any series command, whose plans are named tuples too;
-    # verify-theorem's symmetric engine takes typing with it.
+    # Nor after any of these commands: the plans and the expansion
+    # report are collections.namedtuple classes too.
     NEVER = ["dataclasses", "inspect", "typing"]
     SERIES = [["sum", "--depth", "2", "--upto", "3", "--format", "csv"],
               ["converge", "--depth", "2", "--digits", "5"],
@@ -191,8 +191,9 @@ class TestStartUp:
             "    main(argv)\n"
             "print(sorted(set(%r) & set(sys.modules)))\n"
             "main(%r)\n"
+            "print(sorted(set(%r) & set(sys.modules)))\n"
             % (str(ROOT / "src"), self.LAZY, self.SERIES, self.NEVER,
-               self.VERIFY))
+               self.VERIFY, self.NEVER))
         out = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True,
             text=True, check=True, timeout=60).stdout
@@ -200,4 +201,4 @@ class TestStartUp:
             cli.main(argv)
         expected = "[]\n" + capsys.readouterr().out + "[]\n"
         cli.main(self.VERIFY)
-        assert out == expected + capsys.readouterr().out
+        assert out == expected + capsys.readouterr().out + "[]\n"
