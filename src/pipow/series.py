@@ -28,7 +28,9 @@ largest power-sum error (`_newton_radius`), so no pass but the row's
 grows with the depth; only the entries read are rounded to 10**-scale.
 A fixed sum reads entry n, and the sinc series weighs every entry: both
 read `_fixed_row`, which rounds each entry it returns by one long
-division on either route.
+division on either route. Past a head of factors, the sinc product takes
+its tail from the same Euler-Maclaurin tail sums and Newton's identities
+(`_product_plan`), so it too costs the same at any truncation.
 
 A plan decides each choice of a request once, and its estimate, its
 refusal and its run read it. A row's route, working precision and cost
@@ -266,19 +268,17 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
     return min(truncation, base - 1)
 
 
-def _newton_radius(depth: int, head: int, tail: bool, bits: int) -> int:
+def _newton_radius(depth: int, largest: int) -> int:
     """Certified bound, in units of 2**-bits, on the distance from exact
-    of every E_k of _newton_row, for a head of H = `head` indices and,
-    when `tail`, the tail past it: 4*(2R + 1)*(L + 1), L the bit length
-    of the depth, valid whenever it is below 2**bits.
+    of every E_k of _elementary_row at depth k <= `depth`, when each power
+    sum it is given is off by at most R = `largest` units:
+    4*(2R + 1)*(L + 1), L the bit length of the depth, valid whenever the
+    power sums p_i lie in [0, q_i], q_i = 1 + 1/(2i-1) >= zeta(2i), and
+    the bound is below 2**bits.
 
-    The power sums p_i lie in [0, q_i], q_i = 1 + 1/(2i-1) >= zeta(2i),
-    and the scaled P_i are off by at most r_i <= R units: H for the head
-    floors and, with the tail, one more (the two roundings of
-    _zeta_scaled, or a tail under one unit left out) plus the remainders
-    at M+1 and N+1, each at most _em_remainder(i, M+1). With
-    b_i = q_i + r_i*2**-bits and k*h_k = sum_i b_i*h_(k-i), h_0 = 1, so
-    |e_k| <= h_k, the errors a_k of the rounded recurrence obey
+    With b_i = q_i + r_i*2**-bits, r_i <= R the error of P_i, and
+    k*h_k = sum_i b_i*h_(k-i), h_0 = 1, so |e_k| <= h_k, the errors a_k
+    of the rounded recurrence obey
 
         k*a_k <= sum_i [a_(k-i)*b_i + h_(k-i)*r_i] + k/2,
 
@@ -294,11 +294,19 @@ def _newton_radius(depth: int, head: int, tail: bool, bits: int) -> int:
     a_k <= 2*(2R + 1)*(L + 1)*exp(rho*(L+1)); a bound below 2**bits
     makes rho*(L+1) < 1/8 and the exponential below 2.
     """
+    return 4 * (2 * largest + 1) * (depth.bit_length() + 1)
+
+
+def _row_error(depth: int, head: int, tail: bool, bits: int) -> int:
+    """R of _newton_radius for _newton_row with a head of H = `head`
+    indices and, when `tail`, the tail past it: H for the head floors
+    and, with the tail, one more (the two roundings of _zeta_scaled, or a
+    tail under one unit left out) plus the remainders at H+1 and N+1,
+    each at most _em_remainder(i, H+1)."""
     terms = _tail_terms(depth, head + 1, bits) if tail else 0
     remainder = max((_em_remainder(i, head + 1, bits)
                      for i in range(1, terms + 1)), default=0)
-    largest = head + int(tail) + 2 * remainder
-    return 4 * (2 * largest + 1) * (depth.bit_length() + 1)
+    return head + int(tail) + 2 * remainder
 
 
 def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
@@ -316,28 +324,58 @@ def _newton_plan(depth: int, truncation: int, scale: int) -> tuple:
     while True:
         bits = base + guard
         head = _head_length(depth, truncation, bits)
-        radius = _newton_radius(depth, head, head < truncation, bits)
+        radius = _newton_radius(depth, _row_error(
+            depth, head, head < truncation, bits))
         if 2 * radius <= 1 << guard:
             return bits, head
         guard = radius.bit_length() + 1
 
 
+def _tail_sums(indices: range, head: int, truncation: int,
+               bits: int) -> list:
+    """[P_i for i in indices]: the power sums p_i over head < l <= N,
+    N = truncation, at 2**-bits, as the Euler-Maclaurin tails
+    Z_i(head+1) - Z_i(N+1) (_newton_radius counts their error)."""
+    return [_zeta_scaled(i, head + 1, bits)
+            - _zeta_scaled(i, truncation + 1, bits) for i in indices]
+
+
+def _elementary_row(sums: list, bits: int) -> list:
+    """[E_0 .. E_d], d = len(sums): the elementary symmetric polynomials
+    of the variables whose power sums P_1 .. P_d are given at 2**-bits,
+    by Newton's identities k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each E_k
+    rounded once by a shift and a division by k (_newton_radius)."""
+    signed = [p if i & 1 else -p for i, p in enumerate(sums, 1)]
+    row = [1 << bits]
+    for k in range(1, len(sums) + 1):
+        total = sum(map(operator.mul, row[::-1], signed))
+        row.append(((total >> (bits - 1)) // k + 1) >> 1)
+    return row
+
+
+# ((head, N, bits), sums): the tail sums sinc_product formed last. The
+# series row of its request, cut at the same head and bits, adds them
+# instead of forming them again. sinc_product replaces them on every call
+# and never reads them, and sinc_series drops them once its row is
+# formed, so no request reuses another's.
+_product_tail = (None, [])
+
+
 def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
     2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
-    identities, with bits and the head H from _row_plan, or from
-    _newton_plan where that plan has none (the tree's row, or one stopped
-    at its floor past STEP_CEILING).
+    identities (_elementary_row), with bits and the head H from
+    _row_plan, or from _newton_plan where that plan has none (the tree's
+    row, or one stopped at its floor past STEP_CEILING).
 
     Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
     P_i by the chain t //= l*l, which stops once t reaches 0; past the
-    head, P_i gains the Euler-Maclaurin tail Z_i(H+1) - Z_i(N+1) where
-    that can reach one unit (_tail_terms). Then
-    k*E_k = sum_i (-1)**(i-1) E_(k-i) P_i, each E_k rounded once by a
-    shift and a division by k. The caller rounds the entries it reads
-    half-even once at 10**-scale (_fixed_row): within half a unit of
-    that rounding plus under half a unit of _newton_radius, so within one
-    unit of exact.
+    head, P_i gains the tail _tail_sums where that can reach one unit
+    (_tail_terms), the leading ones taken from sinc_product's where it
+    formed them at this head, N and bits. The caller rounds the entries
+    it reads half-even once at 10**-scale (_fixed_row): within half a
+    unit of that rounding plus under half a unit of _newton_radius, so
+    within one unit of exact.
     """
     _, _, bits, head = _row_plan(depth, truncation, scale)
     if bits is None:
@@ -353,15 +391,14 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
                 break
             sums[i] += t
     if head < truncation:
-        for i in range(_tail_terms(depth, head + 1, bits)):
-            sums[i] += (_zeta_scaled(i + 1, head + 1, bits)
-                        - _zeta_scaled(i + 1, truncation + 1, bits))
-    signed = [p if i & 1 else -p for i, p in enumerate(sums, 1)]
-    row = [one]
-    for k in range(1, depth + 1):
-        total = sum(map(operator.mul, row[::-1], signed))
-        row.append(((total >> (bits - 1)) // k + 1) >> 1)
-    return bits, row
+        terms = _tail_terms(depth, head + 1, bits)
+        key, kept = _product_tail
+        kept = kept[:terms] if key == (head, truncation, bits) else []
+        tail = kept + _tail_sums(range(len(kept) + 1, terms + 1), head,
+                                 truncation, bits)
+        for i, p in enumerate(tail):
+            sums[i] += p
+    return bits, _elementary_row(sums, bits)
 
 
 def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
@@ -733,14 +770,133 @@ def converge(depth: int, digits: int) -> SeriesResult:
                           digits)[0]
 
 
-def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
-    """Partial product prod_{k=1..factors} (1 - x**2/k**2) in fixed point.
+ProductPlan = collections.namedtuple("ProductPlan",
+                                     "steps bits shift head powers sums")
 
-    This is the truncated product form of sin(pi*x)/(pi*x). Each factor is
-    applied as one exact rational multiplication followed by one half-even
-    rounding, so the result is within `factors` units in the last guarded
-    place of the exact partial product. x = 0 or factors = 0 give exactly 1.
+
+def _product_plan(x: Fraction, factors: int, digits: int) -> ProductPlan:
+    """How sinc_product(x, factors, digits) is formed, decided once for
+    its estimate and its run: the split of _split_plan where it counts
+    fewer steps, else the per-factor loop, factors*scale steps, with head
+    None."""
+    loop = ProductPlan(factors * (digits + guard_digits(factors)),
+                       None, None, None, None, None)
+    split = _split_plan(x, factors, digits)
+    return split if split and split.steps < loop.steps else loop
+
+
+def _split_plan(x: Fraction, factors: int,
+                digits: int) -> ProductPlan | None:
+    """The ProductPlan of sinc_product split at a head K below N =
+    factors, or None where no such head is admitted.
+
+    K is at least x**2 and 1, so every tail factor lies in (0, 1] and the
+    weighed power sums c_i = x**(2i)*p_i of the tail K < k <= N lie in
+    [0, q_i] of _newton_radius: c_i <= (K+1)**-i + (K+1)**(1-i)/(2i-1).
+    Where the series row of the same request (powers _sinc_powers, scale
+    _sinc_guard) takes the Newton route with x**2 <= H < N, and its head
+    factors past L = _head_length at b bits, b the length of 10**scale,
+    cost no more than its tail sums, (H - L)*scale <= (bits + 700) a
+    sum, K = H and the tail sums are the row's, at its bits; else K is
+    the least head _head_length admits at bits = b + g, g guard bits. The counts are taken at the row's bits where the tail
+    sums are the row's, and the working bits lie `shift` below them; else
+    at the working bits, and the tail sums carry `shift` more:
+
+    - `powers` n, the least with the dropped powers D under one unit, or
+      all N - K: e_j <= p_1**j/j! and p_1 < 1/K, so with r = x**2/K <= 1
+      the powers past n sum to at most 2*r**(n+1)/(n+1)!;
+    - `sums` m <= n, the c_i that can reach one unit, c_i < 2*x**(2i)*
+      (K+1)**(1-2i); each one left out is under one unit;
+    - `shift`, the least s with 2**s >= x**(2m), so that weighing P_i
+      by x**(2i) leaves c_i off by at most
+      R = (1 + 2*_em_remainder(i, K+1))*x**(2i)/2**shift + 1 units.
+
+    The tail sum_{j<=n} (-1)**j x**(2j)*e_j is then within n*rho + D
+    units, rho = _newton_radius(n, R), and its product with the head A is
+    within half a unit at 10**-scale once 8*(n*rho + D)*10**scale <=
+    2**bits, as |A| < 4: |sin(pi x)/(pi x)| <= 1, and the tail past K
+    keeps prod_{k>K} (1 - x**2/k**2) >= exp(-4/3), since log(1 - t) >=
+    -4t/3 for t <= 1/4. g grows until that holds.
+
+    The split counts K*scale for the head, 5000 for the plan, which
+    sinc_work and sinc_product each form, (bits + shift + 700) for each
+    tail sum and (bits/16 + 2) per n**2 for Newton's identities. A step
+    took 1.6 to 12 ns (best of 3 with the row's plan formed, 1 to 100
+    digits, |x| from 0 to 100, N from 300 to 10**9), 4 to 9 ns at 20
+    digits, below the loop's 19 to 42 ns (sinc_work).
     """
+    scale = digits + guard_digits(factors)
+    p2, q2 = x.numerator ** 2, x.denominator ** 2
+    least = max(1, div_round_up(p2, q2))
+    base = (10**scale).bit_length()
+    floor = _head_length(1, factors, base)
+    if max(least, floor) >= factors:
+        return None
+    shared = None
+    if least <= floor:
+        powers = _sinc_powers(x, digits, factors)
+        row = _row_plan(powers, factors,
+                        digits + _sinc_guard(x * x, powers, factors))
+        if (row.bits is not None and least <= row.head < factors
+                and (row.head - floor) * scale <= (row.bits + 700)
+                * _tail_terms(powers, row.head + 1, row.bits)):
+            shared = row.bits, row.head
+    guard = 1
+    while True:
+        top, head = shared or (base + guard, max(
+            least, _head_length(1, factors, base + guard)))
+        if head >= factors:
+            return None
+        count, left, right = 0, 2 * p2 << top, head * q2
+        while count < factors - head and left > right:
+            count += 1
+            left *= p2
+            right *= head * q2 * (count + 1)
+        dropped = div_round_up(left, right) if count < factors - head else 0
+        terms, left, right = 0, 2 * p2 << top, q2 * (head + 1)
+        while terms < count and left >= right:
+            terms += 1
+            left *= p2
+            right *= q2 * (head + 1) ** 2
+        shift = (div_round_up(p2**terms, q2**terms) - 1).bit_length()
+        bits = top - shift if shared else top
+        largest = max([div_round_up(
+            (1 + 2 * _em_remainder(i, head + 1, bits + shift)) * p2**i,
+            q2**i << shift) + 1 for i in range(1, terms + 1)], default=1)
+        error = 8 * (count * _newton_radius(count, largest) + dropped)
+        short = (error * 10**scale).bit_length() - bits
+        if short <= 0:
+            break
+        shared, guard = None, bits - base + short
+    steps = (head * scale + 5000 + terms * (bits + shift + 700)
+             + count * count * (bits // 16 + 2))
+    return ProductPlan(steps, bits, shift, head, count, terms)
+
+
+def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
+    """Partial product prod_{k=1..factors} (1 - x**2/k**2) in fixed point,
+    at digits + guard_digits(factors) places.
+
+    This is the truncated product form of sin(pi*x)/(pi*x). Each factor
+    of the head is applied as one exact rational multiplication followed
+    by one half-even rounding. With no split (_product_plan) the head is
+    every factor, and the result is within `factors` units in the last
+    guarded place of the exact partial product.
+
+    Where _product_plan splits at K, the head stops at K and the tail
+    prod_{K<k<=N} (1 - x**2/k**2) = sum_j (-1)**j x**(2j)*e_j comes from
+    Newton's identities (_elementary_row) on the tail power sums
+    (_tail_sums) weighed by x**(2i), at 2**-bits; head times tail is
+    rounded half-even once. The head is within 2K units: the size of
+    A_k = prod_{j<=k} (1 - x**2/j**2) rises while x**2 > 2*k**2, then
+    falls, so each rounding grows by at most max(1, |A_K|) < 4
+    (_split_plan). The result is then within 2K + 2 units, at a cost that
+    does not grow with N past the head.
+
+    x = 0 or factors = 0 give exactly 1, and an integer x with
+    |x| <= factors exactly 0.
+    """
+    global _product_tail
     q = Fraction(x)
     if factors < 0:
         raise DomainError("factor count must be nonnegative")
@@ -748,13 +904,24 @@ def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
         raise DomainError("at least one digit is required")
     guard = guard_digits(factors)
     scale = digits + guard
-    acc = 10**scale
     p2 = q.numerator * q.numerator
     q2 = q.denominator * q.denominator
-    for k in range(1, factors + 1):
+    _, bits, shift, head, powers, terms = _product_plan(q, factors, digits)
+    _product_tail = None, []
+    acc = 10**scale
+    for k in range(1, (factors if head is None else head) + 1):
         den = k * k * q2
         acc = div_round_half_even(acc * (den - p2), den)
-    return FixedDecimal(acc, scale, guard)
+    if head is None:
+        return FixedDecimal(acc, scale, guard)
+    sums = _tail_sums(range(1, terms + 1), head, factors, bits + shift)
+    _product_tail = (head, factors, bits + shift), sums
+    weighed = [div_round_half_even(p * p2**i, q2**i << shift)
+               for i, p in enumerate(sums, 1)]
+    row = _elementary_row(weighed + [0] * (powers - terms), bits)
+    tail = sum(row[::2]) - sum(row[1::2])
+    return FixedDecimal(div_round_half_even(acc * tail, 1 << bits), scale,
+                        guard)
 
 
 def _sinc_guard(x2: Fraction, powers: int, truncation: int) -> int:
@@ -774,20 +941,21 @@ def sinc_work(x, powers: int, truncation: int, digits: int) -> int:
     reference.sinc_taylor(x, digits) for 0 < |x| <= 2, in digit steps
     (see _row_plan).
 
-    The product visits every factor, one multiply-divide on its
-    scale-digit mantissa each, so it counts truncation*scale steps (19 to
-    42 ns a step for 10**5 to 10**6 factors at 20 digits); the row
-    dominates the series. The Taylor sum takes about w/log(w) terms at
+    The product counts the steps of _product_plan: the per-factor loop,
+    one multiply-divide on its scale-digit mantissa a factor, counts
+    truncation*scale (19 to 42 ns a step for 10**5 to 10**6 factors at 20
+    digits); the split counts its head, K*scale, and its tail, which
+    does not grow with the truncation. The row dominates the series
+    (_row_plan). The Taylor sum takes about w/log(w) terms at
     w = digits + REFERENCE_GUARD places, each one full-width product,
     and counts w**2.6/500 steps: timed cold at 1000 to 20000 digits for
     x = 1/1000, 1/2 and 2, a step took 8.7 to 25 ns.
     """
     q = Fraction(x)
-    product = truncation * (digits + guard_digits(truncation))
     taylor = 0
     if 0 < abs(q) <= 2:
         taylor = int((digits + REFERENCE_GUARD) ** 2.6) // 500
-    return product + taylor + _row_plan(
+    return _product_plan(q, truncation, digits).steps + taylor + _row_plan(
         powers, truncation,
         digits + _sinc_guard(q * q, powers, truncation)).steps
 
@@ -816,9 +984,16 @@ def _sinc_powers(x: Fraction, digits: int, terms: int) -> int:
 
 
 def _sinc_power_floor(x: Fraction, terms: int) -> int:
-    """A lower bound on _sinc_powers(x, digits, terms), with no loop: its
-    terms do not shrink while (2j+1)**2 <= (16x/5)**2."""
-    return min(terms, (16 * abs(x.numerator) // (5 * x.denominator) + 1) // 2)
+    """A lower bound on _sinc_powers(x, digits, terms), with no loop: term
+    j is at least 1 while n = 2j+1 has n! <= c**(n-1), c = 16|x|/5, and
+    the count is the first term below 1.
+
+    n! <= n**(n-1) gives that for n <= c, so the count is at least
+    (floor(c) + 1)//2. For c >= 18 it holds up to n = 2c, so the count is
+    at least floor(c): n! <= e*sqrt(n)*(n/e)**n, and for c < n <= 2c,
+    e*sqrt(n)*c*(2/e)**n falls with n and is at most 1 at n = c."""
+    c = 16 * abs(x.numerator) // (5 * x.denominator)
+    return min(terms, c if c >= 18 else (c + 1) // 2)
 
 
 def sinc_plan(x: Fraction, terms: int, digits: int, request: str) -> int:
@@ -844,7 +1019,13 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     Newton's identities; each term costs one further half-even rounding.
     Row j's rounding error is multiplied by |x|**(2j), so for |x| > 1 the
     scale and the guard grow by the decimal length of x**(2*powers).
+
+    The row costs its _row_plan steps (sinc_work); past the head H of the
+    Newton route that does not grow with the truncation, and the row takes
+    the leading tail sums from sinc_product where the product of the same
+    request formed them at its head and bits.
     """
+    global _product_tail
     q = Fraction(x)
     if powers < 0:
         raise DomainError("power count must be nonnegative")
@@ -855,6 +1036,7 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     guard = _sinc_guard(x2, powers, truncation)
     scale = digits + guard
     row = _fixed_row(powers, truncation, scale, 0)
+    _product_tail = None, []
     numerator = 1
     denominator = 1
     total = row[0]

@@ -378,10 +378,12 @@ class TestSincCommand:
                         == first_small_term(x, digits, terms)), (digits, terms)
 
     @pytest.mark.parametrize("x", ["0", "1/3", "-5/16", "5/16", "3/2",
-                                   "15/8", "-7/3", "25/8", "50", "-201/2"])
+                                   "15/8", "-7/3", "25/8", "45/8", "50",
+                                   "-201/2"])
     def test_power_floor_is_a_lower_bound(self, x):
         # The floor refuses a request before the power count is formed,
-        # so it must never exceed that count.
+        # so it must never exceed that count. From x = 45/8 on it is
+        # floor(16|x|/5), about twice what it is below.
         x = Fraction(x)
         for digits in (1, 20, 300):
             for terms in (0, 1, 3, 40, 10**6):
@@ -412,7 +414,7 @@ class TestSincCommand:
 # request in one place keeps every estimate and so every refusal.
 # Among them: a table refused at a shallower row after its deepest
 # passed (depth 1 of 4, depth 2 of 6), a sinc refused at the floor of
-# its power count (x = 100000 and -30000), converge and table rows
+# its power count (x = 100000, 2551 and -30000), converge and table rows
 # refused at the floor of a deep row (depth 5000 and 20000), before
 # the chain that gives their truncation (0.47 s at depth 5000), and a
 # count of over 15 digits quoted as a power of ten. Unrefused, the
@@ -421,10 +423,10 @@ class TestSincCommand:
 # past 120 s, the wide-x sinc's power count past 30 s, and the two
 # reference constants of the empty depth-20000 sum take 27 s. The
 # sinc series rows at x = 50, 200 and 1/2 ran for about 9 s, over 60 s
-# and 34 s, and the product at x = 1/1000 for about a minute; the
-# sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse with a
-# Fraction loop for their power count, and the depth-1 converge at
-# 99000 digits crashed after 11 s on a step count of over 4300 digits.
+# and 34 s; the sincs at x = 700 and 1000 took 0.3 to 0.4 s to refuse
+# with a Fraction loop for their power count, and the one at x = 2551
+# about 0.23 s with the exact count; the depth-1 converge at 99000
+# digits crashed after 11 s on a step count of over 4300 digits.
 REFUSED = [
     ("sum --mode fixed --depth 2 --upto 99999999 --digits 200",
      "sum --depth 2 --upto 99999999 --digits 200 needs about 4345299985"),
@@ -449,10 +451,9 @@ REFUSED = [
      "table --max-depth 20000 --digits 3 needs about 2323932150"),
     ("sinc --x 100000 --terms 1000000",
      "sinc --x 100000 --terms 1000000 --digits 20 needs about "
-     "76800000000"),
-    ("sinc --x 1/2 --terms 200000000",
-     "sinc --x 1/2 --terms 200000000 --digits 20 needs about "
-     "7800139306"),
+     "307200000000"),
+    ("sinc --x 2551 --terms 1000000 --digits 1",
+     "sinc --x 2551 --terms 1000000 --digits 1 needs about 199903707"),
     ("sinc --x 700 --terms 100000",
      "sinc --x 700 --terms 100000 --digits 20 needs about 1443827833105"),
     ("sinc --x 1000 --terms 100000",
@@ -469,7 +470,8 @@ REFUSED = [
     ("table --max-depth 6 --digits 51",
      "table --max-depth 6 --digits 51 needs about 51672519"),
     ("sinc --x -30000 --terms 100000 --digits 5",
-     "sinc --x -30000 --terms 100000 --digits 5 needs about 6912000000"),
+     "sinc --x -30000 --terms 100000 --digits 5 needs about "
+     "27648000000"),
     ("converge --depth 1 --digits 4400",
      "converge --depth 1 --digits 4400 needs about 10**329"),
     ("sinc --x 50 --terms 2000",
@@ -478,9 +480,6 @@ REFUSED = [
      "sinc --x 200 --terms 5000 --digits 20 needs about 6938720708"),
     ("sinc --x 1/2 --terms 1000 --digits 2000",
      "sinc --x 1/2 --terms 1000 --digits 2000 needs about 397055452"),
-    ("sinc --x 1/1000 --terms 100000000",
-     "sinc --x 1/1000 --terms 100000000 --digits 20 needs about "
-     "3900046263"),
 ]
 # Refused at a row's truncation, which the chain of powers of pi**2
 # gives; every other request is refused before the chain runs.
@@ -526,7 +525,6 @@ class TestRunawayRequests:
         "converge-deep": "converge --depth 20000 --digits 5",
         "table-deep": "table --max-depth 20000 --digits 3",
         "sinc-wide-x": "sinc --x 100000 --terms 1000000",
-        "sinc-many-terms": "sinc --x 1/2 --terms 200000000",
         "sinc-x-700": "sinc --x 700 --terms 100000",
         "sinc-x-1000": "sinc --x 1000 --terms 100000",
         "converge-wide": "converge --depth 1 --digits 99000",
@@ -559,6 +557,38 @@ class TestRunawayRequests:
         request_ = "converge --depth 1 --digits 4400"
         assert dict(REFUSED)[request_].endswith("needs about 10**329")
         check_refused(capsys, monkeypatch, request_)
+
+    def test_wide_x_refused_before_its_power_count(self, capsys,
+                                                   monkeypatch):
+        # The floor of the power count, about 16|x|/5 powers from
+        # |x| = 45/8 on, refuses first; counting the powers took 0.23 s.
+        def no_count(*args):
+            raise AssertionError("the power count ran")
+
+        monkeypatch.setattr(series, "_sinc_powers", no_count)
+        check_refused(capsys, monkeypatch,
+                      "sinc --x 2551 --terms 1000000 --digits 1")
+
+    @pytest.mark.parametrize("x, terms", [("1/2", 200000000),
+                                          ("1/1000", 100000000)])
+    def test_many_factors_are_served(self, capsys, x, terms):
+        # Past its head the product costs the same at any factor count;
+        # counted per factor these were refused at 7800139306 and
+        # 3900046263 steps. Each takes under 5 ms in-process, most of
+        # it building the Euler-Maclaurin tables on first use.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sinc", "--x", x, "--terms",
+                                 str(terms), "--format", "json")
+        assert time.perf_counter() - start < 0.25
+        assert code == EXIT_OK and err == ""
+        xm = mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator
+        n = terms + 1
+        with mpmath.workdps(50):
+            exact = (mpmath.gamma(n - xm) * mpmath.gamma(n + xm)
+                     / mpmath.gamma(n) ** 2
+                     * mpmath.sinpi(xm) / (mpmath.pi * xm))
+            printed = json.loads(out)["product"]
+            assert abs(mpmath.mpf(printed) - exact) < mpmath.mpf("5.0001e-21")
 
     def test_deep_fixed_row_is_served(self, capsys):
         # The row takes about 0.1 s, and its estimate stays under the
