@@ -590,6 +590,31 @@ class TestRunawayRequests:
             printed = json.loads(out)["product"]
             assert abs(mpmath.mpf(printed) - exact) < mpmath.mpf("5.0001e-21")
 
+    # Named views onto requests that rows of REFUSED once held and that
+    # are served now.
+    ONCE_REFUSED = {
+        "sinc-many-terms": ("1/2", 200000000),
+    }
+
+    @pytest.mark.parametrize("x, terms", list(ONCE_REFUSED.values()),
+                             ids=list(ONCE_REFUSED))
+    def test_served_at_a_flat_estimate(self, capsys, x, terms):
+        # The estimate no longer counts a step per factor: at 20 digits it
+        # stays within twice its value at 10**5 factors, far under the
+        # ceiling, and the request runs to exit 0.
+        q = Fraction(x)
+        estimate = series.sinc_work(q, series._sinc_powers(q, 20, terms),
+                                    terms, 20)
+        small = series.sinc_work(q, series._sinc_powers(q, 20, 10**5),
+                                 10**5, 20)
+        assert estimate < 2 * small < series.STEP_CEILING // 100
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sinc", "--x", x, "--terms",
+                                 str(terms))
+        assert time.perf_counter() - start < 0.25
+        assert (code, err) == (EXIT_OK, "")
+        assert f"terms: {terms}\n" in out
+
     def test_deep_fixed_row_is_served(self, capsys):
         # The row takes about 0.1 s, and its estimate stays under the
         # step ceiling.
