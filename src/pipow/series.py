@@ -29,8 +29,8 @@ grows with the depth; only the entries read are rounded to 10**-scale.
 A fixed sum reads entry n, and the sinc series weighs every entry: both
 read `_fixed_row`, which rounds each entry it returns by one long
 division on either route. Past a head of factors, the sinc product takes
-its tail from the same Euler-Maclaurin tail sums and Newton's identities
-(`_product_plan`), so it too costs the same at any truncation.
+its tail from Euler-Maclaurin tail sums of its own and Newton's
+identities (`_product_plan`), so it too costs the same at any truncation.
 
 A plan decides each choice of a request once, and its estimate, its
 refusal and its run read it. A row's route, working precision and cost
@@ -257,11 +257,15 @@ def _head_length(depth: int, truncation: int, bits: int) -> int:
     denominator * a**(2K+3) >= remainder * 2**bits. The least such a is
     the floor root r of remainder * 2**bits // denominator, or r + 1 when
     r falls short. As |B_26| > 1, M + 1 passes 2**(bits/(2K+3)), so
-    H = N while (N+1)**(2K+3) <= 2**bits.
+    H = N while (N+1)**(2K+3) <= 2**bits. Where the bit length of N+1
+    alone shows that, no root is taken: at hundreds of thousands of bits
+    the root took 0.4 s.
     """
     power = 2 * EM_TERMS + 3
     if depth < 1:
         return 0
+    if (truncation + 1).bit_length() * power <= bits:
+        return truncation
     _, denominator, remainder = _euler_maclaurin(1)
     base = _integer_root((remainder << bits) // denominator, power)
     base += denominator * base**power < remainder << bits
@@ -353,14 +357,6 @@ def _elementary_row(sums: list, bits: int) -> list:
     return row
 
 
-# ((head, N, bits), sums): the tail sums sinc_product formed last. The
-# series row of its request, cut at the same head and bits, adds them
-# instead of forming them again. sinc_product replaces them on every call
-# and never reads them, and sinc_series drops them once its row is
-# formed, so no request reuses another's.
-_product_tail = (None, [])
-
-
 def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
     2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
@@ -371,11 +367,9 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
     P_i by the chain t //= l*l, which stops once t reaches 0; past the
     head, P_i gains the tail _tail_sums where that can reach one unit
-    (_tail_terms), the leading ones taken from sinc_product's where it
-    formed them at this head, N and bits. The caller rounds the entries
-    it reads half-even once at 10**-scale (_fixed_row): within half a
-    unit of that rounding plus under half a unit of _newton_radius, so
-    within one unit of exact.
+    (_tail_terms). The caller rounds the entries it reads half-even once
+    at 10**-scale (_fixed_row): within half a unit of that rounding plus
+    under half a unit of _newton_radius, so within one unit of exact.
     """
     _, _, bits, head = _row_plan(depth, truncation, scale)
     if bits is None:
@@ -392,11 +386,8 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
             sums[i] += t
     if head < truncation:
         terms = _tail_terms(depth, head + 1, bits)
-        key, kept = _product_tail
-        kept = kept[:terms] if key == (head, truncation, bits) else []
-        tail = kept + _tail_sums(range(len(kept) + 1, terms + 1), head,
-                                 truncation, bits)
-        for i, p in enumerate(tail):
+        for i, p in enumerate(_tail_sums(range(1, terms + 1), head,
+                                         truncation, bits)):
             sums[i] += p
     return bits, _elementary_row(sums, bits)
 
@@ -671,9 +662,12 @@ def converged_plan(depths: range, digits: int,
     required_truncation(depth, digits), all from one chain of powers.
 
     From the deepest row, each row adds three chains to its depth
-    (pi_power_work) and is costed at its floor (row_work_floor), then at
-    N (partial_sum_work); `request` is refused at the first count past
-    STEP_CEILING. The chain runs after the deepest row's floor: it raises
+    (pi_power_work) and is costed at its floor, then at N
+    (partial_sum_work); `request` is refused at the first count past
+    STEP_CEILING. The floor is row_work_floor at the places N forces
+    without pi: N > 10**digits * 1.6449**(depth-1), as pi**2/6 > 1.6449,
+    so the row's guard, guard_digits(depth*N), passes 10 + (depth-1) *
+    0.2161 places. The chain runs after the deepest row's floor: it raises
     pi**2 to that depth (0.3 s at depth 5000, 13 s at 20000). N at depth
     1 needs no pi, (pi**2/6)**0 = 1, so a plan of that row alone runs the
     chain last: pi at 99000 digits takes a second.
@@ -688,8 +682,8 @@ def converged_plan(depths: range, digits: int,
     values, truncations, steps = None, [], 0
     for depth in reversed(depths):
         steps += 3 * pi_power_work(depth, digits + REFERENCE_GUARD)
-        _refuse_above_step_ceiling(steps + row_work_floor(depth, digits),
-                                   request)
+        _refuse_above_step_ceiling(steps + row_work_floor(
+            depth, digits + (depth - 1) * 2161 // 10000), request)
         if depth > 1:
             values = values or chain()
             basel = values[depth - depths[0]]
@@ -774,11 +768,13 @@ ProductPlan = collections.namedtuple("ProductPlan",
                                      "steps bits shift head powers sums")
 
 
+@functools.lru_cache(maxsize=1)
 def _product_plan(x: Fraction, factors: int, digits: int) -> ProductPlan:
     """How sinc_product(x, factors, digits) is formed, decided once for
     its estimate and its run: the split of _split_plan where it counts
     fewer steps, else the per-factor loop, factors*scale steps, with head
-    None."""
+    None. The one plan kept serves the request in flight: sinc_work forms
+    it and sinc_product reads it."""
     loop = ProductPlan(factors * (digits + guard_digits(factors)),
                        None, None, None, None, None)
     split = _split_plan(x, factors, digits)
@@ -793,14 +789,9 @@ def _split_plan(x: Fraction, factors: int,
     K is at least x**2 and 1, so every tail factor lies in (0, 1] and the
     weighed power sums c_i = x**(2i)*p_i of the tail K < k <= N lie in
     [0, q_i] of _newton_radius: c_i <= (K+1)**-i + (K+1)**(1-i)/(2i-1).
-    Where the series row of the same request (powers _sinc_powers, scale
-    _sinc_guard) takes the Newton route with x**2 <= H < N, and its head
-    factors past L = _head_length at b bits, b the length of 10**scale,
-    cost no more than its tail sums, (H - L)*scale <= (bits + 700) a
-    sum, K = H and the tail sums are the row's, at its bits; else K is
-    the least head _head_length admits at bits = b + g, g guard bits. The counts are taken at the row's bits where the tail
-    sums are the row's, and the working bits lie `shift` below them; else
-    at the working bits, and the tail sums carry `shift` more:
+    K is the least such head _head_length admits at bits = b + g, b the
+    length of 10**scale and g guard bits. The counts are taken at those
+    working bits, and the tail sums carry `shift` more:
 
     - `powers` n, the least with the dropped powers D under one unit, or
       all N - K: e_j <= p_1**j/j! and p_1 < 1/K, so with r = x**2/K <= 1
@@ -818,9 +809,9 @@ def _split_plan(x: Fraction, factors: int,
     keeps prod_{k>K} (1 - x**2/k**2) >= exp(-4/3), since log(1 - t) >=
     -4t/3 for t <= 1/4. g grows until that holds.
 
-    The split counts K*scale for the head, 5000 for the plan, which
-    sinc_work and sinc_product each form, (bits + shift + 700) for each
-    tail sum and (bits/16 + 2) per n**2 for Newton's identities. A step
+    The split counts K*scale for the head, 5000 for the plan, formed once
+    a request (_product_plan), (bits + shift + 700) for each tail sum and
+    (bits/16 + 2) per n**2 for Newton's identities. A step
     took 1.6 to 12 ns (best of 3 with the row's plan formed, 1 to 100
     digits, |x| from 0 to 100, N from 300 to 10**9), 4 to 9 ns at 20
     digits, below the loop's 19 to 42 ns (sinc_work).
@@ -829,37 +820,24 @@ def _split_plan(x: Fraction, factors: int,
     p2, q2 = x.numerator ** 2, x.denominator ** 2
     least = max(1, div_round_up(p2, q2))
     base = (10**scale).bit_length()
-    floor = _head_length(1, factors, base)
-    if max(least, floor) >= factors:
-        return None
-    shared = None
-    if least <= floor:
-        powers = _sinc_powers(x, digits, factors)
-        row = _row_plan(powers, factors,
-                        digits + _sinc_guard(x * x, powers, factors))
-        if (row.bits is not None and least <= row.head < factors
-                and (row.head - floor) * scale <= (row.bits + 700)
-                * _tail_terms(powers, row.head + 1, row.bits)):
-            shared = row.bits, row.head
     guard = 1
     while True:
-        top, head = shared or (base + guard, max(
-            least, _head_length(1, factors, base + guard)))
+        bits = base + guard
+        head = max(least, _head_length(1, factors, bits))
         if head >= factors:
             return None
-        count, left, right = 0, 2 * p2 << top, head * q2
+        count, left, right = 0, 2 * p2 << bits, head * q2
         while count < factors - head and left > right:
             count += 1
             left *= p2
             right *= head * q2 * (count + 1)
         dropped = div_round_up(left, right) if count < factors - head else 0
-        terms, left, right = 0, 2 * p2 << top, q2 * (head + 1)
+        terms, left, right = 0, 2 * p2 << bits, q2 * (head + 1)
         while terms < count and left >= right:
             terms += 1
             left *= p2
             right *= q2 * (head + 1) ** 2
         shift = (div_round_up(p2**terms, q2**terms) - 1).bit_length()
-        bits = top - shift if shared else top
         largest = max([div_round_up(
             (1 + 2 * _em_remainder(i, head + 1, bits + shift)) * p2**i,
             q2**i << shift) + 1 for i in range(1, terms + 1)], default=1)
@@ -867,7 +845,7 @@ def _split_plan(x: Fraction, factors: int,
         short = (error * 10**scale).bit_length() - bits
         if short <= 0:
             break
-        shared, guard = None, bits - base + short
+        guard += short
     steps = (head * scale + 5000 + terms * (bits + shift + 700)
              + count * count * (bits // 16 + 2))
     return ProductPlan(steps, bits, shift, head, count, terms)
@@ -896,7 +874,6 @@ def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
     x = 0 or factors = 0 give exactly 1, and an integer x with
     |x| <= factors exactly 0.
     """
-    global _product_tail
     q = Fraction(x)
     if factors < 0:
         raise DomainError("factor count must be nonnegative")
@@ -907,7 +884,6 @@ def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
     p2 = q.numerator * q.numerator
     q2 = q.denominator * q.denominator
     _, bits, shift, head, powers, terms = _product_plan(q, factors, digits)
-    _product_tail = None, []
     acc = 10**scale
     for k in range(1, (factors if head is None else head) + 1):
         den = k * k * q2
@@ -915,7 +891,6 @@ def sinc_product(x, factors: int, digits: int) -> FixedDecimal:
     if head is None:
         return FixedDecimal(acc, scale, guard)
     sums = _tail_sums(range(1, terms + 1), head, factors, bits + shift)
-    _product_tail = (head, factors, bits + shift), sums
     weighed = [div_round_half_even(p * p2**i, q2**i << shift)
                for i, p in enumerate(sums, 1)]
     row = _elementary_row(weighed + [0] * (powers - terms), bits)
@@ -1021,11 +996,8 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     scale and the guard grow by the decimal length of x**(2*powers).
 
     The row costs its _row_plan steps (sinc_work); past the head H of the
-    Newton route that does not grow with the truncation, and the row takes
-    the leading tail sums from sinc_product where the product of the same
-    request formed them at its head and bits.
+    Newton route that does not grow with the truncation.
     """
-    global _product_tail
     q = Fraction(x)
     if powers < 0:
         raise DomainError("power count must be nonnegative")
@@ -1036,7 +1008,6 @@ def sinc_series(x, powers: int, truncation: int, digits: int) -> FixedDecimal:
     guard = _sinc_guard(x2, powers, truncation)
     scale = digits + guard
     row = _fixed_row(powers, truncation, scale, 0)
-    _product_tail = None, []
     numerator = 1
     denominator = 1
     total = row[0]

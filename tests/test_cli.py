@@ -415,8 +415,9 @@ class TestSincCommand:
 # Among them: a table refused at a shallower row after its deepest
 # passed (depth 1 of 4, depth 2 of 6), a sinc refused at the floor of
 # its power count (x = 100000, 2551 and -30000), converge and table rows
-# refused at the floor of a deep row (depth 5000 and 20000), before
-# the chain that gives their truncation (0.47 s at depth 5000), and a
+# refused at the floor of a deep row (depth 3000, 5000 and 20000), before
+# the chain that gives their truncation (0.47 s at depth 5000, 0.25 s
+# for the table at depth 3000), and a
 # count of over 15 digits quoted as a power of ten. Unrefused, the
 # two fixed sums ran past 60 s, the sinc Taylor sum at 99990 digits
 # for 168 s and the exact depth-500 sum for 15.6 s; the deep table ran
@@ -446,9 +447,9 @@ REFUSED = [
     ("converge --depth 2 --digits 70",
      "converge --depth 2 --digits 70 needs about 149141931"),
     ("converge --depth 20000 --digits 5",
-     "converge --depth 20000 --digits 5 needs about 2324080200"),
+     "converge --depth 20000 --digits 5 needs about 20943022174"),
     ("table --max-depth 20000 --digits 3",
-     "table --max-depth 20000 --digits 3 needs about 2323932150"),
+     "table --max-depth 20000 --digits 3 needs about 20942625362"),
     ("sinc --x 100000 --terms 1000000",
      "sinc --x 100000 --terms 1000000 --digits 20 needs about "
      "307200000000"),
@@ -462,9 +463,13 @@ REFUSED = [
     ("converge --depth 1 --digits 99000",
      "converge --depth 1 --digits 99000 needs about 10**7338"),
     ("converge --depth 5000 --digits 5",
-     "converge --depth 5000 --digits 5 needs about 110672175"),
+     "converge --depth 5000 --digits 5 needs about 528485310"),
     ("table --max-depth 5000 --digits 3",
-     "table --max-depth 5000 --digits 3 needs about 110653536"),
+     "table --max-depth 5000 --digits 3 needs about 528438072"),
+    ("converge --depth 3000 --digits 3",
+     "converge --depth 3000 --digits 3 needs about 137900307"),
+    ("table --max-depth 3000 --digits 3",
+     "table --max-depth 3000 --digits 3 needs about 137900307"),
     ("table --max-depth 4 --digits 55",
      "table --max-depth 4 --digits 55 needs about 51559407"),
     ("table --max-depth 6 --digits 51",
@@ -542,13 +547,13 @@ class TestRunawayRequests:
                                                        monkeypatch, command,
                                                        digits):
         # The chain that gives the truncation raises pi**2/6 to the depth:
-        # 0.47 s at depth 5000. The floor of the row, about depth**2 * 3
-        # steps at any truncation, refuses first, and its pinned count is
-        # that floor.
+        # 0.47 s at depth 5000. The floor of the row refuses first, at the
+        # places its truncation forces, N > 10**digits * 1.6449**4999, and
+        # its pinned count is that floor.
         request_ = f"{command} 5000 --digits {digits}"
         steps = (3 * reference.pi_power_work(
             5000, digits + reference.REFERENCE_GUARD)
-            + series.row_work_floor(5000, digits))
+            + series.row_work_floor(5000, digits + 4999 * 2161 // 10000))
         assert dict(REFUSED)[request_] == f"{request_} needs about {steps}"
         check_refused(capsys, monkeypatch, request_)
 

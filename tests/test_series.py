@@ -484,6 +484,18 @@ class TestWorkFloors:
                         deeper, truncation, digits), (deeper, truncation)
         assert routes == {False, True}
 
+    @pytest.mark.parametrize("depth", [1, 2, 5, 16, 100, 437])
+    def test_converged_floor_is_below_the_row_at_its_truncation(self, depth):
+        # converged_plan's floor carries the places that N forces without
+        # pi, N > 10**digits * 1.6449**(depth-1).
+        for digits in (3, 5, 20):
+            truncation = required_truncation(depth, digits)
+            assert truncation > 10**digits * Fraction(16449, 10**4) ** (
+                depth - 1)
+            assert series.row_work_floor(
+                depth, digits + (depth - 1) * 2161 // 10000) <= (
+                series.partial_sum_work(depth, truncation, digits))
+
     @pytest.mark.parametrize("bits", [1, 2, 26, 27, 28, 40, 200, 1000, 5000])
     def test_head_is_at_least_its_floor(self, bits):
         # Short of N, the head is the least cutoff M with the remainder at
@@ -497,6 +509,16 @@ class TestWorkFloors:
                     assert series._em_remainder(1, head + 1, bits) <= 1
                     assert (head == 0
                             or series._em_remainder(1, head, bits) > 1)
+
+    def test_short_truncation_takes_no_root(self, monkeypatch):
+        # H = N once (N+1)**27 <= 2**bits; at the 332 thousand bits of a
+        # one-factor sinc at 99990 digits the root took 0.4 s.
+        def no_root(*args):
+            raise AssertionError("the root ran")
+
+        monkeypatch.setattr(series, "_integer_root", no_root)
+        assert series._head_length(1, 1, 332000) == 1
+        assert series._head_length(3, 10**6, 20 * 27) == 10**6
 
     @pytest.mark.parametrize("depth, truncation, scale", [
         (1, 10**30, 4000), (2, 10**9, 2500), (3, 10**200, 1500)])
@@ -656,7 +678,7 @@ def gamma_product(x, factors, scale):
 
 
 class TestSplitProduct:
-    """Past its head K the product takes the tail from the tail power
+    """Past its head K the product takes the tail from its own tail power
     sums: within 2K + 2 units of exact, and so within that plus `factors`
     units of the per-factor loop."""
 
@@ -689,29 +711,52 @@ class TestSplitProduct:
         value = sinc_product(Fraction(x), 10**5, 20)
         assert value.as_fraction() == (x == "0")
 
-    def test_a_request_forms_each_tail_sum_once(self, monkeypatch):
-        # The product forms the tail sums and the series row of the same
-        # request adds them, forming only those past the product's; a
-        # second request forms them again.
+    def test_a_request_forms_its_plan_once(self, monkeypatch):
+        # The estimate (sinc_plan, through sinc_work) forms the product's
+        # plan and the run (sinc_product) reads it; the series row forms
+        # none. The next request forms its own.
         formed = []
-        tail_sums = series._tail_sums
+        split_plan = series._split_plan
 
-        def recording(indices, head, truncation, bits):
-            formed.append((list(indices), head, truncation, bits))
-            return tail_sums(indices, head, truncation, bits)
+        def recording(x, factors, digits):
+            formed.append((x, factors, digits))
+            return split_plan(x, factors, digits)
 
-        monkeypatch.setattr(series, "_tail_sums", recording)
-        x, terms = Fraction(1, 2), 5000
-        powers = series._sinc_powers(x, 20, terms)
-        for _request in range(2):
-            sinc_product(x, terms, 20)
-            sinc_series(x, powers, terms, 20)
-        (product, row) = formed[:2]
-        assert product[0] == list(range(1, len(product[0]) + 1))
-        terms = series._tail_terms(powers, product[1] + 1, product[3])
-        assert row[0] == list(range(len(product[0]) + 1, terms + 1))
-        assert row[1:] == product[1:]
-        assert formed[2:] == formed[:2]
+        monkeypatch.setattr(series, "_split_plan", recording)
+        series._product_plan.cache_clear()
+        for x in (Fraction(1, 2), Fraction(7, 5)):
+            powers = series.sinc_plan(x, 5000, 20, "sinc")
+            sinc_product(x, 5000, 20)
+            sinc_series(x, powers, 5000, 20)
+        assert formed == [(Fraction(1, 2), 5000, 20),
+                          (Fraction(7, 5), 5000, 20)]
+
+    @pytest.mark.parametrize("x", ["1/2", "3/2", "7/2"])
+    def test_power_count_is_the_least_admitted(self, monkeypatch, x):
+        # At 10**5 factors and 20 digits the dropped powers' bound at the
+        # count before 3/2's is 1.95 units and the one at 7/2's 0.59, so
+        # a test against half or twice a unit moves one of them.
+        x, factors = Fraction(x), 10**5
+        plan = series._split_plan(x, factors, 20)
+        one, r = Fraction(1, 2**plan.bits), x * x / plan.head
+        powers = next(n for n in range(factors) if 2 * r ** (n + 1)
+                      / math.factorial(n + 1) <= one)
+        sums = next(m for m in range(powers + 1) if m == powers
+                    or 2 * x ** (2 * m + 2) / (plan.head + 1) ** (2 * m + 1)
+                    < one)
+        assert (plan.powers, plan.sums) == (powers, sums)
+        assert plan.sums < plan.powers
+        given = []
+        elementary_row = series._elementary_row
+
+        def recording(sums, bits):
+            given.append(len(sums))
+            return elementary_row(sums, bits)
+
+        monkeypatch.setattr(series, "_elementary_row", recording)
+        self.force_split(monkeypatch)
+        sinc_product(x, factors, 20)
+        assert given == [plan.powers]
 
     @pytest.mark.parametrize("x, factors", [("1/2", 2 * 10**8),
                                             ("1/1000", 10**8)])
@@ -725,24 +770,15 @@ class TestSplitProduct:
         printed = Fraction(value.to_decimal_string(20)) * 10**20
         assert abs(int(printed) - gamma_product(x, factors, 20)) < 0.5001
 
-    @pytest.mark.parametrize("x, factors, digits, shared", [
-        ("1/2", 5000, 20, True), ("7/5", 10**6, 20, True),
-        ("7/5", 10**6, 100, False), ("1/2", 10**6, 100, False)])
-    def test_takes_the_row_head_where_it_costs_less(self, x, factors,
-                                                    digits, shared):
-        # At 100 digits the row's head is 1.4 to 5.6 times the product's
-        # own (71592 and 309296 against 52610 and 55382).
+    @pytest.mark.parametrize("x", ["7/5", "1/2"])
+    def test_matches_the_gamma_form_at_100_digits(self, x):
+        # The head holds 55382 and 52610 of the 10**6 factors.
         x = Fraction(x)
-        powers = series._sinc_powers(x, digits, factors)
-        row = series._row_plan(powers, factors, digits + series._sinc_guard(
-            x * x, powers, factors))
-        plan = series._product_plan(x, factors, digits)
-        assert (plan.head == row.head) == shared
-        if not shared:
-            assert plan.head < row.head
-            value = sinc_product(x, factors, digits)
-            assert abs(value.mantissa - gamma_product(
-                x, factors, value.scale)) <= 2 * plan.head + 2
+        plan = series._product_plan(x, 10**6, 100)
+        assert plan.head is not None
+        value = sinc_product(x, 10**6, 100)
+        assert abs(value.mantissa - gamma_product(
+            x, 10**6, value.scale)) <= 2 * plan.head + 2
 
     @pytest.mark.parametrize("x", ["1/2", "-6/5", "7/2", "30"])
     def test_radius_covers_the_exact_radius(self, x):
