@@ -19,6 +19,12 @@ equality. ``times_variable``, the one way to multiply by a variable,
 refuses a monomial that already holds it: such a product has no mask,
 and OR-ing the bit in silently would hide exactly the defect the
 squarefree check exists to catch.
+
+Every sum is formed whole, as a new dict, by ``_plus``. The recurrence
+and the expansion only ever add a polynomial over x_1..x_(m-1) to x_m
+times another, and those supports are disjoint, so one C-level merge of
+the two dicts is their sum. A monomial on both sides, which only a defect
+produces, has its coefficients added, so the check still sees it.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ __all__ = ["ExpansionReport", "PRACTICAL_VERIFY_CEILING",
 
 # Above this many variables the check takes over a second and the CLI
 # warns: time and memory double with each m, and one cold verify_expansion
-# on a 2-vCPU host took 0.3-0.4 s at m = 18 and 0.8-0.9 s at m = 19.
+# on a shared 2-vCPU host (CPython 3.11) took 0.07 s at m = 16, 0.26-0.33 s
+# at m = 18 and 0.65-0.72 s at m = 19.
 PRACTICAL_VERIFY_CEILING = 19
 # Above this many variables verification is refused before any work:
-# m = 20 took 1.7-2.0 s and 200 MB peak RSS on the same host.
+# m = 20 took 1.5-1.6 s and 180-190 MB peak RSS on the same host.
 VERIFY_WORK_CEILING = 20
 
 
@@ -50,10 +57,15 @@ def _indices(mask: int) -> tuple:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _add_into(target: dict, poly: dict) -> None:
-    """target += poly (coefficients built here are positive: none cancels)."""
-    for mask, coefficient in poly.items():
-        target[mask] = target.get(mask, 0) + coefficient
+def _plus(left: dict, right: dict) -> dict:
+    """left + right as a new dict (coefficients built here are positive:
+    none cancels); a monomial on both sides has its coefficients added,
+    never overwritten."""
+    merged = {**left, **right}
+    if len(merged) < len(left) + len(right):
+        for mask in left.keys() & right.keys():
+            merged[mask] = left[mask] + right[mask]
+    return merged
 
 
 def times_variable(poly: dict, index: int) -> dict:
@@ -77,21 +89,22 @@ def elementary_symmetric(n_vars: int, k: int) -> dict:
     if n_vars < 0 or k < 0:
         raise DomainError("variable and degree counts must be nonnegative")
     bits = [1 << i for i in range(n_vars)]
-    return {sum(subset): 1 for subset in combinations(bits, k)}
+    return dict.fromkeys(map(sum, combinations(bits, k)), 1)
 
 
 def elementary_symmetric_row(n_vars: int, k_max: int) -> list:
     """All elementary symmetric polynomials of degree 0..k_max at once.
 
-    One sweep over the variables applies row[k] += x_m * row[k-1] in place
+    One sweep over the variables replaces row[k] by row[k] + x_m * row[k-1]
     for k descending, so after variable m the row holds the polynomials
-    over x_1..x_m. Descending order makes the in-place update sound."""
+    over x_1..x_m. Descending order keeps row[k-1] the polynomial over
+    x_1..x_(m-1) while row[k] is formed."""
     if n_vars < 0 or k_max < 0:
         raise DomainError("variable and degree counts must be nonnegative")
     row = [{0: 1}] + [{} for _ in range(k_max)]
     for m in range(1, n_vars + 1):
         for k in range(min(k_max, m), 0, -1):
-            _add_into(row[k], times_variable(row[k - 1], m))
+            row[k] = _plus(row[k], times_variable(row[k - 1], m))
     return row
 
 
@@ -103,12 +116,10 @@ def expand_product(n_vars: int) -> list:
         raise DomainError("variable count must be nonnegative")
     coefficients = [{0: 1}]
     for m in range(1, n_vars + 1):
-        # (c_0 + c_1 t + ...) * (1 + x_m t)
-        nxt = [{} for _ in range(len(coefficients) + 1)]
-        for power, coefficient in enumerate(coefficients):
-            _add_into(nxt[power], coefficient)
-            _add_into(nxt[power + 1], times_variable(coefficient, m))
-        coefficients = nxt
+        # (c_0 + c_1 t + ...) * (1 + x_m t) has c_p + x_m * c_(p-1) at t**p
+        padded = [{}] + coefficients + [{}]
+        coefficients = [_plus(c, times_variable(lower, m))
+                        for lower, c in zip(padded, padded[1:])]
     return coefficients
 
 
@@ -173,15 +184,17 @@ def verify_expansion(n_vars: int) -> ExpansionReport:
             "verifying m = %d variables expands 2**%d terms; at most m = %d "
             "is accepted" % (n_vars, n_vars, VERIFY_WORK_CEILING),
             required=n_vars)
-    expansion = expand_product(n_vars)
-    row = elementary_symmetric_row(n_vars, n_vars)
+    # Each power leaves both queues once checked, so each enumeration is
+    # built beside the powers still to check, not beside all of them.
+    expansion = collections.deque(expand_product(n_vars))
+    row = collections.deque(elementary_symmetric_row(n_vars, n_vars))
     details = []
     for k in range(n_vars + 1):
-        expanded, recurred = expansion[k], row[k]
+        expanded, recurred = expansion.popleft(), row.popleft()
         enumerated = elementary_symmetric(n_vars, k)
         count = math.comb(n_vars, k)
         if (expanded == enumerated == recurred and len(expanded) == count
-                and all(mask.bit_count() == k for mask in expanded)):
+                and set(map(int.bit_count, expanded)) <= {k}):
             details.append(f"power {k}: {count} squarefree monomials, "
                            "three constructions agree")
             continue

@@ -1,10 +1,10 @@
 """Symbolic elementary-symmetric machinery.
 
-The two independent construction routes (naive enumeration over index
-subsets, and the one-variable-at-a-time recurrence) must produce equal
-polynomials; the product expansion ties both to the generating function.
-A polynomial is a dict from monomial mask (bit i-1 for x_i) to
-coefficient.
+The three independent construction routes (enumeration over index
+subsets, the one-variable-at-a-time recurrence, and the literal expansion
+of the generating function's product) must produce equal polynomials;
+verify_expansion compares all three power by power. A polynomial is a
+dict from monomial mask (bit i-1 for x_i) to coefficient.
 """
 
 import math
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pipow.errors import DomainError
 from pipow.symmetric import (
+    _plus,
     elementary_symmetric,
     elementary_symmetric_row,
     expand_product,
@@ -134,6 +135,54 @@ class TestSparsePolynomial:
         assert all(mask.bit_count() == 2 for mask in p)
         with pytest.raises(DomainError):
             times_variable(monomial(1), 1)
+
+
+class TestPlus:
+    """_plus forms a sum as a new dict: supports that share a monomial add
+    its coefficients, disjoint ones unite, and neither input changes."""
+
+    def test_overlapping_supports_add(self):
+        left, right = {1: 1, 2: 1}, {2: 2}
+        total = _plus(left, right)
+        assert total == {1: 1, 2: 3}
+        assert total is not left and total is not right
+        assert (left, right) == ({1: 1, 2: 1}, {2: 2})
+
+    def test_disjoint_supports_unite(self):
+        left, right = {0: 1, 0b101: 2}, {0b10: 3}
+        total = _plus(left, right)
+        assert total == {0: 1, 0b101: 2, 0b10: 3}
+        assert total is not left and total is not right
+        assert (left, right) == ({0: 1, 0b101: 2}, {0b10: 3})
+
+    @pytest.mark.parametrize("left, right", [({}, {}), ({1: 1}, {}),
+                                             ({}, {1: 1})])
+    def test_an_empty_side_still_gives_a_new_dict(self, left, right):
+        total = _plus(left, right)
+        assert total == {**left, **right}
+        assert total is not left and total is not right
+
+    @settings(derandomize=True, max_examples=50)
+    @given(left=st.dictionaries(st.integers(0, 31), st.integers(1, 5)),
+           right=st.dictionaries(st.integers(0, 31), st.integers(1, 5)))
+    def test_matches_the_per_monomial_sum(self, left, right):
+        before = (dict(left), dict(right))
+        assert _plus(left, right) == plus(left, right)
+        assert (left, right) == before
+
+
+class TestFreshResults:
+    """No two returned polynomials are one dict, and every coefficient of
+    the identity is a plain int 1, whichever route formed it."""
+
+    @pytest.mark.parametrize("n_vars", range(0, 11))
+    def test_no_dict_is_shared_and_every_coefficient_is_one(self, n_vars):
+        polys = expand_product(n_vars) + elementary_symmetric_row(n_vars,
+                                                                  n_vars)
+        assert len(set(map(id, polys))) == len(polys)
+        polys += [elementary_symmetric(n_vars, k) for k in range(n_vars + 1)]
+        assert all(type(c) is int and c == 1
+                   for poly in polys for c in poly.values())
 
 
 class TestElementarySymmetric:
@@ -261,6 +310,31 @@ class TestVerifyExpansion:
             "  product expansion: x_1*x_2 + x_1*x_3 + x_2*x_3",
             "  enumeration:       x_1 + 2*x_1*x_2 + x_1*x_3 + x_2*x_3",
             "  recurrence:        x_1*x_2 + x_1*x_3 + x_2*x_3",
+            "  monomial count 3, expected 3",
+        )
+
+    def test_a_shared_monomial_is_added_not_overwritten(self, monkeypatch):
+        # x_2 * 1 also emits x_1, which power 1 already holds: the sum must
+        # double its coefficient, where overwriting would hide the defect.
+        import pipow.symmetric as sym
+
+        real = sym.times_variable
+
+        def leaky(poly, index):
+            out = real(poly, index)
+            if index == 2 and poly == {0: 1}:
+                out[0b1] = 1
+            return out
+
+        monkeypatch.setattr(sym, "times_variable", leaky)
+        report = sym.verify_expansion(3)
+        assert not report.passed
+        assert report.mismatch_power == 1
+        assert report.details[1:] == (
+            "power 1: MISMATCH",
+            "  product expansion: 2*x_1 + x_2 + x_3",
+            "  enumeration:       x_1 + x_2 + x_3",
+            "  recurrence:        2*x_1 + x_2 + x_3",
             "  monomial count 3, expected 3",
         )
 
