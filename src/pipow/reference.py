@@ -9,7 +9,8 @@ summed by binary splitting (Haible & Papanikolaou, "Fast multiprecision
 evaluation of series of rational numbers", ANTS 1998) into one integer
 fraction, times one isqrt(10005 * 4**B): pi * 2**B costs a few balanced
 big products and one big division. The shared PiCache keeps that mantissa
-in bits, grows it geometrically and serves narrower requests by a shift.
+in bits, grows it geometrically up to the widest pi a command line asks,
+and serves narrower requests by a shift.
 
 Every constant -- pi itself, pi**(2n)/(2n+1)!, (pi**2/6)**p and sinc(pi*x)
 by its Taylor series -- is assembled in binary fixed point at w bits, where
@@ -58,6 +59,12 @@ MAX_PI_DIGITS = 10**5
 # the correctly rounded result through the retry; 64 keeps the chance of
 # a retry below about 2**-45 for every constant here.
 _GUARD_BITS = 64
+# The widest pi a command line asks on its first try (_certified): the
+# bits of MAX_PI_DIGITS + REFERENCE_GUARD places and _GUARD_BITS, plus one
+# bit per power of pi**2, at most 52 there under series.STEP_CEILING
+# (pi_power_work), so _GUARD_BITS more. PiCache doubles no further.
+_PI_CAP_BITS = ((MAX_PI_DIGITS + REFERENCE_GUARD) * 3322 // 1000 + 1
+                + 2 * _GUARD_BITS)
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple:
@@ -96,8 +103,10 @@ class PiCache:
 
     A single instance is shared across the package; a lock serializes
     growth so concurrent callers never duplicate the evaluation. Growth at
-    least doubles the stored bits, so ever wider requests in any order cost
-    O(log) evaluations. Narrower requests are served by a rounding right
+    least doubles the stored bits up to _PI_CAP_BITS, so ever wider
+    requests in any order cost O(log) evaluations, and a request a few
+    bits wider than a cache near the cap computes pi at the cap, not at
+    twice the cache. Narrower requests are served by a rounding right
     shift, which stays within one unit. Nothing is computed before the
     first request.
     """
@@ -110,7 +119,7 @@ class PiCache:
     def bits(self, bits: int) -> int:
         with self._lock:
             if bits > self._bits:
-                self._bits = max(bits, 2 * self._bits)
+                self._bits = max(bits, min(2 * self._bits, _PI_CAP_BITS))
                 self._value = _chudnovsky_pi_bits(self._bits)
             shift = self._bits - bits
             if shift == 0:

@@ -15,9 +15,10 @@ once. The witnesses both routes are checked against live in `bench`.
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
 serves exact mode, and fixed mode where a measured rule says so: its root
-(`_tree_coefficients`) forms only the coefficients [t**j] prod_{l<=N}
-(l**2 + t) that are read, divided by (N!)**2 exactly or rounded once at
-10**-scale. Elsewhere a fixed value is an entry of the mantissa row
+(`tree._tree_coefficients`) forms only the coefficients [t**j]
+prod_{l<=N} (l**2 + t) that are read, divided by (N!)**2 exactly or
+rounded once at 10**-scale, and requests at any N share its blocks.
+Elsewhere a fixed value is an entry of the mantissa row
 [S_0 .. S_n](N) at 10**-scale that the power sums
 p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on binary
 scaled integers (`_newton_row`), which need every entry below the
@@ -66,6 +67,7 @@ from .reference import (
     basel_power,
     pi_power_work,
 )
+from .tree import LEAF, _tree_coefficients
 
 __all__ = [
     "EXACT_TRUNCATION_LIMIT",
@@ -96,14 +98,6 @@ EXACT_TRUNCATION_LIMIT = 2000
 # Euler-Maclaurin correction terms in each tail power sum of fixed mode;
 # the head cutoff then grows like 2**(bits / (2*EM_TERMS + 3)).
 EM_TERMS = 12
-# Indices the product tree multiplies into one row in place before it
-# halves (_truncated_product). Over exact sums at depths 1 to 6 and N from
-# 50 to 2000 every leaf size from 48 to 384 came within 4% of the best;
-# deep rows favour larger leaves (depth 16, N = 1000: 16 ms at 256, 27 ms
-# at 64) and long shallow ones smaller (depth 2, N = 10**4: 78 ms at 32,
-# 97 ms at 64, 120 ms at 256).
-LEAF = 64
-
 Value = Fraction | FixedDecimal
 
 
@@ -112,54 +106,6 @@ def _check_depth_truncation(depth: int, truncation: int) -> None:
         raise DomainError("depth must be nonnegative")
     if truncation < 0:
         raise DomainError("truncation must be nonnegative")
-
-
-def _truncated_product(low: int, high: int, depth: int) -> list:
-    """Coefficients [c_0, ..., c_min(depth, high-low)] of
-    prod_{l=low..high-1} (l**2 + t), lowest degree first.
-
-    Binary splitting with a block at each leaf: a run of at most LEAF
-    indices is multiplied into one row in place, c_k = c_k*l**2 + c_(k-1)
-    for k descending, on small ints; a longer range halves, so the big
-    multiplications pair operands of equal size, and merges its halves
-    cut off at degree `depth`.
-    """
-    if high - low <= LEAF:
-        row = [1]
-        for ell in range(low, high):
-            square = ell * ell
-            if len(row) <= depth:
-                row.append(0)
-            for k in range(len(row) - 1, 0, -1):
-                row[k] = row[k] * square + row[k - 1]
-            row[0] *= square
-        return row
-    middle = (low + high) // 2
-    left = _truncated_product(low, middle, depth)
-    right = _truncated_product(middle, high, depth)
-    out = [0] * min(depth + 1, len(left) + len(right) - 1)
-    for i, a in enumerate(left):
-        for j, b in enumerate(right[: len(out) - i]):
-            out[i + j] += a * b
-    return out
-
-
-def _tree_coefficients(depth: int, truncation: int, first: int) -> list:
-    """[c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation:
-    divided by the constant term (N!)**2, c_j is S_j(N).
-
-    The product tree builds the two halves of the product cut off at
-    degree `depth`, and the root forms only these coefficients,
-    c_k = sum_i left_i * right_(k-i), 0 past N where no pair reaches k: a
-    single one (first = depth) takes depth+1 products of the widest
-    operands where the whole row would take (depth+1)*(depth+2)/2.
-    """
-    middle = (truncation + 2) // 2
-    left = _truncated_product(1, middle, depth)
-    right = _truncated_product(middle, truncation + 1, depth)
-    return [sum(a * right[k - i] for i, a in enumerate(left[:k + 1])
-                if k - i < len(right))
-            for k in range(first, depth + 1)]
 
 
 @functools.cache
@@ -428,11 +374,14 @@ def _tree_units(depth: int, truncation: int) -> tuple:
     """(units, D): the product tree's count in the units of _row_plan,
     and D, the decimal length of (N!)**2.
 
-    It counts D**log2(3) for each full-size Karatsuba product of the
-    merges: each half holds m = min(depth, N/2 + 1) coefficients, the
-    k-th about 1 - k/(N/2) of the half's digits, which makes about
-    (m - m*m/(N+1))**2 full-size products; and 2048 per leaf step,
-    N*min(depth, LEAF) of them.
+    It counts D**log2(3) for each full-size Karatsuba product of merges
+    split at the middle: each half holds m = min(depth, N/2 + 1)
+    coefficients, the k-th about 1 - k/(N/2) of the half's digits, which
+    makes about (m - m*m/(N+1))**2 full-size products; and 2048 per leaf
+    step, N*min(depth, LEAF) of them. It stays an upper bound for the
+    aligned blocks of `tree`: cold, they took 0.7 to 1.2 times as long as
+    the middle split it counts (depths 1 to 1000, N from 100 to 35160),
+    and kept blocks cost less.
     """
     digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
     width = min(depth, truncation // 2 + 1)

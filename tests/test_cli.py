@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipow import bench, cli, reference, series, symmetric
+from pipow import bench, cli, reference, series, symmetric, tree
 from pipow.exactnum import FixedDecimal
 from pipow.series import partial_sum, required_truncation
 from pipow.cli import (
@@ -342,7 +342,7 @@ class TestSincCommand:
                                str(terms), "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(out)
-        rows = series._truncated_product(1, terms + 1, payload["powers"])
+        rows = tree._truncated_product(1, terms + 1, payload["powers"])
         x2 = Fraction(x) ** 2
         exact = sum(c * (-x2) ** j for j, c in enumerate(rows)) / rows[0]
         assert payload["series"] == FixedDecimal.from_rational(

@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from pipow import reference
+from pipow import reference, series
 from pipow.errors import DomainError
 from pipow.exactnum import div_round_half_even
 from pipow.reference import (
@@ -207,6 +207,49 @@ class TestPiCache:
         assert len(evaluations) <= math.ceil(
             math.log2(evaluations[-1] / evaluations[0])) + 1
         assert cache.mantissa(20000) == _machin_pi_mantissa(20000)
+
+    def test_growth_stops_at_the_widest_first_try(self, monkeypatch):
+        widths = []
+        pi_64 = reference._chudnovsky_pi_bits(64)
+
+        def recording(bits):
+            # Only the widths matter here, not the low bits of pi.
+            widths.append(bits)
+            return pi_64 << (bits - 64)
+
+        monkeypatch.setattr(reference, "_chudnovsky_pi_bits", recording)
+        cache, cap = PiCache(), reference._PI_CAP_BITS
+        for bits in (100, 101, 150, 250, cap - 70, cap - 68, cap, cap + 1):
+            cache.bits(bits)
+        # Doubling below the cap, the cap for a request just wider than a
+        # cache near it, and exactly the width asked past the cap.
+        assert widths == [100, 200, 400, cap - 70, cap, cap + 1]
+        # A fixed sum at the widest digits, then one that needs two more
+        # bits for its powers of pi**2: pi at the cap, not at twice 332295
+        # bits (3.2 s).
+        monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
+        widths.clear()
+        series.sum_plan(1, 100, "fixed", 99989)
+        series.sum_plan(3, 100, "fixed", 99989)
+        assert widths == [332295, cap]
+
+    def test_cap_covers_every_accepted_first_try(self):
+        # A series request's chain first asks its widest target, digits +
+        # 2*REFERENCE_GUARD places, plus _GUARD_BITS and one bit per power
+        # of pi**2; its estimate counts the chain twice, and STEP_CEILING
+        # admits fewer powers the wider they are.
+        guard = reference.REFERENCE_GUARD
+        widths = {}
+        for digits in (1000, 10000, 50000, 99000, MAX_PI_DIGITS - guard):
+            power = 0
+            while 2 * reference.pi_power_work(power + 1, digits + guard) <= (
+                    series.STEP_CEILING):
+                power += 1
+            widths[digits] = ((digits + 2 * guard) * 3322 // 1000 + 1
+                              + reference._GUARD_BITS + power)
+        widest = widths[MAX_PI_DIGITS - guard]
+        assert max(widths.values()) == widest == 332350
+        assert widest <= reference._PI_CAP_BITS < widest + 64
 
     def test_import_computes_no_pi(self):
         src = Path(reference.__file__).resolve().parents[1]

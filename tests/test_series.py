@@ -11,8 +11,11 @@ for soundness against exact prefixes.
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipow import _backend, series
+from pipow import _backend, series, tree
 from pipow.bench import (
     newton_cross_check,
     partial_sum_naive,
@@ -47,6 +50,21 @@ from pipow.series import (
     tail_bound,
 )
 from pipow.symmetric import elementary_symmetric, substitute
+
+
+def direct_expansion(low, high, depth):
+    """[c_0 .. c_min(depth, high-low)] of P(t) = prod_{l=low..high-1}
+    (l**2 + t), with no product tree. Every coefficient of P is positive
+    and they add up to P(1), so at B = 2**W > P(1) the number P(B) mod
+    B**(depth+1) holds c_0 .. c_depth as its base-B digits; each factor
+    l**2 + B is a product by l**2 and a shift."""
+    width = math.prod(ell * ell + 1 for ell in range(low, high)).bit_length()
+    mask = (1 << width * (depth + 1)) - 1
+    value = 1
+    for ell in range(low, high):
+        value = (value * (ell * ell) + (value << width)) & mask
+    return [value >> width * k & (1 << width) - 1
+            for k in range(min(depth, high - low) + 1)]
 
 
 def exact_reference_window(depth, digits=30):
@@ -123,8 +141,9 @@ class TestProductTreeAgainstSweep:
     @pytest.mark.parametrize("truncation", [
         LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1, 300])
     def test_tree_crosses_leaves(self, truncation):
-        # One leaf serves N <= LEAF whole; above it the root's halves, and
-        # from 2*LEAF + 1 on the halves themselves, merge leaves.
+        # One leaf serves N <= LEAF whole; above it the root splits after
+        # the block [1, LEAF], and from 2*LEAF + 1 on after a block that
+        # merges leaves.
         for depth in range(9):
             assert (partial_sum(depth, truncation, mode="exact")
                     == partial_sum_prefix(depth, truncation)[-1]
@@ -134,17 +153,9 @@ class TestProductTreeAgainstSweep:
         (1, 1), (2, 3), (5, 5 + LEAF), (40, 41 + LEAF), (100, 99 + 2 * LEAF),
         (1000, 1001 + 2 * LEAF)])
     def test_ranges_match_a_direct_expansion(self, low, high):
-        # Every coefficient of P(t) = prod (l**2 + t) is positive and they
-        # add up to P(1), so at B = P(1) + 1 the number P(B) mod B**9 holds
-        # c_0 .. c_8 as its base-B digits.
-        base = math.prod(ell * ell + 1 for ell in range(low, high)) + 1
-        modulus = base**9
-        value = 1
-        for ell in range(low, high):
-            value = value * (ell * ell + base) % modulus
-        digits = [value // base**k % base for k in range(9)]
+        digits = direct_expansion(low, high, 8)
         for depth in range(9):
-            assert series._truncated_product(low, high, depth) == digits[
+            assert tree._truncated_product(low, high, depth) == digits[
                 :min(depth, high - low) + 1]
 
     def test_bit_identical_at_depth_six(self):
@@ -192,7 +203,7 @@ class TestFixedModeAccuracy:
 def exact_row(truncation, depth=24):
     """[t**j] prod_{l<=N} (l**2 + t) for j <= depth: S_j(N) is entry j
     over entry 0."""
-    coefficients = series._truncated_product(1, truncation + 1, depth)
+    coefficients = tree._truncated_product(1, truncation + 1, depth)
     return coefficients + [0] * (depth + 1 - len(coefficients))
 
 
@@ -874,9 +885,11 @@ class TestOneTreeCoefficient:
 
     def test_exact_and_fixed_share_the_root(self, monkeypatch):
         # A sum forms only its own coefficient at the root, the tree's sinc
-        # row every one; no product spans the whole range 1..N.
+        # row every one. Past one leaf no product spans the whole range
+        # 1..N: the root splits after the block [1, 128] once it is kept,
+        # and at N = 140 < 1.5*128 after [1, 64] before that.
         calls, ranges = [], []
-        root, product = series._tree_coefficients, series._truncated_product
+        root, product = series._tree_coefficients, tree._truncated_product
 
         def recording_root(depth, truncation, first):
             calls.append((depth, truncation, first))
@@ -886,16 +899,147 @@ class TestOneTreeCoefficient:
             ranges.append((low, high))
             return product(low, high, depth)
 
+        monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
         monkeypatch.setattr(series, "_tree_coefficients", recording_root)
-        monkeypatch.setattr(series, "_truncated_product", recording_product)
-        exact = partial_sum(3, 40)
-        fixed = partial_sum(3, 40, "fixed", 200)
-        sinc_series(Fraction(1, 2), 12, 60, 500)
-        assert calls == [(3, 40, 3), (3, 40, 3), (12, 60, 0)]
-        assert (1, 41) not in ranges and (1, 61) not in ranges
+        monkeypatch.setattr(tree, "_truncated_product", recording_product)
+        exact = partial_sum(3, 140)
+        assert ranges[:2] == [(1, 65), (65, 141)] and (1, 129) not in ranges
+        ranges.clear()
+        sinc_series(Fraction(1, 2), 12, 200, 500)
+        assert ranges[:2] == [(1, 129), (1, 65)] and (129, 201) in ranges
+        ranges.clear()
+        fixed = partial_sum(3, 140, "fixed", 200)
+        assert ranges == [(129, 141)]
+        assert calls == [(3, 140, 3), (12, 200, 0), (3, 140, 3)]
         # The tree's entry is correctly rounded.
         assert abs(fixed.as_fraction() - exact) <= Fraction(
             1, 2 * 10**fixed.scale)
+
+
+class TestBlockCache:
+    """The rows of the product tree's aligned blocks, kept across requests
+    within a budget of coefficient bits (tree._BLOCKS)."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        cache = tree._BlockCache()
+        monkeypatch.setattr(tree, "_BLOCKS", cache)
+        return cache
+
+    @staticmethod
+    def held(blocks):
+        """The bits the cache counts, checked against the rows it holds."""
+        assert blocks.bits == sum(sum(map(int.bit_length, row))
+                                  for _, row in blocks.values())
+        return blocks.bits
+
+    def test_random_requests_match_cold_rows_and_direct_expansion(
+            self, blocks, monkeypatch):
+        rng = random.Random(24)
+        requests = [(0, 0), (16, 3000)] + [
+            (rng.randint(0, 16), round(3000 ** rng.random()))
+            for _ in range(40)]
+        rng.shuffle(requests)
+        for depth, truncation in requests:
+            shared = tree._tree_coefficients(depth, truncation, 0)
+            with monkeypatch.context() as cold_cache:
+                cold_cache.setattr(tree, "_BLOCKS", tree._BlockCache())
+                cold = tree._tree_coefficients(depth, truncation, 0)
+            direct = direct_expansion(1, truncation + 1, depth)
+            assert shared == cold == direct + [0] * (depth + 1 - len(direct))
+            first = rng.randint(0, depth)
+            assert tree._tree_coefficients(
+                depth, truncation, first) == shared[first:]
+        assert 0 < self.held(blocks) <= tree.BLOCK_CACHE_BITS
+
+    def test_deeper_and_shallower_requests_on_one_block(self, blocks):
+        # [1, 200] holds the blocks [1, 64], [65, 128], [1, 128] and
+        # [129, 192]. The row kept at a block is the deepest asked so far:
+        # a deeper request builds it again, a shallower one slices it.
+        for depth, deepest in ((2, 2), (6, 6), (2, 6), (70, 70), (3, 70)):
+            row = tree._tree_coefficients(depth, 200, 0)
+            direct = direct_expansion(1, 201, depth)
+            assert row == direct + [0] * (depth + 1 - len(direct))
+            assert {key: len(row) for key, (_, row) in blocks.items()} == {
+                (1, 65): min(deepest, 64) + 1, (65, 129): min(deepest, 64) + 1,
+                (1, 129): min(deepest, 128) + 1,
+                (129, 193): min(deepest, 64) + 1}
+            self.held(blocks)
+
+    def test_least_recently_used_rows_go_first(self, blocks, monkeypatch):
+        keys = [(1, 65), (65, 129), (129, 193)]
+        sizes = [sum(map(int.bit_length, tree._truncated_product(*key, 4)))
+                 for key in keys]
+        monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
+        monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sum(sizes) - 1)
+        tree._truncated_product(*keys[0], 4)
+        tree._truncated_product(*keys[1], 4)
+        tree._truncated_product(*keys[0], 2)  # a hit: keys[0] is used
+        tree._truncated_product(*keys[2], 4)
+        assert list(tree._BLOCKS) == [keys[0], keys[2]]
+        assert self.held(tree._BLOCKS) == sizes[0] + sizes[2]
+        # A row wider than the whole budget is built but not kept, and
+        # drops no other row.
+        assert sizes[0] < sizes[1]
+        monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
+        monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sizes[0])
+        tree._truncated_product(*keys[0], 4)
+        assert tree._truncated_product(*keys[1], 4) == direct_expansion(
+            *keys[1], 4)
+        assert list(tree._BLOCKS) == [keys[0]]
+        assert self.held(tree._BLOCKS) == sizes[0]
+
+    def test_largest_requests_stay_within_the_budget(self, blocks):
+        # The widest blocks of accepted exact sums: depth 1 at its edge,
+        # N = 35160, and depth 16 at N = 5000.
+        for depth, truncation in ((1, 35160), (16, 5000)):
+            tree._tree_coefficients(depth, truncation, depth)
+            assert 0 < self.held(blocks) <= tree.BLOCK_CACHE_BITS
+
+    def test_concurrent_callers_share_one_cache(self, monkeypatch):
+        # More threads than cores over shared blocks and a budget they
+        # overflow. A store and a lookup each pause inside their critical
+        # section, so without the lock another thread would step in there:
+        # a bit count would be lost, or a row dropped before it is moved.
+        class Pausing(tree._BlockCache):
+            def pop(self, *args):
+                time.sleep(1e-4)
+                return super().pop(*args)
+
+            def move_to_end(self, key):
+                time.sleep(1e-4)
+                return super().move_to_end(key)
+
+        requests = [(depth, truncation) for depth in (1, 4, 9)
+                    for truncation in (130, 700, 1100, 1500)]
+        cold = {request: tree._tree_coefficients(*request, 0)
+                for request in requests}
+        blocks = Pausing()
+        monkeypatch.setattr(tree, "_BLOCKS", blocks)
+        monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", 50000)
+        results, errors = {}, []
+
+        def worker(share):
+            try:
+                for request in share * 2:
+                    results[request] = tree._tree_coefficients(*request, 0)
+            except Exception as error:  # a thread's failure, checked below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(requests[i::4],))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and results == cold
+        assert 0 < self.held(blocks) <= 50000
 
 
 def sum_result(depth, truncation, mode, digits):
