@@ -15,7 +15,7 @@ once. The witnesses both routes are checked against live in `bench`.
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
 serves exact mode, and fixed mode where a measured rule says so: its root
-(`tree._tree_coefficients`) forms only the coefficients [t**j]
+(`tree.coefficients`) forms only the coefficients [t**j]
 prod_{l<=N} (l**2 + t) that are read, divided by (N!)**2 exactly or
 rounded once at 10**-scale, and requests at any N share its blocks.
 Elsewhere a fixed value is an entry of the mantissa row
@@ -67,7 +67,7 @@ from .reference import (
     basel_power,
     pi_power_work,
 )
-from .tree import LEAF, _tree_coefficients
+from . import tree
 
 __all__ = [
     "EXACT_TRUNCATION_LIMIT",
@@ -361,33 +361,13 @@ def _fixed_row(depth: int, truncation: int, scale: int, first: int) -> list:
     partial_sum reads entry `depth` alone and sinc_series the whole row.
     """
     if _row_plan(depth, truncation, scale).route == "tree":
-        row = _tree_coefficients(depth, truncation, first)
+        row = tree.coefficients(depth, truncation, first)
         divisor = math.factorial(truncation) ** 2
     else:
         bits, row = _newton_row(depth, truncation, scale)
         row, divisor = row[first:], 1 << bits
     one = 10**scale
     return [div_round_half_even(e * one, divisor) for e in row]
-
-
-def _tree_units(depth: int, truncation: int) -> tuple:
-    """(units, D): the product tree's count in the units of _row_plan,
-    and D, the decimal length of (N!)**2.
-
-    It counts D**log2(3) for each full-size Karatsuba product of merges
-    split at the middle: each half holds m = min(depth, N/2 + 1)
-    coefficients, the k-th about 1 - k/(N/2) of the half's digits, which
-    makes about (m - m*m/(N+1))**2 full-size products; and 2048 per leaf
-    step, N*min(depth, LEAF) of them. It stays an upper bound for the
-    aligned blocks of `tree`: cold, they took 0.7 to 1.2 times as long as
-    the middle split it counts (depths 1 to 1000, N from 100 to 35160),
-    and kept blocks cost less.
-    """
-    digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
-    width = min(depth, truncation // 2 + 1)
-    pairs = (width - width * width // (truncation + 1)) ** 2
-    return (int(pairs * digits ** math.log2(3))
-            + 2048 * truncation * min(depth, LEAF)), digits
 
 
 RowPlan = collections.namedtuple("RowPlan", "route steps bits head")
@@ -404,7 +384,7 @@ def _row_plan(depth: int, truncation: int, scale: int) -> RowPlan:
     digit), which measured 3 to 35 ns a step (pure Python, depths 22 to
     400, 44 to 10**4 places).
 
-    The tree counts _tree_units, plus (scale + D)**1.5 for each scaled
+    The tree counts tree.units, plus (scale + D)**1.5 for each scaled
     entry and scale*D/8 for each long division, min(depth, N) + 1 of
     them. That count measured 0.04 to 0.45 ns per unit (depths 1 to
     1000, N from 1 to 10**5, 168 to 10**5 places), so 64 units make one
@@ -426,7 +406,7 @@ def _row_plan(depth: int, truncation: int, scale: int) -> RowPlan:
     hundreds of thousands of bits took seconds.
     """
     if _tree_row_is_cheaper(depth, truncation, scale):
-        units, digits = _tree_units(depth, truncation)
+        units, digits = tree.units(depth, truncation)
         entries = min(depth, truncation) + 1
         wide = scale + digits
         return RowPlan("tree", (units + entries * wide * math.isqrt(wide)
@@ -458,7 +438,7 @@ def partial_sum(
     mode "exact" returns a reduced Fraction: with
     P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
     the one coefficient the product tree's root forms
-    (_tree_coefficients), over (N!)**2 and reduced by one gcd.
+    (tree.coefficients), over (N!)**2 and reduced by one gcd.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
@@ -471,7 +451,7 @@ def partial_sum(
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
-        (coefficient,) = _tree_coefficients(depth, truncation, depth)
+        (coefficient,) = tree.coefficients(depth, truncation, depth)
         return Fraction(coefficient, math.factorial(truncation) ** 2)
     if mode == "fixed":
         if digits < 1:
@@ -488,18 +468,18 @@ def partial_sum_work(depth: int, truncation: int, digits: int,
     """Estimated cost of partial_sum(depth, truncation, mode, digits), in
     digit steps: in fixed mode the steps of its _row_plan.
 
-    Exact mode counts _tree_units, 64 to a step, plus D**2/2000 for
+    Exact mode counts tree.units, 64 to a step, plus D**2/2000 for
     reducing and rendering the D-digit rational: a step took 2.2 to 53
-    ns (cold CLI runs, depths 1 to 1000, N from 300 to 40000). Its leaves
-    alone, 32*N*min(depth, LEAF), end the estimate past STEP_CEILING.
+    ns (cold CLI runs, depths 1 to 1000, N from 300 to 40000). Its leaf
+    units alone (tree.leaf_units) end the estimate past STEP_CEILING.
     """
     if mode == "fixed":
         return _row_plan(depth, truncation,
                          digits + guard_digits(depth * truncation)).steps
-    leaves = 32 * truncation * min(depth, LEAF)
+    leaves = tree.leaf_units(depth, truncation) // 64
     if leaves > STEP_CEILING:
         return leaves
-    units, width = _tree_units(depth, truncation)
+    units, width = tree.units(depth, truncation)
     return units // 64 + width * width // 2000
 
 
@@ -510,17 +490,17 @@ def row_work_floor(depth: int, digits: int) -> int:
 
     Both scale the row by s >= digits + 10 places (guard_digits).
     _newton_row counts at least depth**2 * (s**2/2000 + 3); the product
-    tree at least its 2048*N*min(d, LEAF) leaf units and its min(d, N) + 1
+    tree at least its leaf units (tree.leaf_units) and its min(d, N) + 1
     scaled entries of s + D digits, D the decimal length of (N!)**2,
     which grows with N, so both are taken at N = d = depth. The bound is
     the lesser of the two.
     """
     scale = digits + 10
     newton = depth * depth * (scale * scale // 2000 + 3)
-    wide = scale + _tree_units(depth, depth)[1]
-    tree = (2048 * depth * min(depth, LEAF)
-            + (depth + 1) * wide * math.isqrt(wide)) // 64
-    return min(newton, tree)
+    wide = scale + tree.units(depth, depth)[1]
+    product = (tree.leaf_units(depth, depth)
+               + (depth + 1) * wide * math.isqrt(wide)) // 64
+    return min(newton, product)
 
 
 def _basel_ceiling(basel: FixedDecimal, power: int,

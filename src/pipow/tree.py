@@ -8,16 +8,19 @@ s = LEAF * 2**j indices, and keeps each block's row for the process within
 a budget of coefficient bits (_BLOCKS), so that requests at different N
 share them (Bernstein, "Fast multiplication and its applications",
 Algorithmic Number Theory, MSRI Publ. 44, 2008). The rows are exact
-integers: a kept row is the row a fresh tree builds.
+integers: a kept row is the row a fresh tree builds. `coefficients` is
+the tree's root, and `units` and `leaf_units` price it for the plans of
+`series`.
 """
 
 from __future__ import annotations
 
 import _thread
 import collections
+import math
 import operator
 
-__all__ = ["BLOCK_CACHE_BITS", "LEAF"]
+__all__ = ["BLOCK_CACHE_BITS", "LEAF", "coefficients", "leaf_units", "units"]
 
 # Indices the tree multiplies into one row in place; a power of two, so
 # that blocks align. Over the benchmark's exact cycles at seeds 1 to 3
@@ -26,9 +29,12 @@ __all__ = ["BLOCK_CACHE_BITS", "LEAF"]
 # slower cold; 128 and 256: 11% and 31% slower kept). Deep rows favour
 # larger leaves: depth 300, N = 494 took 48 ms at 64 and 10 ms at 256.
 LEAF = 64
-# Coefficient bits the kept block rows may hold in all (_BLOCKS), 4 MiB.
-# The accepted exact sums at their edge leave 0.14 MB (depth 300) to
-# 2.5 MB (depth 4, N = 18704), and the benchmark's exact cycle 0.13 MB.
+# Coefficient bits the kept block rows may hold in all (_BLOCKS). The
+# accepted exact sums at their edge leave 0.14 MB (depth 300) to 2.5 MB
+# (depth 4, N = 18704) of coefficients, the benchmark's exact cycle
+# 0.13 MB. The ints, tuples and links that hold them take more: filled
+# with rows of 64-index blocks, the cache grew the resident set by 7.1 MiB
+# at depth 1, 5.6 MiB at depth 4 and 5.1 MiB at depth 16.
 BLOCK_CACHE_BITS = 1 << 25
 
 
@@ -107,7 +113,7 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
     return row
 
 
-def _tree_coefficients(depth: int, truncation: int, first: int) -> list:
+def coefficients(depth: int, truncation: int, first: int) -> list:
     """[c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation:
     divided by the constant term (N!)**2, c_j is S_j(N).
 
@@ -133,3 +139,31 @@ def _tree_coefficients(depth: int, truncation: int, first: int) -> list:
     return [sum(map(operator.mul, left[max(0, k + 1 - len(right)):],
                     right[min(k, len(right) - 1)::-1]))
             for k in range(first, depth + 1)]
+
+
+def leaf_units(depth: int, truncation: int) -> int:
+    """The leaves' share of units(depth, N): 2048 per leaf step, one per
+    index and coefficient below min(depth, LEAF)."""
+    return 2048 * truncation * min(depth, LEAF)
+
+
+def units(depth: int, truncation: int) -> tuple:
+    """(units, D): the tree's cost in the units of series._row_plan, and
+    D, the decimal length of (N!)**2.
+
+    It counts D**log2(3) for each full-size Karatsuba product of merges
+    split at the middle: each half holds m = min(depth, N/2 + 1)
+    coefficients, the k-th about 1 - k/(N/2) of the half's digits, which
+    makes about (m - m*m/(N+1))**2 full-size products; and leaf_units.
+    Cold, the aligned split took 0.77 to 1.19 times the middle split's
+    time over accepted exact requests (depths 1 to 300, N from 100 to
+    35160; 1.19 at depth 2, N = 18704, and 1.07 there as best of 5), and
+    at most 0.47 ns a unit against the middle split's 0.52 on the same
+    grid, so the count prices it as well as it did the middle split.
+    Kept blocks cost less.
+    """
+    digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
+    width = min(depth, truncation // 2 + 1)
+    pairs = (width - width * width // (truncation + 1)) ** 2
+    return (int(pairs * digits ** math.log2(3))
+            + leaf_units(depth, truncation)), digits

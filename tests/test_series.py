@@ -40,7 +40,6 @@ from pipow.exactnum import (
 from pipow.reference import basel_power, reference_value, sinc_taylor
 from pipow.series import (
     EXACT_TRUNCATION_LIMIT,
-    LEAF,
     converge,
     partial_sum,
     required_truncation,
@@ -50,6 +49,7 @@ from pipow.series import (
     tail_bound,
 )
 from pipow.symmetric import elementary_symmetric, substitute
+from pipow.tree import LEAF
 
 
 def direct_expansion(low, high, depth):
@@ -889,7 +889,7 @@ class TestOneTreeCoefficient:
         # 1..N: the root splits after the block [1, 128] once it is kept,
         # and at N = 140 < 1.5*128 after [1, 64] before that.
         calls, ranges = [], []
-        root, product = series._tree_coefficients, tree._truncated_product
+        root, product = tree.coefficients, tree._truncated_product
 
         def recording_root(depth, truncation, first):
             calls.append((depth, truncation, first))
@@ -900,7 +900,7 @@ class TestOneTreeCoefficient:
             return product(low, high, depth)
 
         monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
-        monkeypatch.setattr(series, "_tree_coefficients", recording_root)
+        monkeypatch.setattr(tree, "coefficients", recording_root)
         monkeypatch.setattr(tree, "_truncated_product", recording_product)
         exact = partial_sum(3, 140)
         assert ranges[:2] == [(1, 65), (65, 141)] and (1, 129) not in ranges
@@ -941,14 +941,14 @@ class TestBlockCache:
             for _ in range(40)]
         rng.shuffle(requests)
         for depth, truncation in requests:
-            shared = tree._tree_coefficients(depth, truncation, 0)
+            shared = tree.coefficients(depth, truncation, 0)
             with monkeypatch.context() as cold_cache:
                 cold_cache.setattr(tree, "_BLOCKS", tree._BlockCache())
-                cold = tree._tree_coefficients(depth, truncation, 0)
+                cold = tree.coefficients(depth, truncation, 0)
             direct = direct_expansion(1, truncation + 1, depth)
             assert shared == cold == direct + [0] * (depth + 1 - len(direct))
             first = rng.randint(0, depth)
-            assert tree._tree_coefficients(
+            assert tree.coefficients(
                 depth, truncation, first) == shared[first:]
         assert 0 < self.held(blocks) <= tree.BLOCK_CACHE_BITS
 
@@ -957,7 +957,7 @@ class TestBlockCache:
         # [129, 192]. The row kept at a block is the deepest asked so far:
         # a deeper request builds it again, a shallower one slices it.
         for depth, deepest in ((2, 2), (6, 6), (2, 6), (70, 70), (3, 70)):
-            row = tree._tree_coefficients(depth, 200, 0)
+            row = tree.coefficients(depth, 200, 0)
             direct = direct_expansion(1, 201, depth)
             assert row == direct + [0] * (depth + 1 - len(direct))
             assert {key: len(row) for key, (_, row) in blocks.items()} == {
@@ -993,7 +993,7 @@ class TestBlockCache:
         # The widest blocks of accepted exact sums: depth 1 at its edge,
         # N = 35160, and depth 16 at N = 5000.
         for depth, truncation in ((1, 35160), (16, 5000)):
-            tree._tree_coefficients(depth, truncation, depth)
+            tree.coefficients(depth, truncation, depth)
             assert 0 < self.held(blocks) <= tree.BLOCK_CACHE_BITS
 
     def test_concurrent_callers_share_one_cache(self, monkeypatch):
@@ -1012,7 +1012,7 @@ class TestBlockCache:
 
         requests = [(depth, truncation) for depth in (1, 4, 9)
                     for truncation in (130, 700, 1100, 1500)]
-        cold = {request: tree._tree_coefficients(*request, 0)
+        cold = {request: tree.coefficients(*request, 0)
                 for request in requests}
         blocks = Pausing()
         monkeypatch.setattr(tree, "_BLOCKS", blocks)
@@ -1022,7 +1022,7 @@ class TestBlockCache:
         def worker(share):
             try:
                 for request in share * 2:
-                    results[request] = tree._tree_coefficients(*request, 0)
+                    results[request] = tree.coefficients(*request, 0)
             except Exception as error:  # a thread's failure, checked below
                 errors.append(error)
 
