@@ -21,6 +21,7 @@ from .errors import DomainError
 __all__ = [
     "FixedDecimal",
     "decimal_length",
+    "div_exact",
     "div_round_half_even",
     "div_round_up",
     "guard_digits",
@@ -53,6 +54,25 @@ def div_round_half_even(numerator: int, denominator: int) -> int:
     if twice > denominator or (twice == denominator and quotient & 1):
         quotient += 1
     return quotient
+
+
+def div_exact(numerator: int, divisor: int) -> int:
+    """numerator // divisor for a divisor that divides a numerator >= 0,
+    from the top bits alone (Krandick & Jebelean, "Bidirectional exact
+    integer division", J. Symbolic Comput. 21, 1996).
+
+    The quotient q has at most b = len(numerator) - len(divisor) + 1 bits
+    (len the bit length). Cut s = 2*len(divisor) - len(numerator) - 2 low
+    bits from both: with r the bits cut from the divisor, numerator >> s
+    is q*(divisor >> s) + (q*r >> s), and q*r >> s < q < 2**b <=
+    divisor >> s, which keeps b + 1 bits, so the floor is q. That division
+    costs about b**2 where the whole one costs b*len(divisor); for s <= 0
+    it is the whole one.
+    """
+    shift = 2 * divisor.bit_length() - numerator.bit_length() - 2
+    if shift <= 0 or not numerator:
+        return numerator // divisor
+    return (numerator >> shift) // (divisor >> shift)
 
 
 def div_round_up(numerator: int, denominator: int) -> int:

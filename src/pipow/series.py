@@ -15,9 +15,9 @@ once. The witnesses both routes are checked against live in `bench`.
 Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
 serves exact mode, and fixed mode where a measured rule says so: its root
-(`tree.coefficients`) forms only the coefficients [t**j]
-prod_{l<=N} (l**2 + t) that are read, divided by (N!)**2 exactly or
-rounded once at 10**-scale, and requests at any N share its blocks.
+(`tree.reduced_coefficients`) forms only the coefficients [t**j]
+prod_{l<=N} (l**2 + t) that are read, over their denominator bound, exact
+or rounded once at 10**-scale, and requests at any N share its blocks.
 Elsewhere a fixed value is an entry of the mantissa row
 [S_0 .. S_n](N) at 10**-scale that the power sums
 p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on binary
@@ -92,8 +92,9 @@ __all__ = [
 # every series request of the CLI: a step measured 1.2 to 54 ns, so a
 # request at the ceiling runs for at most about 3 s.
 STEP_CEILING = 5 * 10**7
-# Largest truncation at which `sum` defaults to exact mode: the exact
-# denominator (N!)**2 grows superpolynomially with N.
+# Largest truncation at which `sum` defaults to exact mode: over the bound
+# of tree.reduced_coefficients, exact took 3 to 17 ms at N = 2000 and 8 to
+# 53 ms at 4000 (depths 1 to 6, cold), fixed 0.1 ms; 2000 still holds.
 EXACT_TRUNCATION_LIMIT = 2000
 # Euler-Maclaurin correction terms in each tail power sum of fixed mode;
 # the head cutoff then grows like 2**(bits / (2*EM_TERMS + 3)).
@@ -354,15 +355,13 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
 
 def _fixed_row(depth: int, truncation: int, scale: int, first: int) -> list:
     """Mantissas of S_first .. S_depth(N) at 10**-scale, on the route of
-    _row_plan: each entry e of the row, the product tree's root
-    coefficients over (N!)**2 or _newton_row's integers over 2**bits, is
-    rounded half-even once as e * 10**scale / divisor, so the tree's are
-    correctly rounded and Newton's within one unit of exact. A fixed
-    partial_sum reads entry `depth` alone and sinc_series the whole row.
+    _row_plan: each entry e, tree.reduced_coefficients' over their bound
+    or _newton_row's over 2**bits, rounded half-even once as e * 10**scale
+    / divisor, so the tree's are correctly rounded and Newton's within one
+    unit of exact. A fixed partial_sum reads entry `depth`, sinc_series all.
     """
     if _row_plan(depth, truncation, scale).route == "tree":
-        row = tree.coefficients(depth, truncation, first)
-        divisor = math.factorial(truncation) ** 2
+        row, divisor = tree.reduced_coefficients(depth, truncation, first)
     else:
         bits, row = _newton_row(depth, truncation, scale)
         row, divisor = row[first:], 1 << bits
@@ -437,22 +436,21 @@ def partial_sum(
 
     mode "exact" returns a reduced Fraction: with
     P(t) = prod_{l<=N} (l**2 + t), S_depth(N) = [t**depth] P / (N!)**2,
-    the one coefficient the product tree's root forms
-    (tree.coefficients), over (N!)**2 and reduced by one gcd.
+    the one coefficient the tree's root forms, as a / D over the bound D
+    on its denominator (tree.reduced_coefficients) and reduced by one gcd.
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
     _fixed_row(depth, N, scale, depth), the only entry it forms. On the
-    tree route of _row_plan that is the same root coefficient times
-    10**scale divided by (N!)**2 with one half-even rounding, correctly
-    rounded; else the power sums' row by Newton's identities, within one
-    unit in the last carried place. The guard is the sweep kernel's budget
-    of depth*N/2 units, which both routes stay well inside.
+    tree route of _row_plan that is a * 10**scale / D with one half-even
+    rounding, correctly rounded; else the power sums' row by Newton's
+    identities, within one unit in the last carried place. Both routes stay
+    well inside the guard, the sweep kernel's budget of depth*N/2 units.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
-        (coefficient,) = tree.coefficients(depth, truncation, depth)
-        return Fraction(coefficient, math.factorial(truncation) ** 2)
+        row, denominator = tree.reduced_coefficients(depth, truncation, depth)
+        return Fraction(row[0], denominator)
     if mode == "fixed":
         if digits < 1:
             raise DomainError("fixed mode requires at least one digit")
@@ -469,8 +467,10 @@ def partial_sum_work(depth: int, truncation: int, digits: int,
     digit steps: in fixed mode the steps of its _row_plan.
 
     Exact mode counts tree.units, 64 to a step, plus D**2/2000 for
-    reducing and rendering the D-digit rational: a step took 2.2 to 53
-    ns (cold CLI runs, depths 1 to 1000, N from 300 to 40000). Its leaf
+    reducing and rendering a D-digit rational over (N!)**2, which
+    over-counts the sum over the bound of tree.reduced_coefficients: at
+    the accepted edges of depths 1, 2, 4, 16, 64 and 300 a step took 8.6,
+    11, 9.1, 5.8, 3.5 and 2.1 ns cold (19 at most over (N!)**2). Its leaf
     units alone (tree.leaf_units) end the estimate past STEP_CEILING.
     """
     if mode == "fixed":

@@ -5,6 +5,7 @@ test: Python's round() implements banker's rounding on Fractions, and the
 string oracle does schoolbook long division and rounds from the remainder.
 """
 
+import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,6 +19,7 @@ from pipow.errors import DomainError
 from pipow.exactnum import (
     FixedDecimal,
     decimal_length,
+    div_exact,
     div_round_half_even,
     div_round_up,
     guard_digits,
@@ -74,6 +76,36 @@ class TestDivRoundHalfEven:
             div_round_half_even(1, 0)
         with pytest.raises(DomainError):
             div_round_half_even(1, -2)
+
+
+class TestDivExact:
+    @staticmethod
+    def cases():
+        """(q, K) pairs: q = 0 and 1, K = 1, K a power of two, and q from
+        far narrower than K to far wider, at random bits."""
+        rng = random.Random(25)
+        divisors = [1, 2, 3, 2**64, 2**4000, 2**4000 - 1]
+        divisors += [rng.getrandbits(bits) | 1 << bits - 1
+                     for bits in (1, 2, 31, 64, 65, 1000, 4001, 20000)]
+        for divisor in divisors:
+            for bits in (0, 1, 2, 30, 64, 500, 3999, 4000, 4001, 30000):
+                quotient = rng.getrandbits(bits) | 1 << bits - 1 if bits else 0
+                yield quotient, divisor
+            yield 1, divisor
+
+    def test_matches_floor_division(self):
+        cases = 0
+        for quotient, divisor in self.cases():
+            assert div_exact(quotient * divisor, divisor) == quotient == (
+                quotient * divisor // divisor), (quotient, divisor)
+            cases += 1
+        assert cases == 14 * 11
+
+    @settings(max_examples=300, derandomize=True)
+    @given(quotient=st.integers(min_value=0, max_value=2**3000),
+           divisor=st.integers(min_value=1, max_value=2**3000))
+    def test_matches_floor_division_on_any_sizes(self, quotient, divisor):
+        assert div_exact(quotient * divisor, divisor) == quotient
 
 
 class TestDivRoundUp:

@@ -916,6 +916,65 @@ class TestOneTreeCoefficient:
             1, 2 * 10**fixed.scale)
 
 
+class TestReducedCoefficients:
+    """The tree's root coefficients over the bound D = (prod_{j<=n}
+    lcm(1..N//j))**2 on the denominators of S_0 .. S_n(N) instead of over
+    (N!)**2 (tree.reduced_coefficients): the same rationals."""
+
+    TRUNCATIONS = sorted({*range(0, 130), *range(130, 701, 19), 255, 256,
+                          257, 511, 512, 513, 700})
+
+    @staticmethod
+    @functools.cache
+    def lcm_up_to(top):
+        return math.lcm(*range(1, top + 1))
+
+    def bound(self, depth, truncation):
+        """D by math.lcm, independent of the sieve and of the exponents."""
+        return math.prod(self.lcm_up_to(truncation // j)
+                         for j in range(1, depth + 1)) ** 2
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_exact_sums_over_the_bound(self, depth):
+        # N = 0 and 1, N on both sides of the leaf and block edges, depth
+        # above N and above N/2 (K = 1) and far below it.
+        for truncation in self.TRUNCATIONS:
+            row = tree.coefficients(depth, truncation, 0)
+            square = math.factorial(truncation) ** 2
+            value = partial_sum(depth, truncation)
+            assert value == Fraction(row[depth], square)
+            bound = self.bound(depth, truncation)
+            assert bound % value.denominator == 0, (depth, truncation)
+            entries, denominator = tree.reduced_coefficients(
+                depth, truncation, 0)
+            assert denominator == bound
+            assert [a * square for a in entries] == [c * bound for c in row]
+            first = truncation % (depth + 1)
+            assert tree.reduced_coefficients(depth, truncation, first) == (
+                entries[first:], bound)
+
+    @pytest.mark.parametrize("depth, truncation, scale", [
+        (1, 700, 800), (4, 300, 400), (8, 129, 200), (12, 200, 500),
+        (30, 64, 200), (9, 5, 40)])
+    def test_tree_rows_round_as_over_the_factorial_square(
+            self, depth, truncation, scale):
+        # Whole rows, as sinc_series takes them: each entry is the
+        # half-even rounding of the rational it was over (N!)**2.
+        assert series._row_plan(depth, truncation, scale).route == "tree"
+        square = math.factorial(truncation) ** 2
+        assert series._fixed_row(depth, truncation, scale, 0) == [
+            div_round_half_even(c * 10**scale, square)
+            for c in tree.coefficients(depth, truncation, 0)]
+
+    def test_sieve_grows_and_serves_every_smaller_bound(self, monkeypatch):
+        monkeypatch.setattr(tree, "_PRIMES", (1, []))
+        primes = [p for p in range(2, 3000)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for bound in (0, 1, 2, 10, 7, 11, 100, 2999, 30, 1000):
+            assert tree._primes(bound) == [p for p in primes if p <= bound]
+        assert tree._PRIMES[0] == 2999
+
+
 class TestBlockCache:
     """The rows of the product tree's aligned blocks, kept across requests
     within a budget of coefficient bits (tree._BLOCKS)."""
