@@ -7,17 +7,23 @@ The tree splits on aligned blocks, the runs [1 + k*s, (k+1)*s] of
 s = LEAF * 2**j indices, and keeps each block's row for the process within
 a budget of coefficient bits (_BLOCKS), so that requests at different N
 share them (Bernstein, "Fast multiplication and its applications",
-Algorithmic Number Theory, MSRI Publ. 44, 2008). The rows are exact
-integers: a kept row is the row a fresh tree builds. `coefficients` is
-the tree's root, and `units` and `leaf_units` price it for the plans of
+Algorithmic Number Theory, MSRI Publ. 44, 2008). `coefficients` is the
+tree's root, and `units` and `leaf_units` price it for the plans of
 `series`.
 
-The sums read the root through `reduced_coefficients`. S_j(N) sums over j
-distinct indices, so its denominator divides D = (prod_{i<=n}
-lcm(1..N//i))**2 for every j <= n, far less than (N!)**2: at depth 6,
-N = 1992, 14011 bits against 37931. The root's coefficients are divided
-exactly by the cofactor (N!)**2 / D from their top bits, and `series`
-reduces or rounds each sum over D, at a cost set by the answer's size.
+S_j(N) sums over j distinct indices, so its denominator divides D =
+(prod_{i<=n} lcm(1..N//i))**2 for every j <= n, far less than (N!)**2:
+at depth 6, N = 1992, 14011 bits against 37931. Each term of a block's
+coefficient leaves out as few indices, so each node carries its own
+reduced form, as in Haible & Papanikolaou: a block's row is divided
+exactly (exactnum.div_exact) by its own cofactor K_B = prod_p p**(2*e_p)
+(_exponents) when it is formed, the exponents of merged ranges add, and
+the rows are exact integers with their exponents: a kept row times its
+cofactor is the row a fresh tree builds. The sums read the root through
+`reduced_coefficients`, which divides it by the rest of (N!)**2 / D, and
+`series` reduces or rounds each sum over D. At depth 6, N = 1992, the
+root's coefficient comes out of the convolution at 20935 bits (37931 on
+the undivided tree) and is divided by a rest of 6938.
 """
 
 from __future__ import annotations
@@ -41,43 +47,46 @@ __all__ = ["BLOCK_CACHE_BITS", "LEAF", "coefficients", "leaf_units",
 # slower cold; 128 and 256: 11% and 31% slower kept). Deep rows favour
 # larger leaves: depth 300, N = 494 took 48 ms at 64 and 10 ms at 256.
 LEAF = 64
-# Coefficient bits the kept block rows may hold in all (_BLOCKS). The
-# accepted exact sums at their edge leave 0.14 MB (depth 300) to 2.5 MB
-# (depth 4, N = 18704) of coefficients, the benchmark's exact cycle
-# 0.13 MB. The ints, tuples and links that hold them take more: filled
-# with rows of 64-index blocks, the cache grew the resident set by 7.1 MiB
-# at depth 1, 5.6 MiB at depth 4 and 5.1 MiB at depth 16.
+# Coefficient bits the kept block rows may hold in all (_BLOCKS), counted
+# on the rows divided by their cofactors. The accepted exact sums at their
+# edge leave at most 0.14 MB (depth 300) to 2.5 MB (depth 4, N = 18704)
+# of coefficients, the benchmark's exact cycle at most 0.13 MB. The ints,
+# tuples and links that hold them take more: filled with rows of 64-index
+# blocks, the cache held 9436, 3717 and 1203 rows and grew the resident
+# set by 9.5 MiB at depth 1, 6.4 MiB at depth 4 and 5.5 MiB at depth 16
+# (7559, 3311 and 1171 undivided rows took 7.1, 5.9 and 5.4 MiB).
 BLOCK_CACHE_BITS = 1 << 25
 
 
 class _BlockCache(collections.OrderedDict):
-    """The product tree's block rows, (low, high) -> (bits, row), least
-    recently used first, within BLOCK_CACHE_BITS coefficient bits in all;
-    a row wider than that is not kept. A lock makes each lookup and store
-    atomic: concurrent callers may build one row twice, never see half."""
+    """The product tree's block rows, (low, high) -> (bits, row, exponents),
+    least recently used first, within BLOCK_CACHE_BITS coefficient bits in
+    all; a row wider than that is not kept. A lock makes each lookup and
+    store atomic: concurrent callers may build one row twice, never see
+    half, nor a row with another's exponents."""
 
     def __init__(self):
         super().__init__()
         self.bits, self.lock = 0, _thread.allocate_lock()
 
-    def row(self, key: tuple, entries: int) -> list | None:
-        """The first `entries` coefficients of the row kept at `key`, or
-        None if it holds fewer."""
+    def row(self, key: tuple, entries: int) -> tuple | None:
+        """(the first `entries` coefficients of the row kept at `key`, its
+        exponents), or None if it holds fewer."""
         with self.lock:
-            row = self.get(key, (0, ()))[1]
+            _, row, exponents = self.get(key, (0, (), ()))
             if len(row) < entries:
                 return None
             self.move_to_end(key)
-        return list(row[:entries])
+        return list(row[:entries]), exponents
 
-    def keep(self, key: tuple, row: list) -> None:
-        """Keeps `row` at `key` in place of any row there, then drops the
-        least recently used rows past the budget."""
+    def keep(self, key: tuple, row: list, exponents: tuple) -> None:
+        """Keeps `row` and its exponents at `key` in place of any row
+        there, then drops the least recently used rows past the budget."""
         bits = sum(map(int.bit_length, row))
         with self.lock:
             if bits <= BLOCK_CACHE_BITS:
                 self.bits += bits - self.pop(key, (0,))[0]
-                self[key] = bits, tuple(row)
+                self[key] = bits, tuple(row), exponents
             while self.bits > BLOCK_CACHE_BITS:
                 self.bits -= self.popitem(last=False)[1][0]
 
@@ -90,24 +99,28 @@ _BLOCKS = _BlockCache()
 _PRIMES = (1, [])
 
 
-def _truncated_product(low: int, high: int, depth: int) -> list:
-    """Coefficients [c_0, ..., c_min(depth, high-low)] of
-    prod_{l=low..high-1} (l**2 + t), lowest degree first.
+def _truncated_product(low: int, high: int, depth: int) -> tuple:
+    """(row, exponents): the row [c_0, ..., c_min(depth, high-low)] of
+    prod_{l=low..high-1} (l**2 + t), lowest degree first, divided by
+    prod_p p**(2*e_p) over the exponents e_p, in the order of the primes.
 
     A range inside one block of LEAF indices is multiplied into one row in
     place, c_k = c_k*l**2 + c_(k-1) for k descending, on small ints. A
     longer one splits after the largest multiple of LEAF * 2**j inside it,
     so that a range from 1 is the largest blocks that fit and a tail under
-    LEAF, and its halves merge cut off at degree `depth`, smallest first.
-    _BLOCKS keeps each block's row, which serves any request as deep or
-    shallower by slicing; a deeper one builds it again and replaces it.
+    LEAF, and its halves merge cut off at degree `depth`, smallest first,
+    their exponents adding. A block's row is then divided by what its own
+    exponents (_exponents) add to its halves', and _BLOCKS keeps it with
+    them; it serves any request as deep or shallower by slicing, its
+    exponents lower than or equal to those of that depth, and a deeper one
+    builds it again and replaces it.
     """
     size, top = high - low, min(depth, high - low)
     block = size >= LEAF and not size & (size - 1) and not (low - 1) % size
-    if block and (row := _BLOCKS.row((low, high), top + 1)) is not None:
-        return row
+    if block and (kept := _BLOCKS.row((low, high), top + 1)) is not None:
+        return kept
     if (low - 1) // LEAF >= (high - 2) // LEAF:
-        row, ks, grown = [1], (), low + depth
+        row, ks, grown, exponents = [1], (), low + depth, ()
         for ell in range(low, high):
             square = ell * ell
             if ell < grown:
@@ -119,20 +132,28 @@ def _truncated_product(low: int, high: int, depth: int) -> list:
     else:
         split = 1 << ((low - 1) ^ (high - 2)).bit_length() - 1
         middle = ((high - 2) & -split) + 1
-        left = _truncated_product(low, middle, depth)
-        right = _truncated_product(middle, high, depth)
+        left, low_exponents = _truncated_product(low, middle, depth)
+        right, high_exponents = _truncated_product(middle, high, depth)
         row = [0] * (top + 1)
         for i, a in enumerate(left):
             for j, b in enumerate(right[:top + 1 - i]):
                 row[i + j] += a * b
+        exponents = _combine(operator.add, low_exponents, high_exponents)
     if block:
-        _BLOCKS.keep((low, high), row)
-    return row
+        own = _exponents(low, high, depth)
+        divisor = _cofactor(_combine(operator.sub, own, exponents)) ** 2
+        if divisor > 1:
+            row = [div_exact(c, divisor) for c in row]
+        exponents = tuple(own)
+        _BLOCKS.keep((low, high), row, exponents)
+    return row, exponents
 
 
-def coefficients(depth: int, truncation: int, first: int) -> list:
-    """[c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation:
-    divided by the constant term (N!)**2, c_j is S_j(N).
+def coefficients(depth: int, truncation: int, first: int) -> tuple:
+    """([c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation,
+    each divided by prod_p p**(2*e_p), exponents): the exponents are those
+    its blocks were divided by (_truncated_product), added up. Divided by
+    the constant term (N!)**2, c_j is S_j(N).
 
     Past LEAF the root splits [1, N] after the block [1, 2**j], 2**j < N,
     when that block is kept or N >= 1.5 * 2**j, and otherwise after
@@ -147,15 +168,17 @@ def coefficients(depth: int, truncation: int, first: int) -> list:
     (depth+1)*(depth+2)/2.
     """
     half = 1 << (truncation - 1).bit_length() - 1 if truncation > LEAF else 0
-    left = _BLOCKS.row((1, half + 1), min(depth, half) + 1) if half else [1]
-    if left is None:
+    kept = _BLOCKS.row((1, half + 1), min(depth, half) + 1) if half else None
+    if kept is None:
         if half > LEAF and 2 * truncation < 3 * half:
             half //= 2
-        left = _truncated_product(1, half + 1, depth)
-    right = _truncated_product(half + 1, truncation + 1, depth)
-    return [sum(map(operator.mul, left[max(0, k + 1 - len(right)):],
-                    right[min(k, len(right) - 1)::-1]))
-            for k in range(first, depth + 1)]
+        kept = _truncated_product(1, half + 1, depth) if half else ([1], ())
+    (left, low_exponents), (right, high_exponents) = kept, _truncated_product(
+        half + 1, truncation + 1, depth)
+    return ([sum(map(operator.mul, left[max(0, k + 1 - len(right)):],
+                     right[min(k, len(right) - 1)::-1]))
+             for k in range(first, depth + 1)],
+            _combine(operator.add, low_exponents, high_exponents))
 
 
 def _primes(bound: int) -> list:
@@ -174,6 +197,79 @@ def _primes(bound: int) -> list:
     return primes[:bisect.bisect_right(primes, bound)]
 
 
+def _exponents(low: int, high: int, depth: int) -> list:
+    """[e_p] for the primes p in order, up to the last that may have one
+    above 0: e_p = sum_i max(0, n_i - depth), with n_i = (high-1) // p**i
+    - (low-1) // p**i the multiples of p**i in [low, high).
+
+    Each term of c_j, j <= depth, of prod_{l=low..high-1} (l**2 + t)
+    leaves out j of the l, of which at most min(j, n_i) are multiples of
+    p**i, so p**(2*e_p) divides it. As max(0, a - d) + max(0, b - d) <=
+    max(0, a + b - d), the e_p of two adjacent ranges add up to at most
+    those of their union. e_p > 0 takes depth+1 multiples of p in the
+    range, so p <= (high-1) // (depth+1) and, for depth > 0, p <=
+    (high-low-1) // depth; n_2 > depth takes p*p within the same bound.
+    """
+    top, below = high - 1, low - 1
+    bound = top // (depth + 1)
+    if depth:
+        bound = min(bound, (top - below - 1) // depth)
+    primes = _primes(bound)
+    exponents = [n - depth if (n := top // p - below // p) > depth else 0
+                 for p in primes]
+    for i, p in enumerate(primes):
+        power = p * p
+        if power > bound:
+            break
+        while (n := top // power - below // power) > depth:
+            exponents[i] += n - depth
+            power *= p
+    return exponents
+
+
+def _bound_root(depth: int, truncation: int) -> int:
+    """prod_p p**f_p, f_p = sum_i min(depth, N // p**i), N = truncation:
+    the square root of D = (prod_{j=1..depth} lcm(1..N//j))**2. Past
+    sqrt(N), f_p = min(depth, N // p), so the primes between N // (m+1)
+    and N // m share the exponent min(depth, m) and are multiplied as one
+    run: 3 to 5 us at N = 50 to 300, against 8 to 16 us prime by prime.
+    """
+    primes = _primes(truncation)
+    small = bisect.bisect_right(primes, math.isqrt(truncation))
+    factors = []
+    for p in primes[:small]:
+        f, power = 0, p
+        while power <= truncation:
+            f += min(depth, truncation // power)
+            power *= p
+        factors.append(pow(p, f))
+    end = len(primes)
+    for m in range(1, depth + 1):
+        start = small
+        if m < depth:
+            start = max(small, bisect.bisect_right(
+                primes, truncation // (m + 1), small, end))
+        factors.append(pow(_product(primes[start:end]), m))
+        end = start
+        if end == small:
+            break
+    return _product(factors)
+
+
+def _combine(op, longer: tuple, shorter: tuple) -> list:
+    """op applied to the exponents of the same primes, one list taken as 0
+    past its end: `longer` must be at least as long for operator.sub."""
+    if len(longer) < len(shorter):
+        longer, shorter = shorter, longer
+    return [*map(op, longer, shorter), *longer[len(shorter):]]
+
+
+def _cofactor(exponents: list) -> int:
+    """prod_p p**e_p over the primes in order, multiplied in balanced
+    halves (_product)."""
+    return _product([pow(p, e) for p, e in zip(_PRIMES[1], exponents) if e])
+
+
 def _product(values: list) -> int:
     """The product of `values`, split into balanced halves: for the
     cofactor at the depth-1 edge (N = 35160), 29 ms against 79 ms for the
@@ -187,31 +283,28 @@ def _product(values: list) -> int:
 def reduced_coefficients(depth: int, truncation: int, first: int) -> tuple:
     """([a_first .. a_depth], D) with S_j(N) = a_j / D, N = truncation: D is
     the bound (N!/k)**2 on the denominators of S_0 .. S_depth(N), and a_j
-    is c_j of coefficients divided exactly by K = k**2 (div_exact).
+    is c_j of prod_{l<=N} (l**2 + t) divided exactly by K = k**2.
 
     S_n(N) sums 1/(l_1**2 ... l_n**2) over n distinct l <= N, of which at
     most min(n, N // p**i) are multiples of p**i, so a prime p divides its
     denominator at most 2*sum_i min(n, N // p**i) times: it divides D_n =
     (prod_{j=1..n} lcm(1..N//j))**2, which divides D_depth for n <= depth,
     so K = (N!)**2 / D_depth divides every c_n = S_n(N) * (N!)**2 read.
-    Then k = prod_p p**e_p, e_p = sum_i max(0, N // p**i - depth), has
-    e_p > 0 only for p <= N/(depth+1), none from depth >= N/2 on, and
-    e_p = N // p - depth from N // p**2 <= depth on, so past sqrt(N).
+    Then k = prod_p p**e_p with the e_p of _exponents over [1, N+1), e_p =
+    sum_i max(0, N // p**i - depth), none from depth >= N/2 on. The root
+    of coefficients comes divided by its blocks' part of K, and is divided
+    here by the rest (div_exact); D is formed by _bound_root. Depth 0 is
+    S_0 = 1 and forms nothing.
     """
-    row = coefficients(depth, truncation, first)
-    primes = _primes(truncation // (depth + 1))
-    powers = [truncation // p - depth for p in primes]
-    for i, p in enumerate(primes):
-        quotient = truncation // (p * p)
-        if quotient <= depth:
-            break
-        while quotient > depth:
-            powers[i] += quotient - depth
-            quotient //= p
-    cofactor = _product(list(map(pow, primes, powers)))
-    root = div_exact(math.factorial(truncation), cofactor)
-    cofactor *= cofactor
-    return [div_exact(c, cofactor) for c in row], root * root
+    if not depth:
+        return [1], 1
+    row, parts = coefficients(depth, truncation, first)
+    exponents = _exponents(1, truncation + 1, depth)
+    divisor = _cofactor(_combine(operator.sub, exponents, parts)) ** 2
+    root = _bound_root(depth, truncation)
+    if divisor > 1:
+        row = [div_exact(c, divisor) for c in row]
+    return row, root * root
 
 
 def leaf_units(depth: int, truncation: int) -> int:
@@ -233,7 +326,10 @@ def units(depth: int, truncation: int) -> tuple:
     35160; 1.19 at depth 2, N = 18704, and 1.07 there as best of 5), and
     at most 0.47 ns a unit against the middle split's 0.52 on the same
     grid, so the count prices it as well as it did the middle split.
-    Kept blocks cost less.
+    It still counts the undivided rows, so it over-counts a tree whose
+    blocks are divided by their cofactors (_truncated_product): on it an
+    exact sum at the accepted edges of depths 1 to 16 took 0.42 to 0.69
+    times its time on the undivided tree (cold). Kept blocks cost less.
     """
     digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
     width = min(depth, truncation // 2 + 1)

@@ -342,7 +342,7 @@ class TestSincCommand:
                                str(terms), "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(out)
-        rows = tree._truncated_product(1, terms + 1, payload["powers"])
+        rows, _ = tree._truncated_product(1, terms + 1, payload["powers"])
         x2 = Fraction(x) ** 2
         exact = sum(c * (-x2) ** j for j, c in enumerate(rows)) / rows[0]
         assert payload["series"] == FixedDecimal.from_rational(

@@ -9,6 +9,7 @@ for soundness against exact prefixes.
 """
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -65,6 +66,27 @@ def direct_expansion(low, high, depth):
         value = (value * (ell * ell) + (value << width)) & mask
     return [value >> width * k & (1 << width) - 1
             for k in range(min(depth, high - low) + 1)]
+
+
+@functools.cache
+def first_primes(count):
+    """The first `count` primes, by trial division."""
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def undivided(reduced):
+    """The row of a (row, exponents) pair of the tree
+    (tree._truncated_product, tree.coefficients) times the cofactor
+    prod_p p**(2*e_p) it was divided by."""
+    row, exponents = reduced
+    root = math.prod(p**e for p, e in zip(first_primes(len(exponents)),
+                                          exponents))
+    return [c * root * root for c in row]
 
 
 def exact_reference_window(depth, digits=30):
@@ -155,8 +177,8 @@ class TestProductTreeAgainstSweep:
     def test_ranges_match_a_direct_expansion(self, low, high):
         digits = direct_expansion(low, high, 8)
         for depth in range(9):
-            assert tree._truncated_product(low, high, depth) == digits[
-                :min(depth, high - low) + 1]
+            assert undivided(tree._truncated_product(
+                low, high, depth)) == digits[:min(depth, high - low) + 1]
 
     def test_bit_identical_at_depth_six(self):
         tree = partial_sum(6, 600, mode="exact")
@@ -203,7 +225,7 @@ class TestFixedModeAccuracy:
 def exact_row(truncation, depth=24):
     """[t**j] prod_{l<=N} (l**2 + t) for j <= depth: S_j(N) is entry j
     over entry 0."""
-    coefficients = tree._truncated_product(1, truncation + 1, depth)
+    coefficients = undivided(tree._truncated_product(1, truncation + 1, depth))
     return coefficients + [0] * (depth + 1 - len(coefficients))
 
 
@@ -939,7 +961,7 @@ class TestReducedCoefficients:
         # N = 0 and 1, N on both sides of the leaf and block edges, depth
         # above N and above N/2 (K = 1) and far below it.
         for truncation in self.TRUNCATIONS:
-            row = tree.coefficients(depth, truncation, 0)
+            row = undivided(tree.coefficients(depth, truncation, 0))
             square = math.factorial(truncation) ** 2
             value = partial_sum(depth, truncation)
             assert value == Fraction(row[depth], square)
@@ -964,7 +986,16 @@ class TestReducedCoefficients:
         square = math.factorial(truncation) ** 2
         assert series._fixed_row(depth, truncation, scale, 0) == [
             div_round_half_even(c * 10**scale, square)
-            for c in tree.coefficients(depth, truncation, 0)]
+            for c in undivided(tree.coefficients(depth, truncation, 0))]
+
+    def test_depth_zero_forms_nothing(self, monkeypatch):
+        # S_0(N) = 1: no tree, factorial or sieve.
+        monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
+        monkeypatch.setattr(tree, "_PRIMES", (1, []))
+        assert tree.reduced_coefficients(0, 30000, 0) == ([1], 1)
+        value = partial_sum(0, 30000)
+        assert type(value) is Fraction and value == Fraction(1)
+        assert len(tree._BLOCKS) == 0 and tree._PRIMES == (1, [])
 
     def test_sieve_grows_and_serves_every_smaller_bound(self, monkeypatch):
         monkeypatch.setattr(tree, "_PRIMES", (1, []))
@@ -989,7 +1020,7 @@ class TestBlockCache:
     def held(blocks):
         """The bits the cache counts, checked against the rows it holds."""
         assert blocks.bits == sum(sum(map(int.bit_length, row))
-                                  for _, row in blocks.values())
+                                  for _, row, _ in blocks.values())
         return blocks.bits
 
     def test_random_requests_match_cold_rows_and_direct_expansion(
@@ -1000,15 +1031,15 @@ class TestBlockCache:
             for _ in range(40)]
         rng.shuffle(requests)
         for depth, truncation in requests:
-            shared = tree.coefficients(depth, truncation, 0)
+            shared = undivided(tree.coefficients(depth, truncation, 0))
             with monkeypatch.context() as cold_cache:
                 cold_cache.setattr(tree, "_BLOCKS", tree._BlockCache())
-                cold = tree.coefficients(depth, truncation, 0)
+                cold = undivided(tree.coefficients(depth, truncation, 0))
             direct = direct_expansion(1, truncation + 1, depth)
             assert shared == cold == direct + [0] * (depth + 1 - len(direct))
             first = rng.randint(0, depth)
-            assert tree.coefficients(
-                depth, truncation, first) == shared[first:]
+            assert undivided(tree.coefficients(
+                depth, truncation, first)) == shared[first:]
         assert 0 < self.held(blocks) <= tree.BLOCK_CACHE_BITS
 
     def test_deeper_and_shallower_requests_on_one_block(self, blocks):
@@ -1016,10 +1047,10 @@ class TestBlockCache:
         # [129, 192]. The row kept at a block is the deepest asked so far:
         # a deeper request builds it again, a shallower one slices it.
         for depth, deepest in ((2, 2), (6, 6), (2, 6), (70, 70), (3, 70)):
-            row = tree.coefficients(depth, 200, 0)
+            row = undivided(tree.coefficients(depth, 200, 0))
             direct = direct_expansion(1, 201, depth)
             assert row == direct + [0] * (depth + 1 - len(direct))
-            assert {key: len(row) for key, (_, row) in blocks.items()} == {
+            assert {key: len(row) for key, (_, row, _) in blocks.items()} == {
                 (1, 65): min(deepest, 64) + 1, (65, 129): min(deepest, 64) + 1,
                 (1, 129): min(deepest, 128) + 1,
                 (129, 193): min(deepest, 64) + 1}
@@ -1027,7 +1058,7 @@ class TestBlockCache:
 
     def test_least_recently_used_rows_go_first(self, blocks, monkeypatch):
         keys = [(1, 65), (65, 129), (129, 193)]
-        sizes = [sum(map(int.bit_length, tree._truncated_product(*key, 4)))
+        sizes = [sum(map(int.bit_length, tree._truncated_product(*key, 4)[0]))
                  for key in keys]
         monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
         monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sum(sizes) - 1)
@@ -1043,8 +1074,8 @@ class TestBlockCache:
         monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
         monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sizes[0])
         tree._truncated_product(*keys[0], 4)
-        assert tree._truncated_product(*keys[1], 4) == direct_expansion(
-            *keys[1], 4)
+        assert undivided(tree._truncated_product(
+            *keys[1], 4)) == direct_expansion(*keys[1], 4)
         assert list(tree._BLOCKS) == [keys[0]]
         assert self.held(tree._BLOCKS) == sizes[0]
 
@@ -1071,7 +1102,7 @@ class TestBlockCache:
 
         requests = [(depth, truncation) for depth in (1, 4, 9)
                     for truncation in (130, 700, 1100, 1500)]
-        cold = {request: tree.coefficients(*request, 0)
+        cold = {request: undivided(tree.coefficients(*request, 0))
                 for request in requests}
         blocks = Pausing()
         monkeypatch.setattr(tree, "_BLOCKS", blocks)
@@ -1081,7 +1112,8 @@ class TestBlockCache:
         def worker(share):
             try:
                 for request in share * 2:
-                    results[request] = tree.coefficients(*request, 0)
+                    results[request] = undivided(
+                        tree.coefficients(*request, 0))
             except Exception as error:  # a thread's failure, checked below
                 errors.append(error)
 
@@ -1099,6 +1131,112 @@ class TestBlockCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and results == cold
         assert 0 < self.held(blocks) <= 50000
+
+
+def block_exponents(low, high, depth):
+    """{p: e_p} for e_p > 0, e_p = sum_i max(0, n_i - depth) with n_i the
+    multiples of p**i in [low, high)."""
+    exponents = {}
+    for p in first_primes(high):
+        if p >= high:
+            break
+        power, e = p, 0
+        while power < high:
+            e += max(0, (high - 1) // power - (low - 1) // power - depth)
+            power *= p
+        if e:
+            exponents[p] = e
+    return exponents
+
+
+def nonzero(exponents):
+    """A list of exponents in the order of the primes as {p: e_p}, e_p > 0."""
+    return {p: e for p, e in zip(first_primes(len(exponents)), exponents)
+            if e}
+
+
+class TestBlockExponents:
+    """Each aligned block's row is kept divided by prod_p p**(2*e_p), its
+    own cofactor K_B at the depth it was built at (tree._exponents)."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        cache = tree._BlockCache()
+        monkeypatch.setattr(tree, "_BLOCKS", cache)
+        return cache
+
+    def test_kept_rows_times_their_cofactor_are_the_direct_expansion(
+            self, monkeypatch):
+        rng = random.Random(26)
+        requests = [(1, 65, 0), (1, 513, 8), (449, 513, 1)] + [
+            (1 + k * size, (k + 1) * size + 1, rng.randint(0, 8))
+            for size in (LEAF, 2 * LEAF, 4 * LEAF, 8 * LEAF)
+            for k in rng.sample(range(3000 // size), 3)]
+        for low, high, depth in requests:
+            blocks = tree._BlockCache()
+            monkeypatch.setattr(tree, "_BLOCKS", blocks)
+            row, exponents = tree._truncated_product(low, high, depth)
+            assert (low, high) in blocks
+            # The block and every block below it.
+            for (left, right), (_, kept, own) in blocks.items():
+                assert nonzero(own) == block_exponents(left, right, depth)
+                assert undivided((kept, own)) == direct_expansion(
+                    left, right, depth), (left, right, depth)
+            assert (tuple(row), exponents) == blocks[low, high][1:]
+
+    @pytest.mark.parametrize("low, high", [
+        (1, 13), (2, 14), (61, 73), (1016, 1028), (2041, 2049), (239, 251),
+        (720, 730), (1, 2), (7, 7), (96, 99)])
+    def test_exponents_are_the_least_valuation_of_any_term(self, low, high):
+        # Every term of c_j leaves out j of the indices: e_p is the least
+        # number of factors p in the product of the others, over every j
+        # up to the depth and every choice of the j left out.
+        indices = range(low, high)
+
+        def valuation(value, p):
+            count = 0
+            while value % p == 0:
+                value, count = value // p, count + 1
+            return count
+
+        for p in [p for p in first_primes(high + 1) if p <= high]:
+            counts = [valuation(ell, p) for ell in indices]
+            least = [sum(counts) - max(map(sum, itertools.combinations(
+                counts, j))) for j in range(len(counts) + 1)]
+            for depth in range(9):
+                exponents = tree._exponents(low, high, depth)
+                index = first_primes(high + 1).index(p)
+                e = exponents[index] if index < len(exponents) else 0
+                assert e == min(least[:depth + 1]), (low, high, depth, p)
+
+    def test_a_row_kept_deeper_serves_a_shallower_request(
+            self, blocks, monkeypatch):
+        # Read at depth 2, the rows kept at depth 6 carry depth 6's smaller
+        # exponents; requests at depth 9 build them again at depth 9's.
+        def cold(depth, truncation):
+            with monkeypatch.context() as cold_cache:
+                cold_cache.setattr(tree, "_BLOCKS", tree._BlockCache())
+                return tree.reduced_coefficients(depth, truncation, 0)
+
+        for truncation in (700, 1100):
+            assert tree.reduced_coefficients(6, truncation, 0) == cold(
+                6, truncation)
+        kept = {key: entry[1:] for key, entry in blocks.items()}
+        assert all(len(row) == min(6, high - low) + 1
+                   for (low, high), (row, _) in kept.items())
+        for truncation in (700, 1100):
+            assert tree.reduced_coefficients(2, truncation, 0) == cold(
+                2, truncation)
+        assert {key: entry[1:] for key, entry in blocks.items()} == kept
+        assert any(nonzero(own) != block_exponents(*key, 2)
+                   for key, (_, own) in kept.items())
+        for truncation in (700, 1100):
+            assert tree.reduced_coefficients(9, truncation, 0) == cold(
+                9, truncation)
+        assert blocks.keys() == kept.keys()
+        for (low, high), (_, row, own) in blocks.items():
+            assert len(row) == 10
+            assert nonzero(own) == block_exponents(low, high, 9)
 
 
 def sum_result(depth, truncation, mode, digits):
