@@ -94,7 +94,7 @@ __all__ = [
 STEP_CEILING = 5 * 10**7
 # Largest truncation at which `sum` defaults to exact mode: over the bound
 # of tree.reduced_coefficients, its blocks divided by their own cofactors,
-# exact took 2.3 to 8.3 ms at N = 2000 and 5.6 to 26 ms at 4000 (depths 1
+# exact took 2.1 to 7.6 ms at N = 2000 and 5.2 to 24 ms at 4000 (depths 1
 # to 6, cold), fixed 0.1 ms; 2000 still holds.
 EXACT_TRUNCATION_LIMIT = 2000
 # Euler-Maclaurin correction terms in each tail power sum of fixed mode;
@@ -470,8 +470,8 @@ def partial_sum_work(depth: int, truncation: int, digits: int,
     Exact mode counts tree.units, 64 to a step, plus D**2/2000 for
     reducing and rendering a D-digit rational over (N!)**2, which
     over-counts the sum over the bound of tree.reduced_coefficients: at
-    the accepted edges of depths 1, 2, 4, 16, 64 and 300 a step took 4.4,
-    5.4, 5.5, 4.2, 3.3 and 2.1 ns cold, as a command line in its own
+    the accepted edges of depths 1, 2, 4, 16, 64 and 300 a step took 3.8,
+    4.9, 5.0, 3.9, 3.1 and 1.9 ns cold, as a command line in its own
     process (19 at most over (N!)**2). Its leaf units alone
     (tree.leaf_units) end the estimate past STEP_CEILING.
     """

@@ -20,10 +20,11 @@ exactly (exactnum.div_exact) by its own cofactor K_B = prod_p p**(2*e_p)
 (_exponents) when it is formed, the exponents of merged ranges add, and
 the rows are exact integers with their exponents: a kept row times its
 cofactor is the row a fresh tree builds. The sums read the root through
-`reduced_coefficients`, which divides it by the rest of (N!)**2 / D, and
-`series` reduces or rounds each sum over D. At depth 6, N = 1992, the
-root's coefficient comes out of the convolution at 20935 bits (37931 on
-the undivided tree) and is divided by a rest of 6938.
+`reduced_coefficients`, which divides it by the rest of (N!)**2 / D, so
+that its constant term (N!)**2 comes out as D, and `series` reduces or
+rounds each sum over D. At depth 6, N = 1992, the root's coefficient
+comes out of the convolution at 20935 bits (37931 on the undivided
+tree) and is divided by a rest of 6938.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import collections
 import itertools
 import math
 import operator
+import sys
 
 from .exactnum import div_exact
 
@@ -47,23 +49,29 @@ __all__ = ["BLOCK_CACHE_BITS", "LEAF", "coefficients", "leaf_units",
 # slower cold; 128 and 256: 11% and 31% slower kept). Deep rows favour
 # larger leaves: depth 300, N = 494 took 48 ms at 64 and 10 ms at 256.
 LEAF = 64
-# Coefficient bits the kept block rows may hold in all (_BLOCKS), counted
-# on the rows divided by their cofactors. The accepted exact sums at their
-# edge leave at most 0.14 MB (depth 300) to 2.5 MB (depth 4, N = 18704)
-# of coefficients, the benchmark's exact cycle at most 0.13 MB. The ints,
-# tuples and links that hold them take more: filled with rows of 64-index
-# blocks, the cache held 9436, 3717 and 1203 rows and grew the resident
-# set by 9.5 MiB at depth 1, 6.4 MiB at depth 4 and 5.5 MiB at depth 16
-# (7559, 3311 and 1171 undivided rows took 7.1, 5.9 and 5.4 MiB).
-BLOCK_CACHE_BITS = 1 << 25
+# Bits of memory the kept block rows may take in all (_BLOCKS): 5 MiB of
+# their ints and tuples and _ENTRY_BITS each. The accepted exact sums at
+# their edge leave at most 0.14 MB (depth 300) to 2.5 MB (depth 4,
+# N = 18704) of coefficients, the benchmark's exact cycle at most 0.13 MB.
+# Counting only coefficient bits, 1 << 25 of them, let the divided rows,
+# smaller and each with its exponents, grow the resident set by 9.5 MiB
+# at depth 1 against 7.1 MiB for the undivided rows (64-index blocks).
+# Filled with 64-index rows, the cache now holds 5063, 2955 and 1123 rows
+# and grows the resident set by 4.9, 5.0 and 5.1 MiB at depths 1, 4 and
+# 16 (the undivided rows: 7559, 3311 and 1171 in 7.1, 5.9 and 5.4 MiB).
+BLOCK_CACHE_BITS = 5 << 23
+# The bits a kept row takes besides its ints and tuples: its key, its
+# entry, the count and the cache's links, about 290 bytes a row filled
+# with 64-index rows at depths 1 to 16.
+_ENTRY_BITS = 8 * 300
 
 
 class _BlockCache(collections.OrderedDict):
     """The product tree's block rows, (low, high) -> (bits, row, exponents),
-    least recently used first, within BLOCK_CACHE_BITS coefficient bits in
-    all; a row wider than that is not kept. A lock makes each lookup and
-    store atomic: concurrent callers may build one row twice, never see
-    half, nor a row with another's exponents."""
+    least recently used first, within BLOCK_CACHE_BITS bits of memory in
+    all (_footprint); a row larger than that is not kept. A lock makes
+    each lookup and store atomic: concurrent callers may build one row
+    twice, never see half, nor a row with another's exponents."""
 
     def __init__(self):
         super().__init__()
@@ -82,20 +90,29 @@ class _BlockCache(collections.OrderedDict):
     def keep(self, key: tuple, row: list, exponents: tuple) -> None:
         """Keeps `row` and its exponents at `key` in place of any row
         there, then drops the least recently used rows past the budget."""
-        bits = sum(map(int.bit_length, row))
+        row = tuple(row)
+        bits = _footprint(row, exponents)
         with self.lock:
             if bits <= BLOCK_CACHE_BITS:
                 self.bits += bits - self.pop(key, (0,))[0]
-                self[key] = bits, tuple(row), exponents
+                self[key] = bits, row, exponents
             while self.bits > BLOCK_CACHE_BITS:
                 self.bits -= self.popitem(last=False)[1][0]
+
+
+def _footprint(row: tuple, exponents: tuple) -> int:
+    """The bits of memory a kept row and its exponents take."""
+    return _ENTRY_BITS + 8 * (sum(map(sys.getsizeof, row))
+                              + sys.getsizeof(row) + sys.getsizeof(exponents))
 
 
 _BLOCKS = _BlockCache()
 # (bound, the primes up to bound), sieved again to twice the bound on first
 # use past it and kept: sieving each request cost more than a small request
 # saves by its reduction. It is rebound whole, so a concurrent caller reads
-# one sieve or the next, never half of one.
+# one sieve or the next, never half of one; one may rebind it to a shorter
+# sieve than another's, which costs only time, as _exponents hands on the
+# primes it read with the exponents.
 _PRIMES = (1, [])
 
 
@@ -140,8 +157,8 @@ def _truncated_product(low: int, high: int, depth: int) -> tuple:
                 row[i + j] += a * b
         exponents = _combine(operator.add, low_exponents, high_exponents)
     if block:
-        own = _exponents(low, high, depth)
-        divisor = _cofactor(_combine(operator.sub, own, exponents)) ** 2
+        primes, own = _exponents(low, high, depth)
+        divisor = _cofactor(primes, _combine(operator.sub, own, exponents))**2
         if divisor > 1:
             row = [div_exact(c, divisor) for c in row]
         exponents = tuple(own)
@@ -150,10 +167,10 @@ def _truncated_product(low: int, high: int, depth: int) -> tuple:
 
 
 def coefficients(depth: int, truncation: int, first: int) -> tuple:
-    """([c_first .. c_depth] of prod_{l<=N} (l**2 + t), N = truncation,
-    each divided by prod_p p**(2*e_p), exponents): the exponents are those
-    its blocks were divided by (_truncated_product), added up. Divided by
-    the constant term (N!)**2, c_j is S_j(N).
+    """(c_0, [c_first .. c_depth], exponents) of prod_{l<=N} (l**2 + t),
+    N = truncation, each c_j divided by prod_p p**(2*e_p) over the
+    exponents: those its blocks were divided by (_truncated_product),
+    added up. Divided by the constant term (N!)**2, c_j is S_j(N).
 
     Past LEAF the root splits [1, N] after the block [1, 2**j], 2**j < N,
     when that block is kept or N >= 1.5 * 2**j, and otherwise after
@@ -165,7 +182,7 @@ def coefficients(depth: int, truncation: int, first: int) -> tuple:
     The root forms only these coefficients, c_k = sum_i left_i *
     right_(k-i), 0 past N: a single one (first = depth) takes depth+1
     products of the widest operands where the whole row would take
-    (depth+1)*(depth+2)/2.
+    (depth+1)*(depth+2)/2, and c_0 one more.
     """
     half = 1 << (truncation - 1).bit_length() - 1 if truncation > LEAF else 0
     kept = _BLOCKS.row((1, half + 1), min(depth, half) + 1) if half else None
@@ -175,9 +192,10 @@ def coefficients(depth: int, truncation: int, first: int) -> tuple:
         kept = _truncated_product(1, half + 1, depth) if half else ([1], ())
     (left, low_exponents), (right, high_exponents) = kept, _truncated_product(
         half + 1, truncation + 1, depth)
-    return ([sum(map(operator.mul, left[max(0, k + 1 - len(right)):],
-                     right[min(k, len(right) - 1)::-1]))
-             for k in range(first, depth + 1)],
+    row = [sum(map(operator.mul, left[max(0, k + 1 - len(right)):],
+                   right[min(k, len(right) - 1)::-1]))
+           for k in range(first, depth + 1)]
+    return (row[0] if not first else left[0] * right[0], row,
             _combine(operator.add, low_exponents, high_exponents))
 
 
@@ -197,10 +215,12 @@ def _primes(bound: int) -> list:
     return primes[:bisect.bisect_right(primes, bound)]
 
 
-def _exponents(low: int, high: int, depth: int) -> list:
-    """[e_p] for the primes p in order, up to the last that may have one
-    above 0: e_p = sum_i max(0, n_i - depth), with n_i = (high-1) // p**i
-    - (low-1) // p**i the multiples of p**i in [low, high).
+def _exponents(low: int, high: int, depth: int) -> tuple:
+    """(primes, [e_p] for those primes): the primes in order, up to the
+    last that may have e_p above 0, e_p = sum_i max(0, n_i - depth), with
+    n_i = (high-1) // p**i - (low-1) // p**i the multiples of p**i in
+    [low, high). The primes come with the exponents, not from _PRIMES,
+    which a concurrent caller may rebind to a shorter sieve.
 
     Each term of c_j, j <= depth, of prod_{l=low..high-1} (l**2 + t)
     leaves out j of the l, of which at most min(j, n_i) are multiples of
@@ -224,36 +244,7 @@ def _exponents(low: int, high: int, depth: int) -> list:
         while (n := top // power - below // power) > depth:
             exponents[i] += n - depth
             power *= p
-    return exponents
-
-
-def _bound_root(depth: int, truncation: int) -> int:
-    """prod_p p**f_p, f_p = sum_i min(depth, N // p**i), N = truncation:
-    the square root of D = (prod_{j=1..depth} lcm(1..N//j))**2. Past
-    sqrt(N), f_p = min(depth, N // p), so the primes between N // (m+1)
-    and N // m share the exponent min(depth, m) and are multiplied as one
-    run: 3 to 5 us at N = 50 to 300, against 8 to 16 us prime by prime.
-    """
-    primes = _primes(truncation)
-    small = bisect.bisect_right(primes, math.isqrt(truncation))
-    factors = []
-    for p in primes[:small]:
-        f, power = 0, p
-        while power <= truncation:
-            f += min(depth, truncation // power)
-            power *= p
-        factors.append(pow(p, f))
-    end = len(primes)
-    for m in range(1, depth + 1):
-        start = small
-        if m < depth:
-            start = max(small, bisect.bisect_right(
-                primes, truncation // (m + 1), small, end))
-        factors.append(pow(_product(primes[start:end]), m))
-        end = start
-        if end == small:
-            break
-    return _product(factors)
+    return primes, exponents
 
 
 def _combine(op, longer: tuple, shorter: tuple) -> list:
@@ -264,10 +255,10 @@ def _combine(op, longer: tuple, shorter: tuple) -> list:
     return [*map(op, longer, shorter), *longer[len(shorter):]]
 
 
-def _cofactor(exponents: list) -> int:
-    """prod_p p**e_p over the primes in order, multiplied in balanced
-    halves (_product)."""
-    return _product([pow(p, e) for p, e in zip(_PRIMES[1], exponents) if e])
+def _cofactor(primes: list, exponents: list) -> int:
+    """prod_p p**e_p over `primes` and `exponents` in step, multiplied in
+    balanced halves (_product)."""
+    return _product([pow(p, e) for p, e in zip(primes, exponents) if e])
 
 
 def _product(values: list) -> int:
@@ -291,20 +282,20 @@ def reduced_coefficients(depth: int, truncation: int, first: int) -> tuple:
     (prod_{j=1..n} lcm(1..N//j))**2, which divides D_depth for n <= depth,
     so K = (N!)**2 / D_depth divides every c_n = S_n(N) * (N!)**2 read.
     Then k = prod_p p**e_p with the e_p of _exponents over [1, N+1), e_p =
-    sum_i max(0, N // p**i - depth), none from depth >= N/2 on. The root
+    sum_i max(0, N // p**i - depth), none from depth >= N/2 on. The row
     of coefficients comes divided by its blocks' part of K, and is divided
-    here by the rest (div_exact); D is formed by _bound_root. Depth 0 is
-    S_0 = 1 and forms nothing.
+    here by the rest (div_exact). As c_0 = (N!)**2, its quotient a_0 is D.
+    Depth 0 is S_0 = 1 and forms nothing.
     """
     if not depth:
         return [1], 1
-    row, parts = coefficients(depth, truncation, first)
-    exponents = _exponents(1, truncation + 1, depth)
-    divisor = _cofactor(_combine(operator.sub, exponents, parts)) ** 2
-    root = _bound_root(depth, truncation)
+    constant, row, parts = coefficients(depth, truncation, first)
+    primes, exponents = _exponents(1, truncation + 1, depth)
+    divisor = _cofactor(primes, _combine(operator.sub, exponents, parts)) ** 2
     if divisor > 1:
+        constant = div_exact(constant, divisor)
         row = [div_exact(c, divisor) for c in row]
-    return row, root * root
+    return row, constant
 
 
 def leaf_units(depth: int, truncation: int) -> int:
@@ -328,8 +319,9 @@ def units(depth: int, truncation: int) -> tuple:
     grid, so the count prices it as well as it did the middle split.
     It still counts the undivided rows, so it over-counts a tree whose
     blocks are divided by their cofactors (_truncated_product): on it an
-    exact sum at the accepted edges of depths 1 to 16 took 0.42 to 0.69
-    times its time on the undivided tree (cold). Kept blocks cost less.
+    exact sum at the accepted edges of depths 1 to 16 took 0.49 to 0.72
+    times its time on the undivided tree (cold, best of 6 processes).
+    Kept blocks cost less.
     """
     digits = int(2 * math.lgamma(truncation + 1) / math.log(10)) + 1
     width = min(depth, truncation // 2 + 1)

@@ -80,10 +80,10 @@ def first_primes(count):
 
 
 def undivided(reduced):
-    """The row of a (row, exponents) pair of the tree
-    (tree._truncated_product, tree.coefficients) times the cofactor
-    prod_p p**(2*e_p) it was divided by."""
-    row, exponents = reduced
+    """The row of a (row, exponents) pair of tree._truncated_product or of
+    a (c_0, row, exponents) triple of tree.coefficients times the
+    cofactor prod_p p**(2*e_p) it was divided by."""
+    *_, row, exponents = reduced
     root = math.prod(p**e for p, e in zip(first_primes(len(exponents)),
                                           exponents))
     return [c * root * root for c in row]
@@ -963,6 +963,10 @@ class TestReducedCoefficients:
         for truncation in self.TRUNCATIONS:
             row = undivided(tree.coefficients(depth, truncation, 0))
             square = math.factorial(truncation) ** 2
+            # c_0 comes with every slice.
+            constant, _, exponents = tree.coefficients(
+                depth, truncation, depth)
+            assert undivided(([constant], exponents)) == [square]
             value = partial_sum(depth, truncation)
             assert value == Fraction(row[depth], square)
             bound = self.bound(depth, truncation)
@@ -1008,7 +1012,7 @@ class TestReducedCoefficients:
 
 class TestBlockCache:
     """The rows of the product tree's aligned blocks, kept across requests
-    within a budget of coefficient bits (tree._BLOCKS)."""
+    within a budget of bits of memory (tree._BLOCKS)."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
@@ -1018,9 +1022,14 @@ class TestBlockCache:
 
     @staticmethod
     def held(blocks):
-        """The bits the cache counts, checked against the rows it holds."""
-        assert blocks.bits == sum(sum(map(int.bit_length, row))
-                                  for _, row, _ in blocks.values())
+        """The bits the cache counts, checked against the rows it holds:
+        the bytes of their ints and tuples and a fixed size each."""
+        for bits, row, exponents in blocks.values():
+            assert bits == tree._ENTRY_BITS + 8 * (
+                sys.getsizeof(row) + sys.getsizeof(exponents)
+                + sum(sys.getsizeof(c) for c in row))
+            assert bits > sum(map(int.bit_length, row))
+        assert blocks.bits == sum(bits for bits, _, _ in blocks.values())
         return blocks.bits
 
     def test_random_requests_match_cold_rows_and_direct_expansion(
@@ -1058,8 +1067,11 @@ class TestBlockCache:
 
     def test_least_recently_used_rows_go_first(self, blocks, monkeypatch):
         keys = [(1, 65), (65, 129), (129, 193)]
-        sizes = [sum(map(int.bit_length, tree._truncated_product(*key, 4)[0]))
-                 for key in keys]
+        sizes = []
+        for key in keys:
+            monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
+            tree._truncated_product(*key, 4)
+            sizes.append(self.held(tree._BLOCKS))
         monkeypatch.setattr(tree, "_BLOCKS", tree._BlockCache())
         monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sum(sizes) - 1)
         tree._truncated_product(*keys[0], 4)
@@ -1204,7 +1216,8 @@ class TestBlockExponents:
             least = [sum(counts) - max(map(sum, itertools.combinations(
                 counts, j))) for j in range(len(counts) + 1)]
             for depth in range(9):
-                exponents = tree._exponents(low, high, depth)
+                primes, exponents = tree._exponents(low, high, depth)
+                assert primes == first_primes(len(exponents))
                 index = first_primes(high + 1).index(p)
                 e = exponents[index] if index < len(exponents) else 0
                 assert e == min(least[:depth + 1]), (low, high, depth, p)
@@ -1237,6 +1250,34 @@ class TestBlockExponents:
         for (low, high), (_, row, own) in blocks.items():
             assert len(row) == 10
             assert nonzero(own) == block_exponents(low, high, 9)
+
+
+    def test_a_shorter_sieve_between_exponents_and_cofactor(
+            self, blocks, monkeypatch):
+        # A concurrent caller with a smaller bound may rebind tree._PRIMES
+        # to a shorter sieve just after _exponents read it: each block and
+        # the root are still divided by all the exponents they keep.
+        requests = [(1, 700), (4, 1100), (9, 300), (2, 3000)]
+        with monkeypatch.context() as cold_cache:
+            cold_cache.setattr(tree, "_BLOCKS", tree._BlockCache())
+            cold = [tree.reduced_coefficients(*request, 0)
+                    for request in requests]
+        exponents = tree._exponents
+
+        def then_shrink(low, high, depth):
+            primes_and_exponents = exponents(low, high, depth)
+            tree._PRIMES = (2, [2])
+            return primes_and_exponents
+
+        monkeypatch.setattr(tree, "_PRIMES", (1, []))
+        monkeypatch.setattr(tree, "_exponents", then_shrink)
+        assert [tree.reduced_coefficients(*request, 0)
+                for request in requests] == cold
+        for (low, high), (_, row, own) in blocks.items():
+            depth = len(row) - 1
+            assert nonzero(own) == block_exponents(low, high, depth)
+            assert undivided((row, own)) == direct_expansion(
+                low, high, depth)
 
 
 def sum_result(depth, truncation, mode, digits):
