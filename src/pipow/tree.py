@@ -5,7 +5,7 @@ partial sum S_j(N), so one tree serves the exact sums of `series` and its
 fixed rows on the tree route (Haible & Papanikolaou's binary splitting).
 The tree splits on aligned blocks, the runs [1 + k*s, (k+1)*s] of
 s = LEAF * 2**j indices, and keeps each block's row for the process within
-a budget of coefficient bits (_BLOCKS), so that requests at different N
+a budget of memory (_BLOCKS), so that requests at different N
 share them (Bernstein, "Fast multiplication and its applications",
 Algorithmic Number Theory, MSRI Publ. 44, 2008). `coefficients` is the
 tree's root, and `units` and `leaf_units` price it for the plans of
@@ -61,8 +61,8 @@ LEAF = 64
 # 16 (the undivided rows: 7559, 3311 and 1171 in 7.1, 5.9 and 5.4 MiB).
 BLOCK_CACHE_BITS = 5 << 23
 # The bits a kept row takes besides its ints and tuples: its key, its
-# entry, the count and the cache's links, about 290 bytes a row filled
-# with 64-index rows at depths 1 to 16.
+# entry, the count and the cache's links, 280 to 370 bytes a row in a
+# cache filled with 64-index rows at depths 1 to 16.
 _ENTRY_BITS = 8 * 300
 
 
