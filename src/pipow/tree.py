@@ -53,12 +53,8 @@ LEAF = 64
 # their ints and tuples and _ENTRY_BITS each. The accepted exact sums at
 # their edge leave at most 0.14 MB (depth 300) to 2.5 MB (depth 4,
 # N = 18704) of coefficients, the benchmark's exact cycle at most 0.13 MB.
-# Counting only coefficient bits, 1 << 25 of them, let the divided rows,
-# smaller and each with its exponents, grow the resident set by 9.5 MiB
-# at depth 1 against 7.1 MiB for the undivided rows (64-index blocks).
-# Filled with 64-index rows, the cache now holds 5063, 2955 and 1123 rows
-# and grows the resident set by 4.9, 5.0 and 5.1 MiB at depths 1, 4 and
-# 16 (the undivided rows: 7559, 3311 and 1171 in 7.1, 5.9 and 5.4 MiB).
+# Filled with 64-index rows, the cache holds 5063, 2955 and 1123 rows and
+# grows the resident set by 4.9, 5.0 and 5.1 MiB at depths 1, 4 and 16.
 BLOCK_CACHE_BITS = 5 << 23
 # The bits a kept row takes besides its ints and tuples: its key, its
 # entry, the count and the cache's links, 280 to 370 bytes a row in a

@@ -1251,7 +1251,6 @@ class TestBlockExponents:
             assert len(row) == 10
             assert nonzero(own) == block_exponents(low, high, 9)
 
-
     def test_a_shorter_sieve_between_exponents_and_cofactor(
             self, blocks, monkeypatch):
         # A concurrent caller with a smaller bound may rebind tree._PRIMES
