@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import re
 import sys
 from fractions import Fraction
@@ -264,6 +263,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells: list) -> str:
+    """One csv line of `cells`, as CPython 3.11's csv.writer with
+    lineterminator="\n" and QUOTE_MINIMAL writes it: a cell holding `,`,
+    `"` or a newline is quoted, each `"` doubled; a carriage return stays
+    bare; a line whose only cell is empty is `""`."""
+    if cells == [""]:
+        return '""\n'
+    return ",".join('"%s"' % cell.replace('"', '""')
+                    if "," in cell or '"' in cell or "\n" in cell else cell
+                    for cell in cells) + "\n"
+
+
 def _table(records: list) -> list:
     """A header line and one line per record, in aligned columns."""
     header = list(records[0])
@@ -290,13 +301,9 @@ def _render(records: list, output_format: str, payload=None,
             payload = records[0] if len(records) == 1 else records
         return json.dumps(payload, indent=2) + "\n"
     if output_format == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(records[0])
-        writer.writerows([_cell(v) for v in r.values()] for r in records)
-        return buffer.getvalue()
+        rows = [list(records[0])] + [[_cell(v) for v in r.values()]
+                                     for r in records]
+        return "".join(map(_csv_line, rows))
     if lines is None:
         lines = ([f"{key}: {_cell(value)}" for key, value in records[0].items()]
                  if len(records) == 1 else _table(records))

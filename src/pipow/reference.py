@@ -10,7 +10,9 @@ evaluation of series of rational numbers", ANTS 1998) into one integer
 fraction, times one isqrt(10005 * 4**B): pi * 2**B costs a few balanced
 big products and one big division. The shared PiCache keeps that mantissa
 in bits, grows it geometrically up to the widest pi a command line asks,
-and serves narrower requests by a shift.
+and serves narrower requests by a shift. Beside it, it keeps the first
+_KEPT_POWERS powers of pi**2 at the same width, so that a process serving
+many requests forms each power once and not once a request.
 
 Every constant -- pi itself, pi**(2n)/(2n+1)!, (pi**2/6)**p and sinc(pi*x)
 by its Taylor series -- is assembled in binary fixed point at w bits, where
@@ -24,12 +26,14 @@ otherwise the value is assembled again with twice the guard bits (Ziv,
 "Fast evaluation of elementary mathematical functions with correctly
 rounded last bit", ACM TOMS 1991). One loop, _certified, does this for
 every constant, so every returned mantissa is the correctly rounded
-value. The powers of pi**2 come from one chain, _pi_power_ratios, which
-serves a sum's limit and its tail bound's (pi**2/6)**p together, each
-with its own bound; a retry forms the chain once for all of them. These
-values serve as the judge for everything the series code produces, which
-is why they carry their own guard digits rather than borrowing the
-caller's.
+value. The powers of pi**2 come from one chain, _chain: PiCache runs it
+at its own width for the powers it keeps, and _pi_power_ratios shifts
+those to the width it asks and runs the chain on from the top kept power.
+_pi_power_ratios serves a sum's limit and its tail bound's (pi**2/6)**p
+together, each with its own bound; a retry asks the powers once for all
+of them. These values serve as the judge for everything the series code
+produces, which is why they carry their own guard digits rather than
+borrowing the caller's.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ _GUARD_BITS = 64
 # (pi_power_work), so _GUARD_BITS more. PiCache doubles no further.
 _PI_CAP_BITS = ((MAX_PI_DIGITS + REFERENCE_GUARD) * 3322 // 1000 + 1
                 + 2 * _GUARD_BITS)
+# Powers of pi**2 PiCache keeps beside pi: the worst case is _KEPT_POWERS
+# mantissas of _PI_CAP_BITS bits, about 0.66 MB at 16. A sum needs powers
+# depth - 1 and depth, and converge and table every power up to their
+# depth, so 16 covers every depth the benchmark's workloads ask (at most
+# 6) with room; a deeper request runs the chain on from the sixteenth.
+_KEPT_POWERS = 16
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple:
@@ -98,8 +108,26 @@ def _chudnovsky_pi_bits(bits: int) -> int:
     return (pi_work + (1 << 15)) >> 16
 
 
+def _shifted(value: int, shift: int) -> int:
+    """value / 2**shift rounded half up: within half a unit of it."""
+    if shift == 0:
+        return value
+    return (value + (1 << (shift - 1))) >> shift
+
+
+def _chain(acc: int, square: int, bits: int):
+    """(acc * square) >> bits, then the same with that result, and so on:
+    from acc = pi**(2k) * 2**bits and square = pi**2 * 2**bits, the powers
+    k + 1, k + 2, ... of pi**2, each floored from the one before. Every
+    power of pi**2 is formed here (see _pi_power_ratios for its bound)."""
+    while True:
+        acc = (acc * square) >> bits
+        yield acc
+
+
 class PiCache:
-    """pi * 2**bits within one unit, for the widest bits asked so far.
+    """pi * 2**bits within one unit, for the widest bits asked so far, and
+    the first _KEPT_POWERS powers of pi**2 at that width.
 
     A single instance is shared across the package; a lock serializes
     growth so concurrent callers never duplicate the evaluation. Growth at
@@ -109,22 +137,45 @@ class PiCache:
     twice the cache. Narrower requests are served by a rounding right
     shift, which stays within one unit. Nothing is computed before the
     first request.
+
+    The powers pi**(2k) * 2**B, k = 1, 2, ..., at the cache's width B are
+    formed from its pi under the same lock, on demand and at most
+    _KEPT_POWERS of them, and are dropped whenever pi grows: they always
+    come from the pi the instance holds, and a replaced cache brings its
+    own.
     """
 
     def __init__(self):
         self._lock = _thread.allocate_lock()
         self._bits = 0
         self._value = 3  # pi within one unit at 2**0
+        self._powers = []  # pi**(2k) * 2**_bits for k = 1..len(_powers)
+
+    def _grow(self, bits: int) -> None:
+        """Hold pi at `bits` or more; the caller holds the lock."""
+        if bits > self._bits:
+            self._bits = max(bits, min(2 * self._bits, _PI_CAP_BITS))
+            self._value = _chudnovsky_pi_bits(self._bits)
+            self._powers = []
 
     def bits(self, bits: int) -> int:
         with self._lock:
-            if bits > self._bits:
-                self._bits = max(bits, min(2 * self._bits, _PI_CAP_BITS))
-                self._value = _chudnovsky_pi_bits(self._bits)
-            shift = self._bits - bits
-            if shift == 0:
-                return self._value
-            return (self._value + (1 << (shift - 1))) >> shift
+            self._grow(bits)
+            return _shifted(self._value, self._bits - bits)
+
+    def _square_powers(self, bits: int, top: int) -> list:
+        """pi**(2k) * 2**bits for k = 1..min(top, _KEPT_POWERS), top >= 1:
+        the kept powers, those still missing formed by _chain at the
+        cache's width, each shifted to `bits` by rounding."""
+        with self._lock:
+            self._grow(bits)
+            kept, width = self._powers, self._bits
+            if not kept:
+                kept.append((self._value * self._value) >> width)
+            for _, power in zip(range(len(kept), min(top, _KEPT_POWERS)),
+                                _chain(kept[-1], kept[0], width)):
+                kept.append(power)
+            return [_shifted(power, width - bits) for power in kept[:top]]
 
     def mantissa(self, scale: int) -> int:
         """pi * 10**scale, correctly rounded half-even."""
@@ -200,15 +251,29 @@ def _pi_power_ratios(targets: list) -> list:
     for each (power, divisor, scale) of `targets` (_limit_targets,
     _basel_target), from one chain of powers of pi**2.
 
-    At w bits: p = pi * 2**w within one unit, the square (p*p) >> w, then
-    the products acc = (acc * square) >> w from acc = square (2**w, and no
-    pi, for power 0) up to the largest power, and one floor division by
-    each target's divisor of the accumulator at its power. The square is
-    within 2*pi + 1 units, a relative 0.74 * 2**-w, and each floor loses
-    under one unit, a relative 0.11 * 2**-w, so while power * 2**-w is
-    small acc is within a relative 2 * power * 2**-w of
-    pi**(2*power) * 2**w. With v = pi**(2*power) / divisor and x the
-    result,
+    At w bits the chain is: p = pi * 2**w within one unit, the square
+    (p*p) >> w, then the products acc = (acc * square) >> w (_chain) from
+    acc = square (2**w, and no pi, for power 0) up to the largest power,
+    and one floor division by each target's divisor of the accumulator at
+    its power. The square is within 2*pi + 1 units, a relative
+    0.74 * 2**-w, and each floor loses under one unit, a relative
+    0.11 * 2**-w, so each product adds at most 0.85 * 2**-w to the relative
+    error and, while power * 2**-w is small, acc is within a relative
+    2 * power * 2**-w of pi**(2*power) * 2**w.
+
+    The powers up to _KEPT_POWERS are that chain run by PiCache at its
+    width B >= w, shifted to w by rounding; past them the chain runs on at
+    w from the top kept power with the kept square. Both keep the bound.
+    At B = w the shift is none and the chain is the one above. At B > w
+    the kept power is within a relative 2 * power * 2**-B <= power * 2**-w
+    and the shift adds half a unit, a relative below 0.06 * 2**-w as
+    pi**(2*power) > 9.8, so it is within (power + 0.06) * 2**-w <=
+    2 * power * 2**-w; the shifted square is within a relative
+    (0.37 + 0.06) * 2**-w < 0.74 * 2**-w likewise. Each product past the
+    kept powers then adds at most 0.74 + 0.11 = 0.85 times 2**-w, as at
+    B = w, so from a kept power K within 2 * K * 2**-w the power k > K
+    stays within 2 * k * 2**-w. With
+    v = pi**(2*power) / divisor and x the result,
 
         |x - v * 2**w| <= 2 * power * v + 1
                        <= (2*power + 1) * ((x >> w) + 2)   units of 2**-w,
@@ -216,20 +281,20 @@ def _pi_power_ratios(targets: list) -> list:
     the bound handed to _round_certified. It is relative to v, which grows
     like 1.65**power for divisor 6**power, so 64 guard bits plus the
     largest power keep the retry rare in both uses. _certified rounds every
-    target from one chain, and forms the chain again for all of them while
-    any stays open.
+    target from one chain, and asks the powers again at the wider bits for
+    all of them while any stays open.
     """
     low, top = min(targets)[0], max(targets)[0]
 
     def approximate(bits):
-        at = {0: 1 << bits}  # pi**(2*power) * 2**bits from power low on
-        if top:  # pi**0 needs no pi
-            p = _PI_CACHE.bits(bits)
-            at[1] = acc = square = (p * p) >> bits
-            for k in range(2, top + 1):
-                acc = (acc * square) >> bits
-                if k >= low:
-                    at[k] = acc
+        at = {0: 1 << bits}  # pi**(2*power) * 2**bits; pi**0 needs no pi
+        if top:
+            kept = _PI_CACHE._square_powers(bits, top)
+            at.update(enumerate(kept, 1))
+            for power, acc in zip(range(len(kept) + 1, top + 1),
+                                  _chain(kept[-1], kept[0], bits)):
+                if power >= low:
+                    at[power] = acc
         approximations = []
         for power, divisor, _ in targets:
             value = at[power] // divisor
@@ -291,7 +356,15 @@ def pi_power_work(power: int, digits: int) -> int:
     digits), pi cached: `power` products of the square at w working bits
     into an accumulator growing 3.3 bits a product, each its mean length
     times sqrt(w) / 400. A step took 24 to 54 ns (powers 1 to 10**4, 5 to
-    5000 digits)."""
+    5000 digits).
+
+    The estimate is the same with the powers PiCache keeps, and still
+    bounds the work from above: a request makes at most these products at
+    w, and none for a power it finds kept. As with pi, which the estimate
+    leaves out, the kept powers are formed once for each width the cache
+    grows to, at most _KEPT_POWERS products at that width; a command line
+    serves one request from a cache as wide as that request, so there they
+    are these products at w."""
     bits = (digits + REFERENCE_GUARD) * 3322 // 1000 + 1 + _GUARD_BITS + power
     return power * (bits + 33 * power // 20) * math.isqrt(bits) // 400
 

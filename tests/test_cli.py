@@ -1150,6 +1150,36 @@ class TestOutputLayouts:
         assert out == GOLDEN[name, output_format]
 
 
+def csv_writer_line(cells):
+    """The line csv.writer writes for `cells`, as the CLI's csv used to."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
+
+
+class TestCsvLine:
+    """cli._csv_line writes what csv.writer does, without loading csv."""
+
+    @pytest.mark.parametrize("name", [name for name, output_format in GOLDEN
+                                      if output_format == "csv"])
+    def test_pinned_layouts(self, name):
+        layout = GOLDEN[name, "csv"]
+        rows = list(csv.reader(io.StringIO(layout)))
+        assert "".join(map(csv_writer_line, rows)) == layout
+        assert "".join(map(cli._csv_line, rows)) == layout
+
+    def test_quoting_cases(self):
+        for cells in ([""], ["", ""], ["a,b"], ['say "x"'], ["1\n2"],
+                      ["\r"], ["-1/3", "", "0.5"], []):
+            assert cli._csv_line(cells) == csv_writer_line(cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(""), st.text(
+        alphabet="0123456789.-/,\"\n", max_size=12)), max_size=6))
+    def test_random_cells(self, cells):
+        assert cli._csv_line(cells) == csv_writer_line(cells)
+
+
 # --- command lines left to argparse ------------------------------------------
 
 TOP_HELP = """\

@@ -490,12 +490,17 @@ class TestOneChain:
     """One chain of pi**2 powers gives what separate calls give."""
 
     @pytest.mark.parametrize("digits", [1, 2, 17, 100, 999, 2048, 4300])
-    def test_equals_separate_calls(self, digits):
+    def test_equals_separate_calls(self, digits, monkeypatch):
+        # The separate calls each start from a cold cache, so they do not
+        # read the powers the chained call left in the shared one.
         for depth in range(1, 65):
             for truncation in (0, 1):
                 (basel, limit), power = chained(depth, digits, truncation)
-                separate = (basel_power(power, digits + 10),
-                            reference_value(depth, digits))
+                with monkeypatch.context() as cold:
+                    cold.setattr(reference, "_PI_CACHE", PiCache())
+                    basel_alone = basel_power(power, digits + 10)
+                    cold.setattr(reference, "_PI_CACHE", PiCache())
+                    separate = (basel_alone, reference_value(depth, digits))
                 assert [(v.mantissa, v.scale, v.guard)
                         for v in (basel, limit)] == [
                     (v.mantissa, v.scale, v.guard) for v in separate]
@@ -523,15 +528,15 @@ class TestOneChain:
 
     def test_one_pi_square_per_try(self, monkeypatch):
         calls = []
-        real = reference._PI_CACHE.bits
+        real = reference._PI_CACHE._square_powers
 
-        def counting(bits):
-            calls.append(bits)
-            return real(bits)
+        def counting(bits, top):
+            calls.append((bits, top))
+            return real(bits, top)
 
-        monkeypatch.setattr(reference._PI_CACHE, "bits", counting)
+        monkeypatch.setattr(reference._PI_CACHE, "_square_powers", counting)
         chained(5, 300, 10)
-        assert len(calls) == 1
+        assert [top for _, top in calls] == [5]
 
     def test_one_retry_serves_every_open_target(self, monkeypatch):
         # The targets of a table of rows 1..8 at 60 digits, tried with one
@@ -544,19 +549,19 @@ class TestOneChain:
 
         expected = [v.mantissa for v in reference._pi_power_ratios(targets())]
         chains, outcomes = [], []
-        real_bits, real_round = (reference._PI_CACHE.bits,
-                                 reference._round_certified)
+        real_powers, real_round = (reference._PI_CACHE._square_powers,
+                                   reference._round_certified)
 
-        def counting(bits):
+        def counting(bits, top):
             chains.append(bits)
-            return real_bits(bits)
+            return real_powers(bits, top)
 
         def recording(value, bits, error, scale):
             outcomes.append((bits, real_round(value, bits, error, scale)))
             return outcomes[-1][1]
 
         monkeypatch.setattr(reference, "_GUARD_BITS", 1)
-        monkeypatch.setattr(reference._PI_CACHE, "bits", counting)
+        monkeypatch.setattr(reference._PI_CACHE, "_square_powers", counting)
         monkeypatch.setattr(reference, "_round_certified", recording)
         values = reference._pi_power_ratios(targets())
         assert [v.mantissa for v in values] == expected
@@ -565,3 +570,168 @@ class TestOneChain:
         assert all(a < b for a, b in zip(chains, chains[1:]))
         assert None not in [rounded for bits, rounded in outcomes
                             if bits == chains[-1]]
+
+
+def limit_judge(depth):
+    return lambda: mp.pi ** (2 * depth) / mp.factorial(2 * depth + 1)
+
+
+def basel_judge(power):
+    return lambda: (mp.pi**2 / 6) ** power
+
+
+class TestKeptPowers:
+    """PiCache keeps pi**(2k) * 2**B for k up to _KEPT_POWERS at its own
+    width B; a request shifts them to its width and runs the chain on past
+    them. Every mantissa must be what a cold cache and mpmath give."""
+
+    K = reference._KEPT_POWERS
+    # (depth, digits) limits, asked of one cache in this order.
+    ORDERS = {
+        "narrower after wider": [(3, 2000), (3, 50), (2, 700), (1, 1)],
+        "wider after narrower": [(2, 50), (3, 700), (2, 2000), (4, 2001)],
+        "past the kept powers": [(1, 60), (K + 5, 300), (3 * K, 120),
+                                 (K + 1, 60), (K, 60), (2, 400)],
+    }
+
+    @staticmethod
+    def cold(compute, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "_PI_CACHE", PiCache())
+            return compute().mantissa
+
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_any_order_equals_a_cold_cache_and_mpmath(self, order,
+                                                      monkeypatch):
+        monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
+        for depth, digits in self.ORDERS[order]:
+            scale = digits + REFERENCE_GUARD
+            for compute, judge, at in (
+                    (lambda: reference_value(depth, digits),
+                     limit_judge(depth), scale),
+                    (lambda: basel_power(depth - 1, digits + 10),
+                     basel_judge(depth - 1), scale + 10)):
+                mantissa = compute().mantissa
+                assert mantissa == self.cold(compute, monkeypatch)
+                assert mantissa == correctly_rounded(judge, at)
+
+    def test_a_cache_at_the_cap_serves_every_width(self, monkeypatch):
+        # A request past half the cap after one below it grows pi, and the
+        # kept powers with it, to exactly _PI_CAP_BITS; the requests after
+        # it shift from there.
+        cache = PiCache()
+        monkeypatch.setattr(reference, "_PI_CACHE", cache)
+        requests = [(2, 60000), (3, MAX_PI_DIGITS - 10), (self.K + 4, 3000),
+                    (1, 5)]
+        for depth, digits in requests:
+            mantissa = reference_value(depth, digits).mantissa
+            assert mantissa == self.cold(
+                lambda: reference_value(depth, digits), monkeypatch)
+            assert mantissa == correctly_rounded(limit_judge(depth),
+                                                 digits + REFERENCE_GUARD)
+            if depth == 3:
+                assert cache._bits == reference._PI_CAP_BITS
+
+    def test_forced_retry_certifies_every_target(self, monkeypatch):
+        outcomes = []
+        real = reference._round_certified
+
+        def recording(*args):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
+        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+        monkeypatch.setattr(reference, "_round_certified", recording)
+        for depth, digits in [(2, 500), (4, 40), (self.K + 3, 200), (1, 900),
+                              (8, 60)]:
+            values = reference._pi_power_ratios(
+                [reference._basel_target(depth - 1, digits + 10),
+                 *reference._limit_targets(range(1, depth + 1), digits)])
+            judges = [basel_judge(depth - 1)] + [
+                limit_judge(d) for d in range(1, depth + 1)]
+            assert [v.mantissa for v in values] == [
+                correctly_rounded(judge, value.scale)
+                for judge, value in zip(judges, values)]
+        assert None in outcomes
+
+    def test_threads_sharing_a_cache_get_the_cold_values(self, monkeypatch):
+        requests = [(depth, digits) for depth in (1, 2, 5, self.K + 2)
+                    for digits in (30, 300, 1500)]
+        expected = {request: self.cold(
+            lambda: reference_value(*request), monkeypatch)
+            for request in requests}
+        monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
+        results, errors = {}, []
+
+        def worker(order):
+            try:
+                for request in order:
+                    results[request, tuple(order)] = reference_value(
+                        *request).mantissa
+            except Exception as error:  # reported below, on the main thread
+                errors.append(error)
+
+        orders = [requests, requests[::-1], requests[1::2] + requests[::2],
+                  requests[::2] + requests[1::2]]
+        threads = [threading.Thread(target=worker, args=(order,))
+                   for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == len(orders) * len(requests)
+        for (request, _), mantissa in results.items():
+            assert mantissa == expected[request]
+
+    def test_patched_pi_leaves_no_stale_powers(self, monkeypatch):
+        real = reference._chudnovsky_pi_bits
+
+        def skewed(bits):
+            return real(bits) + (1 << max(bits - 40, 0))
+
+        truth = correctly_rounded(limit_judge(3), 90)
+        # A replaced cache, on a skewed pi, while the shared one holds
+        # powers: they are its own, and the shared ones are untouched.
+        shared = reference._PI_CACHE
+        reference_value(3, 80)
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "_chudnovsky_pi_bits", skewed)
+            patch.setattr(reference, "_PI_CACHE", PiCache())
+            assert reference_value(3, 80).mantissa != truth
+        assert reference._PI_CACHE is shared
+        assert reference_value(3, 80).mantissa == truth
+        # One cache grown on the skewed pi, then on the true one: growth
+        # drops the powers formed from the skewed pi.
+        cache = PiCache()
+        monkeypatch.setattr(reference, "_PI_CACHE", cache)
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "_chudnovsky_pi_bits", skewed)
+            assert reference_value(3, 80).mantissa != truth
+        assert len(cache._powers) == 3
+        reference_value(3, 700)
+        assert reference_value(3, 80).mantissa == truth
+
+    def test_never_more_than_the_kept_powers(self, monkeypatch):
+        cache = PiCache()
+        monkeypatch.setattr(reference, "_PI_CACHE", cache)
+        reference_value(2, 100)
+        assert len(cache._powers) == 2
+        kept = list(cache._powers)
+        # A narrower request with no new power forms none.
+        reference_value(1, 50)
+        assert cache._powers == kept
+        for depth in (self.K - 1, 3 * self.K, self.K + 1, 5 * self.K):
+            reference_value(depth, 100)
+            assert len(cache._powers) == min(depth, self.K)
+        assert len(cache._powers) == self.K
+        # Growth drops them, and the next request keeps only its own.
+        reference_value(2, 2000)
+        assert len(cache._powers) == 2

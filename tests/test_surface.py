@@ -165,7 +165,8 @@ class TestCommandLineSurface:
 
 class TestStartUp:
     # Loaded on first use: the symbolic engine and the benchmark (with its
-    # sweep kernel) by their commands, csv and json by their formats;
+    # sweep kernel) by their commands, json by its format. csv is never
+    # loaded: the CLI quotes its csv cells itself (cli._csv_line).
     # dataclasses would pull in inspect, ast and dis on every start.
     # threading and typing are not needed to start at all (7 to 11 ms of
     # a bare start): PiCache locks with _thread, and SeriesResult is a
