@@ -108,13 +108,6 @@ def _chudnovsky_pi_bits(bits: int) -> int:
     return (pi_work + (1 << 15)) >> 16
 
 
-def _shifted(value: int, shift: int) -> int:
-    """value / 2**shift rounded half up: within half a unit of it."""
-    if shift == 0:
-        return value
-    return (value + (1 << (shift - 1))) >> shift
-
-
 def _chain(acc: int, square: int, bits: int):
     """(acc * square) >> bits, then the same with that result, and so on:
     from acc = pi**(2k) * 2**bits and square = pi**2 * 2**bits, the powers
@@ -161,7 +154,9 @@ class PiCache:
     def bits(self, bits: int) -> int:
         with self._lock:
             self._grow(bits)
-            return _shifted(self._value, self._bits - bits)
+            shift = self._bits - bits
+            # Rounded half up, within half a unit; no change at shift 0.
+            return (self._value + ((1 << shift) >> 1)) >> shift
 
     def _square_powers(self, bits: int, top: int) -> list:
         """pi**(2k) * 2**bits for k = 1..min(top, _KEPT_POWERS), top >= 1:
@@ -170,12 +165,15 @@ class PiCache:
         with self._lock:
             self._grow(bits)
             kept, width = self._powers, self._bits
-            if not kept:
-                kept.append((self._value * self._value) >> width)
-            for _, power in zip(range(len(kept), min(top, _KEPT_POWERS)),
-                                _chain(kept[-1], kept[0], width)):
-                kept.append(power)
-            return [_shifted(power, width - bits) for power in kept[:top]]
+            if len(kept) < min(top, _KEPT_POWERS):
+                if not kept:
+                    kept.append((self._value * self._value) >> width)
+                for _, power in zip(range(len(kept), min(top, _KEPT_POWERS)),
+                                    _chain(kept[-1], kept[0], width)):
+                    kept.append(power)
+            shift = width - bits
+            half = (1 << shift) >> 1
+            return [(power + half) >> shift for power in kept[:top]]
 
     def mantissa(self, scale: int) -> int:
         """pi * 10**scale, correctly rounded half-even."""
@@ -291,10 +289,11 @@ def _pi_power_ratios(targets: list) -> list:
         if top:
             kept = _PI_CACHE._square_powers(bits, top)
             at.update(enumerate(kept, 1))
-            for power, acc in zip(range(len(kept) + 1, top + 1),
-                                  _chain(kept[-1], kept[0], bits)):
-                if power >= low:
-                    at[power] = acc
+            if top > len(kept):
+                for power, acc in zip(range(len(kept) + 1, top + 1),
+                                      _chain(kept[-1], kept[0], bits)):
+                    if power >= low:
+                        at[power] = acc
         approximations = []
         for power, divisor, _ in targets:
             value = at[power] // divisor
