@@ -20,10 +20,11 @@ import argparse
 import functools
 import re
 import sys
+from decimal import ROUND_CEILING
 from fractions import Fraction
 
 from .errors import DomainError, InfeasibleError
-from .exactnum import FixedDecimal, div_round_up, int_to_decimal
+from .exactnum import FixedDecimal, int_to_decimal
 from .reference import MAX_PI_DIGITS, REFERENCE_GUARD, sinc_taylor
 from .series import (
     EXACT_TRUNCATION_LIMIT,
@@ -313,9 +314,7 @@ def _render(records: list, output_format: str, payload=None,
 def _bound_text(bound: FixedDecimal, places: int) -> str:
     """bound rounded up, not half-even, at `places` places, so that the
     printed number still bounds what bound does."""
-    return FixedDecimal(div_round_up(bound.mantissa,
-                                     10 ** (bound.scale - places)),
-                        places).to_decimal_string()
+    return bound.to_decimal_string(places, ROUND_CEILING)
 
 
 def _series_record(result: SeriesResult, args) -> dict:

@@ -3,9 +3,21 @@
 Two number representations carry every value in this package. The stdlib
 `fractions.Fraction` (always stored reduced) backs exact mode, where results
 are bit-for-bit reproducible and comparisons are zero-tolerance.
-`FixedDecimal` backs fixed mode: a big-integer mantissa scaled by a power of
-ten, carrying `guard` extra digits beyond the precision the caller asked
-for, with every lossy operation rounding half to even.
+`FixedDecimal` backs fixed mode: a value mantissa * 10**-scale held as one
+`decimal.Decimal`, carrying `guard` extra digits beyond the precision the
+caller asked for, with every lossy operation rounding half to even.
+
+Every Decimal operation in the package runs in an explicit context, never
+the thread's 28-digit default (which `Decimal.scaleb`, `abs()` and `-x`
+would use, rounding silently), and is one of two kinds. It is exact, in
+EXACT, whose precision and exponents are libmpdec's widest and which
+traps Inexact, so that an operation meant to be exact raises rather than
+rounds; or it is a rounding that a certificate counts: to the places
+shown (quantize in ROUNDING, half-even, or up where a bound is printed),
+or to a stated number of significant digits (`working`), whose error the
+reference bounds in `reference._pi_power_ratios` and the ceilings in
+`series._basel_ceiling` account for. A binary integer reaches a Decimal
+exactly, through to_decimal.
 
 Binary floating point is never used to hold a value; floats appear nowhere
 in this module.
@@ -13,7 +25,21 @@ in this module.
 
 from __future__ import annotations
 
+import functools
 import sys
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_DOWN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+)
 from fractions import Fraction
 
 from .errors import DomainError
@@ -38,6 +64,31 @@ RationalLike = int | Fraction
 SPLIT_DIGITS = 1000
 # 10**(2**k) at index k, grown by squaring on first use and kept.
 _TEN_POWERS = [10]
+# Contexts handed to Decimal operations, never set as a thread's context:
+# ROUNDING rounds half-even unless told otherwise, and EXACT raises
+# Inexact where an operation would round.
+ROUNDING = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX,
+                   Emin=MIN_EMIN,
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+EXACT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX,
+                Emin=MIN_EMIN,
+                traps=[InvalidOperation, DivisionByZero, Overflow, Inexact])
+
+
+@functools.lru_cache(maxsize=1024)
+def unit(places: int, digit: int = 1) -> Decimal:
+    """digit * 10**-places, exactly."""
+    return Decimal((0, (digit,), -places))
+
+
+@functools.lru_cache(maxsize=64)
+def working(digits: int, rounding: str = ROUND_HALF_EVEN) -> Context:
+    """A context rounding by `rounding` to `digits` significant digits,
+    shared by every caller that asks the same, so never changed."""
+    context = ROUNDING.copy()
+    context.prec = digits
+    context.rounding = rounding
+    return context
 
 
 def div_round_half_even(numerator: int, denominator: int) -> int:
@@ -130,10 +181,51 @@ def int_to_decimal(value: int) -> str:
     if bound <= SPLIT_DIGITS and (limit == 0 or bound <= limit):
         return str(value)
     k = (bound // 2).bit_length() - 1
+    high, low = divmod(value, _ten_power(k))
+    return int_to_decimal(high) + int_to_decimal(low).rjust(1 << k, "0")
+
+
+def _ten_power(k: int) -> int:
+    """10**(2**k), from the ladder kept for the process."""
     while len(_TEN_POWERS) <= k:
         _TEN_POWERS.append(_TEN_POWERS[-1] ** 2)
-    high, low = divmod(value, _TEN_POWERS[k])
-    return int_to_decimal(high) + int_to_decimal(low).rjust(1 << k, "0")
+    return _TEN_POWERS[k]
+
+
+def to_decimal(value: int, scale: int = 0) -> Decimal:
+    """value * 10**-scale as a Decimal, exactly.
+
+    libmpdec converts an int in time quadratic in its length, faster than
+    int_to_decimal and a string up to SPLIT_DIGITS digits (0.4 against
+    0.9 us at 40 digits, 16 against 19 us at 1000) and slower past them
+    (109 against 91 us at 2400), so past them the string is parsed.
+    """
+    if value.bit_length() * 30103 // 100000 < SPLIT_DIGITS:
+        decimal = Decimal(value)
+        return EXACT.scaleb(decimal, -scale) if scale else decimal
+    return Decimal("%sE-%d" % (int_to_decimal(value), scale))
+
+
+def to_int(value: Decimal) -> int:
+    """int(value) for an integral Decimal, exactly.
+
+    libmpdec's own conversion is quadratic in the length and slower than
+    the split past SPLIT_DIGITS digits (268 against 171 us at 2400, 0.45 s
+    against 36 ms at 99000), so above them the value is split as
+    int_to_decimal splits an int, run backwards: high = value // 10**(2**k)
+    and low = value - high * 10**(2**k), both exact and linear in decimal,
+    joined by one product with the kept 10**(2**k).
+    """
+    if value.is_signed():
+        return -to_int(value.copy_negate())
+    bound = value.adjusted() + 1
+    if bound <= SPLIT_DIGITS or not value:
+        return int(value)
+    k = (bound // 2).bit_length() - 1
+    high = EXACT.scaleb(value, -(1 << k)).to_integral_value(ROUND_DOWN,
+                                                           EXACT)
+    low = EXACT.subtract(value, EXACT.scaleb(high, 1 << k))
+    return to_int(high) * _ten_power(k) + to_int(low)
 
 
 class FixedDecimal:
@@ -141,13 +233,15 @@ class FixedDecimal:
 
     `scale` counts the fractional digits carried internally; `guard` of
     those are safety digits beyond the precision the caller requested, so
-    the displayed precision is ``scale - guard`` digits. Instances are
+    the displayed precision is ``scale - guard`` digits. The value is one
+    Decimal with exponent -scale, formed from the integer mantissa by
+    to_decimal, or handed over as such by _of. Instances are
     immutable. Subtraction is exact; rendering rounds half to even.
     """
 
-    __slots__ = ("mantissa", "scale", "guard")
+    __slots__ = ("decimal", "scale", "guard")
 
-    mantissa: int
+    decimal: Decimal
     scale: int
     guard: int
 
@@ -156,9 +250,14 @@ class FixedDecimal:
             raise DomainError("scale must be nonnegative")
         if guard < 0 or guard > scale:
             raise DomainError("guard digits must satisfy 0 <= guard <= scale")
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "guard", guard)
+        _set_slots(self, to_decimal(mantissa, scale), scale, guard)
+
+    @classmethod
+    def _of(cls, value: Decimal, scale: int, guard: int) -> "FixedDecimal":
+        """The instance holding `value`, a Decimal with exponent -scale."""
+        fixed = object.__new__(cls)
+        _set_slots(fixed, value, scale, guard)
+        return fixed
 
     def __setattr__(self, name, value):
         raise AttributeError("FixedDecimal is immutable")
@@ -176,12 +275,17 @@ class FixedDecimal:
         return cls(mantissa, scale, guard)
 
     @property
+    def mantissa(self) -> int:
+        """value * 10**scale, an integer."""
+        return to_int(EXACT.scaleb(self.decimal, self.scale))
+
+    @property
     def digits(self) -> int:
         """Fractional digits of requested (non-guard) precision."""
         return self.scale - self.guard
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 10**self.scale)
+        return Fraction(self.decimal)
 
     def __sub__(self, other) -> "FixedDecimal":
         """Exact difference at the wider scale, keeping the wider guard."""
@@ -190,18 +294,22 @@ class FixedDecimal:
         scale = max(self.scale, other.scale)
         guard = max(self.guard + scale - self.scale,
                     other.guard + scale - other.scale)
-        return FixedDecimal(self.mantissa * 10 ** (scale - self.scale)
-                            - other.mantissa * 10 ** (scale - other.scale),
-                            scale, guard)
+        return FixedDecimal._of(EXACT.subtract(self.decimal, other.decimal),
+                                scale, guard)
 
     def __abs__(self) -> "FixedDecimal":
-        return FixedDecimal(abs(self.mantissa), self.scale, self.guard)
+        return FixedDecimal._of(self.decimal.copy_abs(), self.scale,
+                                self.guard)
 
-    def to_decimal_string(self, display_digits: int | None = None) -> str:
+    def to_decimal_string(self, display_digits: int | None = None,
+                          rounding: str = ROUND_HALF_EVEN) -> str:
         """Plain decimal string with exactly display_digits fractional
-        digits (default: the non-guard precision), rounded half to even.
+        digits (default: the non-guard precision), rounded half to even,
+        or by another decimal rounding mode such as ROUND_CEILING.
 
-        Never uses exponent notation; a zero integer part renders as "0".
+        One quantize and one format, each linear in the digits. Never uses
+        exponent notation; a zero integer part renders as "0", and a value
+        that rounds to zero as "0", never "-0".
         """
         if display_digits is None:
             display_digits = self.digits
@@ -212,19 +320,25 @@ class FixedDecimal:
                 "cannot display %d fractional digits from a value carrying %d"
                 % (display_digits, self.scale)
             )
-        mantissa = div_round_half_even(
-            self.mantissa, 10 ** (self.scale - display_digits)
-        )
-        sign = "-" if mantissa < 0 else ""
-        digits_str = int_to_decimal(abs(mantissa))
-        if display_digits == 0:
-            return sign + digits_str
-        digits_str = digits_str.rjust(display_digits + 1, "0")
-        whole, frac = digits_str[:-display_digits], digits_str[-display_digits:]
-        return f"{sign}{whole}.{frac}"
+        rounded = self.decimal.quantize(unit(display_digits), rounding,
+                                        ROUNDING)
+        return format(rounded if rounded else rounded.copy_abs(), "f")
 
     def __repr__(self):
         return (
             f"FixedDecimal({self.to_decimal_string(self.scale)!r},"
             f" guard={self.guard})"
         )
+
+
+def _set_slots(fixed: FixedDecimal, value: Decimal, scale: int,
+               guard: int) -> None:
+    """Fill a new instance's slots, past FixedDecimal.__setattr__."""
+    _SET_DECIMAL(fixed, value)
+    _SET_SCALE(fixed, scale)
+    _SET_GUARD(fixed, guard)
+
+
+_SET_DECIMAL = FixedDecimal.decimal.__set__
+_SET_SCALE = FixedDecimal.scale.__set__
+_SET_GUARD = FixedDecimal.guard.__set__

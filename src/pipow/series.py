@@ -49,15 +49,20 @@ import collections
 import functools
 import math
 import operator
+from decimal import ROUND_CEILING
 from fractions import Fraction
 
 from .errors import DomainError, InfeasibleError
 from .exactnum import (
+    EXACT,
+    ROUNDING,
     FixedDecimal,
     decimal_length,
     div_round_half_even,
     div_round_up,
     guard_digits,
+    unit,
+    working,
 )
 from .reference import (
     REFERENCE_GUARD,
@@ -511,9 +516,21 @@ def _basel_ceiling(basel: FixedDecimal, power: int,
     guard places, for U a certified upper bound on (pi**2/6)**power in
     units of 10**-(digits+20), from basel = basel_power(power, digits + 10):
     that carries scale digits+20 and is correctly rounded, so one unit
-    more bounds it from above. Power 0 is exactly 1 and needs no slack."""
-    return FixedDecimal(div_round_up(basel.mantissa + (1 if power else 0),
-                                     divisor * 10**10), basel.scale - 10, 10)
+    more bounds it from above. Power 0 is exactly 1 and needs no slack.
+
+    In decimal: U * 10**-(digits+20), exact, divided by `divisor` rounding
+    toward +infinity, then quantized at 10**-(digits+10) rounding up
+    again. As divisor >= 1, the quotient is below 10**(adjusted(U) + 1)
+    and the division's digits reach 10**-(digits+10); a ceiling on that
+    finer grid, then on the coarser one it contains, is the ceiling on the
+    coarser one."""
+    scale = basel.scale - 10
+    upper = basel.decimal
+    if power:
+        upper = EXACT.add(upper, unit(basel.scale))
+    context = working(upper.adjusted() + scale + 2, ROUND_CEILING)
+    return FixedDecimal._of(context.divide(upper, divisor).quantize(
+        unit(scale), ROUND_CEILING, ROUNDING), scale, 10)
 
 
 def tail_bound(depth: int, truncation: int, digits: int) -> FixedDecimal:
@@ -619,7 +636,8 @@ def converged_plan(depths: range, digits: int,
             values = values or chain()
             basel = values[depth - depths[0]]
         else:
-            basel = FixedDecimal(10 ** (digits + 20), digits + 20, 10)
+            basel = FixedDecimal._of(EXACT.quantize(unit(0), unit(
+                digits + 20)), digits + 20, 10)
         truncation = _basel_ceiling(basel, depth - 1, 10**10 - 1).mantissa
         steps += partial_sum_work(depth, truncation, digits)
         _refuse_above_step_ceiling(steps, request)

@@ -8,11 +8,13 @@ import csv
 import importlib
 import io
 import json
+import random
 import re
 import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipow import bench, cli, reference, series, symmetric, tree
-from pipow.exactnum import FixedDecimal
+from pipow.exactnum import FixedDecimal, int_to_decimal
 from pipow.series import partial_sum, required_truncation
 from pipow.cli import (
     EXIT_INFEASIBLE,
@@ -53,6 +55,72 @@ def assert_certified(records, digits):
             assert bound <= mpmath.mpf(10) ** -digits
             assert (abs(mpmath.mpf(record["value"]) - limit)
                     <= bound + mpmath.mpf(10) ** -digits)
+
+
+def sum_record(out, output_format):
+    """The one record a sum prints, every field a string."""
+    if output_format == "json":
+        return {key: str(value) for key, value in json.loads(out).items()}
+    if output_format == "csv":
+        (row,) = csv.DictReader(io.StringIO(out))
+        return row
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+def places_text(value, places, up=False):
+    """A nonnegative mpmath value at `places` places, rounded half-even
+    (the judge's precision must decide the tie) or up, as the CLI prints
+    it."""
+    scaled = value * mpmath.mpf(10) ** places
+    whole = int(mpmath.floor(scaled))
+    part = scaled - whole
+    if up:
+        whole += part > 0
+    else:
+        assert abs(part - mpmath.mpf(1) / 2) > mpmath.mpf(10) ** -20
+        whole += part > mpmath.mpf(1) / 2
+    text = int_to_decimal(whole).rjust(places + 1, "0")
+    return text[:-places] + "." + text[-places:]
+
+
+class TestWideRequests:
+    """Fixed sums shaped like the benchmark's wide workload, through
+    cli.main, against mpmath: the limit and the observed error rounded
+    half-even, and a tail bound at least (pi**2/6)**(depth-1) / N and
+    within one printed unit of it rounded up."""
+
+    @staticmethod
+    def requests():
+        rng = random.Random(28)
+        return [(1 + i % 4, rng.randint(20, 300), rng.randint(500, 4297),
+                 ("text", "json", "csv")[i % 3]) for i in range(16)]
+
+    @pytest.mark.parametrize("depth, truncation, digits, output_format",
+                             requests())
+    def test_columns_match_mpmath(self, capsys, depth, truncation, digits,
+                                  output_format):
+        code, out, err = run_cli(
+            capsys, "sum", "--mode", "fixed", "--depth", str(depth),
+            "--upto", str(truncation), "--digits", str(digits), "--format",
+            output_format)
+        assert (code, err) == (EXIT_OK, "")
+        record = sum_record(out, output_format)
+        with mpmath.workdps(digits + 40):
+            # S_depth(N) as the elementary symmetric polynomial of 1/l**2.
+            row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * depth
+            for index in range(1, truncation + 1):
+                x = mpmath.mpf(1) / (index * index)
+                for j in range(depth, 0, -1):
+                    row[j] += row[j - 1] * x
+            limit = mpmath.pi ** (2 * depth) / mpmath.factorial(2 * depth + 1)
+            bound = (mpmath.pi ** 2 / 6) ** (depth - 1) / truncation
+            assert record["reference"] == places_text(limit, digits)
+            assert record["abs_error"] == places_text(
+                abs(limit - row[depth]), digits + 2)
+            # Decimal reads these strings past the int-str digit limit.
+            printed, least = (Fraction(Decimal(text)) for text in (
+                record["tail_bound"], places_text(bound, digits + 2, up=True)))
+            assert least <= printed <= least + Fraction(1, 10 ** (digits + 2))
 
 
 class TestSumCommand:

@@ -338,6 +338,104 @@ class TestSplitRendering:
         assert all(ladder[k] == 10**2**k for k in range(len(ladder)))
 
 
+def int_path(mantissa: int, scale: int, display: int, up=False) -> str:
+    """The rendering FixedDecimal had before it held a Decimal: integer
+    rounding of the mantissa, then int_to_decimal, kept as the judge."""
+    divisor = 10 ** (scale - display)
+    rounded = (div_round_up(mantissa, divisor) if up
+               else div_round_half_even(mantissa, divisor))
+    sign = "-" if rounded < 0 else ""
+    digits = int_to_decimal(abs(rounded))
+    if display == 0:
+        return sign + digits
+    digits = digits.rjust(display + 1, "0")
+    return f"{sign}{digits[:-display]}.{digits[-display:]}"
+
+
+class TestDecimalRenderer:
+    """quantize and format against the integer path, on mantissas from
+    hypothesis and on the edges: zero, negatives, values that round to
+    zero, no places shown, and scales past the int-str digit limit."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(mantissa=st.integers(min_value=-10**40, max_value=10**40),
+           scale=st.integers(min_value=0, max_value=45),
+           data=st.data())
+    def test_matches_the_int_path(self, mantissa, scale, data):
+        display = data.draw(st.integers(min_value=0, max_value=scale))
+        fixed = FixedDecimal(mantissa, scale)
+        assert fixed.to_decimal_string(display) == int_path(
+            mantissa, scale, display)
+        assert fixed.to_decimal_string(display, "ROUND_CEILING") == (
+            int_path(mantissa, scale, display, up=True))
+
+    @pytest.mark.parametrize("mantissa, scale, display, expected", [
+        (0, 0, 0, "0"),
+        (0, 5, 3, "0.000"),
+        (-4, 1, 0, "0"),        # -0.4 rounds to zero: never "-0"
+        (-5, 1, 0, "0"),        # -0.5 ties to the even zero
+        (-15, 1, 0, "-2"),
+        (-49, 3, 1, "0.0"),
+        (-51, 3, 1, "-0.1"),
+        (12345, 2, 0, "123"),
+        (12355, 2, 1, "123.6"),
+        (7, 0, 0, "7"),
+    ])
+    def test_edges(self, mantissa, scale, display, expected):
+        assert int_path(mantissa, scale, display) == expected
+        assert FixedDecimal(mantissa, scale).to_decimal_string(
+            display) == expected
+
+    def test_rounding_up_to_zero_is_unsigned(self):
+        assert FixedDecimal(-4, 1).to_decimal_string(0, "ROUND_CEILING") == (
+            "0")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_past_the_int_str_limit(self, sign):
+        # Under the default limit of 4300 digits, mantissas of 5000 and
+        # 9000 digits render at scales of 4400 and 8990 places.
+        assert sys.get_int_max_str_digits() == 4300
+        rng = random.Random(28)
+        for length, scale in ((5000, 4400), (9000, 8990)):
+            mantissa = sign * rng.randrange(10 ** (length - 1), 10**length)
+            fixed = FixedDecimal(mantissa, scale, guard=10)
+            assert fixed.mantissa == mantissa
+            for display in (0, 1, scale - 10, scale):
+                assert fixed.to_decimal_string(display) == int_path(
+                    mantissa, scale, display)
+
+    def test_subtraction_and_abs_stay_exact_past_28_digits(self):
+        # The thread's default context would round these to 28 digits.
+        a = FixedDecimal(10**60 + 1, 60)
+        b = FixedDecimal(-(10**59), 61)
+        assert (a - b).mantissa == (10**60 + 1) * 10 + 10**59
+        assert abs(b - a).mantissa == (a - b).mantissa
+        assert abs(b).to_decimal_string(61) == "0.01" + "0" * 59
+
+
+class TestToInt:
+    """to_int against int() on either side of SPLIT_DIGITS, at every cut
+    of the split, and past the int-str digit limit."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(value=st.integers(min_value=-10**2500, max_value=10**2500))
+    def test_matches_int(self, value):
+        assert exactnum.to_int(exactnum.to_decimal(value)) == value
+
+    def test_edges(self):
+        rng = random.Random(28)
+        values = [0, 1, -1, 10**exactnum.SPLIT_DIGITS,
+                  10**exactnum.SPLIT_DIGITS - 1, 10**(2 * 1024),
+                  -(10**9000 + 7)]
+        values += [rng.randrange(10**(n - 1), 10**n)
+                   for n in (1001, 2047, 2048, 2049, 4301, 9000)]
+        for value in values:
+            assert exactnum.to_int(exactnum.to_decimal(value)) == value
+        # An integral value written with a positive exponent.
+        assert exactnum.to_int(exactnum.to_decimal(123, -1500)) == (
+            123 * 10**1500)
+
+
 class TestFixedDecimalArithmetic:
     def test_aligned_sub_exact(self):
         a = FixedDecimal.from_rational(Fraction(1, 8), 6)

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 
 from pipow import reference, series
 from pipow.errors import DomainError
-from pipow.exactnum import div_round_half_even
+from pipow.exactnum import decimal_length, div_round_half_even
 from pipow.reference import (
     MAX_PI_DIGITS,
     PiCache,
@@ -224,31 +225,36 @@ class TestPiCache:
         # Doubling below the cap, the cap for a request just wider than a
         # cache near it, and exactly the width asked past the cap.
         assert widths == [100, 200, 400, cap - 70, cap, cap + 1]
-        # A fixed sum at the widest digits, then one that needs two more
-        # bits for its powers of pi**2: pi at the cap, not at twice 332295
-        # bits (3.2 s).
+        # A fixed sum at the widest digits, then one whose (pi**2/6)**11
+        # needs three more places: pi at the cap, not at twice 332300 bits
+        # (3.2 s).
         monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
         widths.clear()
         series.sum_plan(1, 100, "fixed", 99989)
-        series.sum_plan(3, 100, "fixed", 99989)
-        assert widths == [332295, cap]
+        series.sum_plan(12, 100, "fixed", 99989)
+        assert widths == [332300, cap]
 
     def test_cap_covers_every_accepted_first_try(self):
-        # A series request's chain first asks its widest target, digits +
-        # 2*REFERENCE_GUARD places, plus _GUARD_BITS and one bit per power
-        # of pi**2; its estimate counts the chain twice, and STEP_CEILING
-        # admits fewer powers the wider they are.
+        # A series request's chain first asks the bits of its widest
+        # target, (pi**2/6)**(depth-1) at digits + 2*REFERENCE_GUARD
+        # places, whose working digits add _GUARD_DIGITS and the digits of
+        # 2*depth + 3 less one, and its integer digits, one more than
+        # estimated; its step estimate counts the chain twice, and
+        # STEP_CEILING admits fewer powers the wider they are.
         guard = reference.REFERENCE_GUARD
         widths = {}
         for digits in (1000, 10000, 50000, 99000, MAX_PI_DIGITS - guard):
-            power = 0
-            while 2 * reference.pi_power_work(power + 1, digits + guard) <= (
+            depth = 0
+            while 2 * reference.pi_power_work(depth + 1, digits + guard) <= (
                     series.STEP_CEILING):
-                power += 1
-            widths[digits] = ((digits + 2 * guard) * 3322 // 1000 + 1
-                              + reference._GUARD_BITS + power)
+                depth += 1
+            power = depth - 1
+            working = (power * 9943 // 10000 + 2 - decimal_length(6**power)
+                       + digits + 2 * guard + reference._GUARD_DIGITS
+                       + len(str(2 * depth + 3)) - 1)
+            widths[digits] = working * 3322 // 1000 + 1
         widest = widths[MAX_PI_DIGITS - guard]
-        assert max(widths.values()) == widest == 332350
+        assert max(widths.values()) == widest == 332347
         assert widest <= reference._PI_CAP_BITS < widest + 64
 
     def test_import_computes_no_pi(self):
@@ -342,6 +348,24 @@ class TestSincTaylor:
             sinc_taylor(Fraction(1, 2), 0)
 
 
+def force_the_retry(monkeypatch) -> list:
+    """The outcomes, in order, of every certified rounding, binary
+    (_round_certified) and decimal (_round_near), with the least first
+    guard of each."""
+    outcomes = []
+    for name in ("_round_certified", "_round_near"):
+        real = getattr(reference, name)
+
+        def recording(*args, real=real):
+            outcomes.append(real(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(reference, name, recording)
+    monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+    monkeypatch.setattr(reference, "_GUARD_DIGITS", 0)
+    return outcomes
+
+
 class TestCorrectRounding:
     """Every mantissa is v * 10**(digits + guard) rounded half-even, judged
     by mpmath at more than twice the digits."""
@@ -387,17 +411,10 @@ class TestCorrectRounding:
         assert sinc_taylor(x, digits).mantissa == expected
 
     def test_forced_near_tie_takes_the_retry(self, monkeypatch):
-        # One guard bit puts the error bound across the half point, so the
-        # first try cannot decide and the doubled guard must.
-        outcomes = []
-        real = reference._round_certified
-
-        def recording(*args):
-            outcomes.append(real(*args))
-            return outcomes[-1]
-
-        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
-        monkeypatch.setattr(reference, "_round_certified", recording)
+        # One guard bit, or no guard place past the error factor's digits,
+        # puts the error bound across the half point, so the first try
+        # cannot decide and the doubled guard must.
+        outcomes = force_the_retry(monkeypatch)
         scale = 500 + REFERENCE_GUARD
         cases = [
             (lambda: reference_value(3, 500),
@@ -425,6 +442,22 @@ class TestCorrectRounding:
         assert reference._round_certified(5 * 256 + 13, 8, 3, 1) is None
         assert reference._round_certified(5 * 256 + 14, 8, 1, 1) == 51
         assert reference._round_certified(-(5 << 8) - 124, 8, 3, 0) == -5
+
+    def test_decimal_rounds_only_outside_the_error_bound(self):
+        # The half point of the last of 2 places is 0.125 for 0.12|3...:
+        # within the error of it the rounding stays open.
+        near = reference._round_near
+        assert near(Decimal("0.1249"), Decimal("0.0001"), 2) is None
+        assert near(Decimal("0.1251"), Decimal("0.0001"), 2) is None
+        assert near(Decimal("0.1248"), Decimal("0.0001"), 2) == Decimal(
+            "0.12")
+        assert near(Decimal("0.1252"), Decimal("0.0001"), 2) == Decimal(
+            "0.13")
+        # An exact tie waits even with no error; a value on the grid never.
+        assert near(Decimal("0.125"), Decimal(0), 2) is None
+        assert near(Decimal("1"), Decimal("0.004"), 2) == Decimal("1.00")
+        rounded = near(Decimal("3.14159"), Decimal("1E-9"), 3)
+        assert str(rounded) == "3.142" and rounded.as_tuple().exponent == -3
 
 
 def round_certified_by_ten(value, bits, error, scale):
@@ -512,15 +545,7 @@ class TestOneChain:
             reference_value(depth, digits).mantissa)
             for depth in range(1, 9) for digits in (1, 50, 500)
             for truncation in (0, 1)}
-        outcomes = []
-        real = reference._round_certified
-
-        def recording(*args):
-            outcomes.append(real(*args))
-            return outcomes[-1]
-
-        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
-        monkeypatch.setattr(reference, "_round_certified", recording)
+        outcomes = force_the_retry(monkeypatch)
         for (depth, digits, truncation), pair in expected.items():
             (basel, limit), _ = chained(depth, digits, truncation)
             assert (basel.mantissa, limit.mantissa) == pair
@@ -530,18 +555,18 @@ class TestOneChain:
         calls = []
         real = reference._PI_CACHE._square_powers
 
-        def counting(bits, top):
-            calls.append((bits, top))
-            return real(bits, top)
+        def counting(digits, top):
+            calls.append((digits, top))
+            return real(digits, top)
 
         monkeypatch.setattr(reference._PI_CACHE, "_square_powers", counting)
         chained(5, 300, 10)
         assert [top for _, top in calls] == [5]
 
     def test_one_retry_serves_every_open_target(self, monkeypatch):
-        # The targets of a table of rows 1..8 at 60 digits, tried with one
-        # guard bit: several stay open, and each retry forms one chain,
-        # wider than the last, for all of them.
+        # The targets of a table of rows 1..8 at 60 digits, tried with no
+        # guard place past the error factor's: several stay open, and each
+        # retry forms one chain, wider than the last, for all of them.
         def targets():
             return ([reference._basel_target(depth - 1, 70)
                      for depth in range(1, 9)]
@@ -550,26 +575,27 @@ class TestOneChain:
         expected = [v.mantissa for v in reference._pi_power_ratios(targets())]
         chains, outcomes = [], []
         real_powers, real_round = (reference._PI_CACHE._square_powers,
-                                   reference._round_certified)
+                                   reference._round_near)
 
-        def counting(bits, top):
-            chains.append(bits)
-            return real_powers(bits, top)
+        def counting(digits, top):
+            chains.append(digits)
+            return real_powers(digits, top)
 
-        def recording(value, bits, error, scale):
-            outcomes.append((bits, real_round(value, bits, error, scale)))
+        def recording(value, error, scale):
+            # Each rounding under the try of the last request for powers.
+            outcomes.append((len(chains), real_round(value, error, scale)))
             return outcomes[-1][1]
 
-        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
+        monkeypatch.setattr(reference, "_GUARD_DIGITS", 0)
         monkeypatch.setattr(reference._PI_CACHE, "_square_powers", counting)
-        monkeypatch.setattr(reference, "_round_certified", recording)
+        monkeypatch.setattr(reference, "_round_near", recording)
         values = reference._pi_power_ratios(targets())
         assert [v.mantissa for v in values] == expected
-        first = [rounded for bits, rounded in outcomes if bits == chains[0]]
+        first = [rounded for tried, rounded in outcomes if tried == 1]
         assert first.count(None) >= 2
         assert all(a < b for a, b in zip(chains, chains[1:]))
-        assert None not in [rounded for bits, rounded in outcomes
-                            if bits == chains[-1]]
+        assert None not in [rounded for tried, rounded in outcomes
+                            if tried == len(chains)]
 
 
 def limit_judge(depth):
@@ -581,9 +607,10 @@ def basel_judge(power):
 
 
 class TestKeptPowers:
-    """PiCache keeps pi**(2k) * 2**B for k up to _KEPT_POWERS at its own
-    width B; a request shifts them to its width and runs the chain on past
-    them. Every mantissa must be what a cold cache and mpmath give."""
+    """PiCache keeps pi**(2k) for k up to _KEPT_POWERS as Decimals of the
+    digits its width B holds; a request rounds them to its working digits
+    and forms the powers past them. Every mantissa must be what a cold
+    cache and mpmath give."""
 
     K = reference._KEPT_POWERS
     # (depth, digits) limits, asked of one cache in this order.
@@ -618,7 +645,7 @@ class TestKeptPowers:
     def test_a_cache_at_the_cap_serves_every_width(self, monkeypatch):
         # A request past half the cap after one below it grows pi, and the
         # kept powers with it, to exactly _PI_CAP_BITS; the requests after
-        # it shift from there.
+        # it round the kept powers from there.
         cache = PiCache()
         monkeypatch.setattr(reference, "_PI_CACHE", cache)
         requests = [(2, 60000), (3, MAX_PI_DIGITS - 10), (self.K + 4, 3000),
@@ -633,16 +660,8 @@ class TestKeptPowers:
                 assert cache._bits == reference._PI_CAP_BITS
 
     def test_forced_retry_certifies_every_target(self, monkeypatch):
-        outcomes = []
-        real = reference._round_certified
-
-        def recording(*args):
-            outcomes.append(real(*args))
-            return outcomes[-1]
-
         monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
-        monkeypatch.setattr(reference, "_GUARD_BITS", 1)
-        monkeypatch.setattr(reference, "_round_certified", recording)
+        outcomes = force_the_retry(monkeypatch)
         for depth, digits in [(2, 500), (4, 40), (self.K + 3, 200), (1, 900),
                               (8, 60)]:
             values = reference._pi_power_ratios(
@@ -718,6 +737,22 @@ class TestKeptPowers:
         assert len(cache._powers) == 3
         reference_value(3, 700)
         assert reference_value(3, 80).mantissa == truth
+
+    def test_deep_powers_equal_mpmath(self, monkeypatch):
+        # Past the kept powers the first power read is formed by squaring
+        # the sixteenth, at every remainder of its power by 16 and at none;
+        # a sum's pair reads it and the one after it.
+        # 1100 places leave the judge's 2 * scale + 50 digits room for
+        # the 1081 integer digits of (pi**2/6)**5000.
+        monkeypatch.setattr(reference, "_PI_CACHE", PiCache())
+        for power in (17, 31, 32, 33, 47, 100, 1000, 5000):
+            assert basel_power(power, 1100).mantissa == correctly_rounded(
+                basel_judge(power), 1100 + REFERENCE_GUARD)
+        (basel, limit), _ = chained(1000, 1100, 5)
+        assert basel.mantissa == correctly_rounded(basel_judge(999),
+                                                   basel.scale)
+        assert limit.mantissa == correctly_rounded(limit_judge(1000),
+                                                   limit.scale)
 
     def test_never_more_than_the_kept_powers(self, monkeypatch):
         cache = PiCache()

@@ -594,6 +594,17 @@ class TestTailBound:
             assert true_tail_hi <= bound
             assert lo - prefix[truncation] >= 0
 
+    def test_rounded_basel_gets_one_unit_of_slack(self):
+        # A correctly rounded (pi**2/6)**p may lie half a unit below the
+        # true one, so its ceiling starts one unit above it: 21 * 10**10
+        # units over 7 * 10**10 give 4, not 3. (pi**2/6)**0 = 1 is exact.
+        basel = FixedDecimal(21 * 10**10, 20, 10)
+        assert series._basel_ceiling(basel, 1, 7).mantissa == 4
+        assert series._basel_ceiling(basel, 0, 7).mantissa == 3
+        assert series._basel_ceiling(basel, 0, 8).mantissa == 3
+        assert (series._basel_ceiling(basel, 1, 7).scale,
+                series._basel_ceiling(basel, 1, 7).guard) == (10, 10)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             tail_bound(0, 10, 10)
