@@ -50,6 +50,7 @@ __all__ = [
     "div_exact",
     "div_round_half_even",
     "div_round_up",
+    "div_to_decimal",
     "guard_digits",
     "int_to_decimal",
 ]
@@ -204,6 +205,38 @@ def to_decimal(value: int, scale: int = 0) -> Decimal:
         decimal = Decimal(value)
         return EXACT.scaleb(decimal, -scale) if scale else decimal
     return Decimal("%sE-%d" % (int_to_decimal(value), scale))
+
+
+def div_to_decimal(numerator: int, denominator: int, scale: int) -> Decimal:
+    """numerator/denominator rounded half-even at 10**-scale, as a Decimal
+    with exponent -scale: to_decimal(div_round_half_even(numerator *
+    10**scale, denominator), scale), for a positive denominator.
+
+    Whichever side is shorter is converted from binary: below 10**scale
+    the numerator and the denominator, divided once in EXACT, with the
+    quotient's parity read by a remainder by 2 (int() of it would be
+    quadratic); else the quotient of the binary rounding. 10**scale is
+    formed only where the denominator's bit length b leaves the comparison
+    open: 2**b <= 10**scale for b <= 3.3219 * scale.
+    """
+    if denominator <= 0:
+        raise DomainError("division requires a positive denominator")
+    if denominator.bit_length() * 10000 > scale * 33219:
+        one = 10**scale
+        if denominator >= one:
+            return to_decimal(div_round_half_even(numerator * one,
+                                                  denominator), scale)
+    divisor = to_decimal(denominator)
+    quotient, remainder = EXACT.divmod(
+        EXACT.scaleb(to_decimal(numerator), scale), divisor)
+    # The quotient truncates towards zero and the remainder takes the
+    # numerator's sign, so |numerator| is rounded and the sign carried back;
+    # a nonzero numerator has |quotient| >= 1 here, so no -0 is formed.
+    twice = EXACT.add(remainder, remainder).copy_abs()
+    if twice > divisor or (twice == divisor
+                           and EXACT.remainder(quotient, 2)):
+        quotient = EXACT.add(quotient, -1 if numerator < 0 else 1)
+    return EXACT.scaleb(quotient, -scale)
 
 
 def to_int(value: Decimal) -> int:

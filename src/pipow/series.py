@@ -16,22 +16,21 @@ Two arithmetic modes: exact rationals (the product tree, bit-for-bit,
 practical for small N) and guarded fixed-point decimals. The product tree
 serves exact mode, and fixed mode where a measured rule says so: its root
 (`tree.reduced_coefficients`) forms only the coefficients [t**j]
-prod_{l<=N} (l**2 + t) that are read, over their denominator bound, exact
-or rounded once at 10**-scale, and requests at any N share its blocks.
-Elsewhere a fixed value is an entry of the mantissa row
-[S_0 .. S_n](N) at 10**-scale that the power sums
-p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities on binary
-scaled integers (`_newton_row`), which need every entry below the
-one returned: summed term by term up to an Euler-Maclaurin cutoff M and
-from the certified Euler-Maclaurin tail past it, each entry within one
-unit of exact under a closed-form radius of O(R * log depth) units, R the
-largest power-sum error (`_newton_radius`), so no pass but the row's
-grows with the depth; only the entries read are rounded to 10**-scale.
-A fixed sum reads entry n, and the sinc series weighs every entry: both
-read `_fixed_row`, which rounds each entry it returns by one long
-division on either route. Past a head of factors, the sinc product takes
-its tail from Euler-Maclaurin tail sums of its own and Newton's
-identities (`_product_plan`), so it too costs the same at any truncation.
+prod_{l<=N} (l**2 + t) that are read, exact over their denominator bound
+D, and requests at any N share its blocks. Elsewhere a fixed value is an
+entry of the row [S_0 .. S_n](N) over 2**bits that the power sums
+p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities (`_newton_row`),
+which need every entry below the one returned: summed term by term up to
+an Euler-Maclaurin cutoff M and from the certified Euler-Maclaurin tail
+past it, each entry within one unit of exact under a closed-form radius
+of O(R * log depth) units, R the largest power-sum error
+(`_newton_radius`), so no pass but the row's grows with the depth. Of
+the row unrounded over its divisor (`_raw_row`), only the entries read
+are rounded at 10**-scale: a fixed sum's by `exactnum.div_to_decimal`,
+in decimal where D < 10**scale, the sinc series' each by a long division
+(`_fixed_row`). Past a head of factors, the sinc product takes its tail
+from Euler-Maclaurin tail sums of its own and Newton's identities
+(`_product_plan`), so it too costs the same at any truncation.
 
 A plan decides each choice of a request once, and its estimate, its
 refusal and its run read it. A row's route, working precision and cost
@@ -60,6 +59,7 @@ from .exactnum import (
     decimal_length,
     div_round_half_even,
     div_round_up,
+    div_to_decimal,
     guard_digits,
     unit,
     working,
@@ -321,7 +321,7 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
     P_i by the chain t //= l*l, which stops once t reaches 0; past the
     head, P_i gains the tail _tail_sums where that can reach one unit
     (_tail_terms). The caller rounds the entries it reads half-even once
-    at 10**-scale (_fixed_row): within half a unit of that rounding plus
+    at 10**-scale (see _raw_row): within half a unit of that rounding plus
     under half a unit of _newton_radius, so within one unit of exact.
     """
     _, _, bits, head = _row_plan(depth, truncation, scale)
@@ -359,18 +359,19 @@ def _tree_row_is_cheaper(depth: int, truncation: int, scale: int) -> bool:
     return 16 * scale >= truncation * (16 + depth)
 
 
-def _fixed_row(depth: int, truncation: int, scale: int, first: int) -> list:
-    """Mantissas of S_first .. S_depth(N) at 10**-scale, on the route of
-    _row_plan: each entry e, tree.reduced_coefficients' over their bound
-    or _newton_row's over 2**bits, rounded half-even once as e * 10**scale
-    / divisor, so the tree's are correctly rounded and Newton's within one
-    unit of exact. A fixed partial_sum reads entry `depth`, sinc_series all.
-    """
+def _raw_row(depth: int, truncation: int, scale: int, first: int) -> tuple:
+    """([e_first .. e_depth], divisor), S_j(N) unrounded on the route of
+    _row_plan: tree.reduced_coefficients' over their bound D, exact, or
+    _newton_row's over 2**bits, within one unit rounded at 10**-scale."""
     if _row_plan(depth, truncation, scale).route == "tree":
-        row, divisor = tree.reduced_coefficients(depth, truncation, first)
-    else:
-        bits, row = _newton_row(depth, truncation, scale)
-        row, divisor = row[first:], 1 << bits
+        return tree.reduced_coefficients(depth, truncation, first)
+    bits, row = _newton_row(depth, truncation, scale)
+    return row[first:], 1 << bits
+
+
+def _fixed_row(depth: int, truncation: int, scale: int, first: int) -> list:
+    """_raw_row's entries as mantissas, rounded half-even at 10**-scale."""
+    row, divisor = _raw_row(depth, truncation, scale, first)
     one = 10**scale
     return [div_round_half_even(e * one, divisor) for e in row]
 
@@ -447,11 +448,9 @@ def partial_sum(
 
     mode "fixed" returns a FixedDecimal carrying `digits` requested places
     plus guard_digits(depth*truncation) guard places: entry `depth` of
-    _fixed_row(depth, N, scale, depth), the only entry it forms. On the
-    tree route of _row_plan that is a * 10**scale / D with one half-even
-    rounding, correctly rounded; else the power sums' row by Newton's
-    identities, within one unit in the last carried place. Both routes stay
-    well inside the guard, the sweep kernel's budget of depth*N/2 units.
+    _raw_row, the only entry it forms, rounded half-even by div_to_decimal:
+    on the tree route a / D, correctly rounded; else Newton's over 2**bits,
+    within one unit in the last place carried, well inside the guard.
     """
     _check_depth_truncation(depth, truncation)
     if mode == "exact":
@@ -462,8 +461,9 @@ def partial_sum(
             raise DomainError("fixed mode requires at least one digit")
         guard = guard_digits(depth * truncation)
         scale = digits + guard
-        (mantissa,) = _fixed_row(depth, truncation, scale, depth)
-        return FixedDecimal(mantissa, scale, guard)
+        (entry,), divisor = _raw_row(depth, truncation, scale, depth)
+        return FixedDecimal._of(div_to_decimal(entry, divisor, scale), scale,
+                                guard)
     raise DomainError(f"unknown mode {mode!r}; expected 'exact' or 'fixed'")
 
 

@@ -8,6 +8,7 @@ string oracle does schoolbook long division and rounds from the remainder.
 import random
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from pipow.exactnum import (
     div_exact,
     div_round_half_even,
     div_round_up,
+    div_to_decimal,
     guard_digits,
     int_to_decimal,
 )
@@ -434,6 +436,86 @@ class TestToInt:
         # An integral value written with a positive exponent.
         assert exactnum.to_int(exactnum.to_decimal(123, -1500)) == (
             123 * 10**1500)
+
+
+def binary_quotient(numerator: int, denominator: int, scale: int) -> tuple:
+    """The binary half-even rounding of numerator * 10**scale / denominator,
+    then int_to_decimal, kept as the judge: sign, digits and exponent."""
+    mantissa = div_round_half_even(numerator * 10**scale, denominator)
+    return Decimal("%sE-%d" % (int_to_decimal(mantissa), scale)).as_tuple()
+
+
+class TestDivToDecimal:
+    """div_to_decimal against the binary rounding, on either side of
+    D < 10**scale: hypothesis operands, forced ties, zero and negative
+    numerators, scale 0, quotients of 1 and more, and operands past the
+    int-str digit limit."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(numerator=st.integers(min_value=-10**70, max_value=10**70),
+           scale=st.integers(min_value=0, max_value=60),
+           data=st.data())
+    def test_matches_the_binary_rounding(self, numerator, scale, data):
+        below = scale > 0 and data.draw(st.booleans())
+        denominator = data.draw(
+            st.integers(min_value=1, max_value=10**scale - 1) if below
+            else st.integers(min_value=10**scale, max_value=10**(scale + 30)))
+        assert div_to_decimal(numerator, denominator, scale).as_tuple() == (
+            binary_quotient(numerator, denominator, scale))
+
+    @pytest.mark.parametrize("scale, odd", [
+        (2, 1), (2, 3), (2, 7), (3, 7), (7, 9), (40, 1), (40, 10**9 + 7)])
+    def test_ties_go_to_the_even_quotient(self, scale, odd):
+        # D = 2**(scale+1) * odd < 10**scale and numerator = odd * b for an
+        # odd b: the scaled quotient is b * 5**scale / 2, a half, whose
+        # floor is odd or even with b.
+        denominator = 2**(scale + 1) * odd
+        assert denominator < 10**scale
+        parities = set()
+        for b in (1, 3, 5, 7, 10**20 + 1, 10**20 + 3):
+            numerator = odd * b
+            assert 2 * (numerator * 10**scale % denominator) == denominator
+            parities.add((b * 5**scale - 1) // 2 % 2)
+            for signed in (numerator, -numerator):
+                assert div_to_decimal(signed, denominator, scale).as_tuple(
+                ) == binary_quotient(signed, denominator, scale)
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("numerator, denominator, scale, expected", [
+        (5, 2, 0, "2"), (7, 2, 0, "4"), (-5, 2, 0, "-2"), (-7, 2, 0, "-4"),
+        (1, 8, 2, "0.12"), (3, 8, 2, "0.38"), (-1, 8, 2, "-0.12"),
+        (-3, 8, 2, "-0.38"), (0, 7, 0, "0"), (0, 7, 5, "0.00000"),
+        (0, 10**9, 5, "0.00000"), (-1, 3, 1, "-0.3"), (-1, 30, 1, "0.0"),
+        (10**40 + 7, 3, 20, "3" * 39 + "5." + "6" * 19 + "7"),
+        (22, 7, 0, "3"), (22, 7, 6, "3.142857")])
+    def test_edges(self, numerator, denominator, scale, expected):
+        got = div_to_decimal(numerator, denominator, scale)
+        assert format(got, "f") == expected
+        assert got.as_tuple() == binary_quotient(numerator, denominator,
+                                                 scale)
+
+    def test_past_the_int_str_limit(self):
+        # Under the default limit of 4300 digits: 5000-digit operands over
+        # a D below 10**scale (6000 places) and above it (3000), and a
+        # 9000-digit quotient over a 3000-digit D.
+        assert sys.get_int_max_str_digits() == 4300
+        rng = random.Random(29)
+        for sign in (1, -1):
+            for length, scale, d_length in ((5000, 6000, 5000),
+                                            (5000, 3000, 5000),
+                                            (5000, 7000, 3000)):
+                numerator = sign * rng.randrange(10**(length - 1),
+                                                 10**length)
+                denominator = rng.randrange(10**(d_length - 1),
+                                            10**d_length)
+                assert div_to_decimal(numerator, denominator, scale
+                                      ).as_tuple() == binary_quotient(
+                    numerator, denominator, scale)
+
+    def test_rejects_nonpositive_denominator(self):
+        for denominator in (0, -3):
+            with pytest.raises(DomainError):
+                div_to_decimal(1, denominator, 5)
 
 
 class TestFixedDecimalArithmetic:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipow import _backend, series, tree
+from pipow import _backend, exactnum, series, tree
 from pipow.bench import (
     newton_cross_check,
     partial_sum_naive,
@@ -947,6 +947,56 @@ class TestOneTreeCoefficient:
         # The tree's entry is correctly rounded.
         assert abs(fixed.as_fraction() - exact) <= Fraction(
             1, 2 * 10**fixed.scale)
+
+
+class TestValueRounding:
+    """A fixed sum's value is a/D rounded by exactnum.div_to_decimal: in
+    decimal where D < 10**scale, else by the binary long division. The
+    judge is FixedDecimal.from_rational of the exact sum."""
+
+    @staticmethod
+    def judged(depth, truncation, digits, route):
+        scale = digits + guard_digits(depth * truncation)
+        assert series._row_plan(depth, truncation, scale).route == route
+        exact = partial_sum(depth, truncation)
+        judge = FixedDecimal.from_rational(exact, digits,
+                                           guard_digits(depth * truncation))
+        return scale, judge
+
+    @staticmethod
+    def same(value, judge):
+        return ((value.decimal.as_tuple(), value.scale, value.guard)
+                == (judge.decimal.as_tuple(), judge.scale, judge.guard))
+
+    def test_wide_sum_converts_no_long_quotient(self, monkeypatch):
+        # Depth 4, N = 300 at 4200 places: D has a few hundred digits, so
+        # the value is divided in decimal and nothing is converted by
+        # int_to_decimal.
+        scale, judge = self.judged(4, 300, 4200, "tree")
+        _, bound = tree.reduced_coefficients(4, 300, 4)
+        assert bound < 10**scale
+
+        def no_conversion(value):
+            raise AssertionError("the quotient was converted from binary")
+
+        monkeypatch.setattr(exactnum, "int_to_decimal", no_conversion)
+        assert self.same(partial_sum(4, 300, "fixed", 4200), judge)
+
+    @pytest.mark.parametrize("depth, truncation, digits, route", [
+        (2, 1000, 1126, "tree"),    # D >= 10**scale: the binary branch
+        (3, 200, 30, "newton"),     # over 2**bits > 10**scale
+        (4, 3000, 60, "newton"),
+        (3, 0, 40, "tree"),         # --upto 0: S_3(0) = 0
+        (5, 3, 700, "tree"),        # N < depth: 0
+        (5, 4, 20, "tree")])
+    def test_equals_the_rounded_exact_sum(self, depth, truncation, digits,
+                                          route):
+        scale, judge = self.judged(depth, truncation, digits, route)
+        _, divisor = series._raw_row(depth, truncation, scale, depth)
+        if (depth, truncation) == (2, 1000):
+            assert divisor >= 10**scale
+        assert self.same(partial_sum(depth, truncation, "fixed", digits),
+                         judge)
 
 
 class TestReducedCoefficients:
