@@ -956,12 +956,12 @@ class TestValueRounding:
 
     @staticmethod
     def judged(depth, truncation, digits, route):
-        scale = digits + guard_digits(depth * truncation)
-        assert series._row_plan(depth, truncation, scale).route == route
-        exact = partial_sum(depth, truncation)
-        judge = FixedDecimal.from_rational(exact, digits,
-                                           guard_digits(depth * truncation))
-        return scale, judge
+        guard = guard_digits(depth * truncation)
+        assert series._row_plan(depth, truncation, digits + guard).route == (
+            route)
+        judge = FixedDecimal.from_rational(partial_sum(depth, truncation),
+                                           digits, guard)
+        return digits + guard, judge
 
     @staticmethod
     def same(value, judge):
@@ -982,19 +982,18 @@ class TestValueRounding:
         monkeypatch.setattr(exactnum, "int_to_decimal", no_conversion)
         assert self.same(partial_sum(4, 300, "fixed", 4200), judge)
 
-    @pytest.mark.parametrize("depth, truncation, digits, route", [
-        (2, 1000, 1126, "tree"),    # D >= 10**scale: the binary branch
-        (3, 200, 30, "newton"),     # over 2**bits > 10**scale
-        (4, 3000, 60, "newton"),
-        (3, 0, 40, "tree"),         # --upto 0: S_3(0) = 0
-        (5, 3, 700, "tree"),        # N < depth: 0
-        (5, 4, 20, "tree")])
+    @pytest.mark.parametrize("depth, truncation, digits, route, decimal", [
+        (2, 1000, 1126, "tree", False),  # D >= 10**scale
+        (3, 200, 30, "newton", False),   # 2**bits > 10**scale
+        (4, 3000, 60, "newton", False),
+        (3, 0, 40, "tree", True),        # --upto 0: S_3(0) = 0
+        (5, 3, 700, "tree", True),       # N < depth: 0
+        (5, 4, 20, "tree", True)])
     def test_equals_the_rounded_exact_sum(self, depth, truncation, digits,
-                                          route):
+                                          route, decimal):
         scale, judge = self.judged(depth, truncation, digits, route)
         _, divisor = series._raw_row(depth, truncation, scale, depth)
-        if (depth, truncation) == (2, 1000):
-            assert divisor >= 10**scale
+        assert (divisor < 10**scale) == decimal
         assert self.same(partial_sum(depth, truncation, "fixed", digits),
                          judge)
 
