@@ -13,18 +13,21 @@ builds e_k three independent ways and checks that they agree term by term:
 Every monomial in that identity is squarefree, as each factor contributes
 x_m at most once, so a monomial is named by the set of variables it
 holds: an int bitmask, bit i-1 standing for x_i (mask 0 is the constant
-1; the degree is ``mask.bit_count()``). A polynomial is a plain dict from
-mask to nonzero integer coefficient, so dict equality is polynomial
-equality. ``times_variable``, the one way to multiply by a variable,
-refuses a monomial that already holds it: such a product has no mask,
-and OR-ing the bit in silently would hide exactly the defect the
-squarefree check exists to catch.
+1; the degree is ``mask.bit_count()``). A polynomial is an ascending list
+of masks, each monomial repeated once per unit of its coefficient (every
+coefficient built here is positive: none cancels), so list equality is
+polynomial equality and a duplicated monomial stays visible as a repeat.
+``times_variable``, the one way to multiply by a variable, refuses a
+monomial that already holds it: such a product has no mask, and OR-ing
+the bit in silently would hide exactly the defect the squarefree check
+exists to catch.
 
-Every sum is formed whole, as a new dict, by ``_plus``. The recurrence
+Every sum is formed whole, as a new list, by ``_plus``. The recurrence
 and the expansion only ever add a polynomial over x_1..x_(m-1) to x_m
-times another, and those supports are disjoint, so one C-level merge of
-the two dicts is their sum. A monomial on both sides, which only a defect
-produces, has its coefficients added, so the check still sees it.
+times another, so every mask on the left is below every mask on the
+right and their concatenation is the ascending sum. Operands that
+interleave, which only a defect produces, are merged by one sort, and a
+monomial on both sides keeps both copies, so the check still sees it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import collections
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DomainError, InfeasibleError
 
@@ -42,13 +44,14 @@ __all__ = ["ExpansionReport", "PRACTICAL_VERIFY_CEILING",
            "elementary_symmetric_row", "expand_product", "render",
            "substitute", "times_variable", "verify_expansion"]
 
-# Above this many variables the check takes over a second and the CLI
-# warns: time and memory double with each m, and one cold verify_expansion
-# on a shared 2-vCPU host (CPython 3.11) took 0.07 s at m = 16, 0.26-0.33 s
-# at m = 18 and 0.65-0.72 s at m = 19.
+# Above this many variables the CLI warns: time and memory double with
+# each m, and one cold verify_expansion on a shared 2-vCPU host (CPython
+# 3.11.7) took 0.02 s and 22 MB peak RSS at m = 16, 0.07-0.09 s and 47 MB
+# at m = 18 and 0.17-0.25 s and 79 MB at m = 19. The ceiling was set when
+# m = 20 took over a second; it stands so the printed output stays put.
 PRACTICAL_VERIFY_CEILING = 19
 # Above this many variables verification is refused before any work:
-# m = 20 took 1.5-1.6 s and 180-190 MB peak RSS on the same host.
+# m = 20 took 0.36-0.41 s and 142-144 MB peak RSS on the same host.
 VERIFY_WORK_CEILING = 20
 
 
@@ -57,39 +60,43 @@ def _indices(mask: int) -> tuple:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _plus(left: dict, right: dict) -> dict:
-    """left + right as a new dict (coefficients built here are positive:
-    none cancels); a monomial on both sides has its coefficients added,
-    never overwritten."""
-    merged = {**left, **right}
-    if len(merged) < len(left) + len(right):
-        for mask in left.keys() & right.keys():
-            merged[mask] = left[mask] + right[mask]
-    return merged
+def _plus(left: list, right: list) -> list:
+    """left + right as a new ascending list; a monomial on both sides
+    keeps both copies, so its coefficients add."""
+    if not left or not right or left[-1] < right[0]:
+        return left + right
+    return sorted(left + right)  # timsort merges the two ascending runs
 
 
-def times_variable(poly: dict, index: int) -> dict:
-    """poly * x_index, refusing any monomial that already holds x_index."""
+def times_variable(poly: list, index: int) -> list:
+    """poly * x_index, refusing any monomial that already holds x_index.
+
+    OR-ing a bit no mask holds adds it, so the product stays ascending.
+    Only a mask at least the bit can hold it, and the last mask is the
+    largest, so the scan runs only when that one is."""
     if index < 1:
         raise DomainError("variable indices are 1-based")
     bit = 1 << (index - 1)
-    out = {}
-    for mask, coefficient in poly.items():
-        if mask & bit:
-            raise DomainError(
-                f"x_{index} * {render({mask: 1})} is not squarefree")
-        out[mask | bit] = coefficient
-    return out
+    if poly and poly[-1] >= bit:
+        for mask in poly:
+            if mask & bit:
+                raise DomainError(
+                    f"x_{index} * {render([mask])} is not squarefree")
+    return [mask | bit for mask in poly]
 
 
-def elementary_symmetric(n_vars: int, k: int) -> dict:
-    """Degree-k elementary symmetric polynomial by direct enumeration of
-    the k-subsets of 1..n_vars: the independent witness the recurrence and
-    the product expansion are compared against."""
-    if n_vars < 0 or k < 0:
-        raise DomainError("variable and degree counts must be nonnegative")
-    bits = [1 << i for i in range(n_vars)]
-    return dict.fromkeys(map(sum, combinations(bits, k)), 1)
+def elementary_symmetric(n_vars: int) -> list:
+    """[e_0 .. e_n_vars] by direct enumeration of the subsets of 1..n_vars:
+    the independent witness the recurrence and the product expansion are
+    compared against. One pass over every subset mask, ascending, files
+    each under its degree, so each polynomial comes out ascending."""
+    if n_vars < 0:
+        raise DomainError("variable count must be nonnegative")
+    row = [[] for _ in range(n_vars + 1)]
+    file_under = [poly.append for poly in row]
+    for mask in range(1 << n_vars):
+        file_under[mask.bit_count()](mask)
+    return row
 
 
 def elementary_symmetric_row(n_vars: int, k_max: int) -> list:
@@ -101,7 +108,7 @@ def elementary_symmetric_row(n_vars: int, k_max: int) -> list:
     x_1..x_(m-1) while row[k] is formed."""
     if n_vars < 0 or k_max < 0:
         raise DomainError("variable and degree counts must be nonnegative")
-    row = [{0: 1}] + [{} for _ in range(k_max)]
+    row = [[0]] + [[] for _ in range(k_max)]
     for m in range(1, n_vars + 1):
         for k in range(min(k_max, m), 0, -1):
             row[k] = _plus(row[k], times_variable(row[k - 1], m))
@@ -114,21 +121,21 @@ def expand_product(n_vars: int) -> list:
     no reference to the symmetric recurrence."""
     if n_vars < 0:
         raise DomainError("variable count must be nonnegative")
-    coefficients = [{0: 1}]
+    coefficients = [[0]]
     for m in range(1, n_vars + 1):
         # (c_0 + c_1 t + ...) * (1 + x_m t) has c_p + x_m * c_(p-1) at t**p
-        padded = [{}] + coefficients + [{}]
+        padded = [[]] + coefficients + [[]]
         coefficients = [_plus(c, times_variable(lower, m))
                         for lower, c in zip(padded, padded[1:])]
     return coefficients
 
 
-def substitute(poly: dict, assignment: Mapping[int, object]) -> Fraction:
+def substitute(poly: list, assignment: Mapping[int, object]) -> Fraction:
     """Exact value with every variable x_i replaced by assignment[i]; every
     index appearing in the polynomial must be assigned."""
     total = Fraction(0)
-    for mask, coefficient in poly.items():
-        value = Fraction(coefficient)
+    for mask in poly:
+        value = Fraction(1)
         for index in _indices(mask):
             if index not in assignment:
                 raise DomainError(f"no value assigned to x_{index}")
@@ -137,14 +144,16 @@ def substitute(poly: dict, assignment: Mapping[int, object]) -> Fraction:
     return total
 
 
-def render(poly: dict) -> str:
+def render(poly: list) -> str:
     """Canonical text: monomials sorted by index sequence joined by " + ",
-    the coefficient omitted when it is 1 on a non-constant monomial."""
+    each with its multiplicity as coefficient, omitted when it is 1 on a
+    non-constant monomial."""
     if not poly:
         return "0"
+    counts = collections.Counter(poly)
     parts = []
-    for mask in sorted(poly, key=_indices):
-        coefficient = poly[mask]
+    for mask in sorted(counts, key=_indices):
+        coefficient = counts[mask]
         monomial = "*".join(f"x_{i}" for i in _indices(mask))
         if not monomial:
             parts.append(str(coefficient))
@@ -184,16 +193,18 @@ def verify_expansion(n_vars: int) -> ExpansionReport:
             "verifying m = %d variables expands 2**%d terms; at most m = %d "
             "is accepted" % (n_vars, n_vars, VERIFY_WORK_CEILING),
             required=n_vars)
-    # Each power leaves both queues once checked, so each enumeration is
-    # built beside the powers still to check, not beside all of them.
+    # Each power leaves the three queues once checked, so its lists are
+    # freed while the later powers are compared.
     expansion = collections.deque(expand_product(n_vars))
     row = collections.deque(elementary_symmetric_row(n_vars, n_vars))
+    enumeration = collections.deque(elementary_symmetric(n_vars))
     details = []
     for k in range(n_vars + 1):
         expanded, recurred = expansion.popleft(), row.popleft()
-        enumerated = elementary_symmetric(n_vars, k)
+        enumerated = enumeration.popleft()
         count = math.comb(n_vars, k)
-        if (expanded == enumerated == recurred and len(expanded) == count
+        monomials = len(set(expanded))
+        if (expanded == enumerated == recurred and monomials == count
                 and set(map(int.bit_count, expanded)) <= {k}):
             details.append(f"power {k}: {count} squarefree monomials, "
                            "three constructions agree")
@@ -203,7 +214,7 @@ def verify_expansion(n_vars: int) -> ExpansionReport:
             f"  product expansion: {render(expanded)}",
             f"  enumeration:       {render(enumerated)}",
             f"  recurrence:        {render(recurred)}",
-            f"  monomial count {len(expanded)}, expected {count}",
+            f"  monomial count {monomials}, expected {count}",
         ]
         return ExpansionReport(n_vars, False, k, tuple(details))
     return ExpansionReport(n_vars, True, None, tuple(details))

@@ -5,6 +5,7 @@ subprocess test proves the installed console script exists.
 """
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -305,6 +306,27 @@ class TestTableCommand:
 
 
 class TestVerifyTheoremCommand:
+    # sha256 over M = 0..13 of the exit code, stdout and stderr of
+    # `verify-theorem --m M --format F`, each followed by a NUL, as the
+    # dict-based engine printed them: the list form must print the same.
+    PINNED = {
+        "text": "a974470127e3059af917c0fb311ecf16"
+                "85219744f8a8dd05e0bf18d5b6c93c6f",
+        "csv": "cd784d773a413f3307cbcc914c815c59"
+               "5334e7f69739028d8a2c775d37eb201a",
+        "json": "2979c62e0b125042d50ace287b8ff8a6"
+                "357396d5170d2c16fa9f9ce4cde87e17",
+    }
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+    def test_output_bytes_are_pinned(self, capsys, output_format):
+        digest = hashlib.sha256()
+        for m in range(14):
+            code, out, err = run_cli(capsys, "verify-theorem", "--m", str(m),
+                                     "--format", output_format)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == self.PINNED[output_format]
+
     def test_pass_at_m_six(self, capsys):
         code, out, _ = run_cli(capsys, "verify-theorem", "--m", "6")
         assert code == EXIT_OK
