@@ -106,6 +106,12 @@ EXACT_TRUNCATION_LIMIT = 2000
 # the head cutoff then grows like 2**(bits / (2*EM_TERMS + 3)).
 EM_TERMS = 12
 Value = Fraction | FixedDecimal
+# The zeta rows of _newton_row, one per working precision (_zeta_row),
+# within tree.BLOCK_CACHE_BITS (5 MiB) of memory in all, least recently
+# used first. A row of a command line under STEP_CEILING takes at most
+# about 0.23 MB (depth 3000 to 4000 at the ceiling), a row of the
+# benchmark's sinc cycle about 2 KB.
+_ZETAS = tree._BlockCache()
 
 
 def _check_depth_truncation(depth: int, truncation: int) -> None:
@@ -310,23 +316,10 @@ def _elementary_row(sums: list, bits: int) -> list:
     return row
 
 
-def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
-    """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
-    2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
-    identities (_elementary_row), with bits and the head H from
-    _row_plan, or from _newton_plan where that plan has none (the tree's
-    row, or one stopped at its floor past STEP_CEILING).
-
-    Each index l of the head 1..H contributes floor(2**bits / l**(2i)) to
-    P_i by the chain t //= l*l, which stops once t reaches 0; past the
-    head, P_i gains the tail _tail_sums where that can reach one unit
-    (_tail_terms). The caller rounds the entries it reads half-even once
-    at 10**-scale (see _raw_row): within half a unit of that rounding plus
-    under half a unit of _newton_radius, so within one unit of exact.
-    """
-    _, _, bits, head = _row_plan(depth, truncation, scale)
-    if bits is None:
-        bits, head = _newton_plan(depth, truncation, scale)
+def _head_sums(depth: int, head: int, bits: int) -> list:
+    """[P_1 .. P_depth] over the head 1..H, H = `head`, at 2**-bits: each
+    index l adds floor(2**bits / l**(2i)) to P_i by the chain t //= l*l,
+    which stops once t reaches 0."""
     one = 1 << bits
     sums = [0] * depth
     for ell in range(1, head + 1):
@@ -337,11 +330,54 @@ def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
             if not t:
                 break
             sums[i] += t
-    if head < truncation:
-        terms = _tail_terms(depth, head + 1, bits)
-        for i, p in enumerate(_tail_sums(range(1, terms + 1), head,
-                                         truncation, bits)):
-            sums[i] += p
+    return sums
+
+
+def _zeta_row(depth: int, head: int, bits: int) -> list:
+    """[zeta_1 .. zeta_depth], zeta(2i) at 2**-bits as _newton_row forms it
+    past its cutoff M = `head`: the head sums over 1..M (_head_sums) plus
+    the tail _zeta_scaled(i, M+1) for i <= _tail_terms(depth, M+1, bits).
+
+    M depends only on the bits (_head_length), so the row is kept in
+    _ZETAS at them and serves every request there, whatever its N or
+    depth: a shallower one by slicing, as neither the chain nor the tail
+    terms of an entry depend on the entries after it; a deeper one builds
+    it again and replaces it."""
+    kept = _ZETAS.row(bits, depth)
+    if kept is not None:
+        return kept[0]
+    row = _head_sums(depth, head, bits)
+    for i in range(_tail_terms(depth, head + 1, bits)):
+        row[i] += _zeta_scaled(i + 1, head + 1, bits)
+    _ZETAS.keep(bits, row, ())
+    return row
+
+
+def _newton_row(depth: int, truncation: int, scale: int) -> tuple:
+    """(bits, [E_0 .. E_depth]): the row [S_0 .. S_depth](N) as integers at
+    2**-bits from the power sums p_i(N) = sum_{l<=N} l**(-2i) by Newton's
+    identities (_elementary_row), with bits and the head H from
+    _row_plan, or from _newton_plan where that plan has none (the tree's
+    row, or one stopped at its floor past STEP_CEILING).
+
+    Where H = N (or at depth 0) the power sums are the head sums over
+    1..N (_head_sums). Past the head, H = M, P_i is the kept zeta row's
+    zeta_i (_zeta_row) less the tail _zeta_scaled(i, N+1) where that can
+    reach one unit (_tail_terms): the same integers as the head sums plus
+    the tail Z_i(M+1) - Z_i(N+1) (_tail_sums), regrouped. The caller
+    rounds the entries it reads half-even once at 10**-scale (see
+    _raw_row): within half a unit of that rounding plus under half a unit
+    of _newton_radius, so within one unit of exact.
+    """
+    _, _, bits, head = _row_plan(depth, truncation, scale)
+    if bits is None:
+        bits, head = _newton_plan(depth, truncation, scale)
+    if depth and head < truncation:
+        sums = _zeta_row(depth, head, bits)
+        for i in range(_tail_terms(depth, head + 1, bits)):
+            sums[i] -= _zeta_scaled(i + 1, truncation + 1, bits)
+    else:
+        sums = _head_sums(depth, head, bits)
     return bits, _elementary_row(sums, bits)
 
 

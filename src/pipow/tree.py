@@ -63,27 +63,29 @@ _ENTRY_BITS = 8 * 300
 
 
 class _BlockCache(collections.OrderedDict):
-    """The product tree's block rows, (low, high) -> (bits, row, exponents),
-    least recently used first, within BLOCK_CACHE_BITS bits of memory in
-    all (_footprint); a row larger than that is not kept. A lock makes
-    each lookup and store atomic: concurrent callers may build one row
-    twice, never see half, nor a row with another's exponents."""
+    """Rows kept for the process, key -> (bits, row, exponents): the
+    product tree's block rows at (low, high) (_BLOCKS), and the zeta rows
+    of series._newton_row at their working bits (series._ZETAS, no
+    exponents). Least recently used first, within BLOCK_CACHE_BITS bits of
+    memory in all (_footprint); a row larger than that is not kept. A lock
+    makes each lookup and store atomic: concurrent callers may build one
+    row twice, never see half, nor a row with another's exponents."""
 
     def __init__(self):
         super().__init__()
         self.bits, self.lock = 0, _thread.allocate_lock()
 
-    def row(self, key: tuple, entries: int) -> tuple | None:
+    def row(self, key, entries: int) -> tuple | None:
         """(the first `entries` coefficients of the row kept at `key`, its
-        exponents), or None if it holds fewer."""
+        exponents), or None if none is kept there or it holds fewer."""
         with self.lock:
-            _, row, exponents = self.get(key, (0, (), ()))
-            if len(row) < entries:
+            kept = self.get(key)
+            if kept is None or len(kept[1]) < entries:
                 return None
             self.move_to_end(key)
-        return list(row[:entries]), exponents
+        return list(kept[1][:entries]), kept[2]
 
-    def keep(self, key: tuple, row: list, exponents: tuple) -> None:
+    def keep(self, key, row: list, exponents: tuple) -> None:
         """Keeps `row` and its exponents at `key` in place of any row
         there, then drops the least recently used rows past the budget."""
         row = tuple(row)

@@ -845,6 +845,41 @@ class TestOutputPlumbing:
         assert first == second
 
 
+# Command lines whose rows take the Newton route past their head, so that
+# they read zeta(2i) from the rows kept per working precision.
+NEWTON_REQUESTS = {
+    "converge": ["converge", "--depth", "3", "--digits", "5"],
+    "table": ["table", "--max-depth", "4", "--digits", "4", "--format",
+              "json"],
+    "sinc": ["sinc", "--x", "-5/4", "--terms", "3000"],
+    "sum-fixed": ["sum", "--mode", "fixed", "--depth", "16", "--upto",
+                  "100000", "--digits", "30", "--format", "csv"],
+}
+
+
+class TestKeptZetaRows:
+    @pytest.mark.parametrize("name", list(NEWTON_REQUESTS))
+    def test_cold_and_warm_print_the_same_bytes(self, capsys, monkeypatch,
+                                                name):
+        zetas = tree._BlockCache()
+        monkeypatch.setattr(series, "_ZETAS", zetas)
+        cold = run_cli(capsys, *NEWTON_REQUESTS[name])
+        assert cold[0] == EXIT_OK and cold[2] == ""
+        assert len(zetas) > 0
+        assert run_cli(capsys, *NEWTON_REQUESTS[name]) == cold
+
+    def test_rows_kept_by_other_requests(self, capsys, monkeypatch):
+        # Each command line served after all the others, in both orders,
+        # prints what it printed as the first of its process.
+        cold = {}
+        for name, argv in NEWTON_REQUESTS.items():
+            monkeypatch.setattr(series, "_ZETAS", tree._BlockCache())
+            cold[name] = run_cli(capsys, *argv)
+        monkeypatch.setattr(series, "_ZETAS", tree._BlockCache())
+        for name in [*NEWTON_REQUESTS, *reversed(NEWTON_REQUESTS)]:
+            assert run_cli(capsys, *NEWTON_REQUESTS[name]) == cold[name]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["sum", "--depth", "0", "--upto", "5"],

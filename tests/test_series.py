@@ -1205,6 +1205,182 @@ class TestBlockCache:
         assert errors == [] and results == cold
         assert 0 < self.held(blocks) <= 50000
 
+    def test_zero_entries_of_a_missing_row(self, blocks):
+        # No row is kept at the key: None, not a KeyError from moving it.
+        assert blocks.row((1, 65), 0) is None
+        tree._truncated_product(1, 65, 2)
+        assert blocks.row((1, 65), 0) == ([], blocks[1, 65][2])
+        assert blocks.row((65, 129), 0) is None
+
+
+def newton_row_with(zetas, monkeypatch, depth, truncation, scale):
+    """series._newton_row(depth, N, scale) with `zetas` as its kept rows."""
+    with monkeypatch.context() as kept:
+        kept.setattr(series, "_ZETAS", zetas)
+        return series._newton_row(depth, truncation, scale)
+
+
+def regrouped_row(depth, truncation, scale):
+    """The row as the head sums over 1..H plus the tails Z_i(H+1) -
+    Z_i(N+1), each formed for this request alone."""
+    bits, head = series._newton_plan(depth, truncation, scale)
+    sums = series._head_sums(depth, head, bits)
+    if head < truncation:
+        terms = series._tail_terms(depth, head + 1, bits)
+        for i, p in enumerate(series._tail_sums(range(1, terms + 1), head,
+                                                truncation, bits)):
+            sums[i] += p
+    return bits, series._elementary_row(sums, bits)
+
+
+# Shapes of the converge cycle (depths 1 to 4, 17 to 22 places, N up to
+# 10**6) and of the sinc series (depths 13 to 22, 34 to 43 places, N from
+# 100 to 5000), with the head short of N.
+CONVERGE_SHAPES = [(1, 2000, 17), (2, 10**4, 20), (4, 10**4, 20),
+                   (3, 10**6, 22), (4, 3 * 10**5, 17), (1, 10**6, 22)]
+SINC_SHAPES = [(13, 100, 34), (22, 5000, 43), (16, 3000, 43),
+               (13, 2000, 40), (22, 700, 40), (17, 1200, 37)]
+
+
+class TestKeptZetaRows:
+    """Past its head M, a Newton row reads zeta(2i) at its working bits
+    from the row kept there (series._ZETAS) and subtracts only the tails
+    at N+1."""
+
+    @pytest.fixture
+    def zetas(self, monkeypatch):
+        cache = tree._BlockCache()
+        monkeypatch.setattr(series, "_ZETAS", cache)
+        return cache
+
+    @pytest.mark.parametrize("shape", CONVERGE_SHAPES + SINC_SHAPES)
+    def test_warm_rows_are_the_cold_rows(self, zetas, monkeypatch, shape):
+        bits, head = series._newton_plan(*shape)
+        assert head < shape[1]
+        cold = newton_row_with(tree._BlockCache(), monkeypatch, *shape)
+        assert cold == regrouped_row(*shape)
+        assert series._newton_row(*shape) == cold
+        assert list(zetas) == [bits]
+        assert series._newton_row(*shape) == cold
+
+    @pytest.mark.parametrize("shallow, deep", [
+        ((2, 10**4, 20), (4, 10**6, 20)), ((4, 3000, 40), (22, 5000, 40)),
+        ((16, 100, 43), (22, 4000, 43)), ((2, 5000, 34), (13, 10**6, 34))])
+    @pytest.mark.parametrize("deep_first", [False, True])
+    def test_either_build_order_at_one_precision(self, zetas, monkeypatch,
+                                                 shallow, deep, deep_first):
+        # A shallow row kept first is built again at the deeper request and
+        # replaced; a deep row kept first serves the shallow one sliced.
+        bits = series._newton_plan(*shallow)[0]
+        assert series._newton_plan(*deep)[0] == bits
+        cold = {shape: newton_row_with(tree._BlockCache(), monkeypatch,
+                                       *shape) for shape in (shallow, deep)}
+        for shape in (deep, shallow) if deep_first else (shallow, deep):
+            assert series._newton_row(*shape) == cold[shape]
+        assert list(zetas) == [bits] and len(zetas[bits][1]) == deep[0]
+        for shape in (shallow, deep):
+            assert series._newton_row(*shape) == cold[shape]
+
+    @pytest.mark.parametrize("shape", [(0, 10**6, 20), (0, 0, 20),
+                                       (3, 20, 30), (1, 1, 17), (24, 25, 60),
+                                       (0, 10**9, 200)])
+    def test_depth_zero_and_whole_heads_keep_nothing(self, monkeypatch,
+                                                     shape):
+        class Untouched(tree._BlockCache):
+            def row(self, *args):
+                raise AssertionError("a kept row was read")
+
+            def keep(self, *args):
+                raise AssertionError("a row was kept")
+
+        bits, head = series._newton_plan(*shape)
+        assert not shape[0] or head == shape[1]
+        assert newton_row_with(Untouched(), monkeypatch,
+                               *shape) == regrouped_row(*shape)
+
+    def test_a_kept_precision_sums_no_head(self, zetas, monkeypatch):
+        # The first row at a precision sums its head once; every later row
+        # there, at any N and at most as deep, sums none.
+        calls = []
+        head_sums = series._head_sums
+
+        def counting(depth, head, bits):
+            calls.append((depth, head, bits))
+            return head_sums(depth, head, bits)
+
+        monkeypatch.setattr(series, "_head_sums", counting)
+        series._newton_row(22, 5000, 43)
+        assert len(calls) == 1
+        for shape in ((22, 5000, 43), (16, 100, 43), (22, 10**6, 43),
+                      (16, 3000, 43)):
+            series._newton_row(*shape)
+        assert len(calls) == 1
+        series._newton_row(13, 2000, 40)
+        assert len(calls) == 2
+
+    def test_kept_rows_stay_within_the_budget(self, zetas, monkeypatch):
+        # Rows at nine precisions against a budget of about three of them:
+        # the least recently used go, and every row stays the cold one.
+        shapes = [(22, 5000, scale) for scale in range(34, 43)]
+        cold = [newton_row_with(tree._BlockCache(), monkeypatch, *shape)
+                for shape in shapes]
+        sizes = []
+        for shape in shapes[:3]:
+            single = tree._BlockCache()
+            newton_row_with(single, monkeypatch, *shape)
+            sizes.append(TestBlockCache.held(single))
+        monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", sum(sizes))
+        for shape, row in zip(shapes * 2, cold * 2):
+            assert series._newton_row(*shape) == row
+            assert 0 < TestBlockCache.held(zetas) <= sum(sizes)
+        assert 0 < len(zetas) < len(shapes)
+        assert list(zetas) == sorted(zetas)
+
+    def test_concurrent_callers_at_one_precision(self, monkeypatch):
+        # Threads over rows at one precision, deep and shallow, and two
+        # more precisions, in a budget they overflow; a store and a lookup
+        # pause inside their critical section, as for the tree's blocks.
+        class Pausing(tree._BlockCache):
+            def pop(self, *args):
+                time.sleep(1e-4)
+                return super().pop(*args)
+
+            def move_to_end(self, key):
+                time.sleep(1e-4)
+                return super().move_to_end(key)
+
+        requests = [(depth, truncation, 43) for depth in (16, 22)
+                    for truncation in (100, 700, 5000, 10**6)]
+        requests += [(13, 2000, 40), (22, 2000, 34)]
+        cold = {request: newton_row_with(tree._BlockCache(), monkeypatch,
+                                         *request) for request in requests}
+        zetas = Pausing()
+        monkeypatch.setattr(series, "_ZETAS", zetas)
+        monkeypatch.setattr(tree, "BLOCK_CACHE_BITS", 40000)
+        results, errors = {}, []
+
+        def worker(share):
+            try:
+                for request in share * 3:
+                    results[request] = series._newton_row(*request)
+            except Exception as error:  # a thread's failure, checked below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(requests[i::4],))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and results == cold
+        assert 0 < TestBlockCache.held(zetas) <= 40000
+
 
 def block_exponents(low, high, depth):
     """{p: e_p} for e_p > 0, e_p = sum_i max(0, n_i - depth) with n_i the
