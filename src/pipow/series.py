@@ -20,11 +20,16 @@ prod_{l<=N} (l**2 + t) that are read, exact over their denominator bound
 D, and requests at any N share its blocks. Elsewhere a fixed value is an
 entry of the row [S_0 .. S_n](N) over 2**bits that the power sums
 p_i(N) = sum_{l<=N} l**(-2i) give by Newton's identities (`_newton_row`),
-which need every entry below the one returned: summed term by term up to
-an Euler-Maclaurin cutoff M and from the certified Euler-Maclaurin tail
-past it, each entry within one unit of exact under a closed-form radius
-of O(R * log depth) units, R the largest power-sum error
-(`_newton_radius`), so no pass but the row's grows with the depth. Of
+which need every entry below the one returned. Up to an Euler-Maclaurin
+cutoff M the power sums are summed term by term; past it p_i(N) =
+zeta_i - Z_i(N+1), Z_i the certified Euler-Maclaurin tail and zeta_i the
+head 1..M plus Z_i(M+1). M depends only on the working bits, so zeta_i
+is kept per precision and shared by every request there (`_zeta_row`).
+Each entry is within one unit of exact under a closed-form radius of
+O(R * log depth) units, R the largest power-sum error
+(`_newton_radius`), so no pass but the row's grows with the depth. The
+estimate (`_row_plan`) still charges the head to every request, so it
+stays an upper bound, and no refusal depends on what is kept. Of
 the row unrounded over its divisor (`_raw_row`), only the entries read
 are rounded at 10**-scale: a fixed sum's by `exactnum.div_to_decimal`,
 in decimal where D < 10**scale, the sinc series' each by a long division
@@ -437,7 +442,10 @@ def _row_plan(depth: int, truncation: int, scale: int) -> RowPlan:
     the long division that rounds each entry (263 us at 3000 places);
     then, at head H (_newton_plan), (0.3*bits + 300)/8 per head division,
     H*min(depth, bits/(2*log2 H) + 1) of them, and 4*(bits + 2000) for
-    each tail summed (_tail_terms, at most 13 at up to 100 places). A
+    each tail summed (_tail_terms, at most 13 at up to 100 places). The
+    head is charged to every request, though past H < N only the first
+    at its bits sums it (_zeta_row): the count stays an upper bound, and
+    a refusal does not depend on what the process has kept. A
     step took 1.7 to 13 ns for the row alone and 2.7 to 14 ns cold, the
     plan formed each time (depths 1 to 4000, N from the depth to 10**12,
     24 to 1000 places, every estimate under STEP_CEILING). It stops
